@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 
 from .constants import HBAR, SPECIES
 
+# Smallest scale ratio each dimensional-reduction check accepts.
+_VALIDITY_THRESHOLD = 3.0
+
 
 class UnsupportedModelError(ValueError):
     """Raised for (dimension, exponent) combinations without a closed form."""
@@ -235,8 +238,8 @@ def thomas_fermi_atom_count(spec: CondensateSpec, derived: DerivedParams) -> flo
     raise UnsupportedModelError("profile integral available for D in {2, 3} only")
 
 
-def validate_dimensional_reduction(spec: CondensateSpec, derived: DerivedParams,
-                                   threshold: float = 3.0) -> ValidityReport:
+def validate_dimensional_reduction(spec: CondensateSpec,
+                                   derived: DerivedParams) -> ValidityReport:
     """Scale-hierarchy checks behind the lower-dimensional description.
 
     (a) mode mixing: the transverse level spacing hbar*omega_z must dominate
@@ -244,7 +247,7 @@ def validate_dimensional_reduction(spec: CondensateSpec, derived: DerivedParams,
         (xi/a_perp)^2.
     (b) mean-field validity: a_perp must dominate the scattering length.
 
-    Failing a check is reported, never raised.
+    A check fails when its ratio is below 3; failing is reported, never raised.
     """
     checks = []
     if derived.transverse_width is not None:
@@ -253,8 +256,8 @@ def validate_dimensional_reduction(spec: CondensateSpec, derived: DerivedParams,
         checks.append(ValidityCheck(
             name="mode_mixing_suppression",
             ratio=ratio_a,
-            threshold=threshold,
-            passed=ratio_a >= threshold,
+            threshold=_VALIDITY_THRESHOLD,
+            passed=ratio_a >= _VALIDITY_THRESHOLD,
             description="transverse level spacing vs chemical potential, "
                         "equals (healing length / transverse width)^2",
         ))
@@ -262,8 +265,8 @@ def validate_dimensional_reduction(spec: CondensateSpec, derived: DerivedParams,
         checks.append(ValidityCheck(
             name="mean_field_validity",
             ratio=ratio_b,
-            threshold=threshold,
-            passed=ratio_b >= threshold,
+            threshold=_VALIDITY_THRESHOLD,
+            passed=ratio_b >= _VALIDITY_THRESHOLD,
             description="transverse width vs s-wave scattering length",
         ))
     return ValidityReport(checks=tuple(checks))
@@ -274,16 +277,6 @@ def sound_frequency_at_healing_scale(derived: DerivedParams) -> float:
     return derived.sound_speed / derived.healing_length
 
 
-def natural_mass(mass_kg: float) -> float:
-    """SI mass -> natural units (hbar = 1): m/hbar, in s/m^2."""
-    return mass_kg / HBAR
-
-
 def natural_coupling(g_si: float) -> float:
     """SI coupling (J m^D) -> natural units: g/hbar, in m^D/s."""
     return g_si / HBAR
-
-
-def natural_energy(e_si: float) -> float:
-    """SI energy -> natural units: E/hbar, in rad/s."""
-    return e_si / HBAR

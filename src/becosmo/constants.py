@@ -2,7 +2,7 @@
 
 Interaction formulas in the physics modules are written in natural units
 with hbar = 1; conversion happens at the boundary where SI inputs enter
-(see condensate.natural_mass / natural_coupling).
+(see condensate.natural_coupling).
 """
 
 HBAR = 1.054571817e-34       # J s

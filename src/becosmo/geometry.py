@@ -9,6 +9,9 @@ co-moving particle horizon (total remaining reach of sound signals).
 
 All horizon statements apply to wavelengths well above the healing length;
 below it, dispersion takes over and the geometric picture dissolves.
+
+apparent_horizon and particle_horizon take a scalar or an array of times
+(each within the sampled range) and return a NumPy scalar or an array.
 """
 
 from __future__ import annotations
@@ -113,32 +116,27 @@ def sound_speed_history(trajectory: ScaleTrajectory,
     return c_of_t
 
 
-def particle_horizon(trajectory: ScaleTrajectory, t: float,
-                     c0: float = 1.0) -> float:
+def particle_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):
     """Co-moving particle horizon: remaining reach of sound emitted at t.
 
     Evaluates c0 * integral_t^inf b^-(1 + D(N-1)/2) dt', numerically up to the
     trajectory end plus the closed-form tail on the linear asymptote. Returns
     inf when the expansion never reaches the linear regime (e.g. trap held on).
     """
-    total = trajectory.horizon_integral_infinity
-    if math.isinf(total):
-        return math.inf
-    return c0 * (total - float(trajectory.horizon_integral(t)))
+    return c0 * (trajectory.horizon_integral_infinity - trajectory.horizon_integral(t))
 
 
-def apparent_horizon(trajectory: ScaleTrajectory, t: float,
-                     c0: float = 1.0) -> float:
+def apparent_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):
     """Laboratory radius where the outward flow reaches the sound speed.
 
     r = c(t) b / bdot = c0 b^(1 - D(N-1)/2) / bdot; infinite while bdot <= 0.
     """
-    bdot = float(trajectory.bdot(t))
-    if bdot <= 0.0:
-        return math.inf
-    b = float(trajectory.b(t))
+    b = trajectory.b(t)
+    bdot = trajectory.bdot(t)
     power = 1.0 - trajectory.dimension * (trajectory.exponent - 1.0) / 2.0
-    return c0 * b**power / bdot
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = c0 * np.float_power(b, power) / bdot
+    return np.where(bdot > 0.0, radius, math.inf)[()]
 
 
 def settled_apparent_horizon(trajectory: ScaleTrajectory,
@@ -193,12 +191,12 @@ def horizon_report(trajectory: ScaleTrajectory, c0: float = 1.0) -> HorizonRepor
     )
 
 
-def write_horizons_csv(trajectory: ScaleTrajectory, c0: float, path,
-                       skip_initial: int = 1) -> None:
+def write_horizons_csv(trajectory: ScaleTrajectory, c0: float, path) -> None:
     """Horizon histories: t, apparent radius, co-moving particle horizon."""
+    ts = trajectory.ts[1:]  # the apparent horizon is infinite at t = 0
+    radii = apparent_horizon(trajectory, ts, c0)
+    reach = particle_horizon(trajectory, ts, c0)
     with open(path, "w", newline="") as fh:
         fh.write("t_s,r_apparent_m,particle_horizon_comoving_m\n")
-        for t in trajectory.ts[skip_initial:]:
-            ra = apparent_horizon(trajectory, float(t), c0)
-            dp = particle_horizon(trajectory, float(t), c0)
+        for t, ra, dp in zip(ts, radii, reach):
             fh.write(f"{t:.12e},{ra:.12e},{dp:.12e}\n")

@@ -11,6 +11,10 @@ Conventions. Spectra follow C(kappa) = integral d^D rho e^{i kappa rho}
 quantization volume, so phase_amplitude * density_amplitude = 1/2 for every
 mode (the canonical pairing) and no volume factor survives in any reported
 spectrum. Interaction inputs are SI; hbar conversions happen inside.
+
+bogoliubov_frequency, density_spectrum_2d and thermal_occupation take a
+scalar or an array for k, kappa or temperature (every element checked) and
+return a NumPy scalar or an array.
 """
 
 from __future__ import annotations
@@ -24,19 +28,22 @@ from .constants import HBAR, K_B
 
 FOURIER_CONVENTION = ("C(kappa) = int d^D rho exp(i kappa.rho) "
                       "<drho(0) drho(rho)> / rho0^2")
+# Occupation below which vacuum noise dominates a mode.
+_QUANTUM_THRESHOLD = 0.01
 
 
-def bogoliubov_frequency(k: float, mu: float, m: float) -> float:
+def bogoliubov_frequency(k, mu: float, m: float):
     """Phonon dispersion omega^2 = mu k^2/m + hbar^2 k^4/(4 m^2), in rad/s.
 
     Linear (sound-like) below 1/xi, quadratic (free-particle) above; the
     quantum-pressure term is kept, so the curve is valid through k xi ~ 1.
     """
-    if k < 0.0:
+    if np.any(np.asarray(k) < 0.0):
         raise ValueError("k must be non-negative")
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    return math.sqrt(mu * k**2 / m + HBAR**2 * k**4 / (4.0 * m**2))
+    return np.sqrt(mu * np.float_power(k, 2) / m
+                   + HBAR**2 * np.float_power(k, 4) / (4.0 * m**2))
 
 
 @dataclass(frozen=True)
@@ -69,16 +76,16 @@ def bogoliubov_mode(k: float, mu: float, m: float, rho0: float,
     )
 
 
-def density_spectrum_2d(kappa: float, g2d: float, mu: float, m: float) -> float:
+def density_spectrum_2d(kappa, g2d: float, mu: float, m: float):
     """Frozen relative density-contrast spectrum, units m^2.
 
     C(kappa) = g2d kappa / (mu sqrt(4 m mu / hbar^2 + kappa^2)), evaluated on
     the initial trapped state. Perfect scaling makes this the post-expansion
     spectrum at co-moving wavenumber kappa.
     """
-    if kappa < 0.0:
+    if np.any(np.asarray(kappa) < 0.0):
         raise ValueError("kappa must be non-negative")
-    return g2d * kappa / (mu * math.sqrt(4.0 * m * mu / HBAR**2 + kappa**2))
+    return g2d * kappa / (mu * np.sqrt(4.0 * m * mu / HBAR**2 + np.float_power(kappa, 2)))
 
 
 def comoving_spectrum_during_expansion(kappa: float, b: float, g2d: float,
@@ -113,27 +120,27 @@ def windowed_contrast(kappa: float, xi: float, g2d: float, mu: float,
 
 @dataclass(frozen=True)
 class ThermalOccupation:
-    occupation: float
-    quantum_dominated: bool
+    occupation: float | np.ndarray
+    quantum_dominated: bool | np.ndarray
 
 
-def thermal_occupation(k: float, temperature: float, mu: float, m: float,
-                       quantum_threshold: float = 0.01) -> ThermalOccupation:
-    """Bose-Einstein occupation of mode k and whether vacuum noise dominates."""
-    if temperature < 0.0:
+def thermal_occupation(k: float, temperature, mu: float, m: float) -> ThermalOccupation:
+    """Bose-Einstein occupation of mode k and whether vacuum noise dominates
+    (occupation below 0.01)."""
+    temperature = np.asarray(temperature, dtype=float)
+    if np.any(temperature < 0.0):
         raise ValueError("temperature must be non-negative")
-    if temperature == 0.0:
-        return ThermalOccupation(0.0, True)
     omega = bogoliubov_frequency(k, mu, m)
-    x = HBAR * omega / (K_B * temperature)
-    n = 0.0 if x > 700.0 else 1.0 / math.expm1(x)  # exp would overflow; n ~ 0
-    return ThermalOccupation(n, n < quantum_threshold)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = HBAR * omega / (K_B * temperature)
+        # T = 0 and x > 700 (where exp would overflow) both leave n = 0
+        n = np.where((temperature == 0.0) | (x > 700.0), 0.0, 1.0 / np.expm1(x))
+    return ThermalOccupation(n[()], (n < _QUANTUM_THRESHOLD)[()])
 
 
 def occupation_curve(k: float, temperatures, mu: float, m: float):
     """Occupation n(T) sampled over an array of temperatures."""
-    return np.array([thermal_occupation(k, float(t), mu, m).occupation
-                     for t in np.asarray(temperatures, dtype=float)])
+    return thermal_occupation(k, temperatures, mu, m).occupation
 
 
 @dataclass(frozen=True)
@@ -148,8 +155,8 @@ class Spectrum:
 def spectrum_2d_grid(kappas, g2d: float, mu: float, m: float,
                      scenario: str = "") -> Spectrum:
     kappas = np.asarray(kappas, dtype=float)
-    values = np.array([density_spectrum_2d(float(k), g2d, mu, m) for k in kappas])
-    return Spectrum(kappa_grid=kappas, values=values, dimension=2,
+    return Spectrum(kappa_grid=kappas, values=density_spectrum_2d(kappas, g2d, mu, m),
+                    dimension=2,
                     metadata={"scenario": scenario,
                               "fourier_convention": FOURIER_CONVENTION})
 

@@ -106,11 +106,13 @@ class ScaleTrajectory:
 
     Exposes dense-output lookups b(t), bdot(t), the co-moving clock integral
     and the horizon integral, plus the late-time linear-regime fit
-    b ~ alpha (t - linear_offset) used to close the improper integrals.
+    b ~ alpha (t - linear_offset) used to close the improper integrals. Each
+    lookup takes a scalar or an array of times within [0, t_max]. p, q and s
+    are the exponents of b'' and of the clock and horizon integrands.
     """
 
     def __init__(self, protocol, dimension, exponent, tolerance, dense,
-                 ts, ys, interpolation):
+                 ts, ys, interpolation, p, q, s, clock_valid):
         self.protocol = protocol
         self.dimension = dimension
         self.exponent = exponent
@@ -124,15 +126,8 @@ class ScaleTrajectory:
         self.bdots = ys[1]
         self.clocks = ys[2]
         self.horizon_integrals = ys[3]
-        self.p = scale_exponent(dimension, exponent)
-        self.s = horizon_exponent(dimension, exponent)
-        try:
-            self.q = clock_exponent(dimension, exponent)
-            self.clock_valid = True
-        except ValueError:
-            self.q = -2.0  # placeholder; the clock channel is unusable
-            self.clock_valid = False
-
+        self.p, self.q, self.s = p, q, s
+        self.clock_valid = clock_valid
         self._fit_asymptote()
 
     # -- linear-regime bookkeeping -------------------------------------------
@@ -212,15 +207,6 @@ class ScaleTrajectory:
     def horizon_integral_infinity(self) -> float:
         return float(self.horizon_integrals[-1]) + self._tail(self.s)
 
-    @property
-    def samples(self):
-        """(t, b, bdot) triples at the sample grid."""
-        return np.column_stack([self.ts, self.bs, self.bdots])
-
-    @property
-    def proper_time_samples(self):
-        return np.column_stack([self.ts, self.clocks])
-
 
 def integrate_scale_factor(protocol: ExpansionProtocol, dimension: int,
                            exponent: float, t_max: float,
@@ -236,21 +222,19 @@ def integrate_scale_factor(protocol: ExpansionProtocol, dimension: int,
     if not 1e-14 < tolerance < 1e-4:
         raise ValueError("tolerance must lie in (1e-14, 1e-4)")
     p = scale_exponent(dimension, exponent)
-    try:
-        q = clock_exponent(dimension, exponent)
-    except ValueError:
-        q = -2.0
     s = horizon_exponent(dimension, exponent)
+    try:
+        q, clock_valid = clock_exponent(dimension, exponent), True
+    except ValueError:
+        q, clock_valid = -2.0, False  # placeholder; the clock channel is unusable
     omega0 = protocol.initial_frequency
 
     def rhs(t, y):
         b = y[0]
         if b <= 0.0:
             raise NumericalError(f"scale factor collapsed to b={b} at t={t}")
-        return [y[1],
-                -protocol.omega_ext(t)**2 * b + omega0**2 / b**p,
-                b**q,
-                b**(-s)]
+        return [y[1], scale_ode_rhs(b, t, protocol, dimension, exponent),
+                b**q, b**(-s)]
 
     ts = np.linspace(0.0, t_max, n_samples)
     rtol = max(tolerance / 20.0, 1e-13)
@@ -261,7 +245,8 @@ def integrate_scale_factor(protocol: ExpansionProtocol, dimension: int,
         raise NumericalError(f"scale-factor integration failed: {sol.message}")
     descriptor = f"dop853-dense rtol={rtol:g}"
     return ScaleTrajectory(protocol, dimension, exponent, tolerance,
-                           sol.sol, ts, sol.y, descriptor)
+                           sol.sol, ts, sol.y, descriptor,
+                           p=p, q=q, s=s, clock_valid=clock_valid)
 
 
 class LinearExpansion:

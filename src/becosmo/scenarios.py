@@ -300,6 +300,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _kappa_grid(numeric: NumericSettings, default_min: float,
+                default_max: float) -> np.ndarray:
+    """Log-spaced wavenumber grid; the configured edges override the defaults."""
+    if numeric.kappa_min is not None:
+        default_min, default_max = numeric.kappa_min, numeric.kappa_max
+    return np.geomspace(default_min, default_max, numeric.kappa_points)
+
+
 def run(config: ScenarioConfig, out_dir) -> RunReport:
     """Execute the requested analyses and write the run directory.
 
@@ -418,14 +426,8 @@ def run(config: ScenarioConfig, out_dir) -> RunReport:
     if "spectrum-2d" in analysis or ("report" in analysis and D == 2):
         try:
             xi = derived.healing_length
-            if config.numeric.kappa_min is not None:
-                kappas = np.geomspace(config.numeric.kappa_min,
-                                      config.numeric.kappa_max,
-                                      config.numeric.kappa_points)
-            else:
-                kappas = np.geomspace(2.0 * math.pi / (50.0 * xi),
-                                      4.0 * math.pi / xi,
-                                      config.numeric.kappa_points)
+            kappas = _kappa_grid(config.numeric, 2.0 * math.pi / (50.0 * xi),
+                                 4.0 * math.pi / xi)
             spectrum = q2d.spectrum_2d_grid(
                 kappas, derived.effective_coupling, derived.chemical_potential,
                 spec.species.mass, scenario=config.name)
@@ -443,13 +445,7 @@ def run(config: ScenarioConfig, out_dir) -> RunReport:
             alpha = trajectory.asymptotic_velocity
             g_nat = natural_coupling(swave_coupling(spec.species))
             kmax = threed.kappa_band_edge(xi, alpha, omega_xi)
-            if config.numeric.kappa_min is not None:
-                kappas = np.geomspace(config.numeric.kappa_min,
-                                      config.numeric.kappa_max,
-                                      config.numeric.kappa_points)
-            else:
-                kappas = np.geomspace(kmax / 100.0, kmax,
-                                      config.numeric.kappa_points)
+            kappas = _kappa_grid(config.numeric, kmax / 100.0, kmax)
             spectrum3 = threed.spectrum_3d_grid(
                 kappas, xi, c0, derived.peak_density, alpha, g_nat, omega_xi,
                 scenario=config.name)

@@ -20,6 +20,10 @@ spectra below; couplings are in natural units (g/hbar when starting from SI).
 
 Everything here is hydrodynamic: quoted spectra apply to wavelengths far
 above the healing length, enforced through the kappa_max band edge.
+
+analytic_mode(_derivative), frozen_phase_variance and density_spectrum_3d
+take a scalar or an array for t or kappa (every element checked) and return
+a NumPy scalar or an array.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from scipy.integrate import solve_ivp
 from . import specfun
 
 _NU = 2.0 / 3.0
-_FREEZE_CRITERION = 1e-6
+_FREEZE_CRITERION = 1e-6       # |phi'| t / |phi| below which a mode is frozen
+_DEPTH_FACTOR = 20.0           # required omega_ad / H at the start of a mode
+_MODE_SAMPLES = 400            # output samples of an integrated mode
 
 
 class ModeIntegrationError(RuntimeError):
@@ -42,7 +48,7 @@ class ModeIntegrationError(RuntimeError):
 
 def hankel_argument(kappa: float, t: float, alpha: float, c0: float = 1.0) -> float:
     """z(t) = (2/3) c0 kappa alpha^(-5/2) t^(-3/2) on the linear background."""
-    return (2.0 / 3.0) * c0 * kappa * alpha ** (-2.5) * t ** (-1.5)
+    return (2.0 / 3.0) * c0 * kappa * alpha ** (-2.5) * np.float_power(t, -1.5)
 
 
 def adiabatic_frequency(kappa: float, b: float, c0: float = 1.0) -> float:
@@ -68,26 +74,28 @@ def mode_ode_rhs(t: float, phi: complex, phidot: complex, kappa: float,
     return -3.0 * (bdot / b) * phidot - c0**2 * kappa**2 / b**5 * phi
 
 
-def analytic_mode(kappa: float, t: float, alpha: float,
-                  c0: float = 1.0) -> tuple[complex, complex]:
+def _positive_times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
+        raise ValueError("t must be positive on the linear background")
+    return t
+
+
+def analytic_mode(kappa: float, t, alpha: float, c0: float = 1.0):
     """Both basis solutions (1/t) H^(1,2)_{2/3}(z(t)) on b = alpha t."""
-    if t <= 0.0:
-        raise ValueError("t must be positive on the linear background")
-    z = hankel_argument(kappa, t, alpha, c0)
-    h1 = specfun.hankel1(_NU, z)
-    return h1 / t, h1.conjugate() / t
+    t = _positive_times(t)
+    h1 = specfun.hankel1(_NU, hankel_argument(kappa, t, alpha, c0))
+    return (h1 / t)[()], (h1.conjugate() / t)[()]
 
 
-def analytic_mode_derivative(kappa: float, t: float, alpha: float,
-                             c0: float = 1.0) -> tuple[complex, complex]:
+def analytic_mode_derivative(kappa: float, t, alpha: float, c0: float = 1.0):
     """Time derivatives of the two basis solutions."""
-    if t <= 0.0:
-        raise ValueError("t must be positive on the linear background")
+    t = _positive_times(t)
     z = hankel_argument(kappa, t, alpha, c0)
     h1 = specfun.hankel1(_NU, z)
     dh1 = specfun.hankel1p(_NU, z)
     zdot = -1.5 * z / t
-    d1 = -h1 / t**2 + dh1 * zdot / t
+    d1 = (-h1 / t**2 + dh1 * zdot / t)[()]
     return d1, d1.conjugate()
 
 
@@ -98,16 +106,15 @@ def basis_wronskian(kappa: float, t: float, alpha: float, c0: float = 1.0) -> co
     return (alpha * t) ** 3 * (u1 * d2 - u2 * d1)
 
 
-def freezing_time(kappa: float, alpha: float, c0: float = 1.0,
-                  criterion: float = _FREEZE_CRITERION) -> float:
-    """Time at which |phi'| t / |phi| decays to the given criterion.
+def freezing_time(kappa: float, alpha: float, c0: float = 1.0) -> float:
+    """Time at which |phi'| t / |phi| decays to the freezing criterion 1e-6.
 
     From the small-argument expansion of the frozen mode:
     |phi'| t / |phi| = 2 (beta/2)^(4/3) Gamma(1/3)/Gamma(5/3) t^-2.
     """
     beta_half = c0 * kappa / (3.0 * alpha**2.5)
     factor = 2.0 * specfun.gamma(1.0 / 3.0) / specfun.gamma(5.0 / 3.0)
-    return beta_half ** (2.0 / 3.0) * math.sqrt(factor / criterion)
+    return beta_half ** (2.0 / 3.0) * math.sqrt(factor / _FREEZE_CRITERION)
 
 
 @dataclass
@@ -123,21 +130,17 @@ class ModeEvolution:
     wkb_residual_start: float
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def samples(self):
-        return list(zip(self.times, self.phi, self.phidot))
-
 
 def integrate_mode(kappa: float, background, t_start: float, t_end: float,
                    tolerance: float = 1e-10, c0: float = 1.0,
-                   coupling: float = 1.0, depth_factor: float = 20.0,
-                   n_samples: int = 400) -> ModeEvolution:
+                   coupling: float = 1.0) -> ModeEvolution:
     """Evolve one mode from adiabatic-vacuum initial data.
 
     Initial amplitude and derivative are matched to the positive-frequency
     Hankel solution on the background's linear asymptote at t_start, which
-    must still be deep inside the horizon: omega_ad >= depth_factor * bdot/b.
-    The frozen value is recorded once |phi'| t / |phi| < 1e-6.
+    must still be deep inside the horizon: omega_ad >= 20 bdot/b. The mode is
+    sampled at 400 log-spaced times, and the frozen value is recorded once
+    |phi'| t / |phi| < 1e-6.
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
@@ -148,11 +151,11 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     b0 = float(background.b(t_start))
     hubble = float(background.bdot(t_start)) / b0
     omega0_ad = adiabatic_frequency(kappa, b0, c0)
-    if omega0_ad < depth_factor * hubble:
+    if omega0_ad < _DEPTH_FACTOR * hubble:
         raise ModeIntegrationError(
             f"mode kappa={kappa:g} is not deep inside the horizon at "
             f"t_start={t_start:g} (omega_ad/H = {omega0_ad / hubble:.2f} "
-            f"< {depth_factor:g}); it is already crossing or frozen")
+            f"< {_DEPTH_FACTOR:g}); it is already crossing or frozen")
 
     ts_shift = t_start - shift
     if ts_shift <= 0.0:
@@ -171,7 +174,7 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     def rhs(t, y):
         return [y[1], mode_ode_rhs(t, y[0], y[1], kappa, background, c0)]
 
-    t_eval = np.geomspace(t_start, t_end, n_samples)
+    t_eval = np.geomspace(t_start, t_end, _MODE_SAMPLES)
     scale = abs(phi0)
     atol = np.array([scale, omega0_ad * scale]) * tolerance * 1e-3
     sol = solve_ivp(rhs, (t_start, t_end), [phi0, phidot0], method="DOP853",
@@ -202,10 +205,8 @@ def analytic_evolution(kappa: float, times, alpha: float, c0: float = 1.0,
     """Exact positive-frequency evolution on the pure linear background."""
     times = np.asarray(times, dtype=float)
     norm = mode_normalization(coupling, alpha)
-    phi = np.array([norm * analytic_mode(kappa, float(t), alpha, c0)[0]
-                    for t in times])
-    phidot = np.array([norm * analytic_mode_derivative(kappa, float(t), alpha, c0)[0]
-                       for t in times])
+    phi = norm * analytic_mode(kappa, times, alpha, c0)[0]
+    phidot = norm * analytic_mode_derivative(kappa, times, alpha, c0)[0]
     omega0_ad = adiabatic_frequency(kappa, float(alpha * times[0]), c0)
     residual = abs(phidot[0] + 1j * omega0_ad * phi[0]) / (omega0_ad * abs(phi[0]))
     return ModeEvolution(kappa=kappa, times=times, phi=phi, phidot=phidot,
@@ -213,8 +214,7 @@ def analytic_evolution(kappa: float, times, alpha: float, c0: float = 1.0,
                          source="analytic", wkb_residual_start=float(residual))
 
 
-def frozen_phase_variance(kappa: float, coupling: float, alpha: float,
-                          c0: float = 1.0) -> float:
+def frozen_phase_variance(kappa, coupling: float, alpha: float, c0: float = 1.0):
     """Closed-form frozen phase-phase spectrum, per-volume convention:
 
     <phi_kappa^2> = (g / 6 pi) Gamma(2/3)^2 3^(4/3) alpha^(1/3) c0^(-4/3)
@@ -222,11 +222,11 @@ def frozen_phase_variance(kappa: float, coupling: float, alpha: float,
     """
     g23 = specfun.gamma(2.0 / 3.0)
     return (coupling / (6.0 * math.pi) * g23**2 * 3.0 ** (4.0 / 3.0)
-            * alpha ** (1.0 / 3.0) * c0 ** (-4.0 / 3.0) * kappa ** (-4.0 / 3.0))
+            * alpha ** (1.0 / 3.0) * c0 ** (-4.0 / 3.0)
+            * np.float_power(kappa, -4.0 / 3.0))
 
 
-def density_spectrum_3d(kappa: float, xi: float, c0: float, rho0: float,
-                        alpha: float) -> float:
+def density_spectrum_3d(kappa, xi: float, c0: float, rho0: float, alpha: float):
     """Closed-form frozen relative density spectrum, units m^3:
 
     C(kappa) = (Gamma(1/3)^2 3^(2/3) / 6 pi) (xi c0^(1/3) / (rho0 alpha^(1/3)))
@@ -237,7 +237,7 @@ def density_spectrum_3d(kappa: float, xi: float, c0: float, rho0: float,
     g13 = specfun.gamma(1.0 / 3.0)
     return (g13**2 * 3.0 ** (2.0 / 3.0) / (6.0 * math.pi)
             * xi * c0 ** (1.0 / 3.0) / (rho0 * alpha ** (1.0 / 3.0))
-            * kappa ** (4.0 / 3.0))
+            * np.float_power(kappa, 4.0 / 3.0))
 
 
 def density_contrast_from_mode(evolution: ModeEvolution, background,
@@ -321,10 +321,8 @@ def spectrum_3d_grid(kappas, xi: float, c0: float, rho0: float, alpha: float,
     kmax = kappa_band_edge(xi, alpha, omega_xi)
     return FrozenSpectrum3D(
         kappa_grid=kappas,
-        phase_variance=np.array([frozen_phase_variance(float(k), coupling, alpha, c0)
-                                 for k in kappas]),
-        density_values=np.array([density_spectrum_3d(float(k), xi, c0, rho0, alpha)
-                                 for k in kappas]),
+        phase_variance=frozen_phase_variance(kappas, coupling, alpha, c0),
+        density_values=density_spectrum_3d(kappas, xi, c0, rho0, alpha),
         in_band=kappas <= kmax,
         parameters={"xi_m": xi, "c0_m_per_s": c0, "rho0_per_m3": rho0,
                     "alpha_rad_per_s": alpha, "kappa_max_per_m": kmax,

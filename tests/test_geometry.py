@@ -9,7 +9,8 @@ from becosmo.geometry import (EffectiveMetric, apparent_horizon,
                               metric_components, particle_horizon,
                               settled_apparent_horizon, sound_speed_history,
                               write_horizons_csv)
-from becosmo.scaling import ExpansionProtocol, integrate_scale_factor
+from becosmo.scaling import (ExpansionProtocol, ScaleTrajectory,
+                             integrate_scale_factor)
 
 from conftest import W0_2D
 
@@ -186,6 +187,34 @@ class TestHorizonCrossing:
     def test_rejects_nonpositive_kappa(self, traj2d):
         with pytest.raises(ValueError):
             horizon_crossing_time(0.0, traj2d)
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("horizon", [apparent_horizon, particle_horizon])
+    @pytest.mark.parametrize("name", ["traj2d", "traj3d"])
+    def test_array_matches_scalar_bitwise(self, horizon, name, request):
+        traj = request.getfixturevalue(name)
+        values = horizon(traj, traj.ts, 2.0e-3)
+        scalars = [horizon(traj, float(t), 2.0e-3) for t in traj.ts]
+        assert all(np.ndim(v) == 0 for v in scalars)
+        assert values.tobytes() == np.array(scalars).tobytes()
+
+    @pytest.mark.parametrize("horizon", [apparent_horizon, particle_horizon])
+    def test_rejects_one_time_out_of_range(self, horizon, traj2d):
+        for bad in (-1.0, 2.0 * traj2d.t_max):
+            with pytest.raises(ValueError):
+                horizon(traj2d, np.array([0.0, bad, traj2d.t_max]))
+
+    def test_csv_makes_three_trajectory_lookups(self, traj2d, tmp_path, monkeypatch):
+        calls = []
+        for method in ("b", "bdot", "clock", "horizon_integral"):
+            original = getattr(ScaleTrajectory, method)
+            def counted(self, t, _original=original, _method=method):
+                calls.append(_method)
+                return _original(self, t)
+            monkeypatch.setattr(ScaleTrajectory, method, counted)
+        write_horizons_csv(traj2d, 2.0e-3, tmp_path / "horizons.csv")
+        assert sorted(calls) == ["b", "bdot", "horizon_integral"]
 
 
 def test_horizon_report_and_csv(traj2d, tmp_path):

@@ -45,6 +45,9 @@ class TestDispersion:
             bogoliubov_frequency(-1.0, sodium_params["mu"], sodium_params["m"])
         with pytest.raises(ValueError):
             bogoliubov_frequency(1.0, -1.0, sodium_params["m"])
+        with pytest.raises(ValueError):
+            bogoliubov_frequency(np.array([1.0, -1.0]), sodium_params["mu"],
+                                 sodium_params["m"])
 
 
 class TestSpectrum:
@@ -62,6 +65,19 @@ class TestSpectrum:
         p = sodium_params
         c = density_spectrum_2d(1e5 / p["xi"], p["g2d"], p["mu"], p["m"])
         assert c == pytest.approx(p["g2d"] / p["mu"], rel=1e-9)
+
+    def test_array_matches_scalar_bitwise(self, sodium_params):
+        p = sodium_params
+        kappas = np.concatenate([[0.0], np.geomspace(1e-3 / p["xi"], 1e3 / p["xi"], 999)])
+        values = density_spectrum_2d(kappas, p["g2d"], p["mu"], p["m"])
+        scalars = [density_spectrum_2d(float(k), p["g2d"], p["mu"], p["m"]) for k in kappas]
+        assert all(np.ndim(v) == 0 for v in scalars)
+        assert values.tobytes() == np.array(scalars).tobytes()
+
+    def test_rejects_one_negative_kappa(self, sodium_params):
+        p = sodium_params
+        with pytest.raises(ValueError):
+            density_spectrum_2d(np.array([1.0, -1.0, 2.0]), p["g2d"], p["mu"], p["m"])
 
     def test_monotone_and_bounded(self, sodium_params):
         p = sodium_params
@@ -179,6 +195,19 @@ class TestThermal:
         p = sodium_params
         with pytest.raises(ValueError):
             thermal_occupation(1.0, -1.0, p["mu"], p["m"])
+        with pytest.raises(ValueError):
+            occupation_curve(1.0, np.array([1e-9, -1.0]), p["mu"], p["m"])
+
+    def test_array_matches_scalar(self, sodium_params):
+        p = sodium_params
+        k = 1.0 / p["xi"]
+        temps = np.concatenate([[0.0], np.geomspace(1e-12, 1e-6, 50)])
+        result = thermal_occupation(k, temps, p["mu"], p["m"])
+        for i, t in enumerate(temps):
+            point = thermal_occupation(k, float(t), p["mu"], p["m"])
+            assert result.occupation[i] == point.occupation
+            assert result.quantum_dominated[i] == point.quantum_dominated
+        assert result.occupation[0] == 0.0 and result.quantum_dominated[0]
 
 
 def test_grid_and_csv(sodium_params, tmp_path):

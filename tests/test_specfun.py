@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -142,6 +143,50 @@ class TestBessel:
             sf.bessel_y(1.0, 1.0)
         with pytest.raises(ValueError):
             sf.hankel1(0.0, 1.0)
+        # one bad element in an array whose other elements are valid
+        for bad in (0.0, -2.0, math.nan):
+            x = np.array([[30.0, 2.0], [bad, 0.5]])
+            with pytest.raises(ValueError):
+                sf.bessel_j(1 / 3, x)
+            with pytest.raises(ValueError):
+                sf.bessel_y(1 / 3, x)
+            with pytest.raises(ValueError):
+                sf.hankel1(2 / 3, x)
+
+    def test_scalar_or_array_contract(self):
+        # both branches in one array; each scalar call returns a scalar
+        xs = np.array([[0.01, 11.9], [12.1, 80.0]])
+        h1 = sf.hankel1(2 / 3, xs)
+        assert h1.shape == xs.shape
+        for index in np.ndindex(xs.shape):
+            x = float(xs[index])
+            assert isinstance(sf.hankel1(2 / 3, x), complex)
+            assert np.ndim(sf.bessel_j(2 / 3, x)) == 0
+            assert h1[index] == pytest.approx(sf.hankel1(2 / 3, x), rel=1e-15)
+
+
+class TestMpmathOracle:
+    """The array kernel against 30-digit mpmath on the guaranteed range.
+
+    Errors of J and Y are taken relative to |H^(1)| = sqrt(J^2 + Y^2), the
+    scale that stays finite at the zeros of either function.
+    """
+
+    XS = np.geomspace(1e-3, 100.0, 400)
+
+    @staticmethod
+    def _reference(nu, xs):
+        with mpmath.workdps(30):
+            return np.array([complex(mpmath.besselj(nu, x) + 1j * mpmath.bessely(nu, x))
+                             for x in xs])
+
+    @pytest.mark.parametrize("nu", [1 / 3, 2 / 3, -1 / 3, -2 / 3])
+    def test_hankel1_bessel_j_bessel_y(self, nu):
+        ref = self._reference(nu, self.XS)
+        scale = np.abs(ref)
+        assert np.max(np.abs(sf.hankel1(nu, self.XS) - ref) / scale) <= 1e-10
+        assert np.max(np.abs(sf.bessel_j(nu, self.XS) - ref.real) / scale) <= 1e-10
+        assert np.max(np.abs(sf.bessel_y(nu, self.XS) - ref.imag) / scale) <= 1e-10
 
 
 def test_identity_table_within_budget():

@@ -107,6 +107,21 @@ class TestAnalyticMode:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             analytic_mode(1.0, 0.0, ALPHA)
+        with pytest.raises(ValueError):
+            analytic_mode_derivative(1.0, np.array([1.0, 0.0]), ALPHA)
+
+    def test_array_matches_scalar(self):
+        kappa = 4.0
+        times = np.geomspace(_deep_start(kappa), 10.0 * freezing_time(kappa, ALPHA), 60)
+        u1, u2 = analytic_mode(kappa, times, ALPHA)
+        d1, d2 = analytic_mode_derivative(kappa, times, ALPHA)
+        for i, t in enumerate(times):
+            pu1, pu2 = analytic_mode(kappa, float(t), ALPHA)
+            pd1, pd2 = analytic_mode_derivative(kappa, float(t), ALPHA)
+            assert abs(u1[i] - pu1) <= 1e-15 * abs(pu1)
+            assert u2[i] == u1[i].conjugate()
+            assert abs(d1[i] - pd1) <= 1e-15 * abs(pd1)
+            assert d2[i] == d1[i].conjugate()
 
     def test_wronskian_constancy_with_measure(self):
         kappa, c0 = 2.0, 1.0
@@ -207,6 +222,16 @@ class TestClosedForms:
                   for k in kappas]
         slope = linregress(np.log(kappas), np.log(values)).slope
         assert slope == pytest.approx(4.0 / 3.0, abs=1e-6)
+
+    @pytest.mark.parametrize("closed_form", [
+        lambda k: frozen_phase_variance(k, 1.3, ALPHA, 0.7),
+        lambda k: density_spectrum_3d(k, 6.7e-8, 2.1e-3, 3.3e20, ALPHA * 1256.0),
+    ], ids=["phase", "density"])
+    def test_array_matches_scalar_bitwise(self, closed_form):
+        kappas = np.geomspace(1e-3, 1e9, 4000)
+        scalars = [closed_form(float(k)) for k in kappas]
+        assert all(np.ndim(v) == 0 for v in scalars)
+        assert closed_form(kappas).tobytes() == np.array(scalars).tobytes()
 
     def test_density_vanishes_at_zero(self):
         assert density_spectrum_3d(1e-12, 1.0, 1.0, 1.0, ALPHA) < 1e-12

@@ -13,18 +13,12 @@ import argparse
 import dataclasses
 import sys
 
-from .scenarios import (ConfigError, ScenarioConfig, StageError,
-                        load_scenario, run, validate_analysis)
+from .scenarios import (STAGES, ConfigError, ScenarioConfig, StageError,
+                        load_scenario, run, stage_chain)
 from .specfun import identity_table
 
-_VERB_ANALYSES = {
-    "derive": ("derive",),
-    "evolve": ("derive", "evolve"),
-    "horizons": ("derive", "evolve", "horizons"),
-    "spectrum2d": ("derive", "spectrum-2d"),
-    "spectrum3d": ("derive", "evolve", "spectrum-3d"),
-    "report": None,  # keep the scenario's own analysis list, ensure "report"
-}
+# One verb per pipeline stage, named without the hyphen (spectrum-2d -> spectrum2d).
+_VERB_STAGES = {stage.replace("-", ""): stage for stage in STAGES}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -48,10 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Expanding-condensate acoustic cosmology: derived "
                     "parameters, expansion histories, horizons and frozen "
                     "fluctuation spectra.")
-    subs = parser.add_subparsers(
-        dest="verb", required=True,
-        metavar="{derive,evolve,horizons,spectrum2d,spectrum3d,report}")
-    for verb in _VERB_ANALYSES:
+    subs = parser.add_subparsers(dest="verb", required=True,
+                                 metavar="{" + ",".join(_VERB_STAGES) + "}")
+    for verb in _VERB_STAGES:
         sub = subs.add_parser(verb)
         _add_common(sub)
     subs.add_parser("selftest")
@@ -59,27 +52,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    numeric = config.numeric
-    updates = {}
-    if args.tol is not None:
-        updates["ode_tolerance"] = args.tol
-    if args.kappa_min is not None or args.kappa_max is not None:
-        if args.kappa_min is None or args.kappa_max is None:
-            raise ConfigError("--kappa-min and --kappa-max must be given together")
-        updates["kappa_min"] = args.kappa_min
-        updates["kappa_max"] = args.kappa_max
-    if args.kappa_points is not None:
-        updates["kappa_points"] = args.kappa_points
-    if updates:
-        numeric = dataclasses.replace(numeric, **updates)
+    if (args.kappa_min is None) != (args.kappa_max is None):
+        raise ConfigError("--kappa-min and --kappa-max must be given together")
+    flags = {"ode_tolerance": args.tol, "kappa_min": args.kappa_min,
+             "kappa_max": args.kappa_max, "kappa_points": args.kappa_points}
+    numeric = dataclasses.replace(
+        config.numeric, **{key: value for key, value in flags.items() if value is not None})
 
-    analysis = _VERB_ANALYSES[args.verb]
-    if analysis is None:
-        analysis = tuple(config.analysis)
-        if "report" not in analysis:
-            analysis = analysis + ("report",)
-    validate_analysis(analysis, config.condensate.trap.dimension)
-    return dataclasses.replace(config, numeric=numeric, analysis=analysis)
+    # A verb runs its stage and every stage it needs; report keeps the
+    # scenario's own analysis list. replace() validates the result.
+    stage = _VERB_STAGES[args.verb]
+    chain = config.analysis + (stage,) if stage == "report" else stage_chain(stage)
+    return dataclasses.replace(config, numeric=numeric,
+                               analysis=tuple(dict.fromkeys(chain)))
 
 
 def _run_selftest() -> int:

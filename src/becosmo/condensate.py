@@ -31,10 +31,10 @@ class AtomSpecies:
     scattering_length: float    # m
 
     def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
-        if self.scattering_length <= 0.0:
-            raise ValueError("scattering length must be positive")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError("mass must be positive and finite")
+        if not 0.0 < self.scattering_length < math.inf:
+            raise ValueError("scattering length must be positive and finite")
 
     @classmethod
     def from_table(cls, name: str, scattering_length: float | None = None) -> "AtomSpecies":
@@ -55,30 +55,28 @@ class TrapGeometry:
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
-        if self.longitudinal_frequency <= 0.0:
-            raise ValueError("longitudinal frequency must be positive")
+        if not 0.0 < self.longitudinal_frequency < math.inf:
+            raise ValueError("longitudinal frequency must be positive and finite")
         if self.dimension < 3:
             if self.transverse_frequency is None:
                 raise ValueError("transverse frequency required for dimension < 3")
-            if self.transverse_frequency <= self.longitudinal_frequency:
-                raise ValueError("transverse confinement must be tighter than longitudinal")
+            if not self.longitudinal_frequency < self.transverse_frequency < math.inf:
+                raise ValueError("transverse confinement must be finite and tighter "
+                                 "than longitudinal")
         elif self.transverse_frequency is not None:
             raise ValueError("transverse frequency meaningless for dimension 3")
 
 
 @dataclass(frozen=True)
 class InteractionLaw:
-    """Power-law self-interaction ~ g |psi|^(2N).
-
-    bare_coupling is in natural units (g/hbar); leave it None to derive the
-    quartic (N=2) coupling from the species' scattering length.
-    """
+    """Power-law self-interaction ~ g |psi|^(2N); the quartic (N=2) coupling
+    comes from the species' scattering length."""
     exponent: float = 2.0
-    bare_coupling: float | None = None
 
     def __post_init__(self):
-        if self.exponent <= 1.0:
-            raise ValueError("exponent N must exceed 1 (N=1 carries no sound)")
+        if not 1.0 < self.exponent < math.inf:
+            raise ValueError("exponent N must be finite and exceed 1 "
+                             "(N=1 carries no sound)")
 
 
 @dataclass(frozen=True)
@@ -89,8 +87,8 @@ class CondensateSpec:
     interaction: InteractionLaw = field(default_factory=InteractionLaw)
 
     def __post_init__(self):
-        if self.atom_number < 1:
-            raise ValueError("atom_number must be at least 1")
+        if not 1 <= self.atom_number < math.inf:
+            raise ValueError("atom_number must be finite and at least 1")
         if self.trap.dimension == 1 and not math.isclose(self.interaction.exponent, 3.0):
             raise ValueError("1D condensates are supported only with the N=3 coupling")
 

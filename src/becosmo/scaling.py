@@ -62,8 +62,8 @@ class ExpansionProtocol:
     schedule: Callable[[float], float] | None = None      # t -> omega_ext(t), t >= 0
 
     def __post_init__(self):
-        if self.initial_frequency <= 0.0:
-            raise ValueError("initial frequency must be positive")
+        if not 0.0 < self.initial_frequency < math.inf:
+            raise ValueError("initial frequency must be positive and finite")
 
     def omega_ext(self, t: float) -> float:
         if self.schedule is None:
@@ -161,10 +161,6 @@ class ScaleTrajectory:
                     onset_idx = len(ok) - np.argmin(ok[::-1])  # after last failure
                     self.linear_onset = float(self.ts[min(onset_idx, len(ok) - 1)])
 
-    @property
-    def alpha(self) -> float:
-        return self.asymptotic_velocity
-
     def _check_range(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0) or np.any(t > self.t_max * (1 + 1e-12)):
@@ -258,18 +254,14 @@ class LinearExpansion:
         self.asymptotic_velocity = alpha
         self.linear_offset = 0.0
 
-    @property
-    def alpha(self) -> float:
-        return self.asymptotic_velocity
-
     def b(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0):
             raise ValueError("linear background defined for t > 0 only")
-        return self.alpha * t
+        return self.asymptotic_velocity * t
 
     def bdot(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.alpha)
+        return np.full_like(np.asarray(t, dtype=float), self.asymptotic_velocity)
 
 
 class _ProperTime:

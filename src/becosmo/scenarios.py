@@ -6,17 +6,20 @@ benchmark scenarios whose published reference values the report compares
 against: a quasi-2D sodium disk and a spherical 3D rubidium cloud.
 
 Config files are JSON; every physical key carries an explicit SI unit
-suffix. A run writes one directory: manifest.json, derived.json,
-trajectory.csv, horizons.csv, spectrum.csv and report.json, depending on
-the analyses requested.
+suffix, and unknown keys are rejected. A run writes one directory:
+manifest.json, derived.json, trajectory.csv, horizons.csv, spectrum.csv and
+report.json, depending on the analyses (pipeline stages, see STAGES) requested.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,11 +28,8 @@ from .condensate import (AtomSpecies, CondensateSpec, DerivedParams,
                          InteractionLaw, TrapGeometry, natural_coupling,
                          sound_frequency_at_healing_scale, swave_coupling,
                          thomas_fermi, validate_dimensional_reduction)
-from .scaling import (ExpansionProtocol, integrate_scale_factor,
-                      write_trajectory_csv)
-
-ANALYSES = ("derive", "evolve", "horizons", "spectrum-2d", "spectrum-3d", "report")
-_TRAJECTORY_STAGES = {"evolve", "horizons", "spectrum-3d", "report"}
+from .scaling import (ExpansionProtocol, ScaleTrajectory,
+                      integrate_scale_factor, write_trajectory_csv)
 
 
 class ConfigError(ValueError):
@@ -57,15 +57,18 @@ class NumericSettings:
     def __post_init__(self):
         if not 1e-14 < self.ode_tolerance < 1e-4:
             raise ConfigError("numeric.ode_tolerance must lie in (1e-14, 1e-4)")
-        if self.t_max_omega0 <= 0:
-            raise ConfigError("numeric.t_max_omega0 must be positive")
-        if self.kappa_points < 2:
+        if not 0.0 < self.t_max_omega0 < math.inf:
+            raise ConfigError("numeric.t_max_omega0 must be positive and finite")
+        if not self.trajectory_samples >= 2:
+            raise ConfigError("numeric.trajectory_samples must be at least 2")
+        if not self.kappa_points >= 2:
             raise ConfigError("numeric.kappa_points must be at least 2")
         if (self.kappa_min is not None) != (self.kappa_max is not None):
             raise ConfigError("numeric.kappa_min and kappa_max must be set together")
         if self.kappa_min is not None:
-            if self.kappa_min <= 0 or self.kappa_max <= self.kappa_min:
-                raise ConfigError("kappa grid must be positive with kappa_min < kappa_max")
+            if not 0.0 < self.kappa_min < self.kappa_max < math.inf:
+                raise ConfigError("kappa grid must be positive and finite with "
+                                  "kappa_min < kappa_max")
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,13 @@ class ScenarioConfig:
     expansion_mode: str = "free"       # "free" | "hold"
     analysis: tuple[str, ...] = ("derive",)
     numeric: NumericSettings = field(default_factory=NumericSettings)
+
+    def __post_init__(self):
+        if self.expansion_mode not in ("free", "hold"):
+            raise ConfigError("expansion.mode must be 'free' or 'hold', "
+                              f"got {self.expansion_mode!r}")
+        validate_analysis(self.analysis, self.condensate.trap.dimension,
+                          self.expansion_mode)
 
     def protocol(self) -> ExpansionProtocol:
         omega0 = self.condensate.trap.longitudinal_frequency
@@ -99,18 +109,12 @@ class ScenarioConfig:
             },
             "expansion": {"mode": self.expansion_mode},
             "analysis": list(self.analysis),
-            "numeric": {
-                "ode_tolerance": self.numeric.ode_tolerance,
-                "t_max_omega0": self.numeric.t_max_omega0,
-                "trajectory_samples": self.numeric.trajectory_samples,
-                "kappa_points": self.numeric.kappa_points,
-            },
+            "numeric": {key: value for key in _SCHEMA["numeric"]
+                        if (value := getattr(self.numeric, _NUMERIC_FIELDS.get(key, key)))
+                        is not None},
         }
         if cond.trap.transverse_frequency is not None:
             d["condensate"]["omega_z_rad_per_s"] = cond.trap.transverse_frequency
-        if self.numeric.kappa_min is not None:
-            d["numeric"]["kappa_min_per_m"] = self.numeric.kappa_min
-            d["numeric"]["kappa_max_per_m"] = self.numeric.kappa_max
         return d
 
 
@@ -145,14 +149,65 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def validate_analysis(analysis, dimension: int) -> None:
-    for a in analysis:
-        if a not in ANALYSES:
-            raise ConfigError(f"unknown analysis {a!r}; valid: {ANALYSES}")
-    if "spectrum-2d" in analysis and dimension != 2:
-        raise ConfigError("spectrum-2d requires a 2D condensate")
-    if "spectrum-3d" in analysis and dimension != 3:
-        raise ConfigError("spectrum-3d requires a 3D condensate")
+def validate_analysis(analysis, dimension: int, expansion_mode: str = "free") -> None:
+    """Reject analyses that are not stages or do not apply to the scenario."""
+    for name in analysis:
+        if not isinstance(name, str) or name not in STAGES:
+            raise ConfigError(f"unknown analysis {name!r}; valid: {tuple(STAGES)}")
+        stage = STAGES[name]
+        if dimension not in stage.dimensions:
+            raise ConfigError(f"{name} does not apply to a {dimension}D condensate")
+        if expansion_mode not in stage.modes:
+            raise ConfigError(f"{name} does not apply to expansion.mode {expansion_mode!r}")
+
+
+def stage_chain(name: str) -> tuple[str, ...]:
+    """The stage and, before it, every stage it needs."""
+    needs = STAGES[name].needs
+    return (stage_chain(needs) if needs else ()) + (name,)
+
+
+# The keys each config object may hold and the JSON type of each value.
+_SCHEMA = {
+    "scenario": {"name": str, "condensate": dict, "expansion": dict,
+                 "analysis": list, "numeric": dict},
+    "condensate": {"species": (str, dict), "scattering_length_m": float,
+                   "atom_number": float, "dimension": int,
+                   "interaction_exponent": float, "omega0_rad_per_s": float,
+                   "omega_z_rad_per_s": float},
+    "condensate.species": {"name": str, "mass_kg": float, "scattering_length_m": float},
+    "expansion": {"mode": str},
+    "numeric": {"ode_tolerance": float, "t_max_omega0": float,
+                "trajectory_samples": int, "kappa_min_per_m": float,
+                "kappa_max_per_m": float, "kappa_points": int},
+}
+_TYPE_NAMES = {str: "a string", dict: "a JSON object", list: "a list",
+               (str, dict): "a species name or a JSON object",
+               float: "a finite number", int: "an integer"}
+# numeric keys that differ from their NumericSettings field names
+_NUMERIC_FIELDS = {"kappa_min_per_m": "kappa_min", "kappa_max_per_m": "kappa_max"}
+
+
+def _section(value, context: str) -> dict:
+    """A config object checked against _SCHEMA: no unknown keys, every value
+    of its type, numbers finite and integers integral (3.0 reads as 3)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be {_TYPE_NAMES[dict]}")
+    checked = {}
+    for key, item in value.items():
+        kind = _SCHEMA[context].get(key)
+        if kind is None:
+            raise ConfigError(f"unknown field {context}.{key}")
+        if kind in (float, int):  # the magnitude test rejects NaN, inf and huge ints
+            ok = (isinstance(item, (int, float)) and not isinstance(item, bool)
+                  and abs(item) <= sys.float_info.max
+                  and (kind is float or item == int(item)))
+        else:
+            ok = isinstance(item, kind)
+        if not ok:
+            raise ConfigError(f"{context}.{key} must be {_TYPE_NAMES[kind]}, got {item!r}")
+        checked[key] = kind(item) if kind in (float, int) else item
+    return checked
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -165,68 +220,35 @@ def _species_from_config(cond: dict) -> AtomSpecies:
     spec = _require(cond, "species", "condensate")
     override = cond.get("scattering_length_m")
     if isinstance(spec, str):
-        try:
-            return AtomSpecies.from_table(spec, override)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
-    if isinstance(spec, dict):
-        try:
-            return AtomSpecies(
-                name=_require(spec, "name", "condensate.species"),
-                mass=float(_require(spec, "mass_kg", "condensate.species")),
-                scattering_length=float(override if override is not None
-                                        else _require(spec, "scattering_length_m",
-                                                      "condensate.species")),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"condensate.species: {exc}") from exc
-    raise ConfigError("condensate.species must be a table name or an inline object")
+        return AtomSpecies.from_table(spec, override)
+    spec = _section(spec, "condensate.species")
+    return AtomSpecies(_require(spec, "name", "condensate.species"),
+                       _require(spec, "mass_kg", "condensate.species"),
+                       override if override is not None
+                       else _require(spec, "scattering_length_m", "condensate.species"))
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("scenario must be a JSON object")
-    name = _require(data, "name", "scenario")
-    cond = _require(data, "condensate", "scenario")
-    species = _species_from_config(cond)
+    data = _section(data, "scenario")
+    cond = _section(_require(data, "condensate", "scenario"), "condensate")
     try:
-        trap = TrapGeometry(
-            dimension=int(_require(cond, "dimension", "condensate")),
-            longitudinal_frequency=float(_require(cond, "omega0_rad_per_s", "condensate")),
-            transverse_frequency=(float(cond["omega_z_rad_per_s"])
-                                  if "omega_z_rad_per_s" in cond else None),
-        )
-        interaction = InteractionLaw(
-            exponent=float(cond.get("interaction_exponent", 2.0)),
-            bare_coupling=cond.get("bare_coupling"),
-        )
-        condensate = CondensateSpec(
-            species=species, trap=trap,
-            atom_number=float(_require(cond, "atom_number", "condensate")),
-            interaction=interaction,
-        )
-    except ValueError as exc:
+        trap = TrapGeometry(_require(cond, "dimension", "condensate"),
+                            _require(cond, "omega0_rad_per_s", "condensate"),
+                            cond.get("omega_z_rad_per_s"))
+        condensate = CondensateSpec(_species_from_config(cond), trap,
+                                    _require(cond, "atom_number", "condensate"),
+                                    InteractionLaw(cond.get("interaction_exponent", 2.0)))
+    except ConfigError:
+        raise
+    except (KeyError, ValueError) as exc:  # the condensate types' own checks
         raise ConfigError(f"condensate: {exc}") from exc
-
-    expansion = data.get("expansion", {"mode": "free"})
-    mode = expansion.get("mode", "free")
-    if mode not in ("free", "hold"):
-        raise ConfigError(f"expansion.mode must be 'free' or 'hold', got {mode!r}")
-
-    analysis = tuple(data.get("analysis", ["derive"]))
-    validate_analysis(analysis, trap.dimension)
-
-    num = data.get("numeric", {})
-    numeric = NumericSettings(
-        ode_tolerance=float(num.get("ode_tolerance", 1e-10)),
-        t_max_omega0=float(num.get("t_max_omega0", 200.0)),
-        trajectory_samples=int(num.get("trajectory_samples", 400)),
-        kappa_min=(float(num["kappa_min_per_m"]) if "kappa_min_per_m" in num else None),
-        kappa_max=(float(num["kappa_max_per_m"]) if "kappa_max_per_m" in num else None),
-        kappa_points=int(num.get("kappa_points", 64)),
-    )
-    return ScenarioConfig(name=str(name), condensate=condensate,
-                          expansion_mode=mode, analysis=analysis, numeric=numeric)
+    expansion = _section(data.get("expansion", {}), "expansion")
+    numeric = NumericSettings(**{_NUMERIC_FIELDS.get(key, key): value for key, value
+                                 in _section(data.get("numeric", {}), "numeric").items()})
+    return ScenarioConfig(name=_require(data, "name", "scenario"), condensate=condensate,
+                          expansion_mode=expansion.get("mode", "free"),
+                          analysis=tuple(data.get("analysis", ["derive"])),
+                          numeric=numeric)
 
 
 def load_scenario(source) -> ScenarioConfig:
@@ -267,24 +289,15 @@ _REFERENCES = {
 class RunReport:
     scenario: str
     output_dir: str
-    derived: dict
-    validity: list
-    horizon_summary: dict
-    spectrum_paths: dict
-    reference_comparison: list
-    warnings: list
+    derived: dict = field(default_factory=dict)
+    validity: list = field(default_factory=list)
+    horizon_summary: dict = field(default_factory=dict)
+    spectrum_paths: dict = field(default_factory=dict)
+    reference_comparison: list = field(default_factory=list)
+    warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "output_dir": self.output_dir,
-            "derived": self.derived,
-            "validity": self.validity,
-            "horizon_summary": self.horizon_summary,
-            "spectrum_paths": self.spectrum_paths,
-            "reference_comparison": self.reference_comparison,
-            "warnings": self.warnings,
-        }
+        return dataclasses.asdict(self)
 
 
 def _comparison_row(key: str, computed: float, note: str | None = None) -> dict:
@@ -308,184 +321,185 @@ def _kappa_grid(numeric: NumericSettings, default_min: float,
     return np.geomspace(default_min, default_max, numeric.kappa_points)
 
 
-def run(config: ScenarioConfig, out_dir) -> RunReport:
-    """Execute the requested analyses and write the run directory.
+@dataclass
+class _Run:
+    """What one run's stages share: the inputs, the stages that write files,
+    the report and the manifest's file list, and results later stages read."""
+    config: ScenarioConfig
+    out: Path
+    writes: set[str]
+    report: RunReport
+    files: dict
+    derived: DerivedParams | None = None
+    trajectory: ScaleTrajectory | None = None
 
-    Stages run in dependency order (derive, trajectory, horizons, spectrum,
-    report). On failure the manifest is written with the failing stage named
-    and the partial outputs are left in place.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    analysis = config.analysis
-    manifest = {
-        "scenario": config.to_dict(),
-        "analyses": list(analysis),
-        "files": {},
-        "complete": False,
-        "failed_stage": None,
-        "warnings": [],
-    }
-    warnings: list[dict] = []
-    spectrum_paths: dict[str, str] = {}
-    horizon_summary: dict = {}
-    comparison: list[dict] = []
 
-    def fail(stage: str, exc: Exception):
-        manifest["failed_stage"] = stage
-        manifest["warnings"] = warnings
-        _write_json(out / "manifest.json", manifest)
-        raise StageError(stage, exc)
-
-    # -- derive ----------------------------------------------------------------
-    try:
-        spec = config.condensate
-        derived = thomas_fermi(spec)
-        validity = validate_dimensional_reduction(spec, derived)
-        omega_xi = sound_frequency_at_healing_scale(derived)
-    except Exception as exc:
-        fail("derive", exc)
-
+def _derive(r: _Run) -> None:
+    spec = r.config.condensate
+    derived = r.derived = thomas_fermi(spec)
+    validity = validate_dimensional_reduction(spec, derived)
     for check in validity.checks:
         if not check.passed:
-            warnings.append({
+            r.report.warnings.append({
                 "source": f"validity:{check.name}",
                 "message": f"{check.description}: ratio {check.ratio:.3g} "
                            f"below threshold {check.threshold:g}",
             })
 
-    derived_payload = derived.as_dict()
-    derived_payload["omega_xi_rad_per_s"] = omega_xi
-    derived_payload["validity"] = [vars(c) for c in validity.checks]
-    _write_json(out / "derived.json", derived_payload)
-    manifest["files"]["derived"] = "derived.json"
+    payload = r.report.derived = derived.as_dict()
+    payload["omega_xi_rad_per_s"] = sound_frequency_at_healing_scale(derived)
+    payload["validity"] = r.report.validity = [vars(c) for c in validity.checks]
+    _write_json(r.out / "derived.json", payload)
+    r.files["derived"] = "derived.json"
 
-    D = spec.trap.dimension
-    omega0 = spec.trap.longitudinal_frequency
-    if D == 2:
-        comparison.append(_comparison_row("q2d.transverse_width_m",
-                                          derived.transverse_width))
-        comparison.append(_comparison_row("q2d.healing_length_m",
-                                          derived.healing_length))
+    rows = r.report.reference_comparison
+    if spec.trap.dimension == 2:
+        rows.append(_comparison_row("q2d.transverse_width_m", derived.transverse_width))
+        rows.append(_comparison_row("q2d.healing_length_m", derived.healing_length))
         contrast = q2d.windowed_contrast(
             2.0 * math.pi / derived.healing_length, derived.healing_length,
             derived.effective_coupling, derived.chemical_potential,
             spec.species.mass)
-        comparison.append(_comparison_row("q2d.windowed_contrast", contrast))
-    elif D == 3:
-        comparison.append(_comparison_row("threed.thomas_fermi_radius_m",
-                                          derived.thomas_fermi_radius))
+        rows.append(_comparison_row("q2d.windowed_contrast", contrast))
+    elif spec.trap.dimension == 3:
+        rows.append(_comparison_row("threed.thomas_fermi_radius_m",
+                                    derived.thomas_fermi_radius))
         omega_min = 2.0 * math.pi * derived.sound_speed / derived.thomas_fermi_radius
-        comparison.append(_comparison_row("threed.min_phonon_frequency_rad_per_s",
-                                          omega_min))
+        rows.append(_comparison_row("threed.min_phonon_frequency_rad_per_s", omega_min))
 
-    # -- trajectory --------------------------------------------------------------
-    trajectory = None
-    if _TRAJECTORY_STAGES & set(analysis):
+
+def _evolve(r: _Run) -> None:
+    spec, numeric, derived = r.config.condensate, r.config.numeric, r.derived
+    D, N = spec.trap.dimension, spec.interaction.exponent
+    r.trajectory = integrate_scale_factor(
+        r.config.protocol(), D, N,
+        t_max=numeric.t_max_omega0 / spec.trap.longitudinal_frequency,
+        tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples)
+    if "evolve" in r.writes:
+        tau_prefactor = 1.0
+        if not geometry.flatness_exponent(D, N).is_flat:
+            conformal0 = geometry.conformal_factor(
+                derived.sound_speed, natural_coupling(derived.effective_coupling), D)
+            tau_prefactor = math.sqrt(conformal0) * derived.sound_speed
+        write_trajectory_csv(r.trajectory, r.out / "trajectory.csv", tau_prefactor)
+        r.files["trajectory"] = "trajectory.csv"
+
+
+def _horizons(r: _Run) -> None:
+    trajectory, c0 = r.trajectory, r.derived.sound_speed
+    geometry.write_horizons_csv(trajectory, c0, r.out / "horizons.csv")
+    r.files["horizons"] = "horizons.csv"
+    settled = geometry.settled_apparent_horizon(trajectory, c0)
+    r.report.horizon_summary = {
+        "settled_apparent_m": settled,
+        "apparent_at_t_max_m": geometry.apparent_horizon(
+            trajectory, trajectory.t_max, c0),
+        "particle_horizon_initial_m": geometry.particle_horizon(trajectory, 0.0, c0),
+        "note": "valid for wavelengths well above the healing length",
+    }
+    if r.config.condensate.trap.dimension == 2 and settled is not None:
+        r.report.reference_comparison.append(_comparison_row(
+            "q2d.apparent_horizon_settled_m", settled,
+            note="formula value c0/omega0; the published figure is "
+                 "one order of magnitude smaller, ratio reported as is"))
+
+
+def _spectrum_2d(r: _Run) -> None:
+    derived, xi = r.derived, r.derived.healing_length
+    kappas = _kappa_grid(r.config.numeric, 2.0 * math.pi / (50.0 * xi),
+                         4.0 * math.pi / xi)
+    spectrum = q2d.spectrum_2d_grid(
+        kappas, derived.effective_coupling, derived.chemical_potential,
+        r.config.condensate.species.mass, scenario=r.config.name)
+    q2d.write_spectrum_2d_csv(spectrum, xi, r.out / "spectrum.csv")
+    r.report.spectrum_paths["spectrum-2d"] = "spectrum.csv"
+    r.files["spectrum"] = "spectrum.csv"
+
+
+def _spectrum_3d(r: _Run) -> None:
+    species, derived = r.config.condensate.species, r.derived
+    xi, omega_xi = derived.healing_length, sound_frequency_at_healing_scale(derived)
+    alpha = r.trajectory.asymptotic_velocity
+    kmax = threed.kappa_band_edge(xi, alpha, omega_xi)
+    kappas = _kappa_grid(r.config.numeric, kmax / 100.0, kmax)
+    spectrum = threed.spectrum_3d_grid(
+        kappas, xi, derived.sound_speed, derived.peak_density, alpha,
+        natural_coupling(swave_coupling(species)), omega_xi, scenario=r.config.name)
+    clipped = int(np.sum(~spectrum.in_band))
+    if clipped:
+        r.report.warnings.append({
+            "source": "band_clip",
+            "message": f"{clipped} of {len(kappas)} grid points beyond "
+                       f"kappa_max = {kmax:.4e} 1/m (hydrodynamic band)",
+        })
+    threed.write_spectrum_3d_csv(spectrum, r.out / "spectrum.csv")
+    r.report.spectrum_paths["spectrum-3d"] = "spectrum.csv"
+    r.files["spectrum"] = "spectrum.csv"
+
+    estimate = threed.max_contrast_estimate(
+        species.scattering_length, derived.peak_density,
+        r.config.condensate.trap.longitudinal_frequency, omega_xi, alpha, xi)
+    r.report.reference_comparison.append(_comparison_row(
+        "threed.max_contrast_prefactor", estimate.prefactor))
+    r.report.reference_comparison.append(_comparison_row(
+        "threed.max_contrast", estimate.value, note="order-of-magnitude reference"))
+
+
+def _write_report(r: _Run) -> None:
+    _write_json(r.out / "report.json", r.report.to_dict())
+    r.files["report"] = "report.json"
+
+
+class Stage(NamedTuple):
+    """A stage body, the stage it needs and the scenarios it applies to."""
+    body: Callable[[_Run], None]
+    needs: str | None = None
+    dimensions: tuple[int, ...] = (1, 2, 3)
+    modes: tuple[str, ...] = ("free", "hold")
+
+
+# The pipeline, in run order; a stage's needs come before it. derive always
+# runs and "report" requests every stage that applies to the scenario. A
+# requested stage writes its files; a stage that is only needed by another
+# runs without writing. A held trap never releases (alpha = 0), so it has no
+# 3D spectrum.
+STAGES: dict[str, Stage] = {
+    "derive": Stage(_derive),
+    "evolve": Stage(_evolve, needs="derive"),
+    "horizons": Stage(_horizons, needs="evolve"),
+    "spectrum-2d": Stage(_spectrum_2d, needs="derive", dimensions=(2,)),
+    "spectrum-3d": Stage(_spectrum_3d, needs="evolve", dimensions=(3,),
+                         modes=("free",)),
+    "report": Stage(_write_report, needs="derive"),
+}
+
+
+def run(config: ScenarioConfig, out_dir) -> RunReport:
+    """Run the stages the analyses ask for and write the run directory.
+
+    On failure the manifest is written with the failing stage named, the
+    partial outputs are left in place and StageError carries the stage name.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    D, mode = config.condensate.trap.dimension, config.expansion_mode
+    writes = {"derive", *config.analysis}
+    if "report" in writes:
+        writes.update(name for name, stage in STAGES.items()
+                      if D in stage.dimensions and mode in stage.modes)
+    needed = {need for name in writes for need in stage_chain(name)}
+    report = RunReport(config.name, str(out))
+    manifest = {"scenario": config.to_dict(), "analyses": list(config.analysis),
+                "files": {}, "complete": False, "failed_stage": None,
+                "warnings": report.warnings}
+    state = _Run(config, out, writes, report, manifest["files"])
+    for name in [name for name in STAGES if name in needed]:
         try:
-            trajectory = integrate_scale_factor(
-                config.protocol(), D, spec.interaction.exponent,
-                t_max=config.numeric.t_max_omega0 / omega0,
-                tolerance=config.numeric.ode_tolerance,
-                n_samples=config.numeric.trajectory_samples)
+            STAGES[name].body(state)
         except Exception as exc:
-            fail("evolve", exc)
-        if "evolve" in analysis or "report" in analysis:
-            tau_prefactor = 1.0
-            if not geometry.flatness_exponent(D, spec.interaction.exponent).is_flat:
-                conformal0 = geometry.conformal_factor(
-                    derived.sound_speed, natural_coupling(derived.effective_coupling), D)
-                tau_prefactor = math.sqrt(conformal0) * derived.sound_speed
-            write_trajectory_csv(trajectory, out / "trajectory.csv", tau_prefactor)
-            manifest["files"]["trajectory"] = "trajectory.csv"
-
-    # -- horizons ----------------------------------------------------------------
-    if trajectory is not None and ("horizons" in analysis or "report" in analysis):
-        try:
-            c0 = derived.sound_speed
-            geometry.write_horizons_csv(trajectory, c0, out / "horizons.csv")
-            manifest["files"]["horizons"] = "horizons.csv"
-            settled = geometry.settled_apparent_horizon(trajectory, c0)
-            horizon_summary = {
-                "settled_apparent_m": settled,
-                "apparent_at_t_max_m": geometry.apparent_horizon(
-                    trajectory, trajectory.t_max, c0),
-                "particle_horizon_initial_m": geometry.particle_horizon(
-                    trajectory, 0.0, c0),
-                "note": "valid for wavelengths well above the healing length",
-            }
-            if D == 2 and settled is not None:
-                comparison.append(_comparison_row(
-                    "q2d.apparent_horizon_settled_m", settled,
-                    note="formula value c0/omega0; the published figure is "
-                         "one order of magnitude smaller, ratio reported as is"))
-        except Exception as exc:
-            fail("horizons", exc)
-
-    # -- spectra -----------------------------------------------------------------
-    if "spectrum-2d" in analysis or ("report" in analysis and D == 2):
-        try:
-            xi = derived.healing_length
-            kappas = _kappa_grid(config.numeric, 2.0 * math.pi / (50.0 * xi),
-                                 4.0 * math.pi / xi)
-            spectrum = q2d.spectrum_2d_grid(
-                kappas, derived.effective_coupling, derived.chemical_potential,
-                spec.species.mass, scenario=config.name)
-            q2d.write_spectrum_2d_csv(spectrum, xi, out / "spectrum.csv")
-            spectrum_paths["spectrum-2d"] = "spectrum.csv"
-            manifest["files"]["spectrum"] = "spectrum.csv"
-        except Exception as exc:
-            fail("spectrum-2d", exc)
-
-    if trajectory is not None and (
-            "spectrum-3d" in analysis or ("report" in analysis and D == 3)):
-        try:
-            xi = derived.healing_length
-            c0 = derived.sound_speed
-            alpha = trajectory.asymptotic_velocity
-            g_nat = natural_coupling(swave_coupling(spec.species))
-            kmax = threed.kappa_band_edge(xi, alpha, omega_xi)
-            kappas = _kappa_grid(config.numeric, kmax / 100.0, kmax)
-            spectrum3 = threed.spectrum_3d_grid(
-                kappas, xi, c0, derived.peak_density, alpha, g_nat, omega_xi,
-                scenario=config.name)
-            clipped = int(np.sum(~spectrum3.in_band))
-            if clipped:
-                warnings.append({
-                    "source": "band_clip",
-                    "message": f"{clipped} of {len(kappas)} grid points beyond "
-                               f"kappa_max = {kmax:.4e} 1/m (hydrodynamic band)",
-                })
-            threed.write_spectrum_3d_csv(spectrum3, out / "spectrum.csv")
-            spectrum_paths["spectrum-3d"] = "spectrum.csv"
-            manifest["files"]["spectrum"] = "spectrum.csv"
-
-            estimate = threed.max_contrast_estimate(
-                spec.species.scattering_length, derived.peak_density,
-                omega0, omega_xi, alpha, xi)
-            comparison.append(_comparison_row("threed.max_contrast_prefactor",
-                                              estimate.prefactor))
-            comparison.append(_comparison_row(
-                "threed.max_contrast", estimate.value,
-                note="order-of-magnitude reference"))
-        except Exception as exc:
-            fail("spectrum-3d", exc)
-
-    report = RunReport(
-        scenario=config.name,
-        output_dir=str(out),
-        derived=derived_payload,
-        validity=[vars(c) for c in validity.checks],
-        horizon_summary=horizon_summary,
-        spectrum_paths=spectrum_paths,
-        reference_comparison=comparison,
-        warnings=warnings,
-    )
-    if "report" in analysis:
-        _write_json(out / "report.json", report.to_dict())
-        manifest["files"]["report"] = "report.json"
-
+            manifest["failed_stage"] = name
+            _write_json(out / "manifest.json", manifest)
+            raise StageError(name, exc) from exc
     manifest["complete"] = True
-    manifest["warnings"] = warnings
     _write_json(out / "manifest.json", manifest)
     return report

@@ -22,6 +22,9 @@ class TestTypes:
             AtomSpecies("x", -1.0, 1e-9)
         with pytest.raises(ValueError):
             AtomSpecies("x", 1e-26, 0.0)
+        for mass, length in ((math.nan, 1e-9), (math.inf, 1e-9), (1e-26, math.nan)):
+            with pytest.raises(ValueError):
+                AtomSpecies("x", mass, length)
         with pytest.raises(KeyError):
             AtomSpecies.from_table("unobtainium")
 
@@ -36,15 +39,24 @@ class TestTypes:
         with pytest.raises(ValueError):
             TrapGeometry(dimension=3, longitudinal_frequency=1.0,
                          transverse_frequency=10.0)
+        for omega0 in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                TrapGeometry(dimension=3, longitudinal_frequency=omega0)
+        for omega_z in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                TrapGeometry(dimension=2, longitudinal_frequency=1.0,
+                             transverse_frequency=omega_z)
 
     def test_interaction_rejects_no_sound(self):
-        with pytest.raises(ValueError):
-            InteractionLaw(exponent=1.0)
+        for exponent in (1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                InteractionLaw(exponent=exponent)
 
     def test_empty_condensate_rejected(self, sodium_spec):
-        with pytest.raises(ValueError):
-            CondensateSpec(species=sodium_spec.species, trap=sodium_spec.trap,
-                           atom_number=0)
+        for atoms in (0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                CondensateSpec(species=sodium_spec.species, trap=sodium_spec.trap,
+                               atom_number=atoms)
 
     def test_1d_requires_conformal_coupling(self):
         species = AtomSpecies.from_table("sodium")
@@ -55,7 +67,7 @@ class TestTypes:
                            interaction=InteractionLaw(exponent=2.0))
         # N=3 is the conformal case and is accepted
         CondensateSpec(species=species, trap=trap, atom_number=1000,
-                       interaction=InteractionLaw(exponent=3.0, bare_coupling=1.0))
+                       interaction=InteractionLaw(exponent=3.0))
 
 
 class TestReduceCoupling:
@@ -130,8 +142,7 @@ class TestThomasFermi:
     def test_unsupported_combination(self, rubidium_spec):
         spec = CondensateSpec(species=rubidium_spec.species, trap=rubidium_spec.trap,
                               atom_number=1e7,
-                              interaction=InteractionLaw(exponent=5.0 / 3.0,
-                                                         bare_coupling=1.0))
+                              interaction=InteractionLaw(exponent=5.0 / 3.0))
         with pytest.raises(UnsupportedModelError):
             thomas_fermi(spec)
 

@@ -35,6 +35,11 @@ class TestOdeRhs:
         with pytest.raises(ValueError):
             scale_ode_rhs(0.0, 0.0, protocol, 2, 2.0)
 
+    @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan, math.inf])
+    def test_protocol_rejects_bad_frequency(self, omega0):
+        with pytest.raises(ValueError):
+            ExpansionProtocol(omega0)
+
     def test_trap_on_equilibrium(self):
         protocol = ExpansionProtocol.hold(W0_2D)
         assert scale_ode_rhs(1.0, 5.0, protocol, 2, 2.0) == 0.0

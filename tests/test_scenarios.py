@@ -2,7 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from becosmo import scenarios
 from becosmo.cli import main
 from becosmo.scenarios import (PRESETS, ConfigError, StageError,
                                config_from_dict, load_scenario, run)
@@ -95,6 +98,83 @@ class TestLoading:
         assert config.condensate.species.scattering_length == pytest.approx(1.9e-9)
 
 
+# Inputs the config boundary must reject: each is a ConfigError, and the CLI
+# exits 1 without writing anything.
+_BAD_INPUTS = {
+    "nan-omega0": ("sodium-q2d", "condensate.omega0_rad_per_s", math.nan),
+    "nan-atom-number": ("sodium-q2d", "condensate.atom_number", math.nan),
+    "inf-omega0": ("rubidium-3d", "condensate.omega0_rad_per_s", math.inf),
+    "inf-omega-z": ("sodium-q2d", "condensate.omega_z_rad_per_s", math.inf),
+    "zero-samples": ("sodium-q2d", "numeric.trajectory_samples", 0),
+    "fractional-dimension": ("rubidium-3d", "condensate.dimension", 3.7),
+    "boolean-dimension": ("rubidium-3d", "condensate.dimension", True),
+    "expansion-list": ("sodium-q2d", "expansion", [1]),
+    "string-tolerance": ("sodium-q2d", "numeric.ode_tolerance", "x"),
+    "string-t-max": ("sodium-q2d", "numeric.t_max_omega0", "200"),
+    "analysis-string": ("sodium-q2d", "analysis", "derive"),
+    "analysis-item-list": ("sodium-q2d", "analysis", [["derive"]]),
+    "name-list": ("sodium-q2d", "name", ["na"]),
+    "species-number": ("sodium-q2d", "condensate.species", 1.0),
+    "hold-spectrum-3d": ("rubidium-3d", "expansion", {"mode": "hold"}),
+    "unknown-top-key": ("sodium-q2d", "comment", "x"),
+    "unknown-condensate-key": ("sodium-q2d", "condensate.bare_coupling", 1.0),
+    "unknown-expansion-key": ("sodium-q2d", "expansion", {"mode": "free", "rate": 1}),
+    "unknown-numeric-key": ("sodium-q2d", "numeric", {"tolerance": 1e-10}),
+    "unknown-species-key": ("sodium-q2d", "condensate.species",
+                            {"name": "x", "mass_kg": 3.8e-26,
+                             "scattering_length_m": 3e-9, "spin": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_is_a_config_error(case, tmp_path):
+    preset, key, value = _BAD_INPUTS[case]
+    data = _preset_dict(preset)
+    section, _, field = key.rpartition(".")
+    (data[section] if section else data)[field] = value
+    with pytest.raises(ConfigError):
+        config_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["report", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _leaves(child, path + (index,))
+    else:
+        yield path
+
+
+_PRESET_LEAVES = [(name, path) for name in PRESETS for path in _leaves(PRESETS[name])]
+_MUTANTS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5, 2.5, 3.7,
+                     "x", "", [], [1.0], {}, None, True]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-5, 5), st.text(max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaf=st.sampled_from(_PRESET_LEAVES), value=_MUTANTS)
+def test_mutated_preset_rejects_or_round_trips(leaf, value):
+    name, path = leaf
+    data = json.loads(json.dumps(PRESETS[name]))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        config = config_from_dict(data)
+    except ConfigError:
+        return
+    assert config_from_dict(config.to_dict()) == config
+
+
 class TestRun:
     def test_sodium_full_run(self, tmp_path):
         out = tmp_path / "na"
@@ -135,10 +215,16 @@ class TestRun:
         assert not (out / "trajectory.csv").exists()
         assert not (out / "spectrum.csv").exists()
 
+    def test_needed_stage_runs_without_writing(self, tmp_path):
+        out = tmp_path / "needed"
+        run(config_from_dict(_preset_dict("rubidium-3d",
+                                          analysis=["horizons", "spectrum-3d"])), out)
+        assert {p.name for p in out.iterdir()} == {
+            "manifest.json", "derived.json", "horizons.csv", "spectrum.csv"}
+
     def test_stage_failure_keeps_partial_outputs(self, tmp_path):
         data = _preset_dict("rubidium-3d")
         data["condensate"]["interaction_exponent"] = 5.0 / 3.0
-        data["condensate"]["bare_coupling"] = 1.0
         out = tmp_path / "fail"
         with pytest.raises(StageError) as err:
             run(config_from_dict(data), out)
@@ -146,6 +232,38 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["complete"] is False
         assert manifest["failed_stage"] == "derive"
+
+    # A failure anywhere inside a stage, file writes and reference rows
+    # included, names that stage in the error and in the manifest.
+    @pytest.mark.parametrize("preset, owner, attr, stage", [
+        ("sodium-q2d", "scenarios", "_write_json", "derive"),
+        ("sodium-q2d", "q2d", "windowed_contrast", "derive"),
+        ("rubidium-3d", "scenarios", "_comparison_row", "derive"),
+        ("sodium-q2d", "scenarios", "write_trajectory_csv", "evolve"),
+        ("sodium-q2d", "geometry", "write_horizons_csv", "horizons"),
+        ("sodium-q2d", "q2d", "write_spectrum_2d_csv", "spectrum-2d"),
+        ("rubidium-3d", "threed", "max_contrast_estimate", "spectrum-3d"),
+        ("sodium-q2d", "RunReport", "to_dict", "report"),
+    ])
+    def test_failure_inside_stage_names_it(self, tmp_path, monkeypatch,
+                                           preset, owner, attr, stage):
+        target = scenarios if owner == "scenarios" else getattr(scenarios, owner)
+        original = getattr(target, attr)
+
+        def broken(*args, **kwargs):
+            if attr == "_write_json" and args[0].name == "manifest.json":
+                return original(*args, **kwargs)
+            raise OSError("injected")
+
+        monkeypatch.setattr(target, attr, broken)
+        out = tmp_path / "run"
+        with pytest.raises(StageError) as err:
+            run(load_scenario(preset), out)
+        assert err.value.stage == stage
+        assert isinstance(err.value.cause, OSError)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_stage"] == stage
+        assert manifest["complete"] is False
 
     def test_band_clip_warning(self, tmp_path):
         report = run(load_scenario("rubidium-3d"), tmp_path / "clip")
@@ -183,7 +301,6 @@ class TestCli:
     def test_numeric_failure_exit_two(self, tmp_path):
         data = _preset_dict("rubidium-3d")
         data["condensate"]["interaction_exponent"] = 5.0 / 3.0
-        data["condensate"]["bare_coupling"] = 1.0
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main(["derive", "--scenario", str(path),
@@ -222,6 +339,43 @@ class TestCli:
         last = float(lines[-1].split(",")[0])
         assert first == pytest.approx(1e5, rel=1e-9)
         assert last == pytest.approx(1e6, rel=1e-9)
+
+    _FILES = {
+        "derive": {"manifest.json", "derived.json"},
+        "evolve": {"manifest.json", "derived.json", "trajectory.csv"},
+        "horizons": {"manifest.json", "derived.json", "trajectory.csv",
+                     "horizons.csv"},
+        "spectrum2d": {"manifest.json", "derived.json", "spectrum.csv"},
+        "spectrum3d": {"manifest.json", "derived.json", "trajectory.csv",
+                       "spectrum.csv"},
+        "report": {"manifest.json", "derived.json", "trajectory.csv",
+                   "horizons.csv", "spectrum.csv", "report.json"},
+    }
+
+    @pytest.mark.parametrize("preset", ["sodium-q2d", "rubidium-3d"])
+    @pytest.mark.parametrize("verb", ["derive", "evolve", "horizons", "spectrum2d",
+                                      "spectrum3d", "report"])
+    def test_verb_writes_exactly_its_files(self, tmp_path, preset, verb):
+        out = tmp_path / "run"
+        code = main([verb, "--scenario", preset, "--out", str(out)])
+        wrong_dimension = {("sodium-q2d", "spectrum3d"), ("rubidium-3d", "spectrum2d")}
+        if (preset, verb) in wrong_dimension:
+            assert code == 1
+            assert not out.exists()
+            return
+        assert code == 0
+        assert {p.name for p in out.iterdir()} == self._FILES[verb]
+
+    def test_hold_has_no_3d_spectrum(self, tmp_path):
+        data = _preset_dict("rubidium-3d", analysis=["derive", "evolve", "horizons"])
+        data["expansion"]["mode"] = "hold"
+        path = tmp_path / "hold.json"
+        path.write_text(json.dumps(data))
+        assert main(["spectrum3d", "--scenario", str(path),
+                     "--out", str(tmp_path / "s")]) == 1
+        out = tmp_path / "r"
+        assert main(["report", "--scenario", str(path), "--out", str(out)]) in (0, 3)
+        assert {p.name for p in out.iterdir()} == self._FILES["report"] - {"spectrum.csv"}
 
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0

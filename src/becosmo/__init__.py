@@ -13,9 +13,9 @@ from .condensate import (AtomSpecies, CondensateSpec, DerivedParams,
                          reduce_coupling, sound_frequency_at_healing_scale,
                          swave_coupling, thomas_fermi,
                          validate_dimensional_reduction)
-from .geometry import (EffectiveMetric, HorizonReport, apparent_horizon,
-                       conformal_factor, flatness_exponent, horizon_crossing_time,
-                       horizon_report, metric_components, particle_horizon,
+from .geometry import (EffectiveMetric, apparent_horizon, conformal_factor,
+                       flatness_exponent, horizon_crossing_time,
+                       metric_components, particle_horizon,
                        settled_apparent_horizon, sound_speed_history)
 from .q2d import (BogoliubovMode, Spectrum, bogoliubov_frequency,
                   bogoliubov_mode, density_spectrum_2d, subtracted_spectrum_2d,

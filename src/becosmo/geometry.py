@@ -11,7 +11,8 @@ All horizon statements apply to wavelengths well above the healing length;
 below it, dispersion takes over and the geometric picture dissolves.
 
 apparent_horizon and particle_horizon take a scalar or an array of times
-(each within the sampled range) and return a NumPy scalar or an array.
+(each within the sampled range) and return a NumPy scalar or an array. The
+module computes only; the run pipeline in scenarios writes horizons.csv.
 """
 
 from __future__ import annotations
@@ -173,30 +174,3 @@ def horizon_crossing_time(kappa: float, trajectory: ScaleTrajectory,
         return None
     return brentq(lambda t: particle_horizon(trajectory, t, c0) - wavelength,
                   0.0, trajectory.t_max, xtol=1e-14 * trajectory.t_max)
-
-
-@dataclass(frozen=True)
-class HorizonReport:
-    apparent_radius: Callable[[float], float]
-    particle_comoving: Callable[[float], float]
-    settled_apparent: float | None
-    note: str = "valid for wavelengths well above the healing length"
-
-
-def horizon_report(trajectory: ScaleTrajectory, c0: float = 1.0) -> HorizonReport:
-    return HorizonReport(
-        apparent_radius=lambda t: apparent_horizon(trajectory, t, c0),
-        particle_comoving=lambda t: particle_horizon(trajectory, t, c0),
-        settled_apparent=settled_apparent_horizon(trajectory, c0),
-    )
-
-
-def write_horizons_csv(trajectory: ScaleTrajectory, c0: float, path) -> None:
-    """Horizon histories: t, apparent radius, co-moving particle horizon."""
-    ts = trajectory.ts[1:]  # the apparent horizon is infinite at t = 0
-    radii = apparent_horizon(trajectory, ts, c0)
-    reach = particle_horizon(trajectory, ts, c0)
-    with open(path, "w", newline="") as fh:
-        fh.write("t_s,r_apparent_m,particle_horizon_comoving_m\n")
-        for t, ra, dp in zip(ts, radii, reach):
-            fh.write(f"{t:.12e},{ra:.12e},{dp:.12e}\n")

@@ -14,7 +14,8 @@ spectrum. Interaction inputs are SI; hbar conversions happen inside.
 
 bogoliubov_frequency, density_spectrum_2d and thermal_occupation take a
 scalar or an array for k, kappa or temperature (every element checked) and
-return a NumPy scalar or an array.
+return a NumPy scalar or an array. The module computes only; the run
+pipeline in scenarios writes the spectrum to spectrum.csv.
 """
 
 from __future__ import annotations
@@ -138,11 +139,6 @@ def thermal_occupation(k: float, temperature, mu: float, m: float) -> ThermalOcc
     return ThermalOccupation(n[()], (n < _QUANTUM_THRESHOLD)[()])
 
 
-def occupation_curve(k: float, temperatures, mu: float, m: float):
-    """Occupation n(T) sampled over an array of temperatures."""
-    return thermal_occupation(k, temperatures, mu, m).occupation
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Frozen spectrum on a co-moving wavenumber grid."""
@@ -159,11 +155,3 @@ def spectrum_2d_grid(kappas, g2d: float, mu: float, m: float,
                     dimension=2,
                     metadata={"scenario": scenario,
                               "fourier_convention": FOURIER_CONVENTION})
-
-
-def write_spectrum_2d_csv(spectrum: Spectrum, xi: float, path) -> None:
-    """Spectrum export: kappa, C, and the windowed contrast C/xi^2."""
-    with open(path, "w", newline="") as fh:
-        fh.write("kappa_per_m,C_m2,C_over_xi2\n")
-        for k, c in zip(spectrum.kappa_grid, spectrum.values):
-            fh.write(f"{k:.12e},{c:.12e},{c / xi**2:.12e}\n")

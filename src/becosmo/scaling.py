@@ -8,14 +8,14 @@ with b(0) = 1, b'(0) = 0. The generalized exponent p reproduces the quartic
 2D case (p = 3) and the quartic 3D case (p = 4). Alongside b the integrator
 accumulates the two improper-integral kernels everything downstream needs:
 the co-moving clock integral of b^q (proper time up to a constant prefactor)
-and the horizon integral of b^-s.
+and the horizon integral of b^-s. The module computes only; the run pipeline
+in scenarios writes the sampled history to trajectory.csv.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -57,21 +57,17 @@ def clock_exponent(dimension: int, exponent: float) -> float:
 
 @dataclass(frozen=True)
 class ExpansionProtocol:
-    """Trap schedule. The default releases the trap instantaneously at t = 0."""
-    initial_frequency: float                              # omega0, rad/s
-    schedule: Callable[[float], float] | None = None      # t -> omega_ext(t), t >= 0
+    """Trap schedule. The default releases the trap instantaneously at t = 0;
+    a held trap stays on at omega0 forever."""
+    initial_frequency: float          # omega0, rad/s
+    held: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.initial_frequency < math.inf:
             raise ValueError("initial frequency must be positive and finite")
 
     def omega_ext(self, t: float) -> float:
-        if self.schedule is None:
-            return 0.0
-        w = self.schedule(t)
-        if w < 0.0:
-            raise ValueError(f"omega_ext({t}) = {w} is negative")
-        return w
+        return self.initial_frequency if self.held else 0.0
 
     @classmethod
     def free_expansion(cls, omega0: float) -> "ExpansionProtocol":
@@ -80,7 +76,7 @@ class ExpansionProtocol:
     @classmethod
     def hold(cls, omega0: float) -> "ExpansionProtocol":
         """Trap kept on forever; b stays at 1."""
-        return cls(omega0, schedule=lambda t: omega0)
+        return cls(omega0, held=True)
 
 
 def scale_ode_rhs(b: float, t: float, protocol: ExpansionProtocol,
@@ -235,8 +231,14 @@ def integrate_scale_factor(protocol: ExpansionProtocol, dimension: int,
     ts = np.linspace(0.0, t_max, n_samples)
     rtol = max(tolerance / 20.0, 1e-13)
     atol = np.array([1.0, omega0, 1.0 / omega0, 1.0 / omega0]) * tolerance * 1e-4
-    sol = solve_ivp(rhs, (0.0, t_max), [1.0, 0.0, 0.0, 0.0], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, t_eval=ts)
+    # Overflow, 0/0 or a division by zero inside the solver is a failed
+    # integration, not a warning.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sol = solve_ivp(rhs, (0.0, t_max), [1.0, 0.0, 0.0, 0.0], method="DOP853",
+                            rtol=rtol, atol=atol, dense_output=True, t_eval=ts)
+    except FloatingPointError as exc:
+        raise NumericalError(f"scale-factor integration failed: {exc}") from exc
     if not sol.success:
         raise NumericalError(f"scale-factor integration failed: {sol.message}")
     descriptor = f"dop853-dense rtol={rtol:g}"
@@ -318,13 +320,3 @@ def scaling_map_factors(dimension: int, b: float, mass: float = 1.0,
     if b <= 0.0:
         raise ValueError("scale factor must be positive")
     return b ** (-dimension / 2.0), 0.5 * mass * velocity**2
-
-
-def write_trajectory_csv(trajectory: ScaleTrajectory, path,
-                         tau_prefactor: float = 1.0) -> None:
-    """Plot-ready trajectory export: t, b, bdot, tau."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t_s,b,bdot_per_s,tau\n")
-        for t, b, bd, ck in zip(trajectory.ts, trajectory.bs,
-                                trajectory.bdots, trajectory.clocks):
-            fh.write(f"{t:.12e},{b:.12e},{bd:.12e},{tau_prefactor * ck:.12e}\n")

@@ -9,6 +9,8 @@ Config files are JSON; every physical key carries an explicit SI unit
 suffix, and unknown keys are rejected. A run writes one directory:
 manifest.json, derived.json, trajectory.csv, horizons.csv, spectrum.csv and
 report.json, depending on the analyses (pipeline stages, see STAGES) requested.
+This module is the only one that writes files: the physics modules return
+arrays, and _write_csv and _write_json fix the two file formats.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .condensate import (AtomSpecies, CondensateSpec, DerivedParams,
                          InteractionLaw, TrapGeometry, natural_coupling,
                          sound_frequency_at_healing_scale, swave_coupling,
                          thomas_fermi, validate_dimensional_reduction)
-from .scaling import (ExpansionProtocol, ScaleTrajectory,
-                      integrate_scale_factor, write_trajectory_csv)
+from .scaling import ExpansionProtocol, ScaleTrajectory, integrate_scale_factor
 
 
 class ConfigError(ValueError):
@@ -310,7 +311,23 @@ def _comparison_row(key: str, computed: float, note: str | None = None) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinite value raises ValueError."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
+
+
+def _write_csv(path: Path, columns: dict) -> None:
+    """A headered CSV with one column per key: floats as %.12e, bool and
+    integer columns as %d (flags read 0/1)."""
+    arrays = [np.asarray(values) for values in columns.values()]
+    row = ",".join("%d" if a.dtype.kind in "biu" else "%.12e" for a in arrays) + "\n"
+    lines = [row % values for values in zip(*(a.tolist() for a in arrays))]
+    path.write_text(",".join(columns) + "\n" + "".join(lines), newline="")
+
+
+def _finite_or_none(value: float) -> float | None:
+    """A horizon for report.json; an infinite one is written as null."""
+    return value if math.isfinite(value) else None
 
 
 def _kappa_grid(numeric: NumericSettings, default_min: float,
@@ -381,20 +398,27 @@ def _evolve(r: _Run) -> None:
             conformal0 = geometry.conformal_factor(
                 derived.sound_speed, natural_coupling(derived.effective_coupling), D)
             tau_prefactor = math.sqrt(conformal0) * derived.sound_speed
-        write_trajectory_csv(r.trajectory, r.out / "trajectory.csv", tau_prefactor)
+        trajectory = r.trajectory
+        _write_csv(r.out / "trajectory.csv", {
+            "t_s": trajectory.ts, "b": trajectory.bs, "bdot_per_s": trajectory.bdots,
+            "tau": tau_prefactor * trajectory.clocks})
         r.files["trajectory"] = "trajectory.csv"
 
 
 def _horizons(r: _Run) -> None:
     trajectory, c0 = r.trajectory, r.derived.sound_speed
-    geometry.write_horizons_csv(trajectory, c0, r.out / "horizons.csv")
+    ts = trajectory.ts[1:]  # the apparent horizon is infinite at t = 0
+    _write_csv(r.out / "horizons.csv", {
+        "t_s": ts, "r_apparent_m": geometry.apparent_horizon(trajectory, ts, c0),
+        "particle_horizon_comoving_m": geometry.particle_horizon(trajectory, ts, c0)})
     r.files["horizons"] = "horizons.csv"
     settled = geometry.settled_apparent_horizon(trajectory, c0)
     r.report.horizon_summary = {
         "settled_apparent_m": settled,
-        "apparent_at_t_max_m": geometry.apparent_horizon(
-            trajectory, trajectory.t_max, c0),
-        "particle_horizon_initial_m": geometry.particle_horizon(trajectory, 0.0, c0),
+        "apparent_at_t_max_m": _finite_or_none(geometry.apparent_horizon(
+            trajectory, trajectory.t_max, c0)),
+        "particle_horizon_initial_m": _finite_or_none(
+            geometry.particle_horizon(trajectory, 0.0, c0)),
         "note": "valid for wavelengths well above the healing length",
     }
     if r.config.condensate.trap.dimension == 2 and settled is not None:
@@ -411,7 +435,9 @@ def _spectrum_2d(r: _Run) -> None:
     spectrum = q2d.spectrum_2d_grid(
         kappas, derived.effective_coupling, derived.chemical_potential,
         r.config.condensate.species.mass, scenario=r.config.name)
-    q2d.write_spectrum_2d_csv(spectrum, xi, r.out / "spectrum.csv")
+    _write_csv(r.out / "spectrum.csv", {
+        "kappa_per_m": kappas, "C_m2": spectrum.values,
+        "C_over_xi2": spectrum.values / xi**2})
     r.report.spectrum_paths["spectrum-2d"] = "spectrum.csv"
     r.files["spectrum"] = "spectrum.csv"
 
@@ -432,7 +458,9 @@ def _spectrum_3d(r: _Run) -> None:
             "message": f"{clipped} of {len(kappas)} grid points beyond "
                        f"kappa_max = {kmax:.4e} 1/m (hydrodynamic band)",
         })
-    threed.write_spectrum_3d_csv(spectrum, r.out / "spectrum.csv")
+    _write_csv(r.out / "spectrum.csv", {
+        "kappa_per_m": kappas, "phase_variance_m3": spectrum.phase_variance,
+        "C3d_m3": spectrum.density_values, "in_band": spectrum.in_band})
     r.report.spectrum_paths["spectrum-3d"] = "spectrum.csv"
     r.files["spectrum"] = "spectrum.csv"
 

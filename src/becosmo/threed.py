@@ -23,7 +23,9 @@ above the healing length, enforced through the kappa_max band edge.
 
 analytic_mode(_derivative), frozen_phase_variance and density_spectrum_3d
 take a scalar or an array for t or kappa (every element checked) and return
-a NumPy scalar or an array.
+a NumPy scalar or an array. The module computes only: a ModeEvolution keeps
+its history as arrays, and the run pipeline in scenarios writes the 3D
+spectrum to spectrum.csv.
 """
 
 from __future__ import annotations
@@ -328,19 +330,3 @@ def spectrum_3d_grid(kappas, xi: float, c0: float, rho0: float, alpha: float,
                     "alpha_rad_per_s": alpha, "kappa_max_per_m": kmax,
                     "scenario": scenario},
     )
-
-
-def write_spectrum_3d_csv(spectrum: FrozenSpectrum3D, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("kappa_per_m,phase_variance_m3,C3d_m3,in_band\n")
-        for k, pv, c, ib in zip(spectrum.kappa_grid, spectrum.phase_variance,
-                                spectrum.density_values, spectrum.in_band):
-            fh.write(f"{k:.12e},{pv:.12e},{c:.12e},{int(ib)}\n")
-
-
-def write_mode_csv(evolution: ModeEvolution, path) -> None:
-    """Mode history export: t, Re phi, Im phi, |phi'|."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t_s,re_phi,im_phi,abs_phidot\n")
-        for t, p, pd in zip(evolution.times, evolution.phi, evolution.phidot):
-            fh.write(f"{t:.12e},{p.real:.12e},{p.imag:.12e},{abs(pd):.12e}\n")

@@ -5,12 +5,11 @@ import pytest
 
 from becosmo.geometry import (EffectiveMetric, apparent_horizon,
                               conformal_factor, flatness_exponent,
-                              horizon_crossing_time, horizon_report,
-                              metric_components, particle_horizon,
-                              settled_apparent_horizon, sound_speed_history,
-                              write_horizons_csv)
-from becosmo.scaling import (ExpansionProtocol, ScaleTrajectory,
-                             integrate_scale_factor)
+                              horizon_crossing_time, metric_components,
+                              particle_horizon, settled_apparent_horizon,
+                              sound_speed_history)
+from becosmo.scaling import ExpansionProtocol, integrate_scale_factor
+from becosmo.scenarios import PRESETS, config_from_dict, run
 
 from conftest import W0_2D
 
@@ -205,27 +204,29 @@ class TestArrayPath:
             with pytest.raises(ValueError):
                 horizon(traj2d, np.array([0.0, bad, traj2d.t_max]))
 
-    def test_csv_makes_three_trajectory_lookups(self, traj2d, tmp_path, monkeypatch):
-        calls = []
-        for method in ("b", "bdot", "clock", "horizon_integral"):
-            original = getattr(ScaleTrajectory, method)
-            def counted(self, t, _original=original, _method=method):
-                calls.append(_method)
-                return _original(self, t)
-            monkeypatch.setattr(ScaleTrajectory, method, counted)
-        write_horizons_csv(traj2d, 2.0e-3, tmp_path / "horizons.csv")
-        assert sorted(calls) == ["b", "bdot", "horizon_integral"]
-
 
 def test_horizon_report_and_csv(traj2d, tmp_path):
-    report = horizon_report(traj2d, c0=2.0e-3)
-    assert report.settled_apparent == pytest.approx(
+    assert settled_apparent_horizon(traj2d, 2.0e-3) == pytest.approx(
         2.0e-3 / traj2d.asymptotic_velocity, rel=1e-12)
-    t = 3.0 / W0_2D
-    assert report.apparent_radius(t) == apparent_horizon(traj2d, t, 2.0e-3)
-    assert report.particle_comoving(t) == particle_horizon(traj2d, t, 2.0e-3)
+    # The horizons stage repeats the traj2d integration, summarises it in
+    # the report and writes the histories.
+    config = config_from_dict({**PRESETS["sodium-q2d"], "analysis": ["horizons"],
+                               "numeric": {"t_max_omega0": 1100.0,
+                                           "trajectory_samples": 600}})
+    report = run(config, tmp_path)
+    c0 = report.derived["sound_speed_m_per_s"]
+    assert report.horizon_summary == {
+        "settled_apparent_m": settled_apparent_horizon(traj2d, c0),
+        "apparent_at_t_max_m": apparent_horizon(traj2d, traj2d.t_max, c0),
+        "particle_horizon_initial_m": particle_horizon(traj2d, 0.0, c0),
+        "note": "valid for wavelengths well above the healing length",
+    }
     path = tmp_path / "horizons.csv"
-    write_horizons_csv(traj2d, 2.0e-3, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t_s,r_apparent_m,particle_horizon_comoving_m"
     assert len(lines) == len(traj2d.ts)  # t=0 row skipped
+    ts = traj2d.ts[1:]
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    for column, expected in zip(table.T, (ts, apparent_horizon(traj2d, ts, c0),
+                                          particle_horizon(traj2d, ts, c0))):
+        np.testing.assert_allclose(column, expected, rtol=1e-12, atol=0.0)

@@ -7,9 +7,9 @@ from scipy.optimize import brentq
 from becosmo.constants import HBAR, K_B
 from becosmo.q2d import (bogoliubov_frequency, bogoliubov_mode,
                          comoving_spectrum_during_expansion, density_spectrum_2d,
-                         occupation_curve, spectrum_2d_grid,
-                         subtracted_spectrum_2d, thermal_occupation,
-                         windowed_contrast, write_spectrum_2d_csv)
+                         spectrum_2d_grid, subtracted_spectrum_2d,
+                         thermal_occupation, windowed_contrast)
+from becosmo.scenarios import PRESETS, config_from_dict, run
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +188,7 @@ class TestThermal:
     def test_curve_is_monotone(self, sodium_params):
         p = sodium_params
         temps = np.geomspace(1e-10, 1e-7, 30)
-        curve = occupation_curve(1.0 / p["xi"], temps, p["mu"], p["m"])
+        curve = thermal_occupation(1.0 / p["xi"], temps, p["mu"], p["m"]).occupation
         assert np.all(np.diff(curve) > 0.0)
 
     def test_rejects_negative_temperature(self, sodium_params):
@@ -196,7 +196,7 @@ class TestThermal:
         with pytest.raises(ValueError):
             thermal_occupation(1.0, -1.0, p["mu"], p["m"])
         with pytest.raises(ValueError):
-            occupation_curve(1.0, np.array([1e-9, -1.0]), p["mu"], p["m"])
+            thermal_occupation(1.0, np.array([1e-9, -1.0]), p["mu"], p["m"])
 
     def test_array_matches_scalar(self, sodium_params):
         p = sodium_params
@@ -217,8 +217,16 @@ def test_grid_and_csv(sodium_params, tmp_path):
     assert spectrum.dimension == 2
     assert np.all(spectrum.values >= 0.0)
     assert spectrum.metadata["scenario"] == "test"
+    # the spectrum-2d stage writes the same grid with its windowed contrast
+    numeric = {"kappa_min_per_m": 0.1 / p["xi"], "kappa_max_per_m": 10.0 / p["xi"],
+               "kappa_points": 32}
+    run(config_from_dict({**PRESETS["sodium-q2d"], "analysis": ["spectrum-2d"],
+                          "numeric": numeric}), tmp_path)
     path = tmp_path / "spectrum.csv"
-    write_spectrum_2d_csv(spectrum, p["xi"], path)
     lines = path.read_text().splitlines()
     assert lines[0] == "kappa_per_m,C_m2,C_over_xi2"
     assert len(lines) == 33
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    for column, expected in zip(table.T, (kappas, spectrum.values,
+                                          spectrum.values / p["xi"]**2)):
+        np.testing.assert_allclose(column, expected, rtol=1e-12, atol=0.0)

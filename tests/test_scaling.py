@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from becosmo.scaling import (ExpansionProtocol, LinearExpansion,
-                             analytic_scale_2d, background_fields,
-                             clock_exponent, integrate_scale_factor,
-                             is_flat_case, proper_time, scale_exponent,
-                             scale_ode_rhs, scaling_map_factors,
-                             write_trajectory_csv)
+                             NumericalError, analytic_scale_2d,
+                             background_fields, clock_exponent,
+                             integrate_scale_factor, is_flat_case, proper_time,
+                             scale_exponent, scale_ode_rhs, scaling_map_factors)
+from becosmo.scenarios import PRESETS, config_from_dict, run
 
 from conftest import W0_2D, W0_3D
 
@@ -105,12 +105,25 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             traj2d.b(-1.0)
 
+    def test_overflow_is_a_numerical_error(self):
+        protocol = ExpansionProtocol.free_expansion(W0_2D)
+        with pytest.raises(NumericalError, match="overflow"):
+            integrate_scale_factor(protocol, 2, 2.0, t_max=1e300 / W0_2D)
+
     def test_csv_export(self, traj2d, tmp_path):
-        path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(traj2d, path)
-        lines = path.read_text().splitlines()
+        # The evolve stage repeats the traj2d integration and writes its
+        # samples; the flat 2D case has tau = clock integral.
+        config = config_from_dict({**PRESETS["sodium-q2d"], "analysis": ["evolve"],
+                                   "numeric": {"t_max_omega0": 1100.0,
+                                               "trajectory_samples": 600}})
+        run(config, tmp_path)
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t_s,b,bdot_per_s,tau"
         assert len(lines) == len(traj2d.ts) + 1
+        table = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+        for column, stored in zip(table.T, (traj2d.ts, traj2d.bs, traj2d.bdots,
+                                            traj2d.clocks)):
+            np.testing.assert_allclose(column, stored, rtol=1e-12, atol=0.0)
 
 
 class TestProperTime:

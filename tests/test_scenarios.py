@@ -1,12 +1,15 @@
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from becosmo import scenarios
 from becosmo.cli import main
+from becosmo.scaling import ScaleTrajectory
 from becosmo.scenarios import (PRESETS, ConfigError, StageError,
                                config_from_dict, load_scenario, run)
 
@@ -234,14 +237,18 @@ class TestRun:
         assert manifest["failed_stage"] == "derive"
 
     # A failure anywhere inside a stage, file writes and reference rows
-    # included, names that stage in the error and in the manifest.
+    # included, names that stage in the error and in the manifest. A patched
+    # writer fails only for the file of the stage under test.
+    _STAGE_FILES = {"derive": "derived.json", "evolve": "trajectory.csv",
+                    "horizons": "horizons.csv", "spectrum-2d": "spectrum.csv"}
+
     @pytest.mark.parametrize("preset, owner, attr, stage", [
         ("sodium-q2d", "scenarios", "_write_json", "derive"),
         ("sodium-q2d", "q2d", "windowed_contrast", "derive"),
         ("rubidium-3d", "scenarios", "_comparison_row", "derive"),
-        ("sodium-q2d", "scenarios", "write_trajectory_csv", "evolve"),
-        ("sodium-q2d", "geometry", "write_horizons_csv", "horizons"),
-        ("sodium-q2d", "q2d", "write_spectrum_2d_csv", "spectrum-2d"),
+        ("sodium-q2d", "scenarios", "_write_csv", "evolve"),
+        ("sodium-q2d", "scenarios", "_write_csv", "horizons"),
+        ("sodium-q2d", "scenarios", "_write_csv", "spectrum-2d"),
         ("rubidium-3d", "threed", "max_contrast_estimate", "spectrum-3d"),
         ("sodium-q2d", "RunReport", "to_dict", "report"),
     ])
@@ -251,7 +258,7 @@ class TestRun:
         original = getattr(target, attr)
 
         def broken(*args, **kwargs):
-            if attr == "_write_json" and args[0].name == "manifest.json":
+            if attr.startswith("_write_") and args[0].name != self._STAGE_FILES[stage]:
                 return original(*args, **kwargs)
             raise OSError("injected")
 
@@ -264,6 +271,42 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failed_stage"] == stage
         assert manifest["complete"] is False
+
+    def test_non_finite_value_fails_its_stage(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenarios, "sound_frequency_at_healing_scale",
+                            lambda derived: math.nan)
+        out = tmp_path / "nan"
+        with pytest.raises(StageError) as err:
+            run(load_scenario("sodium-q2d"), out)
+        assert err.value.stage == "derive"
+        assert isinstance(err.value.cause, ValueError)
+        assert not (out / "derived.json").exists()
+
+    def test_horizons_stage_lookups_do_not_grow_with_samples(self, tmp_path,
+                                                             monkeypatch):
+        calls = []
+        for method in ("b", "bdot", "clock", "horizon_integral"):
+            original = getattr(ScaleTrajectory, method)
+            def counted(self, t, _original=original, _method=method):
+                calls.append(_method)
+                return _original(self, t)
+            monkeypatch.setattr(ScaleTrajectory, method, counted)
+        stage = scenarios.STAGES["horizons"]
+        per_stage = {}
+
+        def horizons(r):
+            calls.clear()
+            stage.body(r)
+            per_stage[r.config.numeric.trajectory_samples] = sorted(calls)
+
+        monkeypatch.setitem(scenarios.STAGES, "horizons", stage._replace(body=horizons))
+        for samples in (50, 400, 4000):
+            data = _preset_dict("sodium-q2d", analysis=["horizons"])
+            data["numeric"]["trajectory_samples"] = samples
+            run(config_from_dict(data), tmp_path / str(samples))
+        # one array lookup each for the CSV columns and the two summary points
+        assert per_stage[50] == per_stage[400] == per_stage[4000] == [
+            "b", "b", "bdot", "bdot", "horizon_integral", "horizon_integral"]
 
     def test_band_clip_warning(self, tmp_path):
         report = run(load_scenario("rubidium-3d"), tmp_path / "clip")
@@ -377,6 +420,28 @@ class TestCli:
         assert main(["report", "--scenario", str(path), "--out", str(out)]) in (0, 3)
         assert {p.name for p in out.iterdir()} == self._FILES["report"] - {"spectrum.csv"}
 
+        # a held trap has infinite horizons; report.json stays strict JSON
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        summary = report["horizon_summary"]
+        assert summary["apparent_at_t_max_m"] is None
+        assert summary["particle_horizon_initial_m"] is None
+
+    def test_overflow_is_a_named_numeric_failure(self, tmp_path, capsys):
+        data = _preset_dict("sodium-q2d")
+        data["numeric"]["t_max_omega0"] = 1e300
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["report", "--scenario", str(path),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "stage 'evolve' failed" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
@@ -399,3 +464,24 @@ class TestDeterminism:
         report_a.pop("output_dir")
         report_b.pop("output_dir")
         assert report_a == report_b
+
+
+def test_write_csv_format(tmp_path):
+    path = tmp_path / "table.csv"
+    scenarios._write_csv(path, {"x_m": np.array([0.5, -1.0e-20, math.inf]),
+                                "count": np.array([3, 0, 12]),
+                                "flag": np.array([True, False, True])})
+    assert path.read_bytes() == (b"x_m,count,flag\n"
+                                 b"5.000000000000e-01,3,1\n"
+                                 b"-1.000000000000e-20,0,0\n"
+                                 b"inf,12,1\n")
+
+    # the per-row f-string loop the stage writers used is the reference
+    rng = np.random.default_rng(7)
+    scale = 10.0 ** rng.uniform(-300.0, 300.0, 500)
+    values = np.concatenate([rng.standard_normal(500) * scale,
+                             [0.0, -0.0, 5e-324, math.nan, -math.inf]])
+    flags = values > 0.0
+    scenarios._write_csv(path, {"v": values, "f": flags})
+    expected = "v,f\n" + "".join(f"{v:.12e},{int(f)}\n" for v, f in zip(values, flags))
+    assert path.read_bytes() == expected.encode()

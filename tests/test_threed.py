@@ -15,8 +15,8 @@ from becosmo.threed import (ModeIntegrationError, adiabatic_frequency,
                             hankel_argument, integrate_mode, kappa_band_edge,
                             max_contrast_estimate, mode_normalization,
                             mode_ode_rhs, projection_suppression,
-                            spectrum_3d_grid, write_mode_csv,
-                            write_spectrum_3d_csv)
+                            spectrum_3d_grid)
+from becosmo.scenarios import PRESETS, config_from_dict, run
 
 ALPHA = math.sqrt(2.0 / 3.0)   # natural units, omega0 = 1
 
@@ -284,15 +284,23 @@ def test_spectrum_grid_and_csvs(tmp_path):
     kmax = kappa_band_edge(1.0, ALPHA, 1.0)
     assert np.array_equal(spectrum.in_band, kappas <= kmax)
     assert np.sum(~spectrum.in_band) > 0
-    path = tmp_path / "spectrum3d.csv"
-    write_spectrum_3d_csv(spectrum, path)
-    assert path.read_text().splitlines()[0] == "kappa_per_m,phase_variance_m3,C3d_m3,in_band"
 
+    # The spectrum-3d stage writes its grid with 0/1 band flags; this grid
+    # runs past the band edge.
+    numeric = {**PRESETS["rubidium-3d"]["numeric"], "kappa_min_per_m": 1e5,
+               "kappa_max_per_m": 1e8, "kappa_points": 16}
+    run(config_from_dict({**PRESETS["rubidium-3d"], "analysis": ["spectrum-3d"],
+                          "numeric": numeric}), tmp_path)
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert lines[0] == "kappa_per_m,phase_variance_m3,C3d_m3,in_band"
+    assert len(lines) == 17
+    flags = [line.rsplit(",", 1)[1] for line in lines[1:]]
+    assert "1" in flags and "0" in flags
+    assert flags == sorted(flags, reverse=True)   # in band up to the edge only
+
+    # a mode history is the arrays of its ModeEvolution, one row per time
     bg = LinearExpansion(ALPHA)
     evo = integrate_mode(2.0, bg, _deep_start(2.0), freezing_time(2.0, ALPHA),
                          tolerance=1e-10)
-    mode_path = tmp_path / "mode.csv"
-    write_mode_csv(evo, mode_path)
-    lines = mode_path.read_text().splitlines()
-    assert lines[0] == "t_s,re_phi,im_phi,abs_phidot"
-    assert len(lines) == len(evo.times) + 1
+    assert evo.times.shape == evo.phi.shape == evo.phidot.shape == (400,)
+    assert np.all(np.diff(evo.times) > 0.0)

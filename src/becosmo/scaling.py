@@ -165,6 +165,13 @@ class ScaleTrajectory:
 
     # -- dense lookups ---------------------------------------------------------
 
+    def expansion_on(self, t0: float, t1: float):
+        """Check [t0, t1] once; return an unchecked t -> (b, bdot) for times
+        inside it, both from one dense evaluation."""
+        self._check_range([t0, t1])
+        dense = self._dense
+        return lambda t: dense(t)[:2]
+
     def b(self, t):
         return self._dense(self._check_range(t))[0]
 
@@ -256,11 +263,21 @@ class LinearExpansion:
         self.asymptotic_velocity = alpha
         self.linear_offset = 0.0
 
-    def b(self, t):
+    @staticmethod
+    def _check_range(t):
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0):
             raise ValueError("linear background defined for t > 0 only")
-        return self.asymptotic_velocity * t
+        return t
+
+    def expansion_on(self, t0: float, t1: float):
+        """Check [t0, t1] once; return an unchecked t -> (alpha t, alpha)."""
+        self._check_range([t0, t1])
+        alpha = self.asymptotic_velocity
+        return lambda t: (alpha * t, alpha)
+
+    def b(self, t):
+        return self.asymptotic_velocity * self._check_range(t)
 
     def bdot(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.asymptotic_velocity)

@@ -392,6 +392,14 @@ def _evolve(r: _Run) -> None:
         r.config.protocol(), D, N,
         t_max=numeric.t_max_omega0 / spec.trap.longitudinal_frequency,
         tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples)
+    if r.config.expansion_mode == "free" and r.trajectory.linear_onset is None:
+        r.report.warnings.append({
+            "source": "evolve:linear_regime",
+            "message": f"b(t) never reached the linear regime by t_max = "
+                       f"{r.trajectory.t_max:.4g} s, so the horizon integrals "
+                       "have no closed-form tail and the particle horizons "
+                       "are infinite",
+        })
     if "evolve" in r.writes:
         tau_prefactor = 1.0
         if not geometry.flatness_exponent(D, N).is_flat:

@@ -68,11 +68,9 @@ def mode_normalization(coupling: float, alpha: float) -> float:
     return math.sqrt(math.pi * coupling / (6.0 * alpha**3))
 
 
-def mode_ode_rhs(t: float, phi: complex, phidot: complex, kappa: float,
-                 background, c0: float = 1.0) -> complex:
-    """Acceleration of the co-moving phase mode at time t."""
-    b = float(background.b(t))
-    bdot = float(background.bdot(t))
+def mode_ode_rhs(phi: complex, phidot: complex, kappa: float, b: float,
+                 bdot: float, c0: float = 1.0) -> complex:
+    """Acceleration of the co-moving phase mode on a background (b, bdot)."""
     return -3.0 * (bdot / b) * phidot - c0**2 * kappa**2 / b**5 * phi
 
 
@@ -143,15 +141,24 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     must still be deep inside the horizon: omega_ad >= 20 bdot/b. The mode is
     sampled at 400 log-spaced times, and the frozen value is recorded once
     |phi'| t / |phi| < 1e-6.
+
+    The background provides asymptotic_velocity, linear_offset (None when it
+    has no linear regime) and expansion_on(t_start, t_end), which checks the
+    interval once and returns the t -> (b, bdot) lookup the RHS calls. The
+    solver never evaluates outside [t_start, t_end].
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
     alpha = background.asymptotic_velocity
-    shift = background.linear_offset or 0.0
-    b0 = float(background.b(t_start))
-    hubble = float(background.bdot(t_start)) / b0
+    shift = background.linear_offset
+    if shift is None:
+        raise ModeIntegrationError("background has no linear regime "
+                                   "(linear_offset is None) to match the start on")
+    expansion = background.expansion_on(t_start, t_end)
+    b0, bdot0 = (float(v) for v in expansion(t_start))
+    hubble = bdot0 / b0
     omega0_ad = adiabatic_frequency(kappa, b0, c0)
     if omega0_ad < _DEPTH_FACTOR * hubble:
         raise ModeIntegrationError(
@@ -174,7 +181,8 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
         warnings.append(f"WKB residual {wkb_residual:.2e} above 1e-3 at start")
 
     def rhs(t, y):
-        return [y[1], mode_ode_rhs(t, y[0], y[1], kappa, background, c0)]
+        b, bdot = expansion(t)
+        return [y[1], mode_ode_rhs(y[0], y[1], kappa, b, bdot, c0)]
 
     t_eval = np.geomspace(t_start, t_end, _MODE_SAMPLES)
     scale = abs(phi0)

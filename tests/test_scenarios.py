@@ -357,6 +357,18 @@ class TestCli:
         assert main(["derive", "--scenario", str(path),
                      "--out", str(tmp_path / "z")]) == 3
 
+    def test_short_free_run_exit_three(self, tmp_path):
+        # b(t) never reaches the linear regime, so every particle horizon is
+        # infinite; the run says so and exits 3
+        data = _preset_dict("sodium-q2d", **{"numeric.t_max_omega0": 0.5})
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "short"
+        assert main(["report", "--scenario", str(path), "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert [w["source"] for w in report["warnings"]] == ["evolve:linear_regime"]
+        assert report["horizon_summary"]["particle_horizon_initial_m"] is None
+
     def test_wrong_dimension_spectrum_exit_one(self, tmp_path):
         assert main(["spectrum2d", "--scenario", "rubidium-3d",
                      "--out", str(tmp_path / "w")]) == 1
@@ -428,6 +440,8 @@ class TestCli:
         summary = report["horizon_summary"]
         assert summary["apparent_at_t_max_m"] is None
         assert summary["particle_horizon_initial_m"] is None
+        # a held trap is not a free run cut short
+        assert "evolve:linear_regime" not in [w["source"] for w in report["warnings"]]
 
     def test_overflow_is_a_named_numeric_failure(self, tmp_path, capsys):
         data = _preset_dict("sodium-q2d")

@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import linregress
 
-from becosmo import specfun
-from becosmo.scaling import LinearExpansion
+from becosmo import specfun, threed
+from becosmo.scaling import (ExpansionProtocol, LinearExpansion, ScaleTrajectory,
+                             integrate_scale_factor)
 from becosmo.threed import (ModeIntegrationError, adiabatic_frequency,
                             analytic_evolution, analytic_mode,
                             analytic_mode_derivative, basis_wronskian,
@@ -21,50 +22,41 @@ from becosmo.scenarios import PRESETS, config_from_dict, run
 ALPHA = math.sqrt(2.0 / 3.0)   # natural units, omega0 = 1
 
 
-class _StaticBackground:
-    asymptotic_velocity = 1.0
-    linear_offset = 0.0
-
-    def b(self, t):
-        return 1.0
-
-    def bdot(self, t):
-        return 0.0
-
-
 def _deep_start(kappa, depth_z=260.0, c0=1.0):
     beta = (2.0 / 3.0) * c0 * kappa * ALPHA**-2.5
     return (beta / depth_z) ** (2.0 / 3.0)
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the solve started")
+
+
 class TestModeOde:
     def test_static_background_oscillator(self):
         kappa, c0 = 4.0, 1.0
-        acc = mode_ode_rhs(1.0, 1.0 + 0.0j, 0.0j, kappa, _StaticBackground(), c0)
+        acc = mode_ode_rhs(1.0 + 0.0j, 0.0j, kappa, 1.0, 0.0, c0)
         assert acc == pytest.approx(-(c0 * kappa) ** 2)
 
     def test_zero_mode_is_frozen(self):
-        bg = LinearExpansion(ALPHA)
-        acc = mode_ode_rhs(2.0, 5.0 + 0.0j, 0.0j, 0.0, bg, 1.0)
+        acc = mode_ode_rhs(5.0 + 0.0j, 0.0j, 0.0, ALPHA * 2.0, ALPHA, 1.0)
         assert acc == 0.0
 
     def test_linear_regime_form(self):
-        bg = LinearExpansion(ALPHA)
         kappa, c0, t = 3.0, 1.0, 1.7
         phi, phidot = 0.3 + 0.1j, -0.2 + 0.4j
         expected = -3.0 / t * phidot - c0**2 * kappa**2 / (ALPHA**5 * t**5) * phi
-        assert mode_ode_rhs(t, phi, phidot, kappa, bg, c0) == pytest.approx(expected)
+        assert mode_ode_rhs(phi, phidot, kappa, ALPHA * t, ALPHA, c0) == \
+            pytest.approx(expected)
 
     def test_analytic_solution_satisfies_ode(self):
         # numeric second derivative of the basis solution vs the stated form
-        bg = LinearExpansion(ALPHA)
         kappa, c0 = 2.2, 1.0
         t = 0.2
         h = t * 1e-6
         u = lambda tt: analytic_mode(kappa, tt, ALPHA, c0)[0]
         second = (u(t + h) - 2.0 * u(t) + u(t - h)) / h**2
-        rhs = mode_ode_rhs(t, u(t), analytic_mode_derivative(kappa, t, ALPHA, c0)[0],
-                           kappa, bg, c0)
+        rhs = mode_ode_rhs(u(t), analytic_mode_derivative(kappa, t, ALPHA, c0)[0],
+                           kappa, ALPHA * t, ALPHA, c0)
         assert abs(second - rhs) <= 1e-5 * abs(rhs)
 
 
@@ -178,6 +170,49 @@ class TestIntegrateMode:
         with pytest.raises(ModeIntegrationError):
             integrate_mode(kappa, bg, t_late, 2.0 * t_late)
 
+    def test_background_without_linear_regime_rejected(self, monkeypatch):
+        held = integrate_scale_factor(ExpansionProtocol.hold(1.0), 3, 2.0, 100.0)
+        assert held.linear_offset is None
+        monkeypatch.setattr(threed, "solve_ivp", _no_solve)
+        with pytest.raises(ModeIntegrationError, match="no linear regime"):
+            integrate_mode(50.0, held, 1.0, 50.0)
+
+    def test_checked_lookups_do_not_grow_with_nfev(self, monkeypatch):
+        # the RHS uses the unchecked lookup of expansion_on; the range-checked
+        # b()/bdot() are at most a fixed few calls per solve
+        calls, nfev = [], []
+        for owner in (LinearExpansion, ScaleTrajectory):
+            for method in ("b", "bdot"):
+                original = getattr(owner, method)
+
+                def counted(self, t, _original=original, _method=method):
+                    calls.append(_method)
+                    return _original(self, t)
+                monkeypatch.setattr(owner, method, counted)
+        solve = threed.solve_ivp
+
+        def counted_solve(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+        monkeypatch.setattr(threed, "solve_ivp", counted_solve)
+
+        kappa = 1000.0
+        t_end = freezing_time(kappa, ALPHA)
+        trajectory = integrate_scale_factor(ExpansionProtocol.free_expansion(1.0),
+                                            3, 2.0, 1.5 * t_end)
+        per_solve = []
+        for background, shift in ((LinearExpansion(ALPHA), 0.0),
+                                  (trajectory, trajectory.linear_offset)):
+            for depth in (40.0, 200.0):
+                calls.clear()
+                integrate_mode(kappa, background,
+                               shift + _deep_start(kappa, depth), t_end,
+                               tolerance=1e-9)
+                per_solve.append(len(calls))
+        assert nfev[1] > 2 * nfev[0] and nfev[3] > 2 * nfev[2]
+        assert len(set(per_solve)) == 1 and per_solve[0] <= 2
+
     def test_freezing_time_monotone_in_kappa(self):
         times = [freezing_time(k, ALPHA) for k in (1.0, 3.0, 10.0, 30.0)]
         assert all(a < b for a, b in zip(times, times[1:]))
@@ -191,6 +226,33 @@ class TestIntegrateMode:
         numeric = density_contrast_from_mode(evo, bg, 1.0, 1.0)
         closed = density_spectrum_3d(kappa, 1.0, 1.0, 1.0, ALPHA)
         assert numeric == pytest.approx(closed, rel=5e-3)
+
+
+class TestRealBackground:
+    """A mode evolved on the integrated 3D quartic b(t) (omega0 = c0 = 1),
+    started deep inside the horizon on the linear regime."""
+    KAPPA = 6e4
+
+    @pytest.fixture(scope="class")
+    def trajectory(self):
+        t_end = freezing_time(self.KAPPA, ALPHA)
+        return integrate_scale_factor(ExpansionProtocol.free_expansion(1.0), 3,
+                                      2.0, 1.5 * t_end, tolerance=1e-11)
+
+    def test_frozen_value_matches_closed_form(self, trajectory):
+        alpha = trajectory.asymptotic_velocity
+        t_start = trajectory.linear_offset + _deep_start(self.KAPPA)
+        evo = integrate_mode(self.KAPPA, trajectory, t_start,
+                             freezing_time(self.KAPPA, ALPHA), tolerance=1e-11)
+        assert evo.warnings == []
+        variance = frozen_phase_variance(self.KAPPA, 1.0, alpha)
+        assert evo.frozen_value**2 / variance == pytest.approx(1.0, abs=5e-3)
+
+    def test_end_beyond_trajectory_rejected(self, trajectory, monkeypatch):
+        monkeypatch.setattr(threed, "solve_ivp", _no_solve)
+        t_start = trajectory.linear_offset + _deep_start(self.KAPPA)
+        with pytest.raises(ValueError, match="sampled range"):
+            integrate_mode(self.KAPPA, trajectory, t_start, 1.01 * trajectory.t_max)
 
 
 class TestClosedForms:

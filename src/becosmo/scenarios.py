@@ -46,6 +46,11 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+# Upper bound on trajectory_samples and kappa_points: far above any grid a
+# run needs, and small enough that a typo cannot ask for terabytes.
+_MAX_SAMPLES = 1_000_000
+
+
 @dataclass(frozen=True)
 class NumericSettings:
     ode_tolerance: float = 1e-10
@@ -60,10 +65,10 @@ class NumericSettings:
             raise ConfigError("numeric.ode_tolerance must lie in (1e-14, 1e-4)")
         if not 0.0 < self.t_max_omega0 < math.inf:
             raise ConfigError("numeric.t_max_omega0 must be positive and finite")
-        if not self.trajectory_samples >= 2:
-            raise ConfigError("numeric.trajectory_samples must be at least 2")
-        if not self.kappa_points >= 2:
-            raise ConfigError("numeric.kappa_points must be at least 2")
+        if not 2 <= self.trajectory_samples <= _MAX_SAMPLES:
+            raise ConfigError(f"numeric.trajectory_samples must lie in [2, {_MAX_SAMPLES}]")
+        if not 2 <= self.kappa_points <= _MAX_SAMPLES:
+            raise ConfigError(f"numeric.kappa_points must lie in [2, {_MAX_SAMPLES}]")
         if (self.kappa_min is not None) != (self.kappa_max is not None):
             raise ConfigError("numeric.kappa_min and kappa_max must be set together")
         if self.kappa_min is not None:
@@ -316,10 +321,18 @@ def _write_json(path: Path, payload: dict) -> None:
                                allow_nan=False) + "\n")
 
 
-def _write_csv(path: Path, columns: dict) -> None:
+def _write_csv(path: Path, columns: dict, infinite: tuple[str, ...] = ()) -> None:
     """A headered CSV with one column per key: floats as %.12e, bool and
-    integer columns as %d (flags read 0/1)."""
+    integer columns as %d (flags read 0/1). A NaN, or an infinity outside
+    the columns named in infinite (which may hold +inf), raises ValueError
+    before anything is written."""
     arrays = [np.asarray(values) for values in columns.values()]
+    for name, a in zip(columns, arrays):
+        ok = np.isfinite(a)
+        if name in infinite:
+            ok |= a == math.inf
+        if not ok.all():
+            raise ValueError(f"{path.name}: column {name} holds a non-finite value")
     row = ",".join("%d" if a.dtype.kind in "biu" else "%.12e" for a in arrays) + "\n"
     lines = [row % values for values in zip(*(a.tolist() for a in arrays))]
     path.write_text(",".join(columns) + "\n" + "".join(lines), newline="")
@@ -418,7 +431,8 @@ def _horizons(r: _Run) -> None:
     ts = trajectory.ts[1:]  # the apparent horizon is infinite at t = 0
     _write_csv(r.out / "horizons.csv", {
         "t_s": ts, "r_apparent_m": geometry.apparent_horizon(trajectory, ts, c0),
-        "particle_horizon_comoving_m": geometry.particle_horizon(trajectory, ts, c0)})
+        "particle_horizon_comoving_m": geometry.particle_horizon(trajectory, ts, c0)},
+        infinite=("r_apparent_m", "particle_horizon_comoving_m"))
     r.files["horizons"] = "horizons.csv"
     settled = geometry.settled_apparent_horizon(trajectory, c0)
     r.report.horizon_summary = {
@@ -440,12 +454,13 @@ def _spectrum_2d(r: _Run) -> None:
     derived, xi = r.derived, r.derived.healing_length
     kappas = _kappa_grid(r.config.numeric, 2.0 * math.pi / (50.0 * xi),
                          4.0 * math.pi / xi)
-    spectrum = q2d.spectrum_2d_grid(
-        kappas, derived.effective_coupling, derived.chemical_potential,
-        r.config.condensate.species.mass, scenario=r.config.name)
+    with np.errstate(over="raise"):
+        spectrum = q2d.spectrum_2d_grid(
+            kappas, derived.effective_coupling, derived.chemical_potential,
+            r.config.condensate.species.mass, scenario=r.config.name)
+        scaled = spectrum.values / xi**2
     _write_csv(r.out / "spectrum.csv", {
-        "kappa_per_m": kappas, "C_m2": spectrum.values,
-        "C_over_xi2": spectrum.values / xi**2})
+        "kappa_per_m": kappas, "C_m2": spectrum.values, "C_over_xi2": scaled})
     r.report.spectrum_paths["spectrum-2d"] = "spectrum.csv"
     r.files["spectrum"] = "spectrum.csv"
 
@@ -456,9 +471,10 @@ def _spectrum_3d(r: _Run) -> None:
     alpha = r.trajectory.asymptotic_velocity
     kmax = threed.kappa_band_edge(xi, alpha, omega_xi)
     kappas = _kappa_grid(r.config.numeric, kmax / 100.0, kmax)
-    spectrum = threed.spectrum_3d_grid(
-        kappas, xi, derived.sound_speed, derived.peak_density, alpha,
-        natural_coupling(swave_coupling(species)), omega_xi, scenario=r.config.name)
+    with np.errstate(over="raise"):
+        spectrum = threed.spectrum_3d_grid(
+            kappas, xi, derived.sound_speed, derived.peak_density, alpha,
+            natural_coupling(swave_coupling(species)), omega_xi, scenario=r.config.name)
     clipped = int(np.sum(~spectrum.in_band))
     if clipped:
         r.report.warnings.append({

@@ -31,10 +31,12 @@ spectrum to spectrum.csv.
 from __future__ import annotations
 
 import math
+import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint
 
 from . import specfun
 
@@ -42,6 +44,12 @@ _NU = 2.0 / 3.0
 _FREEZE_CRITERION = 1e-6       # |phi'| t / |phi| below which a mode is frozen
 _DEPTH_FACTOR = 20.0           # required omega_ad / H at the start of a mode
 _MODE_SAMPLES = 400            # output samples of an integrated mode
+# LSODA's default cap of 500 steps between two samples is too few for starts
+# deeper than z ~ 550, where one sample interval spans many oscillations.
+_MAX_STEPS_PER_SAMPLE = 50_000
+# catch_warnings swaps the process-wide filter list on entry and exit; two
+# solves interleaving in threads would restore each other's lists out of order.
+_SOLVER_WARNINGS = threading.Lock()
 
 
 class ModeIntegrationError(RuntimeError):
@@ -128,6 +136,7 @@ class ModeEvolution:
     frozen_time: float | None
     source: str                      # "numeric" or "analytic"
     wkb_residual_start: float
+    nfev: int                        # right-hand-side calls; 0 when analytic
     warnings: list[str] = field(default_factory=list)
 
 
@@ -144,8 +153,13 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
 
     The background provides asymptotic_velocity, linear_offset (None when it
     has no linear regime) and expansion_on(t_start, t_end), which checks the
-    interval once and returns the t -> (b, bdot) lookup the RHS calls. The
-    solver never evaluates outside [t_start, t_end].
+    interval once and returns the t -> (b, bdot) lookup the RHS calls.
+
+    The solver is LSODA through scipy's odeint, whose stepping loop is
+    compiled, on the real system (Re phi, Im phi, Re phi', Im phi'); the RHS
+    applies mode_ode_rhs to the real and the imaginary part. tcrit at t_end
+    keeps every evaluation inside [t_start, t_end]. A failed solve raises
+    ModeIntegrationError with the solver's message; nfev counts RHS calls.
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
@@ -176,25 +190,33 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     phidot0 = norm * d1
     wkb_residual = abs(phidot0 + 1j * omega0_ad * phi0) / (omega0_ad * abs(phi0))
 
-    warnings = []
+    notes = []
     if wkb_residual > 1e-3:
-        warnings.append(f"WKB residual {wkb_residual:.2e} above 1e-3 at start")
+        notes.append(f"WKB residual {wkb_residual:.2e} above 1e-3 at start")
 
-    def rhs(t, y):
+    def rhs(y, t):
+        re, im, redot, imdot = y.tolist()
         b, bdot = expansion(t)
-        return [y[1], mode_ode_rhs(y[0], y[1], kappa, b, bdot, c0)]
+        return [redot, imdot, mode_ode_rhs(re, redot, kappa, b, bdot, c0),
+                mode_ode_rhs(im, imdot, kappa, b, bdot, c0)]
 
     t_eval = np.geomspace(t_start, t_end, _MODE_SAMPLES)
     scale = abs(phi0)
     atol = np.array([scale, omega0_ad * scale]) * tolerance * 1e-3
-    sol = solve_ivp(rhs, (t_start, t_end), [phi0, phidot0], method="DOP853",
-                    rtol=tolerance, atol=atol, dense_output=False,
-                    t_eval=t_eval)
-    if not sol.success:
-        raise ModeIntegrationError(f"mode integration failed: {sol.message}")
+    # tcrit keeps LSODA from stepping past t_end and interpolating back, so
+    # the lookup is never called outside the interval expansion_on checked.
+    # A failed solve is reported through info, not as an ODEintWarning.
+    with _SOLVER_WARNINGS, warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)
+        ys, info = odeint(rhs, [phi0.real, phi0.imag, phidot0.real, phidot0.imag],
+                          t_eval, rtol=tolerance, atol=np.repeat(atol, 2),
+                          tcrit=[t_end], mxstep=_MAX_STEPS_PER_SAMPLE,
+                          full_output=True)
+    if info["message"] != "Integration successful.":
+        raise ModeIntegrationError(f"mode integration failed: {info['message']}")
 
-    phi = sol.y[0]
-    phidot = sol.y[1]
+    phi = ys[:, 0] + 1j * ys[:, 1]
+    phidot = ys[:, 2] + 1j * ys[:, 3]
     frozen_value = None
     frozen_time = None
     tail = abs(phidot[-1]) * t_eval[-1] / abs(phi[-1])
@@ -202,12 +224,12 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
         frozen_value = float(abs(phi[-1]))
         frozen_time = float(t_eval[-1])
     else:
-        warnings.append(f"not frozen by t_end (|phi'| t/|phi| = {tail:.2e})")
+        notes.append(f"not frozen by t_end (|phi'| t/|phi| = {tail:.2e})")
 
     return ModeEvolution(kappa=kappa, times=t_eval, phi=phi, phidot=phidot,
                          frozen_value=frozen_value, frozen_time=frozen_time,
                          source="numeric", wkb_residual_start=float(wkb_residual),
-                         warnings=warnings)
+                         nfev=int(info["nfe"][-1]), warnings=notes)
 
 
 def analytic_evolution(kappa: float, times, alpha: float, c0: float = 1.0,
@@ -221,7 +243,8 @@ def analytic_evolution(kappa: float, times, alpha: float, c0: float = 1.0,
     residual = abs(phidot[0] + 1j * omega0_ad * phi[0]) / (omega0_ad * abs(phi[0]))
     return ModeEvolution(kappa=kappa, times=times, phi=phi, phidot=phidot,
                          frozen_value=float(abs(phi[-1])), frozen_time=float(times[-1]),
-                         source="analytic", wkb_residual_start=float(residual))
+                         source="analytic", wkb_residual_start=float(residual),
+                         nfev=0)
 
 
 def frozen_phase_variance(kappa, coupling: float, alpha: float, c0: float = 1.0):

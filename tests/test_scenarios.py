@@ -109,6 +109,8 @@ _BAD_INPUTS = {
     "inf-omega0": ("rubidium-3d", "condensate.omega0_rad_per_s", math.inf),
     "inf-omega-z": ("sodium-q2d", "condensate.omega_z_rad_per_s", math.inf),
     "zero-samples": ("sodium-q2d", "numeric.trajectory_samples", 0),
+    "too-many-samples": ("sodium-q2d", "numeric.trajectory_samples", 10**12),
+    "too-many-kappa-points": ("rubidium-3d", "numeric.kappa_points", 1_000_001),
     "fractional-dimension": ("rubidium-3d", "condensate.dimension", 3.7),
     "boolean-dimension": ("rubidium-3d", "condensate.dimension", True),
     "expansion-list": ("sodium-q2d", "expansion", [1]),
@@ -456,6 +458,17 @@ class TestCli:
         assert "stage 'evolve' failed" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_spectrum_overflow_is_a_named_numeric_failure(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["spectrum3d", "--scenario", "rubidium-3d", "--out", str(out),
+                         "--kappa-min", "1e-300", "--kappa-max", "1e300"])
+        assert code == 2
+        assert "stage 'spectrum-3d' failed" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "spectrum.csv").exists()
+
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
@@ -484,7 +497,8 @@ def test_write_csv_format(tmp_path):
     path = tmp_path / "table.csv"
     scenarios._write_csv(path, {"x_m": np.array([0.5, -1.0e-20, math.inf]),
                                 "count": np.array([3, 0, 12]),
-                                "flag": np.array([True, False, True])})
+                                "flag": np.array([True, False, True])},
+                        infinite=("x_m",))
     assert path.read_bytes() == (b"x_m,count,flag\n"
                                  b"5.000000000000e-01,3,1\n"
                                  b"-1.000000000000e-20,0,0\n"
@@ -494,8 +508,16 @@ def test_write_csv_format(tmp_path):
     rng = np.random.default_rng(7)
     scale = 10.0 ** rng.uniform(-300.0, 300.0, 500)
     values = np.concatenate([rng.standard_normal(500) * scale,
-                             [0.0, -0.0, 5e-324, math.nan, -math.inf]])
+                             [0.0, -0.0, 5e-324, math.inf]])
     flags = values > 0.0
-    scenarios._write_csv(path, {"v": values, "f": flags})
+    scenarios._write_csv(path, {"v": values, "f": flags}, infinite=("v",))
     expected = "v,f\n" + "".join(f"{v:.12e},{int(f)}\n" for v, f in zip(values, flags))
     assert path.read_bytes() == expected.encode()
+
+    # NaN and -inf never, +inf only in a declared column; nothing is written
+    for column, infinite in (([1.0, math.nan], ("v",)), ([1.0, -math.inf], ("v",)),
+                             ([1.0, math.inf], ())):
+        bad = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="column v"):
+            scenarios._write_csv(bad, {"v": np.array(column)}, infinite=infinite)
+        assert not bad.exists()

@@ -1,4 +1,7 @@
 import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -136,6 +139,15 @@ class TestIntegrateMode:
         assert evo.wkb_residual_start <= 1e-3
         assert evo.warnings == []
 
+    def test_deep_start_matches_analytic(self):
+        # the first sample intervals need more than LSODA's default 500 steps
+        kappa = 30.0
+        bg = LinearExpansion(ALPHA)
+        evo = integrate_mode(kappa, bg, _deep_start(kappa, 600.0),
+                             freezing_time(kappa, ALPHA), tolerance=1e-11)
+        ana = analytic_evolution(kappa, evo.times, ALPHA)
+        assert (np.abs(evo.phi - ana.phi) / np.abs(ana.phi)).max() <= 1e-6
+
     def test_frozen_value_matches_closed_form(self):
         kappa = 8.0
         bg = LinearExpansion(ALPHA)
@@ -173,7 +185,7 @@ class TestIntegrateMode:
     def test_background_without_linear_regime_rejected(self, monkeypatch):
         held = integrate_scale_factor(ExpansionProtocol.hold(1.0), 3, 2.0, 100.0)
         assert held.linear_offset is None
-        monkeypatch.setattr(threed, "solve_ivp", _no_solve)
+        monkeypatch.setattr(threed, "odeint", _no_solve)
         with pytest.raises(ModeIntegrationError, match="no linear regime"):
             integrate_mode(50.0, held, 1.0, 50.0)
 
@@ -189,13 +201,6 @@ class TestIntegrateMode:
                     calls.append(_method)
                     return _original(self, t)
                 monkeypatch.setattr(owner, method, counted)
-        solve = threed.solve_ivp
-
-        def counted_solve(*args, **kwargs):
-            sol = solve(*args, **kwargs)
-            nfev.append(sol.nfev)
-            return sol
-        monkeypatch.setattr(threed, "solve_ivp", counted_solve)
 
         kappa = 1000.0
         t_end = freezing_time(kappa, ALPHA)
@@ -206,12 +211,68 @@ class TestIntegrateMode:
                                   (trajectory, trajectory.linear_offset)):
             for depth in (40.0, 200.0):
                 calls.clear()
-                integrate_mode(kappa, background,
-                               shift + _deep_start(kappa, depth), t_end,
-                               tolerance=1e-9)
+                nfev.append(integrate_mode(kappa, background,
+                                           shift + _deep_start(kappa, depth), t_end,
+                                           tolerance=1e-9).nfev)
                 per_solve.append(len(calls))
+        assert min(nfev) > 0
         assert nfev[1] > 2 * nfev[0] and nfev[3] > 2 * nfev[2]
         assert len(set(per_solve)) == 1 and per_solve[0] <= 2
+
+    def test_lookups_stay_inside_checked_interval(self, monkeypatch):
+        # t_end = t_max: a step past t_end would read the dense b(t) beyond
+        # the trajectory, where nothing checks it
+        times = []
+        expansion_on = ScaleTrajectory.expansion_on
+
+        def recorded(self, t0, t1):
+            lookup = expansion_on(self, t0, t1)
+
+            def record(t):
+                times.append(t)
+                return lookup(t)
+            return record
+        monkeypatch.setattr(ScaleTrajectory, "expansion_on", recorded)
+
+        kappa = 1000.0
+        trajectory = integrate_scale_factor(ExpansionProtocol.free_expansion(1.0),
+                                            3, 2.0, freezing_time(kappa, ALPHA))
+        t_start = trajectory.linear_offset + _deep_start(kappa, 40.0)
+        integrate_mode(kappa, trajectory, t_start, trajectory.t_max, tolerance=1e-9)
+        assert len(times) > 1000
+        assert t_start <= min(times) and max(times) <= trajectory.t_max
+
+    def test_threads_match_serial_run(self):
+        bg = LinearExpansion(ALPHA)
+        kappas = (2.0, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0, 17.0)
+
+        def solve(kappa):
+            evo = integrate_mode(kappa, bg, _deep_start(kappa, 60.0),
+                                 freezing_time(kappa, ALPHA), tolerance=1e-9)
+            return evo.phi.tobytes(), evo.phidot.tobytes(), evo.nfev
+
+        serial = [solve(kappa) for kappa in kappas]
+        filters = list(warnings.filters)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(solve, kappas, timeout=60.0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert warnings.filters == filters   # no solve left its filter behind
+
+    def test_solver_failure_is_a_mode_error(self, monkeypatch):
+        # pytest turns warnings into errors, so an escaping ODEintWarning
+        # would fail this test instead of the ModeIntegrationError
+        solve = threed.odeint
+        monkeypatch.setattr(threed, "odeint",
+                            lambda *args, **kwargs: solve(*args, **{**kwargs, "mxstep": 5}))
+        kappa = 8.0
+        with pytest.raises(ModeIntegrationError, match="Excess work done"):
+            integrate_mode(kappa, LinearExpansion(ALPHA), _deep_start(kappa),
+                           freezing_time(kappa, ALPHA))
 
     def test_freezing_time_monotone_in_kappa(self):
         times = [freezing_time(k, ALPHA) for k in (1.0, 3.0, 10.0, 30.0)]
@@ -249,7 +310,7 @@ class TestRealBackground:
         assert evo.frozen_value**2 / variance == pytest.approx(1.0, abs=5e-3)
 
     def test_end_beyond_trajectory_rejected(self, trajectory, monkeypatch):
-        monkeypatch.setattr(threed, "solve_ivp", _no_solve)
+        monkeypatch.setattr(threed, "odeint", _no_solve)
         t_start = trajectory.linear_offset + _deep_start(self.KAPPA)
         with pytest.raises(ValueError, match="sampled range"):
             integrate_mode(self.KAPPA, trajectory, t_start, 1.01 * trajectory.t_max)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .scaling import ScaleTrajectory, is_flat_case
 
@@ -163,8 +162,10 @@ def horizon_crossing_time(kappa: float, trajectory: ScaleTrajectory,
 
     The particle horizon is used (rather than the apparent one) because it is
     slicing-independent; it decreases monotonically, so larger kappa crosses
-    later.
+    later. scipy is imported here, so importing the package does not load it.
     """
+    from scipy.optimize import brentq
+
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     wavelength = 2.0 * math.pi / kappa

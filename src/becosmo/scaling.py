@@ -8,8 +8,10 @@ with b(0) = 1, b'(0) = 0. The generalized exponent p reproduces the quartic
 2D case (p = 3) and the quartic 3D case (p = 4). Alongside b the integrator
 accumulates the two improper-integral kernels everything downstream needs:
 the co-moving clock integral of b^q (proper time up to a constant prefactor)
-and the horizon integral of b^-s. The module computes only; the run pipeline
-in scenarios writes the sampled history to trajectory.csv.
+and the horizon integral of b^-s. The integrator is an in-module
+Dormand-Prince 5(4) stepper (the method of scipy's RK45) with Shampine's
+quartic dense output, so the module needs numpy only. It computes only; the
+run pipeline in scenarios writes the sampled history to trajectory.csv.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 class NumericalError(RuntimeError):
@@ -97,31 +98,192 @@ def analytic_scale_2d(t: float, omega0: float) -> tuple[float, float]:
     return b, omega0**2 * t / b
 
 
+# Dormand-Prince 5(4) tableau: nodes C, stage weights A, fifth-order weights
+# B (also the last stage row), error weights E = B - B4 over the seven stages
+# (the seventh is the first stage of the next step), and Shampine's quartic
+# dense-output matrix P, as in scipy's RK45.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
+                                17253 / 339200, -22 / 525, 1 / 40)
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _dormand_prince(deriv, t_end: float, rtol: float, atol):
+    """Integrate y = (b, bdot, clock, horizon) from (1, 0, 0, 0) at t = 0 to
+    t_end, in Python floats.
+
+    deriv(t, b, bdot) returns dy/dt as a 4-tuple; the clock and horizon
+    channels do not feed back, so the stage sums carry b and bdot only. Step
+    control is scipy's RK45: the error is the RMS over the channels of
+    err / (atol + rtol max(|y|, |y_new|)), and a step changes by a factor
+    0.9 err^(-1/5) clipped to [0.2, 10], never growing right after a
+    rejection. Returns the step starts, widths, start states (4, steps),
+    stages (steps, 7, 4) and the number of deriv calls. Overflow and a step
+    below ten float spacings of t raise NumericalError.
+    """
+    a_b, a_v, a_c, a_z = atol
+    t, b, v, c, z = 0.0, 1.0, 0.0, 0.0, 0.0
+    k1 = deriv(t, b, v)
+
+    # Initial step of Hairer, Norsett & Wanner (Sec. II.4), as in scipy, from
+    # the RMS norms d0 of y/scale, d1 of y'/scale and d2 of y''/scale at
+    # t = 0. d0 >= 0.5/(1e-8 + 5e-6) always, so only d1 and d2 can be small.
+    s_b = a_b + rtol                  # scale of b = 1; the other channels are 0
+    d0 = 0.5 / s_b
+    d1 = math.sqrt(((k1[0] / s_b) ** 2 + (k1[1] / a_v) ** 2 + (k1[2] / a_c) ** 2
+                    + (k1[3] / a_z) ** 2) / 4.0)
+    h0 = min(1e-6 if d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    k = deriv(h0, b + h0 * k1[0], v + h0 * k1[1])
+    d2 = math.sqrt((((k[0] - k1[0]) / s_b) ** 2 + ((k[1] - k1[1]) / a_v) ** 2
+                    + ((k[2] - k1[2]) / a_c) ** 2 + ((k[3] - k1[3]) / a_z) ** 2)
+                   / 4.0) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, 1e-3 * h0)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h = min(100.0 * h0, h1, t_end)
+    nfev = 2
+
+    starts, widths, states, stages = [], [], [], []
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h = max(h, min_step)
+        rejected = False
+        while True:
+            if h < min_step:
+                raise NumericalError(f"scale-factor integration failed: step size "
+                                     f"{h:g} below the float spacing at t={t}")
+            t_new = min(t + h, t_end)
+            h = t_new - t
+            kb1, kv1, kc1, kz1 = k1
+            kb2, kv2, kc2, kz2 = k2 = deriv(t + _C2 * h, b + h * _A21 * kb1,
+                                            v + h * _A21 * kv1)
+            kb3, kv3, kc3, kz3 = k3 = deriv(
+                t + _C3 * h, b + h * (_A31 * kb1 + _A32 * kb2),
+                v + h * (_A31 * kv1 + _A32 * kv2))
+            kb4, kv4, kc4, kz4 = k4 = deriv(
+                t + _C4 * h, b + h * (_A41 * kb1 + _A42 * kb2 + _A43 * kb3),
+                v + h * (_A41 * kv1 + _A42 * kv2 + _A43 * kv3))
+            kb5, kv5, kc5, kz5 = k5 = deriv(
+                t + _C5 * h,
+                b + h * (_A51 * kb1 + _A52 * kb2 + _A53 * kb3 + _A54 * kb4),
+                v + h * (_A51 * kv1 + _A52 * kv2 + _A53 * kv3 + _A54 * kv4))
+            kb6, kv6, kc6, kz6 = k6 = deriv(
+                t + h,
+                b + h * (_A61 * kb1 + _A62 * kb2 + _A63 * kb3 + _A64 * kb4 + _A65 * kb5),
+                v + h * (_A61 * kv1 + _A62 * kv2 + _A63 * kv3 + _A64 * kv4 + _A65 * kv5))
+            b_new = b + h * (_B1 * kb1 + _B3 * kb3 + _B4 * kb4 + _B5 * kb5 + _B6 * kb6)
+            v_new = v + h * (_B1 * kv1 + _B3 * kv3 + _B4 * kv4 + _B5 * kv5 + _B6 * kv6)
+            c_new = c + h * (_B1 * kc1 + _B3 * kc3 + _B4 * kc4 + _B5 * kc5 + _B6 * kc6)
+            z_new = z + h * (_B1 * kz1 + _B3 * kz3 + _B4 * kz4 + _B5 * kz5 + _B6 * kz6)
+            if not math.isfinite(b_new + v_new + c_new + z_new):
+                raise NumericalError("scale-factor integration failed: overflow "
+                                     f"in the step from t={t}")
+            kb7, kv7, kc7, kz7 = k7 = deriv(t_new, b_new, v_new)
+            nfev += 6
+            e_b = (_E1 * kb1 + _E3 * kb3 + _E4 * kb4 + _E5 * kb5 + _E6 * kb6
+                   + _E7 * kb7) / (a_b + rtol * max(abs(b), abs(b_new)))
+            e_v = (_E1 * kv1 + _E3 * kv3 + _E4 * kv4 + _E5 * kv5 + _E6 * kv6
+                   + _E7 * kv7) / (a_v + rtol * max(abs(v), abs(v_new)))
+            e_c = (_E1 * kc1 + _E3 * kc3 + _E4 * kc4 + _E5 * kc5 + _E6 * kc6
+                   + _E7 * kc7) / (a_c + rtol * max(abs(c), abs(c_new)))
+            e_z = (_E1 * kz1 + _E3 * kz3 + _E4 * kz4 + _E5 * kz5 + _E6 * kz6
+                   + _E7 * kz7) / (a_z + rtol * max(abs(z), abs(z_new)))
+            error = h * math.sqrt((e_b * e_b + e_v * e_v + e_c * e_c + e_z * e_z) / 4.0)
+            if error < 1.0:
+                factor = _MAX_FACTOR if error == 0.0 else min(
+                    _MAX_FACTOR, _SAFETY * error ** -0.2)
+                if rejected:
+                    factor = min(1.0, factor)
+                break
+            h *= max(_MIN_FACTOR, _SAFETY * error ** -0.2)
+            rejected = True
+        starts.append(t)
+        widths.append(h)
+        states += (b, v, c, z)
+        stages += (*k1, *k2, *k3, *k4, *k5, *k6, *k7)
+        t, b, v, c, z, k1 = t_new, b_new, v_new, c_new, z_new, k7
+        h *= factor
+    return (np.array(starts), np.array(widths), np.array(states).reshape(-1, 4).T,
+            np.array(stages).reshape(-1, 7, 4), nfev)
+
+
+class _PiecewiseQuartic:
+    """Dense output of the accepted steps, one quartic per step.
+
+    On step i, y(t) = sum_j c_ij x^j with x = (t - t_i)/h_i, c_i0 the state
+    at t_i and (c_i1 .. c_i4) = h_i K_i^T P (Shampine's interpolant). A
+    lookup finds the step with searchsorted and evaluates the quartic in
+    Horner form for every channel at once: a scalar time gives shape (4,),
+    an array of times shape (4, n). Times must be >= 0; past the last step
+    its quartic is extrapolated.
+    """
+
+    def __init__(self, starts, widths, states, stages):
+        self._starts = starts
+        self._widths = widths
+        coefs = np.empty((5, 4, len(starts)))
+        coefs[0] = states
+        coefs[1:] = (widths[:, None, None]
+                     * (stages.transpose(0, 2, 1) @ _P)).transpose(2, 1, 0)
+        self._coefs = coefs
+
+    def __call__(self, t):
+        i = np.searchsorted(self._starts, t, side="right") - 1
+        x = (t - self._starts[i]) / self._widths[i]
+        c = self._coefs[..., i]
+        return (((c[4] * x + c[3]) * x + c[2]) * x + c[1]) * x + c[0]
+
+
+# Relative departure from b = alpha (t - offset) that still counts as linear.
+_LINEAR_TOL = 1e-3
+
+
 class ScaleTrajectory:
     """Integrated expansion history; immutable once constructed.
 
     Exposes dense-output lookups b(t), bdot(t), the co-moving clock integral
     and the horizon integral, plus the late-time linear-regime fit
     b ~ alpha (t - linear_offset) used to close the improper integrals. Each
-    lookup takes a scalar or an array of times within [0, t_max]. p, q and s
-    are the exponents of b'' and of the clock and horizon integrands.
+    lookup takes a scalar or an array of times within [0, t_max]; the stored
+    samples at ts are the same lookup. p, q and s are the exponents of b''
+    and of the clock and horizon integrands. method, rtol, nfev (right-hand
+    side calls) and steps (accepted steps) record what the stepper did.
     """
 
+    method = "dormand-prince-5(4)"
+
     def __init__(self, protocol, dimension, exponent, tolerance, dense,
-                 ts, ys, interpolation, p, q, s, clock_valid):
+                 ts, rtol, nfev, steps, p, q, s, clock_valid):
         self.protocol = protocol
         self.dimension = dimension
         self.exponent = exponent
         self.omega0 = protocol.initial_frequency
         self.tolerance = tolerance
         self.t_max = float(ts[-1])
-        self.interpolation = interpolation
+        self.rtol, self.nfev, self.steps = rtol, nfev, steps
         self._dense = dense
         self.ts = ts
-        self.bs = ys[0]
-        self.bdots = ys[1]
-        self.clocks = ys[2]
-        self.horizon_integrals = ys[3]
+        self.bs, self.bdots, self.clocks, self.horizon_integrals = dense(ts)
         self.p, self.q, self.s = p, q, s
         self.clock_valid = clock_valid
         self._fit_asymptote()
@@ -143,16 +305,19 @@ class ScaleTrajectory:
                     + self.omega0**2 / b_f**self.p)
         self.alpha_converged = bd_f > 0.0 and accel * b_f / bd_f**2 <= self.tolerance
 
+        # The linear regime needs bdot within _LINEAR_TOL of its asymptote:
+        # over a short window b ~ 1 fits any line, and the fit alone would
+        # pass the residual test below.
         self.linear_offset = None
         self.linear_onset = None
         alpha = self.asymptotic_velocity
-        if released and alpha > 0.0 and bd_f > 0.0:
+        if released and alpha > 0.0 and bd_f >= (1.0 - _LINEAR_TOL) * alpha:
             decade = self.ts >= self.t_max / 10.0
             if np.any(decade):
                 self.linear_offset = float(np.mean(self.ts[decade]
                                                    - self.bs[decade] / alpha))
                 resid = np.abs(self.bs - alpha * (self.ts - self.linear_offset))
-                ok = resid <= 1e-3 * self.bs
+                ok = resid <= _LINEAR_TOL * self.bs
                 if ok[-1]:
                     onset_idx = len(ok) - np.argmin(ok[::-1])  # after last failure
                     self.linear_onset = float(self.ts[min(onset_idx, len(ok) - 1)])
@@ -228,30 +393,27 @@ def integrate_scale_factor(protocol: ExpansionProtocol, dimension: int,
         q, clock_valid = -2.0, False  # placeholder; the clock channel is unusable
     omega0 = protocol.initial_frequency
 
-    def rhs(t, y):
-        b = y[0]
+    def deriv(t, b, bdot):
         if b <= 0.0:
             raise NumericalError(f"scale factor collapsed to b={b} at t={t}")
-        return [y[1], scale_ode_rhs(b, t, protocol, dimension, exponent),
-                b**q, b**(-s)]
+        return bdot, scale_ode_rhs(b, t, protocol, dimension, exponent), b**q, b**-s
 
-    ts = np.linspace(0.0, t_max, n_samples)
     rtol = max(tolerance / 20.0, 1e-13)
-    atol = np.array([1.0, omega0, 1.0 / omega0, 1.0 / omega0]) * tolerance * 1e-4
-    # Overflow, 0/0 or a division by zero inside the solver is a failed
-    # integration, not a warning.
+    atol = tuple(scale * tolerance * 1e-4 for scale in (1.0, omega0, 1.0 / omega0,
+                                                        1.0 / omega0))
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            sol = solve_ivp(rhs, (0.0, t_max), [1.0, 0.0, 0.0, 0.0], method="DOP853",
-                            rtol=rtol, atol=atol, dense_output=True, t_eval=ts)
-    except FloatingPointError as exc:
-        raise NumericalError(f"scale-factor integration failed: {exc}") from exc
-    if not sol.success:
-        raise NumericalError(f"scale-factor integration failed: {sol.message}")
-    descriptor = f"dop853-dense rtol={rtol:g}"
-    return ScaleTrajectory(protocol, dimension, exponent, tolerance,
-                           sol.sol, ts, sol.y, descriptor,
-                           p=p, q=q, s=s, clock_valid=clock_valid)
+        starts, widths, states, stages, nfev = _dormand_prince(deriv, t_max, rtol, atol)
+        # a finite state can still overflow the dense coefficients
+        with np.errstate(over="raise", invalid="raise"):
+            dense = _PiecewiseQuartic(starts, widths, states, stages)
+            trajectory = ScaleTrajectory(protocol, dimension, exponent, tolerance, dense,
+                                         np.linspace(0.0, t_max, n_samples), rtol,
+                                         nfev, len(starts), p=p, q=q, s=s,
+                                         clock_valid=clock_valid)
+    except (OverflowError, FloatingPointError) as exc:
+        raise NumericalError("scale-factor integration failed: overflow "
+                             f"({exc.args[-1]})") from exc
+    return trajectory
 
 
 class LinearExpansion:

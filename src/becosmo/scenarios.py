@@ -354,12 +354,14 @@ def _kappa_grid(numeric: NumericSettings, default_min: float,
 @dataclass
 class _Run:
     """What one run's stages share: the inputs, the stages that write files,
-    the report and the manifest's file list, and results later stages read."""
+    the report, the manifest's file list and solver records, and results
+    later stages read."""
     config: ScenarioConfig
     out: Path
     writes: set[str]
     report: RunReport
     files: dict
+    solvers: dict
     derived: DerivedParams | None = None
     trajectory: ScaleTrajectory | None = None
 
@@ -405,11 +407,14 @@ def _evolve(r: _Run) -> None:
         r.config.protocol(), D, N,
         t_max=numeric.t_max_omega0 / spec.trap.longitudinal_frequency,
         tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples)
-    if r.config.expansion_mode == "free" and r.trajectory.linear_onset is None:
+    trajectory = r.trajectory
+    r.solvers["scale_ode"] = {"method": trajectory.method, "rtol": trajectory.rtol,
+                              "nfev": trajectory.nfev, "steps": trajectory.steps}
+    if r.config.expansion_mode == "free" and trajectory.linear_onset is None:
         r.report.warnings.append({
             "source": "evolve:linear_regime",
             "message": f"b(t) never reached the linear regime by t_max = "
-                       f"{r.trajectory.t_max:.4g} s, so the horizon integrals "
+                       f"{trajectory.t_max:.4g} s, so the horizon integrals "
                        "have no closed-form tail and the particle horizons "
                        "are infinite",
         })
@@ -419,7 +424,6 @@ def _evolve(r: _Run) -> None:
             conformal0 = geometry.conformal_factor(
                 derived.sound_speed, natural_coupling(derived.effective_coupling), D)
             tau_prefactor = math.sqrt(conformal0) * derived.sound_speed
-        trajectory = r.trajectory
         _write_csv(r.out / "trajectory.csv", {
             "t_s": trajectory.ts, "b": trajectory.bs, "bdot_per_s": trajectory.bdots,
             "tau": tau_prefactor * trajectory.clocks})
@@ -542,9 +546,9 @@ def run(config: ScenarioConfig, out_dir) -> RunReport:
     needed = {need for name in writes for need in stage_chain(name)}
     report = RunReport(config.name, str(out))
     manifest = {"scenario": config.to_dict(), "analyses": list(config.analysis),
-                "files": {}, "complete": False, "failed_stage": None,
+                "files": {}, "solvers": {}, "complete": False, "failed_stage": None,
                 "warnings": report.warnings}
-    state = _Run(config, out, writes, report, manifest["files"])
+    state = _Run(config, out, writes, report, manifest["files"], manifest["solvers"])
     for name in [name for name in STAGES if name in needed]:
         try:
             STAGES[name].body(state)

@@ -36,7 +36,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint
 
 from . import specfun
 
@@ -160,7 +159,10 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     applies mode_ode_rhs to the real and the imaginary part. tcrit at t_end
     keeps every evaluation inside [t_start, t_end]. A failed solve raises
     ModeIntegrationError with the solver's message; nfev counts RHS calls.
+    scipy is imported here, so importing the package does not load it.
     """
+    from scipy.integrate import ODEintWarning, odeint
+
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     if t_end <= t_start:

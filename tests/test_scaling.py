@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from becosmo.scaling import (ExpansionProtocol, LinearExpansion,
                              NumericalError, analytic_scale_2d,
                              background_fields, clock_exponent,
-                             integrate_scale_factor, is_flat_case, proper_time,
-                             scale_exponent, scale_ode_rhs, scaling_map_factors)
+                             horizon_exponent, integrate_scale_factor,
+                             is_flat_case, proper_time, scale_exponent,
+                             scale_ode_rhs, scaling_map_factors)
 from becosmo.scenarios import PRESETS, config_from_dict, run
 
 from conftest import W0_2D, W0_3D
@@ -124,6 +126,58 @@ class TestTrajectory:
         for column, stored in zip(table.T, (traj2d.ts, traj2d.bs, traj2d.bdots,
                                             traj2d.clocks)):
             np.testing.assert_allclose(column, stored, rtol=1e-12, atol=0.0)
+
+
+class TestStepperReference:
+    """The in-package stepper against scipy's DOP853 at rtol 2.3e-14 (just
+    above its floor of 100 machine epsilons) on the same four channels."""
+
+    @staticmethod
+    def _reference(traj):
+        protocol, dimension, exponent = traj.protocol, traj.dimension, traj.exponent
+        q = clock_exponent(dimension, exponent)
+        s = horizon_exponent(dimension, exponent)
+
+        def rhs(t, y):
+            return [y[1], scale_ode_rhs(y[0], t, protocol, dimension, exponent),
+                    y[0]**q, y[0]**-s]
+        w0 = traj.omega0
+        atol = np.array([1.0, w0, 1.0 / w0, 1.0 / w0]) * 1e-20
+        sol = solve_ivp(rhs, (0.0, traj.t_max), [1.0, 0.0, 0.0, 0.0], method="DOP853",
+                        rtol=2.3e-14, atol=atol, dense_output=True)
+        assert sol.success
+        return sol.sol
+
+    @pytest.fixture(scope="class")
+    def held(self):
+        return integrate_scale_factor(ExpansionProtocol.hold(W0_2D), 2, 2.0,
+                                      t_max=20.0 / W0_2D)
+
+    @pytest.mark.parametrize("name", ["traj2d", "traj3d", "held"])
+    def test_agrees_with_reference(self, name, request):
+        traj = request.getfixturevalue(name)
+        reference = self._reference(traj)
+        # absolute floor in each channel's natural unit, for the zeros at t = 0
+        # and the static bdot of a held trap
+        floor = 1e-13 * np.array([1.0, traj.omega0, 1.0 / traj.omega0,
+                                  1.0 / traj.omega0])[:, None]
+        off_sample = np.random.default_rng(7).uniform(0.0, traj.t_max, 1000)
+        for ts, got in ((traj.ts, np.array([traj.bs, traj.bdots, traj.clocks,
+                                            traj.horizon_integrals])),
+                        (off_sample, np.array([traj.b(off_sample), traj.bdot(off_sample),
+                                               traj.clock(off_sample),
+                                               traj.horizon_integral(off_sample)]))):
+            expected = reference(ts)
+            assert np.all(np.abs(got - expected) <= 1e-9 * np.abs(expected) + floor)
+
+    @pytest.mark.parametrize("name", ["traj2d", "traj3d", "held"])
+    def test_samples_are_the_dense_lookup(self, name, request):
+        traj = request.getfixturevalue(name)
+        for lookup, stored in ((traj.b, traj.bs), (traj.bdot, traj.bdots),
+                               (traj.clock, traj.clocks),
+                               (traj.horizon_integral, traj.horizon_integrals)):
+            assert lookup(traj.ts).tobytes() == stored.tobytes()
+        assert traj.nfev > 6 * traj.steps > 0
 
 
 class TestProperTime:

@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import becosmo
 from becosmo import scenarios
 from becosmo.cli import main
 from becosmo.scaling import ScaleTrajectory
@@ -190,6 +195,12 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["complete"] is True
         assert manifest["failed_stage"] is None
+        solver = manifest["solvers"]["scale_ode"]
+        assert set(solver) == {"method", "rtol", "nfev", "steps"}
+        assert solver["method"] == "dormand-prince-5(4)"
+        assert 0.0 < solver["rtol"] < 1e-10
+        for count in (solver["nfev"], solver["steps"]):
+            assert isinstance(count, int) and count > 0
         rows = {r["key"]: r for r in report.reference_comparison}
         assert rows["q2d.windowed_contrast"]["ratio"] == pytest.approx(1.0, abs=0.01)
         assert rows["q2d.transverse_width_m"]["ratio"] == pytest.approx(1.0, abs=0.01)
@@ -359,10 +370,13 @@ class TestCli:
         assert main(["derive", "--scenario", str(path),
                      "--out", str(tmp_path / "z")]) == 3
 
-    def test_short_free_run_exit_three(self, tmp_path):
-        # b(t) never reaches the linear regime, so every particle horizon is
-        # infinite; the run says so and exits 3
-        data = _preset_dict("sodium-q2d", **{"numeric.t_max_omega0": 0.5})
+    # b(t) never reaches the linear regime, so every particle horizon is
+    # infinite; the run says so and exits 3. Over the two shortest spans b
+    # stays so close to 1 that it fits any line, so the fit alone would give
+    # a finite horizon (about 1.0 c0/omega0 against the exact pi/2).
+    @pytest.mark.parametrize("t_max_omega0", [0.5, 1e-12, 1e-3])
+    def test_short_free_run_exit_three(self, tmp_path, t_max_omega0):
+        data = _preset_dict("sodium-q2d", **{"numeric.t_max_omega0": t_max_omega0})
         path = tmp_path / "short.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "short"
@@ -468,6 +482,25 @@ class TestCli:
         assert "stage 'spectrum-3d' failed" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (out / "spectrum.csv").exists()
+
+    def test_report_imports_no_scipy(self, tmp_path):
+        # scipy's import dominates a CLI process's start-up; the run path
+        # needs numpy only
+        script = "\n".join([
+            "import sys",
+            "import becosmo",
+            "from becosmo.cli import main",
+            "for preset in ('sodium-q2d', 'rubidium-3d'):",
+            "    out = sys.argv[1] + '/' + preset",
+            "    assert main(['report', '--scenario', preset, '--out', out]) == 0",
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"])
+        src = str(Path(becosmo.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0

@@ -5,10 +5,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 from scipy.stats import linregress
 
-from becosmo import specfun, threed
+from becosmo import specfun
 from becosmo.scaling import (ExpansionProtocol, LinearExpansion, ScaleTrajectory,
                              integrate_scale_factor)
 from becosmo.threed import (ModeIntegrationError, adiabatic_frequency,
@@ -30,6 +31,8 @@ def _deep_start(kappa, depth_z=260.0, c0=1.0):
     return (beta / depth_z) ** (2.0 / 3.0)
 
 
+# integrate_mode imports odeint from scipy.integrate when called, so the tests
+# that stop or alter the solve replace it there.
 def _no_solve(*args, **kwargs):
     raise AssertionError("the solve started")
 
@@ -185,7 +188,7 @@ class TestIntegrateMode:
     def test_background_without_linear_regime_rejected(self, monkeypatch):
         held = integrate_scale_factor(ExpansionProtocol.hold(1.0), 3, 2.0, 100.0)
         assert held.linear_offset is None
-        monkeypatch.setattr(threed, "odeint", _no_solve)
+        monkeypatch.setattr(scipy.integrate, "odeint", _no_solve)
         with pytest.raises(ModeIntegrationError, match="no linear regime"):
             integrate_mode(50.0, held, 1.0, 50.0)
 
@@ -266,8 +269,8 @@ class TestIntegrateMode:
     def test_solver_failure_is_a_mode_error(self, monkeypatch):
         # pytest turns warnings into errors, so an escaping ODEintWarning
         # would fail this test instead of the ModeIntegrationError
-        solve = threed.odeint
-        monkeypatch.setattr(threed, "odeint",
+        solve = scipy.integrate.odeint
+        monkeypatch.setattr(scipy.integrate, "odeint",
                             lambda *args, **kwargs: solve(*args, **{**kwargs, "mxstep": 5}))
         kappa = 8.0
         with pytest.raises(ModeIntegrationError, match="Excess work done"):
@@ -310,7 +313,7 @@ class TestRealBackground:
         assert evo.frozen_value**2 / variance == pytest.approx(1.0, abs=5e-3)
 
     def test_end_beyond_trajectory_rejected(self, trajectory, monkeypatch):
-        monkeypatch.setattr(threed, "odeint", _no_solve)
+        monkeypatch.setattr(scipy.integrate, "odeint", _no_solve)
         t_start = trajectory.linear_offset + _deep_start(self.KAPPA)
         with pytest.raises(ValueError, match="sampled range"):
             integrate_mode(self.KAPPA, trajectory, t_start, 1.01 * trajectory.t_max)

@@ -12,6 +12,7 @@ stores SI values again.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .constants import HBAR, SPECIES
@@ -55,8 +56,12 @@ class TrapGeometry:
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
-        if not 0.0 < self.longitudinal_frequency < math.inf:
-            raise ValueError("longitudinal frequency must be positive and finite")
+        # omega0^2 sets the restoring force of b(t); a square that underflows
+        # or overflows would silently hold b at 1 or blow the derivation up.
+        omega0 = self.longitudinal_frequency
+        if not (omega0 > 0.0 and sys.float_info.min <= omega0 * omega0 < math.inf):
+            raise ValueError("longitudinal frequency must be positive, with a square "
+                             "that is a normal float (about 1.5e-154 to 1.3e154)")
         if self.dimension < 3:
             if self.transverse_frequency is None:
                 raise ValueError("transverse frequency required for dimension < 3")

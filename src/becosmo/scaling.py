@@ -17,6 +17,7 @@ run pipeline in scenarios writes the sampled history to trajectory.csv.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,11 @@ class ExpansionProtocol:
     held: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.initial_frequency < math.inf:
-            raise ValueError("initial frequency must be positive and finite")
+        # b'' carries omega0^2, which must neither underflow nor overflow
+        omega0 = self.initial_frequency
+        if not (omega0 > 0.0 and sys.float_info.min <= omega0 * omega0 < math.inf):
+            raise ValueError("initial frequency must be positive, with a square "
+                             "that is a normal float (about 1.5e-154 to 1.3e154)")
 
     def omega_ext(self, t: float) -> float:
         return self.initial_frequency if self.held else 0.0
@@ -452,6 +456,11 @@ class _ProperTime:
 
     def __call__(self, t):
         return self._prefactor * self._traj.clock(t)
+
+    @property
+    def samples(self) -> np.ndarray:
+        """tau at the trajectory's sample times ts, from its stored clocks."""
+        return self._prefactor * self._traj.clocks
 
     @property
     def infinity(self) -> float:

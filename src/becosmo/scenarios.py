@@ -30,7 +30,8 @@ from .condensate import (AtomSpecies, CondensateSpec, DerivedParams,
                          InteractionLaw, TrapGeometry, natural_coupling,
                          sound_frequency_at_healing_scale, swave_coupling,
                          thomas_fermi, validate_dimensional_reduction)
-from .scaling import ExpansionProtocol, ScaleTrajectory, integrate_scale_factor
+from .scaling import (ExpansionProtocol, ScaleTrajectory, integrate_scale_factor,
+                      proper_time)
 
 
 class ConfigError(ValueError):
@@ -426,7 +427,7 @@ def _evolve(r: _Run) -> None:
             tau_prefactor = math.sqrt(conformal0) * derived.sound_speed
         _write_csv(r.out / "trajectory.csv", {
             "t_s": trajectory.ts, "b": trajectory.bs, "bdot_per_s": trajectory.bdots,
-            "tau": tau_prefactor * trajectory.clocks})
+            "tau": proper_time(trajectory, tau_prefactor).samples})
         r.files["trajectory"] = "trajectory.csv"
 
 

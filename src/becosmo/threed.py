@@ -26,13 +26,16 @@ take a scalar or an array for t or kappa (every element checked) and return
 a NumPy scalar or an array. The module computes only: a ModeEvolution keeps
 its history as arrays, and the run pipeline in scenarios writes the 3D
 spectrum to spectrum.csv.
+
+integrate_mode evolves a mode numerically with numpy only: the equation is
+linear with smooth coefficients, so each block of a few oscillations is one
+Chebyshev-Lobatto collocation solve (Trefethen, Spectral Methods in MATLAB,
+ch. 6-7), accepted on the decay of its Chebyshev coefficients.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +46,31 @@ _NU = 2.0 / 3.0
 _FREEZE_CRITERION = 1e-6       # |phi'| t / |phi| below which a mode is frozen
 _DEPTH_FACTOR = 20.0           # required omega_ad / H at the start of a mode
 _MODE_SAMPLES = 400            # output samples of an integrated mode
-# LSODA's default cap of 500 steps between two samples is too few for starts
-# deeper than z ~ 550, where one sample interval spans many oscillations.
-_MAX_STEPS_PER_SAMPLE = 50_000
-# catch_warnings swaps the process-wide filter list on entry and exit; two
-# solves interleaving in threads would restore each other's lists out of order.
-_SOLVER_WARNINGS = threading.Lock()
+_CHEB_DEGREE = 32              # polynomial degree of one collocation block
+_TAIL_COEFS = 3                # trailing Chebyshev coefficients that bound the error
+_NEAR_BOUND = 1e-2             # error/bound above which a block grows by 1.2, not 2
+
+
+def _chebyshev_lobatto(degree: int):
+    """Lobatto nodes x_j = -cos(j pi/degree) on [-1, 1] in increasing order,
+    their barycentric weights, the differentiation matrix (diagonal from the
+    negative row sums) and the map from node values to Chebyshev
+    coefficients, c_k = (2/degree) sum_j'' T_k(x_j) f_j halved at k = 0 and
+    k = degree."""
+    j = np.arange(degree + 1)
+    nodes = -np.cos(np.pi * j / degree)
+    ends = np.where((j == 0) | (j == degree), 0.5, 1.0)
+    weights = (-1.0) ** j * ends
+    gap = nodes[:, None] - nodes + np.eye(degree + 1)
+    diff = weights / weights[:, None] / gap
+    np.fill_diagonal(diff, 0.0)
+    np.fill_diagonal(diff, -diff.sum(axis=1))
+    to_coefs = ((2.0 / degree) * ends[:, None] * ends
+                * (-1.0) ** j[:, None] * np.cos(np.pi * np.outer(j, j) / degree))
+    return nodes, weights, diff, to_coefs
+
+
+_NODES, _BARY, _DIFF, _TO_COEFS = _chebyshev_lobatto(_CHEB_DEGREE)
 
 
 class ModeIntegrationError(RuntimeError):
@@ -88,21 +110,26 @@ def _positive_times(t) -> np.ndarray:
     return t
 
 
+def _basis_pair(kappa: float, t, alpha: float, c0: float):
+    """(1/t) H^(1)_{2/3}(z(t)) and its time derivative from one z and two
+    Hankel evaluations: dH^(1)_nu/dz = H^(1)_{nu-1} - (nu/z) H^(1)_nu."""
+    t = _positive_times(t)
+    z = hankel_argument(kappa, t, alpha, c0)
+    h1 = specfun.hankel1(_NU, z)
+    dh1 = specfun.hankel1(_NU - 1.0, z) - (_NU / z) * h1
+    zdot = -1.5 * z / t
+    return (h1 / t)[()], (-h1 / t**2 + dh1 * zdot / t)[()]
+
+
 def analytic_mode(kappa: float, t, alpha: float, c0: float = 1.0):
     """Both basis solutions (1/t) H^(1,2)_{2/3}(z(t)) on b = alpha t."""
-    t = _positive_times(t)
-    h1 = specfun.hankel1(_NU, hankel_argument(kappa, t, alpha, c0))
-    return (h1 / t)[()], (h1.conjugate() / t)[()]
+    u1 = _basis_pair(kappa, t, alpha, c0)[0]
+    return u1, u1.conjugate()
 
 
 def analytic_mode_derivative(kappa: float, t, alpha: float, c0: float = 1.0):
     """Time derivatives of the two basis solutions."""
-    t = _positive_times(t)
-    z = hankel_argument(kappa, t, alpha, c0)
-    h1 = specfun.hankel1(_NU, z)
-    dh1 = specfun.hankel1p(_NU, z)
-    zdot = -1.5 * z / t
-    d1 = (-h1 / t**2 + dh1 * zdot / t)[()]
+    d1 = _basis_pair(kappa, t, alpha, c0)[1]
     return d1, d1.conjugate()
 
 
@@ -135,8 +162,107 @@ class ModeEvolution:
     frozen_time: float | None
     source: str                      # "numeric" or "analytic"
     wkb_residual_start: float
-    nfev: int                        # right-hand-side calls; 0 when analytic
+    nfev: int                        # background reads at block nodes, rejected
+                                     # blocks included; 0 when analytic
     warnings: list[str] = field(default_factory=list)
+
+
+def _solve_blocks(kappa: float, expansion, t_start: float, t_end: float,
+                  start, width: float, tolerance: float, atol, c0: float):
+    """Step (phi, phi') from start at t_start to t_end in Chebyshev blocks.
+
+    start is the 2x2 array ((Re phi, Im phi), (Re phi', Im phi')), width the
+    first block's trial width and atol the absolute bounds of phi and phi'.
+    On a block [t, t + h] with the 33 Lobatto nodes t_j, the mode equation
+    in first-order form,
+
+        (2/h) D phi - phi' = 0,   (2/h) D phi' - c_phi' phi' - c_phi phi = 0,
+
+    with c_phi, c_phi' the coefficients mode_ode_rhs gives for the basis
+    pairs (1, 0) and (0, 1), is one real 66x66 system for the node values;
+    the two rows at t_j = t are replaced by the start values, and one solve
+    takes Re and Im as two right-hand sides. A block is accepted when the
+    last three Chebyshev coefficients of phi and of phi' are each within
+    tolerance max|c| + atol; then the next block is twice as wide, or 1.2
+    times when the error is near the bound. A rejected block halves. The
+    final block ends exactly at t_end, so the background is read at times
+    inside [t_start, t_end] only.
+
+    Returns the block starts, widths, node values (blocks, 2, 33) as complex
+    and the number of node times read, rejected blocks included.
+    """
+    n = _CHEB_DEGREE + 1
+    # Rows 0 and n hold the start values; the phi' = (2/h) D phi rows couple
+    # to phi' through -1 on the diagonal of the upper-right block.
+    template = np.zeros((2 * n, 2 * n))
+    template[0, 0] = template[n, n] = 1.0
+    inner = np.arange(1, n)
+    template[inner, inner + n] = -1.0
+    lower = (inner + n) * (2 * n) + inner    # flat indices of the c_phi terms
+    upper = lower + n                        # and of the c_phi' terms
+    rhs = np.zeros((2 * n, 2))
+    y = np.asarray(start, dtype=float)
+    atol_phi, atol_phidot = atol
+    t, h = t_start, width
+    starts, widths, values = [], [], []
+    nfev = 0
+    while t < t_end:
+        # a remainder under 1% of a block joins it, so no sliver is left
+        t_next = t_end if t + 1.01 * h >= t_end else t + h
+        h = t_next - t
+        if h < 10.0 * (math.nextafter(t, math.inf) - t):
+            raise ModeIntegrationError(
+                f"mode integration failed: block width {h:g} below ten float "
+                f"spacings at t={t:g}; tolerance {tolerance:g} is out of reach")
+        nodes = t + (_NODES + 1.0) * (0.5 * h)
+        nodes[-1] = t_next
+        b, bdot = expansion(nodes)
+        c_phi = mode_ode_rhs(1.0, 0.0, kappa, b, bdot, c0)
+        c_phidot = mode_ode_rhs(0.0, 1.0, kappa, b, bdot, c0)
+        nfev += n
+        system = template.copy()
+        scaled = (2.0 / h) * _DIFF[1:]
+        system[1:n, :n] = scaled
+        system[n + 1:, n:] = scaled
+        flat = system.reshape(-1)
+        flat[lower] = -c_phi[1:]
+        flat[upper] -= c_phidot[1:]
+        rhs[[0, n]] = y
+        solution = np.linalg.solve(system, rhs).reshape(2, n, 2)
+        coefs = _TO_COEFS @ solution
+        size_phi, size_phidot = np.hypot(coefs[..., 0], coefs[..., 1]).tolist()
+        error = max(max(size_phi[-_TAIL_COEFS:])
+                    / (tolerance * max(size_phi) + atol_phi),
+                    max(size_phidot[-_TAIL_COEFS:])
+                    / (tolerance * max(size_phidot) + atol_phidot))
+        if not error <= 1.0:            # a NaN error is a rejection too
+            h *= 0.5
+            continue
+        starts.append(t)
+        widths.append(h)
+        values.append(solution)
+        y = solution[:, -1]
+        t = t_next
+        h *= 1.2 if error > _NEAR_BOUND else 2.0
+    values = np.array(values)
+    return (np.array(starts), np.array(widths),
+            values[..., 0] + 1j * values[..., 1], nfev)
+
+
+def _interpolate_blocks(starts, widths, values, times):
+    """Barycentric interpolation of the block node values at sorted times,
+    all in one pass; a time on a node takes the node value. Returns the
+    (2, len(times)) history of phi and phi'."""
+    block = np.searchsorted(starts, times, side="right") - 1
+    x = 2.0 * (times - starts[block]) / widths[block] - 1.0
+    gap = x[:, None] - _NODES
+    on_node = gap == 0.0
+    gap[on_node] = 1.0
+    kernel = _BARY / gap
+    hit = on_node.any(axis=1)
+    kernel[hit] = on_node[hit]
+    mixed = np.einsum("mj,mkj->km", kernel, values[block])
+    return mixed / kernel.sum(axis=1)
 
 
 def integrate_mode(kappa: float, background, t_start: float, t_end: float,
@@ -152,21 +278,22 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
 
     The background provides asymptotic_velocity, linear_offset (None when it
     has no linear regime) and expansion_on(t_start, t_end), which checks the
-    interval once and returns the t -> (b, bdot) lookup the RHS calls.
+    interval once and returns the t -> (b, bdot) lookup, read once per block
+    at all its nodes.
 
-    The solver is LSODA through scipy's odeint, whose stepping loop is
-    compiled, on the real system (Re phi, Im phi, Re phi', Im phi'); the RHS
-    applies mode_ode_rhs to the real and the imaginary part. tcrit at t_end
-    keeps every evaluation inside [t_start, t_end]. A failed solve raises
-    ModeIntegrationError with the solver's message; nfev counts RHS calls.
-    scipy is imported here, so importing the package does not load it.
+    The solver is a Chebyshev-Lobatto collocation block stepper in numpy
+    (_solve_blocks): the equation is linear, so each block of up to a few
+    oscillations is one linear solve, accepted on the decay of its Chebyshev
+    coefficients. The samples are interpolated from the accepted blocks. A
+    block that cannot meet the tolerance raises ModeIntegrationError; nfev
+    counts the node times at which the background was read.
     """
-    from scipy.integrate import ODEintWarning, odeint
-
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
+    if not tolerance > 0.0:
+        raise ValueError("tolerance must be positive")
     alpha = background.asymptotic_velocity
     shift = background.linear_offset
     if shift is None:
@@ -186,8 +313,7 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     if ts_shift <= 0.0:
         raise ModeIntegrationError("t_start precedes the linear-regime origin")
     norm = mode_normalization(coupling, alpha)
-    u1, _ = analytic_mode(kappa, ts_shift, alpha, c0)
-    d1, _ = analytic_mode_derivative(kappa, ts_shift, alpha, c0)
+    u1, d1 = _basis_pair(kappa, ts_shift, alpha, c0)
     phi0 = norm * u1
     phidot0 = norm * d1
     wkb_residual = abs(phidot0 + 1j * omega0_ad * phi0) / (omega0_ad * abs(phi0))
@@ -196,29 +322,15 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     if wkb_residual > 1e-3:
         notes.append(f"WKB residual {wkb_residual:.2e} above 1e-3 at start")
 
-    def rhs(y, t):
-        re, im, redot, imdot = y.tolist()
-        b, bdot = expansion(t)
-        return [redot, imdot, mode_ode_rhs(re, redot, kappa, b, bdot, c0),
-                mode_ode_rhs(im, imdot, kappa, b, bdot, c0)]
-
-    t_eval = np.geomspace(t_start, t_end, _MODE_SAMPLES)
     scale = abs(phi0)
     atol = np.array([scale, omega0_ad * scale]) * tolerance * 1e-3
-    # tcrit keeps LSODA from stepping past t_end and interpolating back, so
-    # the lookup is never called outside the interval expansion_on checked.
-    # A failed solve is reported through info, not as an ODEintWarning.
-    with _SOLVER_WARNINGS, warnings.catch_warnings():
-        warnings.simplefilter("ignore", ODEintWarning)
-        ys, info = odeint(rhs, [phi0.real, phi0.imag, phidot0.real, phidot0.imag],
-                          t_eval, rtol=tolerance, atol=np.repeat(atol, 2),
-                          tcrit=[t_end], mxstep=_MAX_STEPS_PER_SAMPLE,
-                          full_output=True)
-    if info["message"] != "Integration successful.":
-        raise ModeIntegrationError(f"mode integration failed: {info['message']}")
+    starts, widths, values, nfev = _solve_blocks(
+        kappa, expansion, t_start, t_end,
+        [[phi0.real, phi0.imag], [phidot0.real, phidot0.imag]],
+        2.0 * math.pi / omega0_ad, tolerance, atol, c0)
+    t_eval = np.geomspace(t_start, t_end, _MODE_SAMPLES)
+    phi, phidot = _interpolate_blocks(starts, widths, values, t_eval)
 
-    phi = ys[:, 0] + 1j * ys[:, 1]
-    phidot = ys[:, 2] + 1j * ys[:, 3]
     frozen_value = None
     frozen_time = None
     tail = abs(phidot[-1]) * t_eval[-1] / abs(phi[-1])
@@ -231,7 +343,7 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     return ModeEvolution(kappa=kappa, times=t_eval, phi=phi, phidot=phidot,
                          frozen_value=frozen_value, frozen_time=frozen_time,
                          source="numeric", wkb_residual_start=float(wkb_residual),
-                         nfev=int(info["nfe"][-1]), warnings=notes)
+                         nfev=nfev, warnings=notes)
 
 
 def analytic_evolution(kappa: float, times, alpha: float, c0: float = 1.0,
@@ -239,8 +351,9 @@ def analytic_evolution(kappa: float, times, alpha: float, c0: float = 1.0,
     """Exact positive-frequency evolution on the pure linear background."""
     times = np.asarray(times, dtype=float)
     norm = mode_normalization(coupling, alpha)
-    phi = norm * analytic_mode(kappa, times, alpha, c0)[0]
-    phidot = norm * analytic_mode_derivative(kappa, times, alpha, c0)[0]
+    u1, d1 = _basis_pair(kappa, times, alpha, c0)
+    phi = norm * u1
+    phidot = norm * d1
     omega0_ad = adiabatic_frequency(kappa, float(alpha * times[0]), c0)
     residual = abs(phidot[0] + 1j * omega0_ad * phi[0]) / (omega0_ad * abs(phi[0]))
     return ModeEvolution(kappa=kappa, times=times, phi=phi, phidot=phidot,

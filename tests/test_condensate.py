@@ -39,7 +39,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             TrapGeometry(dimension=3, longitudinal_frequency=1.0,
                          transverse_frequency=10.0)
-        for omega0 in (math.nan, math.inf):
+        for omega0 in (math.nan, math.inf, 1e-300, 1e200):  # omega0^2 not normal
             with pytest.raises(ValueError):
                 TrapGeometry(dimension=3, longitudinal_frequency=omega0)
         for omega_z in (math.nan, math.inf):

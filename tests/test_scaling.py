@@ -37,7 +37,8 @@ class TestOdeRhs:
         with pytest.raises(ValueError):
             scale_ode_rhs(0.0, 0.0, protocol, 2, 2.0)
 
-    @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan, math.inf, 1e-300,
+                                        1e-155, 1e155])
     def test_protocol_rejects_bad_frequency(self, omega0):
         with pytest.raises(ValueError):
             ExpansionProtocol(omega0)
@@ -199,6 +200,11 @@ class TestProperTime:
         assert tau(t) == pytest.approx(t, rel=1e-10)
         prefactored = proper_time(traj, prefactor=2.5)
         assert prefactored(t) == pytest.approx(2.5 * t, rel=1e-10)
+
+    def test_samples_are_the_lookup_at_ts(self, traj2d):
+        # trajectory.csv writes tau from the samples
+        tau = proper_time(traj2d, prefactor=2.5)
+        assert tau.samples.tobytes() == tau(traj2d.ts).tobytes()
 
     def test_general_branch_exponent(self):
         # flat cases reduce to the 1/b^2 integrand

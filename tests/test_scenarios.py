@@ -112,6 +112,8 @@ _BAD_INPUTS = {
     "nan-omega0": ("sodium-q2d", "condensate.omega0_rad_per_s", math.nan),
     "nan-atom-number": ("sodium-q2d", "condensate.atom_number", math.nan),
     "inf-omega0": ("rubidium-3d", "condensate.omega0_rad_per_s", math.inf),
+    "tiny-omega0": ("sodium-q2d", "condensate.omega0_rad_per_s", 1e-300),
+    "huge-omega0": ("rubidium-3d", "condensate.omega0_rad_per_s", 1e200),
     "inf-omega-z": ("sodium-q2d", "condensate.omega_z_rad_per_s", math.inf),
     "zero-samples": ("sodium-q2d", "numeric.trajectory_samples", 0),
     "too-many-samples": ("sodium-q2d", "numeric.trajectory_samples", 10**12),

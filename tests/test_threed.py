@@ -1,15 +1,18 @@
 import math
+import os
+import subprocess
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.integrate
 from scipy.integrate import quad
 from scipy.stats import linregress
 
-from becosmo import specfun
+import becosmo
+from becosmo import specfun, threed
 from becosmo.scaling import (ExpansionProtocol, LinearExpansion, ScaleTrajectory,
                              integrate_scale_factor)
 from becosmo.threed import (ModeIntegrationError, adiabatic_frequency,
@@ -31,8 +34,8 @@ def _deep_start(kappa, depth_z=260.0, c0=1.0):
     return (beta / depth_z) ** (2.0 / 3.0)
 
 
-# integrate_mode imports odeint from scipy.integrate when called, so the tests
-# that stop or alter the solve replace it there.
+# Tests that must show the solve never starts replace threed._solve_blocks,
+# the block stepper integrate_mode calls once its checks have passed.
 def _no_solve(*args, **kwargs):
     raise AssertionError("the solve started")
 
@@ -143,13 +146,27 @@ class TestIntegrateMode:
         assert evo.warnings == []
 
     def test_deep_start_matches_analytic(self):
-        # the first sample intervals need more than LSODA's default 500 steps
+        # about 95 oscillations before the mode crosses the horizon
         kappa = 30.0
         bg = LinearExpansion(ALPHA)
         evo = integrate_mode(kappa, bg, _deep_start(kappa, 600.0),
                              freezing_time(kappa, ALPHA), tolerance=1e-11)
         ana = analytic_evolution(kappa, evo.times, ALPHA)
         assert (np.abs(evo.phi - ana.phi) / np.abs(ana.phi)).max() <= 1e-6
+
+    def test_pointwise_error_pins(self):
+        # the criterion-5 kappa grid at its start depth z = 260, and the
+        # z = 600 deep start; phi' is pinned relative to its own size, which
+        # falls as t^-3 once the mode has frozen
+        bg = LinearExpansion(ALPHA)
+        cases = [(float(k), 260.0) for k in np.geomspace(1.0, 100.0, 20)]
+        for kappa, depth in cases + [(30.0, 600.0)]:
+            evo = integrate_mode(kappa, bg, _deep_start(kappa, depth),
+                                 freezing_time(kappa, ALPHA), tolerance=1e-11)
+            ana = analytic_evolution(kappa, evo.times, ALPHA)
+            assert (np.abs(evo.phi - ana.phi) / np.abs(ana.phi)).max() <= 1e-10
+            assert (np.abs(evo.phidot - ana.phidot)
+                    / np.abs(ana.phidot)).max() <= 1e-8
 
     def test_frozen_value_matches_closed_form(self):
         kappa = 8.0
@@ -188,13 +205,14 @@ class TestIntegrateMode:
     def test_background_without_linear_regime_rejected(self, monkeypatch):
         held = integrate_scale_factor(ExpansionProtocol.hold(1.0), 3, 2.0, 100.0)
         assert held.linear_offset is None
-        monkeypatch.setattr(scipy.integrate, "odeint", _no_solve)
+        monkeypatch.setattr(threed, "_solve_blocks", _no_solve)
         with pytest.raises(ModeIntegrationError, match="no linear regime"):
             integrate_mode(50.0, held, 1.0, 50.0)
 
     def test_checked_lookups_do_not_grow_with_nfev(self, monkeypatch):
-        # the RHS uses the unchecked lookup of expansion_on; the range-checked
-        # b()/bdot() are at most a fixed few calls per solve
+        # the blocks read the unchecked lookup of expansion_on; the
+        # range-checked b()/bdot() are at most a fixed few calls per solve,
+        # for starts whose node counts differ by more than 2x
         calls, nfev = [], []
         for owner in (LinearExpansion, ScaleTrajectory):
             for method in ("b", "bdot"):
@@ -212,7 +230,7 @@ class TestIntegrateMode:
         per_solve = []
         for background, shift in ((LinearExpansion(ALPHA), 0.0),
                                   (trajectory, trajectory.linear_offset)):
-            for depth in (40.0, 200.0):
+            for depth in (40.0, 600.0):
                 calls.clear()
                 nfev.append(integrate_mode(kappa, background,
                                            shift + _deep_start(kappa, depth), t_end,
@@ -223,7 +241,7 @@ class TestIntegrateMode:
         assert len(set(per_solve)) == 1 and per_solve[0] <= 2
 
     def test_lookups_stay_inside_checked_interval(self, monkeypatch):
-        # t_end = t_max: a step past t_end would read the dense b(t) beyond
+        # t_end = t_max: a block past t_end would read the dense b(t) beyond
         # the trajectory, where nothing checks it
         times = []
         expansion_on = ScaleTrajectory.expansion_on
@@ -232,7 +250,7 @@ class TestIntegrateMode:
             lookup = expansion_on(self, t0, t1)
 
             def record(t):
-                times.append(t)
+                times.extend(np.atleast_1d(t).tolist())
                 return lookup(t)
             return record
         monkeypatch.setattr(ScaleTrajectory, "expansion_on", recorded)
@@ -241,9 +259,11 @@ class TestIntegrateMode:
         trajectory = integrate_scale_factor(ExpansionProtocol.free_expansion(1.0),
                                             3, 2.0, freezing_time(kappa, ALPHA))
         t_start = trajectory.linear_offset + _deep_start(kappa, 40.0)
-        integrate_mode(kappa, trajectory, t_start, trajectory.t_max, tolerance=1e-9)
-        assert len(times) > 1000
-        assert t_start <= min(times) and max(times) <= trajectory.t_max
+        evo = integrate_mode(kappa, trajectory, t_start, trajectory.t_max,
+                             tolerance=1e-9)
+        # every block's nodes, plus the start read of the depth check
+        assert len(times) == evo.nfev + 1 and evo.nfev > 300
+        assert min(times) == t_start and max(times) == trajectory.t_max
 
     def test_threads_match_serial_run(self):
         bg = LinearExpansion(ALPHA)
@@ -266,16 +286,40 @@ class TestIntegrateMode:
         assert threaded == serial
         assert warnings.filters == filters   # no solve left its filter behind
 
-    def test_solver_failure_is_a_mode_error(self, monkeypatch):
-        # pytest turns warnings into errors, so an escaping ODEintWarning
-        # would fail this test instead of the ModeIntegrationError
-        solve = scipy.integrate.odeint
-        monkeypatch.setattr(scipy.integrate, "odeint",
-                            lambda *args, **kwargs: solve(*args, **{**kwargs, "mxstep": 5}))
+    def test_solver_failure_is_a_mode_error(self):
+        # no block can bring its Chebyshev tail below 1e-30 of its size, so
+        # the width halves down to the float spacing; pytest turns warnings
+        # into errors, so a warning on the way would fail this test instead
         kappa = 8.0
-        with pytest.raises(ModeIntegrationError, match="Excess work done"):
+        with pytest.raises(ModeIntegrationError, match="out of reach"):
             integrate_mode(kappa, LinearExpansion(ALPHA), _deep_start(kappa),
-                           freezing_time(kappa, ALPHA))
+                           freezing_time(kappa, ALPHA), tolerance=1e-30)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-10, math.nan])
+    def test_rejects_nonpositive_tolerance(self, tolerance):
+        kappa = 8.0
+        with pytest.raises(ValueError, match="tolerance"):
+            integrate_mode(kappa, LinearExpansion(ALPHA), _deep_start(kappa),
+                           freezing_time(kappa, ALPHA), tolerance=tolerance)
+
+    def test_mode_solve_imports_no_scipy(self):
+        # the mode engine is numpy only
+        script = "\n".join([
+            "import math, sys",
+            "from becosmo.scaling import LinearExpansion",
+            "from becosmo.threed import freezing_time, integrate_mode",
+            "alpha = math.sqrt(2.0 / 3.0)",
+            "evo = integrate_mode(8.0, LinearExpansion(alpha), 0.1,",
+            "                     freezing_time(8.0, alpha), tolerance=1e-11)",
+            "assert evo.frozen_value is not None and evo.warnings == []",
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"])
+        src = str(Path(becosmo.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_freezing_time_monotone_in_kappa(self):
         times = [freezing_time(k, ALPHA) for k in (1.0, 3.0, 10.0, 30.0)]
@@ -313,7 +357,7 @@ class TestRealBackground:
         assert evo.frozen_value**2 / variance == pytest.approx(1.0, abs=5e-3)
 
     def test_end_beyond_trajectory_rejected(self, trajectory, monkeypatch):
-        monkeypatch.setattr(scipy.integrate, "odeint", _no_solve)
+        monkeypatch.setattr(threed, "_solve_blocks", _no_solve)
         t_start = trajectory.linear_offset + _deep_start(self.KAPPA)
         with pytest.raises(ValueError, match="sampled range"):
             integrate_mode(self.KAPPA, trajectory, t_start, 1.01 * trajectory.t_max)

@@ -228,19 +228,6 @@ def thomas_fermi(spec: CondensateSpec) -> DerivedParams:
     )
 
 
-def thomas_fermi_atom_count(spec: CondensateSpec, derived: DerivedParams) -> float:
-    """Atoms contained in the analytic Thomas-Fermi profile (closed form)."""
-    mu = derived.chemical_potential
-    g = derived.effective_coupling
-    m = spec.species.mass
-    omega0 = spec.trap.longitudinal_frequency
-    if derived.dimension == 3:
-        return (8.0 * math.pi / 15.0) * derived.peak_density * derived.thomas_fermi_radius**3
-    if derived.dimension == 2:
-        return math.pi * mu**2 / (g * m * omega0**2)
-    raise UnsupportedModelError("profile integral available for D in {2, 3} only")
-
-
 def validate_dimensional_reduction(spec: CondensateSpec,
                                    derived: DerivedParams) -> ValidityReport:
     """Scale-hierarchy checks behind the lower-dimensional description.

@@ -11,15 +11,18 @@ All horizon statements apply to wavelengths well above the healing length;
 below it, dispersion takes over and the geometric picture dissolves.
 
 apparent_horizon and particle_horizon take a scalar or an array of times
-(each within the sampled range) and return a NumPy scalar or an array. The
-module computes only; the run pipeline in scenarios writes horizons.csv.
+(each within the sampled range), and horizon_crossing_time a scalar or an
+array of co-moving wavenumbers; all return a NumPy scalar or an array. A
+crossing time is 0.0 for a mode already outside the particle horizon at
+release and inf for one that does not cross by the end of the trajectory.
+The module needs numpy only. It computes only; the run pipeline in
+scenarios writes horizons.csv.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -67,29 +70,6 @@ def metric_components(conformal: float, sound_speed: float, velocity):
 
 
 @dataclass(frozen=True)
-class EffectiveMetric:
-    """Effective geometry at a spacetime point."""
-    conformal_factor: float
-    sound_speed: float
-    flow_velocity: np.ndarray
-    dimension: int
-    exponent: float
-
-    def covariant(self):
-        return metric_components(self.conformal_factor, self.sound_speed,
-                                 self.flow_velocity)[0]
-
-    def contravariant(self):
-        return metric_components(self.conformal_factor, self.sound_speed,
-                                 self.flow_velocity)[1]
-
-    @property
-    def g00(self) -> float:
-        v = np.atleast_1d(self.flow_velocity)
-        return self.conformal_factor * (self.sound_speed**2 - float(v @ v))
-
-
-@dataclass(frozen=True)
 class FlatnessResult:
     exponent: float | None     # exponent of b in A b^2; None for D=1
     is_flat: bool
@@ -105,15 +85,6 @@ def flatness_exponent(dimension: int, exponent: float) -> FlatnessResult:
         return FlatnessResult(None, is_flat_case(1, exponent))
     e = 2.0 + dimension * (exponent - 3.0) / (dimension - 1.0)
     return FlatnessResult(e, is_flat_case(dimension, exponent))
-
-
-def sound_speed_history(trajectory: ScaleTrajectory,
-                        c0: float = 1.0) -> Callable[[float], float]:
-    """c(t) = c0 b^(-D(N-1)/2) along the trajectory."""
-    power = -trajectory.dimension * (trajectory.exponent - 1.0) / 2.0
-    def c_of_t(t):
-        return c0 * trajectory.b(t) ** power
-    return c_of_t
 
 
 def particle_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):
@@ -155,23 +126,32 @@ def settled_apparent_horizon(trajectory: ScaleTrajectory,
     return 0.0 if power < 0.0 else None
 
 
-def horizon_crossing_time(kappa: float, trajectory: ScaleTrajectory,
-                          c0: float = 1.0) -> float | None:
+def horizon_crossing_time(kappa, trajectory: ScaleTrajectory, c0: float = 1.0):
     """Earliest time the co-moving wavelength 2 pi / kappa exceeds the
-    particle horizon. None when no crossing occurs within the sampled range.
+    particle horizon, for a scalar or an array of kappa > 0.
 
     The particle horizon is used (rather than the apparent one) because it is
     slicing-independent; it decreases monotonically, so larger kappa crosses
-    later. scipy is imported here, so importing the package does not load it.
+    later, and every kappa is bisected at once on [0, t_max] down to
+    1e-14 t_max. A wavelength already beyond the horizon at t = 0 gives 0.0;
+    one still inside it at t_max gives inf, as does every kappa when the
+    horizon is infinite (trap held on, or no linear regime reached).
     """
-    from scipy.optimize import brentq
-
-    if kappa <= 0.0:
+    kappa = np.asarray(kappa, dtype=float)
+    if not np.all(kappa > 0.0):
         raise ValueError("kappa must be positive")
     wavelength = 2.0 * math.pi / kappa
-    if particle_horizon(trajectory, 0.0, c0) <= wavelength:
-        return 0.0
-    if particle_horizon(trajectory, trajectory.t_max, c0) > wavelength:
-        return None
-    return brentq(lambda t: particle_horizon(trajectory, t, c0) - wavelength,
-                  0.0, trajectory.t_max, xtol=1e-14 * trajectory.t_max)
+    t_max = trajectory.t_max
+    lo = np.zeros_like(wavelength)
+    hi = np.full_like(wavelength, t_max)
+    width = t_max
+    while width > 1e-14 * t_max:
+        mid = 0.5 * (lo + hi)
+        crossed = particle_horizon(trajectory, mid, c0) <= wavelength
+        hi = np.where(crossed, mid, hi)
+        lo = np.where(crossed, lo, mid)
+        width *= 0.5
+    times = np.where(particle_horizon(trajectory, t_max, c0) > wavelength,
+                     math.inf, 0.5 * (lo + hi))
+    return np.where(particle_horizon(trajectory, 0.0, c0) <= wavelength,
+                    0.0, times)[()]

@@ -21,14 +21,12 @@ pipeline in scenarios writes the spectrum to spectrum.csv.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR, K_B
 
-FOURIER_CONVENTION = ("C(kappa) = int d^D rho exp(i kappa.rho) "
-                      "<drho(0) drho(rho)> / rho0^2")
 # Occupation below which vacuum noise dominates a mode.
 _QUANTUM_THRESHOLD = 0.01
 
@@ -144,14 +142,8 @@ class Spectrum:
     """Frozen spectrum on a co-moving wavenumber grid."""
     kappa_grid: np.ndarray
     values: np.ndarray
-    dimension: int
-    metadata: dict = field(default_factory=dict)
 
 
-def spectrum_2d_grid(kappas, g2d: float, mu: float, m: float,
-                     scenario: str = "") -> Spectrum:
+def spectrum_2d_grid(kappas, g2d: float, mu: float, m: float) -> Spectrum:
     kappas = np.asarray(kappas, dtype=float)
-    return Spectrum(kappa_grid=kappas, values=density_spectrum_2d(kappas, g2d, mu, m),
-                    dimension=2,
-                    metadata={"scenario": scenario,
-                              "fourier_convention": FOURIER_CONVENTION})
+    return Spectrum(kappa_grid=kappas, values=density_spectrum_2d(kappas, g2d, mu, m))

@@ -96,7 +96,7 @@ def scale_ode_rhs(b: float, t: float, protocol: ExpansionProtocol,
 
 def analytic_scale_2d(t: float, omega0: float) -> tuple[float, float]:
     """Closed-form free expansion for the flat quartic 2D case."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("t must be non-negative")
     b = math.sqrt(1.0 + omega0**2 * t**2)
     return b, omega0**2 * t / b
@@ -328,7 +328,7 @@ class ScaleTrajectory:
 
     def _check_range(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > self.t_max * (1 + 1e-12)):
+        if not np.all((t >= 0.0) & (t <= self.t_max * (1 + 1e-12))):
             raise ValueError(f"t outside sampled range [0, {self.t_max}]")
         return t
 
@@ -385,7 +385,7 @@ def integrate_scale_factor(protocol: ExpansionProtocol, dimension: int,
     tolerance is the local relative error target, restricted to
     (1e-14, 1e-4) so the embedded Runge-Kutta error control stays honest.
     """
-    if t_max <= 0.0:
+    if not t_max > 0.0:
         raise ValueError("t_max must be positive")
     if not 1e-14 < tolerance < 1e-4:
         raise ValueError("tolerance must lie in (1e-14, 1e-4)")
@@ -424,7 +424,7 @@ class LinearExpansion:
     """Pure linear background b = alpha t, for late-time mode analysis."""
 
     def __init__(self, alpha: float):
-        if alpha <= 0.0:
+        if not alpha > 0.0:
             raise ValueError("alpha must be positive")
         self.asymptotic_velocity = alpha
         self.linear_offset = 0.0
@@ -432,7 +432,7 @@ class LinearExpansion:
     @staticmethod
     def _check_range(t):
         t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0):
+        if not np.all(t > 0.0):
             raise ValueError("linear background defined for t > 0 only")
         return t
 
@@ -446,7 +446,7 @@ class LinearExpansion:
         return self.asymptotic_velocity * self._check_range(t)
 
     def bdot(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.asymptotic_velocity)
+        return np.full_like(self._check_range(t), self.asymptotic_velocity)
 
 
 class _ProperTime:
@@ -479,32 +479,3 @@ def proper_time(trajectory: ScaleTrajectory, prefactor: float | None = None):
     if prefactor is None:
         prefactor = 1.0
     return _ProperTime(trajectory, prefactor)
-
-
-@dataclass(frozen=True)
-class BackgroundFields:
-    density: float
-    velocity: object          # same shape as the position argument
-    comoving_position: object
-
-
-def background_fields(trajectory: ScaleTrajectory, t: float, r,
-                      rho0_initial: float = 1.0) -> BackgroundFields:
-    """Background density, velocity field and co-moving position at (t, r)."""
-    b = float(trajectory.b(t))
-    bdot = float(trajectory.bdot(t))
-    r = np.asarray(r, dtype=float)
-    return BackgroundFields(
-        density=rho0_initial / b**trajectory.dimension,
-        velocity=(bdot / b) * r,
-        comoving_position=r / b,
-    )
-
-
-def scaling_map_factors(dimension: int, b: float, mass: float = 1.0,
-                        velocity: float = 0.0) -> tuple[float, float]:
-    """Classical factors of the scaling map: amplitude b^(-D/2) and the
-    quadratic phase argument m v0^2 / 2."""
-    if b <= 0.0:
-        raise ValueError("scale factor must be positive")
-    return b ** (-dimension / 2.0), 0.5 * mass * velocity**2

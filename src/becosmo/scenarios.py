@@ -462,7 +462,7 @@ def _spectrum_2d(r: _Run) -> None:
     with np.errstate(over="raise"):
         spectrum = q2d.spectrum_2d_grid(
             kappas, derived.effective_coupling, derived.chemical_potential,
-            r.config.condensate.species.mass, scenario=r.config.name)
+            r.config.condensate.species.mass)
         scaled = spectrum.values / xi**2
     _write_csv(r.out / "spectrum.csv", {
         "kappa_per_m": kappas, "C_m2": spectrum.values, "C_over_xi2": scaled})
@@ -479,7 +479,7 @@ def _spectrum_3d(r: _Run) -> None:
     with np.errstate(over="raise"):
         spectrum = threed.spectrum_3d_grid(
             kappas, xi, derived.sound_speed, derived.peak_density, alpha,
-            natural_coupling(swave_coupling(species)), omega_xi, scenario=r.config.name)
+            natural_coupling(swave_coupling(species)), omega_xi)
     clipped = int(np.sum(~spectrum.in_band))
     if clipped:
         r.report.warnings.append({

@@ -168,11 +168,6 @@ def bessel_yp(nu: float, x):
     return bessel_y(nu - 1.0, x) - (nu / x) * bessel_y(nu, x)
 
 
-def hankel1p(nu: float, x):
-    """dH^(1)_nu/dx through the downward order recurrence."""
-    return hankel1(nu - 1.0, x) - (nu / x) * hankel1(nu, x)
-
-
 def wronskian_jy(nu: float, x):
     """J_nu(x) Y'_nu(x) - J'_nu(x) Y_nu(x); identically 2/(pi x)."""
     return bessel_j(nu, x) * bessel_yp(nu, x) - bessel_jp(nu, x) * bessel_y(nu, x)

@@ -133,13 +133,6 @@ def analytic_mode_derivative(kappa: float, t, alpha: float, c0: float = 1.0):
     return d1, d1.conjugate()
 
 
-def basis_wronskian(kappa: float, t: float, alpha: float, c0: float = 1.0) -> complex:
-    """b^3-weighted Wronskian of the basis pair; identically 6 i alpha^3 / pi."""
-    u1, u2 = analytic_mode(kappa, t, alpha, c0)
-    d1, d2 = analytic_mode_derivative(kappa, t, alpha, c0)
-    return (alpha * t) ** 3 * (u1 * d2 - u2 * d1)
-
-
 def freezing_time(kappa: float, alpha: float, c0: float = 1.0) -> float:
     """Time at which |phi'| t / |phi| decays to the freezing criterion 1e-6.
 
@@ -288,9 +281,9 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     block that cannot meet the tolerance raises ModeIntegrationError; nfev
     counts the node times at which the background was read.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    if t_end <= t_start:
+    if not t_end > t_start:
         raise ValueError("t_end must exceed t_start")
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
@@ -439,28 +432,16 @@ def max_contrast_estimate(scattering_length: float, rho0: float, omega0: float,
     )
 
 
-def projection_suppression(xi: float, l_z: float) -> float:
-    """Column-averaging suppression xi / l_z of a projective image.
-
-    The spectrum shape is unchanged; only the amplitude is reduced.
-    """
-    if l_z <= xi:
-        raise ValueError("projection length must exceed the healing length")
-    return xi / l_z
-
-
 @dataclass(frozen=True)
 class FrozenSpectrum3D:
     kappa_grid: np.ndarray
     phase_variance: np.ndarray
     density_values: np.ndarray
     in_band: np.ndarray
-    parameters: dict
 
 
 def spectrum_3d_grid(kappas, xi: float, c0: float, rho0: float, alpha: float,
-                     coupling: float, omega_xi: float,
-                     scenario: str = "") -> FrozenSpectrum3D:
+                     coupling: float, omega_xi: float) -> FrozenSpectrum3D:
     """Closed-form frozen spectra on a wavenumber grid with band flags.
 
     Values beyond kappa_max are still computed but flagged out of band.
@@ -472,7 +453,4 @@ def spectrum_3d_grid(kappas, xi: float, c0: float, rho0: float, alpha: float,
         phase_variance=frozen_phase_variance(kappas, coupling, alpha, c0),
         density_values=density_spectrum_3d(kappas, xi, c0, rho0, alpha),
         in_band=kappas <= kmax,
-        parameters={"xi_m": xi, "c0_m_per_s": c0, "rho0_per_m3": rho0,
-                    "alpha_rad_per_s": alpha, "kappa_max_per_m": kmax,
-                    "scenario": scenario},
     )

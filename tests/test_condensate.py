@@ -9,8 +9,8 @@ from becosmo.condensate import (AtomSpecies, CondensateSpec, DerivedParams,
                                 UnsupportedModelError, effective_coupling,
                                 natural_coupling, reduce_coupling,
                                 sound_frequency_at_healing_scale, swave_coupling,
-                                thomas_fermi, thomas_fermi_atom_count,
-                                transverse_width, validate_dimensional_reduction)
+                                thomas_fermi, transverse_width,
+                                validate_dimensional_reduction)
 from becosmo.constants import HBAR
 
 from conftest import W0_2D, W0_3D, WZ_2D
@@ -162,8 +162,12 @@ class TestThomasFermi:
                                    sodium_derived, rubidium_derived):
         spec = sodium_spec if scenario == "sodium" else rubidium_spec
         derived = sodium_derived if scenario == "sodium" else rubidium_derived
-        assert thomas_fermi_atom_count(spec, derived) == pytest.approx(
-            spec.atom_number, rel=1e-6)
+        # atoms in the inverted parabola rho0 (1 - r^2/R^2) over the D-ball
+        D, R = derived.dimension, derived.thomas_fermi_radius
+        shell = {2: 2.0 * math.pi, 3: 4.0 * math.pi}[D]
+        count, _ = quad(lambda r: derived.peak_density * (1.0 - (r / R) ** 2)
+                        * shell * r ** (D - 1), 0.0, R, epsabs=0.0, epsrel=1e-12)
+        assert count == pytest.approx(spec.atom_number, rel=1e-6)
 
     def test_all_positive(self, sodium_derived):
         d = sodium_derived

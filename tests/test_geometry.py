@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from becosmo.geometry import (EffectiveMetric, apparent_horizon,
-                              conformal_factor, flatness_exponent,
-                              horizon_crossing_time, metric_components,
-                              particle_horizon, settled_apparent_horizon,
-                              sound_speed_history)
+from scipy.optimize import brentq
+
+from becosmo.condensate import thomas_fermi
+from becosmo.geometry import (apparent_horizon, conformal_factor,
+                              flatness_exponent, horizon_crossing_time,
+                              metric_components, particle_horizon,
+                              settled_apparent_horizon)
 from becosmo.scaling import ExpansionProtocol, integrate_scale_factor
 from becosmo.scenarios import PRESETS, config_from_dict, run
 
@@ -35,11 +37,8 @@ class TestMetric:
         assert cov == pytest.approx(np.diag([2.0 * 9.0, -2.0, -2.0]))
 
     def test_g00_vanishes_at_sonic_point(self):
-        metric = EffectiveMetric(conformal_factor=1.7, sound_speed=2.0,
-                                 flow_velocity=np.array([2.0, 0.0]),
-                                 dimension=2, exponent=2.0)
-        assert metric.g00 == pytest.approx(0.0, abs=1e-14)
-        assert metric.covariant()[0, 0] == pytest.approx(0.0, abs=1e-14)
+        cov, _ = metric_components(1.7, 2.0, np.array([2.0, 0.0]))
+        assert cov[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_inverse_identity_random(self):
         rng = np.random.default_rng(11)
@@ -73,24 +72,6 @@ class TestFlatness:
 
     def test_d1_has_no_exponent(self):
         assert flatness_exponent(1, 3.0).exponent is None
-
-
-class TestSoundSpeed:
-    def test_initial_value(self, traj2d):
-        c = sound_speed_history(traj2d, c0=2.0e-3)
-        assert c(0.0) == pytest.approx(2.0e-3, rel=1e-12)
-
-    def test_2d_halving(self, traj2d):
-        c = sound_speed_history(traj2d, c0=1.0)
-        t = float(traj2d.ts[200])
-        b = float(traj2d.b(t))
-        assert c(t) == pytest.approx(1.0 / b, rel=1e-12)
-
-    def test_3d_exponent(self, traj3d):
-        c = sound_speed_history(traj3d, c0=1.0)
-        t = traj3d.t_max / 3.0
-        b = float(traj3d.b(t))
-        assert c(t) == pytest.approx(b**-1.5, rel=1e-12)
 
 
 class TestParticleHorizon:
@@ -157,6 +138,17 @@ class TestApparentHorizon:
             assert abs(cov[0, 0]) <= 1e-10 * conformal * c_t**2
 
 
+def _preset_trajectory(name):
+    """The preset's own b(t) and sound speed, as its evolve stage builds them."""
+    config = config_from_dict(PRESETS[name])
+    spec, numeric = config.condensate, config.numeric
+    trajectory = integrate_scale_factor(
+        config.protocol(), spec.trap.dimension, spec.interaction.exponent,
+        t_max=numeric.t_max_omega0 / spec.trap.longitudinal_frequency,
+        tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples)
+    return trajectory, thomas_fermi(spec).sound_speed
+
+
 class TestHorizonCrossing:
     def test_superhorizon_from_start(self, traj2d):
         assert horizon_crossing_time(1e-9, traj2d, c0=1.0) == 0.0
@@ -164,16 +156,16 @@ class TestHorizonCrossing:
     def test_monotone_in_kappa(self, traj2d):
         c0 = 1.0
         kappas = np.geomspace(10.0 * W0_2D / c0, 1e3 * W0_2D / c0, 8)
-        times = [horizon_crossing_time(float(k), traj2d, c0) for k in kappas]
-        assert all(t is not None for t in times)
-        assert all(a <= b for a, b in zip(times, times[1:]))
+        times = horizon_crossing_time(kappas, traj2d, c0)
+        assert np.all(np.isfinite(times))
+        assert np.all(np.diff(times) >= 0.0)
 
     def test_bisection_against_dense_scan(self, traj2d):
         c0 = 1.0
         kappa = 2.0 * W0_2D / c0 * 40.0
         wavelength = 2.0 * math.pi / kappa
         grid = np.linspace(0.0, traj2d.t_max, 20001)
-        horizon = np.array([particle_horizon(traj2d, float(t), c0) for t in grid])
+        horizon = particle_horizon(traj2d, grid, c0)
         scan_idx = int(np.argmax(horizon <= wavelength))
         t_cross = horizon_crossing_time(kappa, traj2d, c0)
         assert grid[scan_idx - 1] <= t_cross <= grid[scan_idx]
@@ -181,11 +173,47 @@ class TestHorizonCrossing:
     def test_never_crossing_reported(self, traj2d):
         # wavelength far below the horizon at the end of the sampled range
         kappa = 1e9 * W0_2D
-        assert horizon_crossing_time(kappa, traj2d, c0=1.0) is None
+        assert math.isinf(horizon_crossing_time(kappa, traj2d, c0=1.0))
+
+    def test_held_trap_never_crosses(self):
+        traj = integrate_scale_factor(ExpansionProtocol.hold(W0_2D), 2, 2.0,
+                                      t_max=20.0 / W0_2D, tolerance=1e-10)
+        times = horizon_crossing_time(np.array([1e-9, 1.0, 1e9]), traj)
+        assert np.all(np.isinf(times))
 
     def test_rejects_nonpositive_kappa(self, traj2d):
-        with pytest.raises(ValueError):
-            horizon_crossing_time(0.0, traj2d)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                horizon_crossing_time(bad, traj2d)
+            with pytest.raises(ValueError):
+                horizon_crossing_time(np.array([1.0, bad, 2.0]), traj2d)
+
+    @pytest.mark.parametrize("name", ["sodium-q2d", "rubidium-3d"])
+    def test_matches_brentq_on_presets(self, name):
+        traj, c0 = _preset_trajectory(name)
+        start = particle_horizon(traj, 0.0, c0)
+        end = particle_horizon(traj, traj.t_max, c0)
+        kappas = np.geomspace(0.3 * 2.0 * math.pi / start,
+                              3.0 * 2.0 * math.pi / end, 64)
+        expected = []
+        for kappa in kappas:
+            wavelength = 2.0 * math.pi / kappa
+            if start <= wavelength:
+                expected.append(0.0)
+            elif end > wavelength:
+                expected.append(math.inf)
+            else:
+                expected.append(brentq(
+                    lambda t: particle_horizon(traj, t, c0) - wavelength,
+                    0.0, traj.t_max, xtol=1e-14 * traj.t_max))
+        expected = np.array(expected)
+        times = horizon_crossing_time(kappas, traj, c0)
+        # both edges are populated, and classified exactly as brentq's path
+        crossing = (expected > 0.0) & np.isfinite(expected)
+        assert np.any(expected == 0.0) and np.any(np.isinf(expected))
+        assert np.array_equal(times == 0.0, expected == 0.0)
+        assert np.array_equal(np.isinf(times), np.isinf(expected))
+        assert np.max(np.abs(times[crossing] - expected[crossing])) <= 1e-13 * traj.t_max
 
 
 class TestArrayPath:
@@ -198,9 +226,22 @@ class TestArrayPath:
         assert all(np.ndim(v) == 0 for v in scalars)
         assert values.tobytes() == np.array(scalars).tobytes()
 
+    @pytest.mark.parametrize("name", ["traj2d", "traj3d"])
+    def test_crossing_array_matches_scalar_bitwise(self, name, request):
+        traj = request.getfixturevalue(name)
+        c0 = 2.0e-3
+        kappas = np.geomspace(0.3 * 2.0 * math.pi / particle_horizon(traj, 0.0, c0),
+                              3.0 * 2.0 * math.pi / particle_horizon(traj, traj.t_max, c0),
+                              40)
+        values = horizon_crossing_time(kappas, traj, c0)
+        scalars = [horizon_crossing_time(float(k), traj, c0) for k in kappas]
+        assert all(np.ndim(v) == 0 for v in scalars)
+        assert values[0] == 0.0 and math.isinf(values[-1])
+        assert values.tobytes() == np.array(scalars).tobytes()
+
     @pytest.mark.parametrize("horizon", [apparent_horizon, particle_horizon])
     def test_rejects_one_time_out_of_range(self, horizon, traj2d):
-        for bad in (-1.0, 2.0 * traj2d.t_max):
+        for bad in (-1.0, 2.0 * traj2d.t_max, math.nan):
             with pytest.raises(ValueError):
                 horizon(traj2d, np.array([0.0, bad, traj2d.t_max]))
 

@@ -213,10 +213,8 @@ class TestThermal:
 def test_grid_and_csv(sodium_params, tmp_path):
     p = sodium_params
     kappas = np.geomspace(0.1 / p["xi"], 10.0 / p["xi"], 32)
-    spectrum = spectrum_2d_grid(kappas, p["g2d"], p["mu"], p["m"], scenario="test")
-    assert spectrum.dimension == 2
+    spectrum = spectrum_2d_grid(kappas, p["g2d"], p["mu"], p["m"])
     assert np.all(spectrum.values >= 0.0)
-    assert spectrum.metadata["scenario"] == "test"
     # the spectrum-2d stage writes the same grid with its windowed contrast
     numeric = {"kappa_min_per_m": 0.1 / p["xi"], "kappa_max_per_m": 10.0 / p["xi"],
                "kappa_points": 32}

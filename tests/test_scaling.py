@@ -6,10 +6,9 @@ from scipy.integrate import solve_ivp
 
 from becosmo.scaling import (ExpansionProtocol, LinearExpansion,
                              NumericalError, analytic_scale_2d,
-                             background_fields, clock_exponent,
-                             horizon_exponent, integrate_scale_factor,
-                             is_flat_case, proper_time, scale_exponent,
-                             scale_ode_rhs, scaling_map_factors)
+                             clock_exponent, horizon_exponent,
+                             integrate_scale_factor, is_flat_case,
+                             proper_time, scale_exponent, scale_ode_rhs)
 from becosmo.scenarios import PRESETS, config_from_dict, run
 
 from conftest import W0_2D, W0_3D
@@ -60,6 +59,11 @@ class TestAnalytic2d:
         _, bdot = analytic_scale_2d(1e6 / W0_2D, W0_2D)
         assert bdot == pytest.approx(W0_2D, rel=1e-10)
 
+    def test_rejects_negative_or_nan_time(self):
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                analytic_scale_2d(bad, W0_2D)
+
 
 class TestTrajectory:
     def test_matches_closed_form(self, traj2d):
@@ -101,12 +105,14 @@ class TestTrajectory:
             integrate_scale_factor(protocol, 2, 2.0, 1.0, tolerance=1e-15)
         with pytest.raises(ValueError):
             integrate_scale_factor(protocol, 2, 2.0, -1.0)
+        with pytest.raises(ValueError):
+            integrate_scale_factor(protocol, 2, 2.0, math.nan)
 
     def test_range_guard(self, traj2d):
-        with pytest.raises(ValueError):
-            traj2d.b(2.0 * traj2d.t_max)
-        with pytest.raises(ValueError):
-            traj2d.b(-1.0)
+        for lookup in (traj2d.b, traj2d.bdot, traj2d.clock, traj2d.horizon_integral):
+            for bad in (2.0 * traj2d.t_max, -1.0, math.nan):
+                with pytest.raises(ValueError):
+                    lookup(bad)
 
     def test_overflow_is_a_numerical_error(self):
         protocol = ExpansionProtocol.free_expansion(W0_2D)
@@ -222,65 +228,15 @@ class TestProperTime:
         assert not is_flat_case(3, 2.0)
 
 
-class TestBackgroundFields:
-    def test_initial_slice(self, traj2d):
-        fields = background_fields(traj2d, 0.0, np.array([1e-6, 2e-6]),
-                                   rho0_initial=5e13)
-        assert fields.density == pytest.approx(5e13, rel=1e-12)
-        assert np.abs(fields.velocity).max() <= 1e-10
-        assert fields.comoving_position == pytest.approx([1e-6, 2e-6], rel=1e-12)
-
-    def test_density_dilution_2d(self, traj2d):
-        t = float(traj2d.ts[len(traj2d.ts) // 2])
-        b = float(traj2d.b(t))
-        fields = background_fields(traj2d, t, 1e-6, rho0_initial=1.0)
-        assert fields.density == pytest.approx(1.0 / b**2, rel=1e-14)
-
-    def test_density_times_bD_constant(self, traj3d):
-        rho0 = 3.3e20
-        for t in traj3d.ts[:: len(traj3d.ts) // 7]:
-            fields = background_fields(traj3d, float(t), 1e-6, rho0_initial=rho0)
-            b = float(traj3d.b(float(t)))
-            assert fields.density * b**3 == pytest.approx(rho0, rel=1e-14)
-
-    def test_velocity_field_3d(self, traj3d):
-        t = traj3d.t_max / 2.0
-        b = float(traj3d.b(t))
-        bdot = float(traj3d.bdot(t))
-        r = 2.5e-6
-        fields = background_fields(traj3d, t, r)
-        assert fields.velocity == pytest.approx(bdot / b * r, rel=1e-14)
-        assert fields.comoving_position == pytest.approx(r / b, rel=1e-14)
-
-    def test_extrapolation_rejected(self, traj2d):
-        with pytest.raises(ValueError):
-            background_fields(traj2d, 10.0 * traj2d.t_max, 1e-6)
-
-
-class TestScalingMap:
-    def test_identity(self):
-        amp, phase = scaling_map_factors(2, 1.0)
-        assert amp == 1.0 and phase == 0.0
-
-    def test_amplitudes(self):
-        assert scaling_map_factors(2, 4.0)[0] == pytest.approx(0.25, rel=1e-15)
-        assert scaling_map_factors(3, 2.0)[0] == pytest.approx(2.0**-1.5, rel=1e-15)
-
-    def test_phase_argument(self):
-        _, phase = scaling_map_factors(3, 2.0, mass=2.0, velocity=3.0)
-        assert phase == pytest.approx(9.0, rel=1e-15)
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            scaling_map_factors(2, 0.0)
-
-
 class TestLinearExpansion:
     def test_background(self):
         bg = LinearExpansion(0.5)
         assert bg.b(4.0) == pytest.approx(2.0)
         assert bg.bdot(4.0) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            bg.b(0.0)
-        with pytest.raises(ValueError):
-            LinearExpansion(-1.0)
+        for bad in (0.0, math.nan):
+            for lookup in (bg.b, bg.bdot, lambda t: bg.expansion_on(t, 4.0)):
+                with pytest.raises(ValueError):
+                    lookup(bad)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                LinearExpansion(bad)

@@ -486,16 +486,27 @@ class TestCli:
         assert not (out / "spectrum.csv").exists()
 
     def test_report_imports_no_scipy(self, tmp_path):
-        # scipy's import dominates a CLI process's start-up; the run path
-        # needs numpy only
+        # scipy's import dominates a CLI process's start-up; the package
+        # needs numpy only, so every scipy import is made to fail up front
         script = "\n".join([
             "import sys",
+            "sys.modules['scipy'] = None",
+            "import numpy as np",
             "import becosmo",
             "from becosmo.cli import main",
             "for preset in ('sodium-q2d', 'rubidium-3d'):",
             "    out = sys.argv[1] + '/' + preset",
             "    assert main(['report', '--scenario', preset, '--out', out]) == 0",
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"])
+            "    config = becosmo.load_scenario(preset)",
+            "    spec = config.condensate",
+            "    traj = becosmo.integrate_scale_factor(",
+            "        config.protocol(), spec.trap.dimension, spec.interaction.exponent,",
+            "        config.numeric.t_max_omega0 / spec.trap.longitudinal_frequency)",
+            "    kappas = np.geomspace(1e2, 1e10, 64)",
+            "    times = becosmo.horizon_crossing_time(kappas, traj, 1e-3)",
+            "    assert times.shape == (64,)",
+            "print(sorted(m for m, mod in sys.modules.items()",
+            "             if m.startswith('scipy') and mod is not None))"])
         src = str(Path(becosmo.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -17,13 +17,12 @@ from becosmo.scaling import (ExpansionProtocol, LinearExpansion, ScaleTrajectory
                              integrate_scale_factor)
 from becosmo.threed import (ModeIntegrationError, adiabatic_frequency,
                             analytic_evolution, analytic_mode,
-                            analytic_mode_derivative, basis_wronskian,
+                            analytic_mode_derivative,
                             density_contrast_from_mode, density_spectrum_3d,
                             freezing_time, frozen_phase_variance,
                             hankel_argument, integrate_mode, kappa_band_edge,
                             max_contrast_estimate, mode_normalization,
-                            mode_ode_rhs, projection_suppression,
-                            spectrum_3d_grid)
+                            mode_ode_rhs, spectrum_3d_grid)
 from becosmo.scenarios import PRESETS, config_from_dict, run
 
 ALPHA = math.sqrt(2.0 / 3.0)   # natural units, omega0 = 1
@@ -125,11 +124,17 @@ class TestAnalyticMode:
             assert d2[i] == d1[i].conjugate()
 
     def test_wronskian_constancy_with_measure(self):
-        kappa, c0 = 2.0, 1.0
+        # b^3 (u1 u2' - u2 u1') = 6 i alpha^3 / pi, which mode_normalization
+        # turns into the canonical commutator i g
+        kappa, c0, coupling = 2.0, 1.0, 0.7
         expected = 6j * ALPHA**3 / math.pi
-        for t in np.geomspace(0.01, 1000.0, 25):
-            w = basis_wronskian(kappa, float(t), ALPHA, c0)
-            assert abs(w - expected) <= 1e-10 * abs(expected)
+        norm = mode_normalization(coupling, ALPHA)
+        times = np.geomspace(0.01, 1000.0, 25)
+        u1, u2 = analytic_mode(kappa, times, ALPHA, c0)
+        d1, d2 = analytic_mode_derivative(kappa, times, ALPHA, c0)
+        w = (ALPHA * times) ** 3 * (u1 * d2 - u2 * d1)
+        assert np.max(np.abs(w - expected)) <= 1e-10 * abs(expected)
+        assert np.max(np.abs(norm**2 * w - 1j * coupling)) <= 1e-10 * coupling
 
 
 class TestIntegrateMode:
@@ -295,6 +300,17 @@ class TestIntegrateMode:
             integrate_mode(kappa, LinearExpansion(ALPHA), _deep_start(kappa),
                            freezing_time(kappa, ALPHA), tolerance=1e-30)
 
+    @pytest.mark.parametrize("kappa, end_factor, match", [
+        (0.0, 1.0, "kappa"), (math.nan, 1.0, "kappa"),
+        (8.0, 0.0, "t_end"), (8.0, math.nan, "t_end")])
+    def test_rejects_bad_kappa_or_end(self, kappa, end_factor, match, monkeypatch):
+        # end_factor 0 puts t_end on t_start
+        monkeypatch.setattr(threed, "_solve_blocks", _no_solve)
+        t_start = _deep_start(8.0)
+        t_end = t_start + end_factor * (freezing_time(8.0, ALPHA) - t_start)
+        with pytest.raises(ValueError, match=match):
+            integrate_mode(kappa, LinearExpansion(ALPHA), t_start, t_end)
+
     @pytest.mark.parametrize("tolerance", [0.0, -1e-10, math.nan])
     def test_rejects_nonpositive_tolerance(self, tolerance):
         kappa = 8.0
@@ -429,28 +445,10 @@ class TestMaxContrast:
                                      rel=1e-14)
 
 
-class TestProjection:
-    def test_values(self):
-        assert projection_suppression(1.0, 100.0) == pytest.approx(0.01)
-        assert projection_suppression(1.0, 2.0) == pytest.approx(0.5)
-
-    def test_rejects_thin_column(self):
-        with pytest.raises(ValueError):
-            projection_suppression(2.0, 1.0)
-
-    def test_preserves_slope(self):
-        kappas = np.geomspace(0.5, 50.0, 30)
-        values = np.array([density_spectrum_3d(float(k), 1.0, 1.0, 1.0, ALPHA)
-                           for k in kappas])
-        suppressed = values * projection_suppression(1.0, 37.0)
-        slope = linregress(np.log(kappas), np.log(suppressed)).slope
-        assert slope == pytest.approx(4.0 / 3.0, abs=1e-6)
-
-
 def test_spectrum_grid_and_csvs(tmp_path):
     kappas = np.geomspace(0.1, 3.0, 16)
     spectrum = spectrum_3d_grid(kappas, xi=1.0, c0=1.0, rho0=1.0, alpha=ALPHA,
-                                coupling=1.0, omega_xi=1.0, scenario="test")
+                                coupling=1.0, omega_xi=1.0)
     kmax = kappa_band_edge(1.0, ALPHA, 1.0)
     assert np.array_equal(spectrum.in_band, kappas <= kmax)
     assert np.sum(~spectrum.in_band) > 0

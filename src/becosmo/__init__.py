@@ -9,10 +9,9 @@ effective geometry and horizons, and the frozen quasi-2D and 3D spectra.
 """
 
 from .condensate import (AtomSpecies, CondensateSpec, DerivedParams,
-                         InteractionLaw, TrapGeometry, effective_coupling,
-                         reduce_coupling, sound_frequency_at_healing_scale,
-                         swave_coupling, thomas_fermi,
-                         validate_dimensional_reduction)
+                         TrapGeometry, effective_coupling, reduce_coupling,
+                         sound_frequency_at_healing_scale, swave_coupling,
+                         thomas_fermi, validate_dimensional_reduction)
 from .geometry import (apparent_horizon, conformal_factor, flatness_exponent,
                        horizon_crossing_time, metric_components,
                        particle_horizon, settled_apparent_horizon)

@@ -1,8 +1,10 @@
 """Static condensate properties.
 
-Trap, species and interaction parameters go in; the Thomas-Fermi state comes
-out: chemical potential, peak density, healing length, sound speed, reduced
-and effective couplings, plus the dimensional-reduction validity checks.
+The model is stated here once: a quasi-2D or 3D condensate (DIMENSIONS)
+with the quartic coupling g |psi|^4 (INTERACTION_EXPONENT N = 2). Trap and
+species parameters go in; the Thomas-Fermi state comes out: chemical
+potential, peak density, healing length, sound speed, reduced and effective
+couplings, plus the dimensional-reduction validity checks.
 
 Inputs are SI. Internally the interaction formulas use natural units with
 hbar = 1 (mass -> m/hbar, energy -> E/hbar, coupling -> g/hbar); DerivedParams
@@ -13,16 +15,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import HBAR, SPECIES
 
+DIMENSIONS = (2, 3)
+INTERACTION_EXPONENT = 2.0
+
 # Smallest scale ratio each dimensional-reduction check accepts.
 _VALIDITY_THRESHOLD = 3.0
-
-
-class UnsupportedModelError(ValueError):
-    """Raised for (dimension, exponent) combinations without a closed form."""
 
 
 @dataclass(frozen=True)
@@ -51,20 +52,20 @@ class AtomSpecies:
 class TrapGeometry:
     dimension: int
     longitudinal_frequency: float            # omega0, rad/s
-    transverse_frequency: float | None = None  # omega_z, rad/s, required iff D < 3
+    transverse_frequency: float | None = None  # omega_z, rad/s, required iff D = 2
 
     def __post_init__(self):
-        if self.dimension not in (1, 2, 3):
-            raise ValueError("dimension must be 1, 2 or 3")
+        if self.dimension not in DIMENSIONS:
+            raise ValueError(f"dimension must be 2 or 3, got {self.dimension!r}")
         # omega0^2 sets the restoring force of b(t); a square that underflows
         # or overflows would silently hold b at 1 or blow the derivation up.
         omega0 = self.longitudinal_frequency
         if not (omega0 > 0.0 and sys.float_info.min <= omega0 * omega0 < math.inf):
             raise ValueError("longitudinal frequency must be positive, with a square "
                              "that is a normal float (about 1.5e-154 to 1.3e154)")
-        if self.dimension < 3:
+        if self.dimension == 2:
             if self.transverse_frequency is None:
-                raise ValueError("transverse frequency required for dimension < 3")
+                raise ValueError("transverse frequency required for dimension 2")
             if not self.longitudinal_frequency < self.transverse_frequency < math.inf:
                 raise ValueError("transverse confinement must be finite and tighter "
                                  "than longitudinal")
@@ -73,29 +74,16 @@ class TrapGeometry:
 
 
 @dataclass(frozen=True)
-class InteractionLaw:
-    """Power-law self-interaction ~ g |psi|^(2N); the quartic (N=2) coupling
-    comes from the species' scattering length."""
-    exponent: float = 2.0
-
-    def __post_init__(self):
-        if not 1.0 < self.exponent < math.inf:
-            raise ValueError("exponent N must be finite and exceed 1 "
-                             "(N=1 carries no sound)")
-
-
-@dataclass(frozen=True)
 class CondensateSpec:
+    """A trapped cloud of one species; the coupling comes from the species'
+    scattering length."""
     species: AtomSpecies
     trap: TrapGeometry
     atom_number: float
-    interaction: InteractionLaw = field(default_factory=InteractionLaw)
 
     def __post_init__(self):
         if not 1 <= self.atom_number < math.inf:
             raise ValueError("atom_number must be finite and at least 1")
-        if self.trap.dimension == 1 and not math.isclose(self.interaction.exponent, 3.0):
-            raise ValueError("1D condensates are supported only with the N=3 coupling")
 
 
 @dataclass(frozen=True)
@@ -106,9 +94,9 @@ class DerivedParams:
     healing_length: float              # m
     sound_speed: float                 # m/s
     thomas_fermi_radius: float         # m
-    transverse_width: float | None     # m, D < 3 only
-    reduced_coupling: float | None     # J m^D, D < 3 only
-    effective_coupling: float          # J m^D for N=2; general-N units vary
+    transverse_width: float | None     # m, D = 2 only
+    reduced_coupling: float | None     # J m^D, D = 2 only
+    effective_coupling: float          # J m^D
     dimension: int
     exponent: float
 
@@ -179,18 +167,17 @@ def effective_coupling(g: float, exponent: float, rho0: float) -> float:
 
 
 def thomas_fermi(spec: CondensateSpec) -> DerivedParams:
-    """Closed-form Thomas-Fermi state for the harmonic trap.
+    """Closed-form Thomas-Fermi state of the harmonic trap, quartic coupling.
 
-    Supports (D=3, N=2) and (D=2, N=2); everything else lacks the closed-form
-    profile this module promises and raises UnsupportedModelError.
+    3D uses the s-wave coupling and the spherical profile; quasi-2D folds the
+    tight direction into the reduced coupling first.
     """
     D = spec.trap.dimension
-    N = spec.interaction.exponent
     m = spec.species.mass
     omega0 = spec.trap.longitudinal_frequency
     n_atoms = spec.atom_number
 
-    if D == 3 and math.isclose(N, 2.0):
+    if D == 3:
         g = swave_coupling(spec.species)
         a_ho = math.sqrt(HBAR / (m * omega0))
         radius = a_ho * (15.0 * n_atoms * spec.species.scattering_length / a_ho) ** 0.2
@@ -199,7 +186,7 @@ def thomas_fermi(spec: CondensateSpec) -> DerivedParams:
         a_perp = None
         g_reduced = None
         g_eff = g
-    elif D == 2 and math.isclose(N, 2.0):
+    else:
         omega_z = spec.trap.transverse_frequency
         g3d = swave_coupling(spec.species)
         g_reduced = reduce_coupling(g3d, spec.species, omega_z)
@@ -208,9 +195,6 @@ def thomas_fermi(spec: CondensateSpec) -> DerivedParams:
         radius = math.sqrt(2.0 * mu / (m * omega0**2))
         a_perp = transverse_width(spec.species, omega_z)
         g_eff = g_reduced
-    else:
-        raise UnsupportedModelError(
-            f"no closed-form Thomas-Fermi profile for (D={D}, N={N})")
 
     xi = HBAR / math.sqrt(g_eff * rho0 * m)
     c = math.sqrt(g_eff * rho0 / m)
@@ -224,7 +208,7 @@ def thomas_fermi(spec: CondensateSpec) -> DerivedParams:
         reduced_coupling=g_reduced,
         effective_coupling=g_eff,
         dimension=D,
-        exponent=N,
+        exponent=INTERACTION_EXPONENT,
     )
 
 

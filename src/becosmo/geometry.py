@@ -2,10 +2,12 @@
 
 Long-wavelength phonons on the expanding background propagate in an
 effective metric of Painleve-Gullstrand-Lemaitre form, conformally scaled
-by A = (c/g_N)^(2/(D-1)). This module builds the metric, classifies the
-flat co-moving cases, and evaluates the two horizon notions: the apparent
-horizon (flow speed = sound speed, g00 = 0 in laboratory slicing) and the
-co-moving particle horizon (total remaining reach of sound signals).
+by A = (c/g_N)^(2/(D-1)), D = 2 or 3. This module builds the metric and
+evaluates the two horizon notions: the apparent horizon (flow speed = sound
+speed, g00 = 0 in laboratory slicing) and the co-moving particle horizon
+(total remaining reach of sound signals). Both read the sound-speed decay
+from the trajectory's horizon exponent s, and the release sound speed c0
+must be positive and finite.
 
 All horizon statements apply to wavelengths well above the healing length;
 below it, dispersion takes over and the geometric picture dissolves.
@@ -22,22 +24,14 @@ scenarios writes horizons.csv.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .scaling import ScaleTrajectory, is_flat_case
+from .scaling import ScaleTrajectory
 
 
 def conformal_factor(sound_speed: float, coupling: float, dimension: int) -> float:
-    """A = (c/g_N)^(2/(D-1)); for D=1 the factor is arbitrary and set to 1.
-
-    The D=1 case only admits an effective metric when c/g_N stays constant
-    along the trajectory (N=3 with constant g); callers are responsible for
-    that, see metric_history.
-    """
-    if dimension == 1:
-        return 1.0
+    """A = (c/g_N)^(2/(D-1)) for D = 2 or 3."""
     if sound_speed <= 0.0 or coupling <= 0.0:
         raise ValueError("sound speed and coupling must be positive")
     return (sound_speed / coupling) ** (2.0 / (dimension - 1.0))
@@ -69,42 +63,42 @@ def metric_components(conformal: float, sound_speed: float, velocity):
     return cov, contra
 
 
-@dataclass(frozen=True)
-class FlatnessResult:
-    exponent: float | None     # exponent of b in A b^2; None for D=1
-    is_flat: bool
+def flatness_exponent(dimension: int, exponent: float) -> float:
+    """Scaling exponent of the co-moving metric factor A b^2, D = 2 or 3.
 
-
-def flatness_exponent(dimension: int, exponent: float) -> FlatnessResult:
-    """Scaling exponent of the co-moving metric factor A b^2 and the flat flag.
-
-    Flat (exponent zero) exactly when N = 1 + 2/D. D=1 is the conformal
-    special case: flat for N=3, no metric otherwise.
+    Zero, a flat co-moving metric, exactly when N = 1 + 2/D (see
+    scaling.is_flat_case).
     """
-    if dimension == 1:
-        return FlatnessResult(None, is_flat_case(1, exponent))
-    e = 2.0 + dimension * (exponent - 3.0) / (dimension - 1.0)
-    return FlatnessResult(e, is_flat_case(dimension, exponent))
+    return 2.0 + dimension * (exponent - 3.0) / (dimension - 1.0)
+
+
+def _check_c0(c0: float) -> None:
+    if not 0.0 < c0 < math.inf:
+        raise ValueError(f"sound speed c0={c0} must be positive and finite")
 
 
 def particle_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):
     """Co-moving particle horizon: remaining reach of sound emitted at t.
 
-    Evaluates c0 * integral_t^inf b^-(1 + D(N-1)/2) dt', numerically up to the
-    trajectory end plus the closed-form tail on the linear asymptote. Returns
-    inf when the expansion never reaches the linear regime (e.g. trap held on).
+    Evaluates c0 * integral_t^inf b^-s dt' with s = 1 + D(N-1)/2, numerically
+    up to the trajectory end plus the closed-form tail on the linear
+    asymptote. Returns inf when the expansion never reaches the linear regime
+    (e.g. trap held on).
     """
+    _check_c0(c0)
     return c0 * (trajectory.horizon_integral_infinity - trajectory.horizon_integral(t))
 
 
 def apparent_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):
     """Laboratory radius where the outward flow reaches the sound speed.
 
-    r = c(t) b / bdot = c0 b^(1 - D(N-1)/2) / bdot; infinite while bdot <= 0.
+    r = c(t) b / bdot = c0 b^(2 - s) / bdot, with c(t) = c0 b^(1 - s) and
+    s the horizon exponent; infinite while bdot <= 0.
     """
+    _check_c0(c0)
     b = trajectory.b(t)
     bdot = trajectory.bdot(t)
-    power = 1.0 - trajectory.dimension * (trajectory.exponent - 1.0) / 2.0
+    power = 2.0 - trajectory.s
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = c0 * np.float_power(b, power) / bdot
     return np.where(bdot > 0.0, radius, math.inf)[()]
@@ -117,10 +111,11 @@ def settled_apparent_horizon(trajectory: ScaleTrajectory,
     Flat cases settle at c0/alpha; steeper sound-speed decay drives the
     horizon to zero, shallower decay to infinity (returned as None).
     """
+    _check_c0(c0)
     alpha = trajectory.asymptotic_velocity
     if alpha <= 0.0:
         return None
-    power = 1.0 - trajectory.dimension * (trajectory.exponent - 1.0) / 2.0
+    power = 2.0 - trajectory.s
     if math.isclose(power, 0.0, abs_tol=1e-12):
         return c0 / alpha
     return 0.0 if power < 0.0 else None
@@ -137,6 +132,7 @@ def horizon_crossing_time(kappa, trajectory: ScaleTrajectory, c0: float = 1.0):
     one still inside it at t_max gives inf, as does every kappa when the
     horizon is infinite (trap held on, or no linear regime reached).
     """
+    _check_c0(c0)
     kappa = np.asarray(kappa, dtype=float)
     if not np.all(kappa > 0.0):
         raise ValueError("kappa must be positive")

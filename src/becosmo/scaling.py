@@ -4,8 +4,8 @@ The whole expansion is carried by a single scale factor b(t) obeying
 
     b'' = -omega_ext(t)^2 b + omega0^2 / b^p,      p = D(N-1) + 1,
 
-with b(0) = 1, b'(0) = 0. The generalized exponent p reproduces the quartic
-2D case (p = 3) and the quartic 3D case (p = 4). Alongside b the integrator
+with b(0) = 1, b'(0) = 0 and D = 2 or 3; the quartic coupling (N = 2) gives
+p = 3 in 2D and p = 4 in 3D. Alongside b the integrator
 accumulates the two improper-integral kernels everything downstream needs:
 the co-moving clock integral of b^q (proper time up to a constant prefactor)
 and the horizon integral of b^-s. The integrator is an in-module
@@ -21,6 +21,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .condensate import DIMENSIONS
 
 
 class NumericalError(RuntimeError):
@@ -43,16 +45,11 @@ def is_flat_case(dimension: int, exponent: float) -> bool:
 
 
 def clock_exponent(dimension: int, exponent: float) -> float:
-    """Integrand exponent q in the co-moving clock integral of b^q.
+    """Integrand exponent q in the co-moving clock integral of b^q, D = 2 or 3.
 
-    Flat cases have q = -2 exactly. For D >= 2 the general value combines the
-    conformal-factor and sound-speed scalings. D = 1 is only defined for the
-    conformal N = 3 coupling.
+    The value combines the conformal-factor and sound-speed scalings; flat
+    cases have q = -2 exactly.
     """
-    if dimension == 1:
-        if is_flat_case(1, exponent):
-            return -2.0
-        raise ValueError("co-moving clock undefined for D=1 unless N=3")
     return (dimension * (exponent - 3.0) / (2.0 * (dimension - 1.0))
             - dimension * (exponent - 1.0) / 2.0)
 
@@ -277,7 +274,7 @@ class ScaleTrajectory:
     method = "dormand-prince-5(4)"
 
     def __init__(self, protocol, dimension, exponent, tolerance, dense,
-                 ts, rtol, nfev, steps, p, q, s, clock_valid):
+                 ts, rtol, nfev, steps, p, q, s):
         self.protocol = protocol
         self.dimension = dimension
         self.exponent = exponent
@@ -289,7 +286,6 @@ class ScaleTrajectory:
         self.ts = ts
         self.bs, self.bdots, self.clocks, self.horizon_integrals = dense(ts)
         self.p, self.q, self.s = p, q, s
-        self.clock_valid = clock_valid
         self._fit_asymptote()
 
     # -- linear-regime bookkeeping -------------------------------------------
@@ -305,8 +301,8 @@ class ScaleTrajectory:
                 bd_f**2 + 2.0 * self.omega0**2 / ((self.p - 1.0) * b_f ** (self.p - 1.0)))
         else:
             self.asymptotic_velocity = bd_f
-        accel = abs(-self.protocol.omega_ext(t_f)**2 * b_f
-                    + self.omega0**2 / b_f**self.p)
+        accel = abs(scale_ode_rhs(b_f, t_f, self.protocol, self.dimension,
+                                  self.exponent))
         self.alpha_converged = bd_f > 0.0 and accel * b_f / bd_f**2 <= self.tolerance
 
         # The linear regime needs bdot within _LINEAR_TOL of its asymptote:
@@ -385,16 +381,15 @@ def integrate_scale_factor(protocol: ExpansionProtocol, dimension: int,
     tolerance is the local relative error target, restricted to
     (1e-14, 1e-4) so the embedded Runge-Kutta error control stays honest.
     """
+    if dimension not in DIMENSIONS:
+        raise ValueError(f"dimension must be 2 or 3, got {dimension!r}")
     if not t_max > 0.0:
         raise ValueError("t_max must be positive")
     if not 1e-14 < tolerance < 1e-4:
         raise ValueError("tolerance must lie in (1e-14, 1e-4)")
     p = scale_exponent(dimension, exponent)
     s = horizon_exponent(dimension, exponent)
-    try:
-        q, clock_valid = clock_exponent(dimension, exponent), True
-    except ValueError:
-        q, clock_valid = -2.0, False  # placeholder; the clock channel is unusable
+    q = clock_exponent(dimension, exponent)
     omega0 = protocol.initial_frequency
 
     def deriv(t, b, bdot):
@@ -412,8 +407,7 @@ def integrate_scale_factor(protocol: ExpansionProtocol, dimension: int,
             dense = _PiecewiseQuartic(starts, widths, states, stages)
             trajectory = ScaleTrajectory(protocol, dimension, exponent, tolerance, dense,
                                          np.linspace(0.0, t_max, n_samples), rtol,
-                                         nfev, len(starts), p=p, q=q, s=s,
-                                         clock_valid=clock_valid)
+                                         nfev, len(starts), p=p, q=q, s=s)
     except (OverflowError, FloatingPointError) as exc:
         raise NumericalError("scale-factor integration failed: overflow "
                              f"({exc.args[-1]})") from exc
@@ -467,15 +461,11 @@ class _ProperTime:
         return self._prefactor * self._traj.clock_infinity
 
 
-def proper_time(trajectory: ScaleTrajectory, prefactor: float | None = None):
+def proper_time(trajectory: ScaleTrajectory, prefactor: float = 1.0):
     """Co-moving proper time as a function of laboratory time.
 
     Flat cases (N = 1 + 2/D) use the bare 1/b^2 integrand, making tau a real
     time. The general branch multiplies the b^q clock by the caller-supplied
-    prefactor sqrt(A(0)) c(0); D=1 without N=3 has no co-moving clock at all.
+    prefactor sqrt(A(0)) c(0).
     """
-    if not trajectory.clock_valid:
-        raise ValueError("proper time undefined for D=1 unless N=3")
-    if prefactor is None:
-        prefactor = 1.0
     return _ProperTime(trajectory, prefactor)

@@ -26,12 +26,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import geometry, q2d, threed
-from .condensate import (AtomSpecies, CondensateSpec, DerivedParams,
-                         InteractionLaw, TrapGeometry, natural_coupling,
+from .condensate import (DIMENSIONS, INTERACTION_EXPONENT, AtomSpecies,
+                         CondensateSpec, DerivedParams, TrapGeometry, natural_coupling,
                          sound_frequency_at_healing_scale, swave_coupling,
                          thomas_fermi, validate_dimensional_reduction)
 from .scaling import (ExpansionProtocol, ScaleTrajectory, integrate_scale_factor,
-                      proper_time)
+                      is_flat_case, proper_time)
 
 
 class ConfigError(ValueError):
@@ -111,7 +111,7 @@ class ScenarioConfig:
                 },
                 "atom_number": cond.atom_number,
                 "dimension": cond.trap.dimension,
-                "interaction_exponent": cond.interaction.exponent,
+                "interaction_exponent": INTERACTION_EXPONENT,
                 "omega0_rad_per_s": cond.trap.longitudinal_frequency,
             },
             "expansion": {"mode": self.expansion_mode},
@@ -238,13 +238,16 @@ def _species_from_config(cond: dict) -> AtomSpecies:
 def config_from_dict(data: dict) -> ScenarioConfig:
     data = _section(data, "scenario")
     cond = _section(_require(data, "condensate", "scenario"), "condensate")
+    exponent = cond.get("interaction_exponent", INTERACTION_EXPONENT)
+    if exponent != INTERACTION_EXPONENT:
+        raise ConfigError("condensate.interaction_exponent must be 2 (the quartic "
+                          f"coupling), got {exponent!r}")
     try:
         trap = TrapGeometry(_require(cond, "dimension", "condensate"),
                             _require(cond, "omega0_rad_per_s", "condensate"),
                             cond.get("omega_z_rad_per_s"))
         condensate = CondensateSpec(_species_from_config(cond), trap,
-                                    _require(cond, "atom_number", "condensate"),
-                                    InteractionLaw(cond.get("interaction_exponent", 2.0)))
+                                    _require(cond, "atom_number", "condensate"))
     except ConfigError:
         raise
     except (KeyError, ValueError) as exc:  # the condensate types' own checks
@@ -403,7 +406,7 @@ def _derive(r: _Run) -> None:
 
 def _evolve(r: _Run) -> None:
     spec, numeric, derived = r.config.condensate, r.config.numeric, r.derived
-    D, N = spec.trap.dimension, spec.interaction.exponent
+    D, N = spec.trap.dimension, INTERACTION_EXPONENT
     r.trajectory = integrate_scale_factor(
         r.config.protocol(), D, N,
         t_max=numeric.t_max_omega0 / spec.trap.longitudinal_frequency,
@@ -421,7 +424,7 @@ def _evolve(r: _Run) -> None:
         })
     if "evolve" in r.writes:
         tau_prefactor = 1.0
-        if not geometry.flatness_exponent(D, N).is_flat:
+        if not is_flat_case(D, N):
             conformal0 = geometry.conformal_factor(
                 derived.sound_speed, natural_coupling(derived.effective_coupling), D)
             tau_prefactor = math.sqrt(conformal0) * derived.sound_speed
@@ -511,7 +514,7 @@ class Stage(NamedTuple):
     """A stage body, the stage it needs and the scenarios it applies to."""
     body: Callable[[_Run], None]
     needs: str | None = None
-    dimensions: tuple[int, ...] = (1, 2, 3)
+    dimensions: tuple[int, ...] = DIMENSIONS
     modes: tuple[str, ...] = ("free", "hold")
 
 

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from becosmo.condensate import (AtomSpecies, CondensateSpec, InteractionLaw,
-                                TrapGeometry, thomas_fermi)
+from becosmo.condensate import (AtomSpecies, CondensateSpec, TrapGeometry,
+                                thomas_fermi)
 from becosmo.scaling import ExpansionProtocol, integrate_scale_factor
 
 W0_2D = 2.0 * math.pi * 10.0
@@ -18,7 +18,6 @@ def sodium_spec():
         trap=TrapGeometry(dimension=2, longitudinal_frequency=W0_2D,
                           transverse_frequency=WZ_2D),
         atom_number=1e5,
-        interaction=InteractionLaw(exponent=2.0),
     )
 
 
@@ -33,7 +32,6 @@ def rubidium_spec():
         species=AtomSpecies.from_table("rubidium-87"),
         trap=TrapGeometry(dimension=3, longitudinal_frequency=W0_3D),
         atom_number=1e7,
-        interaction=InteractionLaw(exponent=2.0),
     )
 
 

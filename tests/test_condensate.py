@@ -5,15 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from becosmo.condensate import (AtomSpecies, CondensateSpec, DerivedParams,
-                                InteractionLaw, TrapGeometry,
-                                UnsupportedModelError, effective_coupling,
+                                TrapGeometry, effective_coupling,
                                 natural_coupling, reduce_coupling,
                                 sound_frequency_at_healing_scale, swave_coupling,
-                                thomas_fermi, transverse_width,
-                                validate_dimensional_reduction)
+                                transverse_width, validate_dimensional_reduction)
 from becosmo.constants import HBAR
 
-from conftest import W0_2D, W0_3D, WZ_2D
+from conftest import W0_3D, WZ_2D
 
 
 class TestTypes:
@@ -29,8 +27,10 @@ class TestTypes:
             AtomSpecies.from_table("unobtainium")
 
     def test_trap_validation(self):
-        with pytest.raises(ValueError):
-            TrapGeometry(dimension=4, longitudinal_frequency=1.0)
+        for dimension in (1, 4):  # the model is quasi-2D or 3D
+            with pytest.raises(ValueError):
+                TrapGeometry(dimension=dimension, longitudinal_frequency=1.0,
+                             transverse_frequency=10.0)
         with pytest.raises(ValueError):
             TrapGeometry(dimension=2, longitudinal_frequency=1.0)  # omega_z missing
         with pytest.raises(ValueError):
@@ -47,27 +47,11 @@ class TestTypes:
                 TrapGeometry(dimension=2, longitudinal_frequency=1.0,
                              transverse_frequency=omega_z)
 
-    def test_interaction_rejects_no_sound(self):
-        for exponent in (1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                InteractionLaw(exponent=exponent)
-
     def test_empty_condensate_rejected(self, sodium_spec):
         for atoms in (0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 CondensateSpec(species=sodium_spec.species, trap=sodium_spec.trap,
                                atom_number=atoms)
-
-    def test_1d_requires_conformal_coupling(self):
-        species = AtomSpecies.from_table("sodium")
-        trap = TrapGeometry(dimension=1, longitudinal_frequency=W0_2D,
-                            transverse_frequency=WZ_2D)
-        with pytest.raises(ValueError):
-            CondensateSpec(species=species, trap=trap, atom_number=1000,
-                           interaction=InteractionLaw(exponent=2.0))
-        # N=3 is the conformal case and is accepted
-        CondensateSpec(species=species, trap=trap, atom_number=1000,
-                       interaction=InteractionLaw(exponent=3.0))
 
 
 class TestReduceCoupling:
@@ -138,13 +122,6 @@ class TestThomasFermi:
     def test_sodium_lengths(self, sodium_derived):
         assert sodium_derived.healing_length == pytest.approx(1.34e-6, rel=0.02)
         assert sodium_derived.transverse_width == pytest.approx(0.746e-6, rel=0.01)
-
-    def test_unsupported_combination(self, rubidium_spec):
-        spec = CondensateSpec(species=rubidium_spec.species, trap=rubidium_spec.trap,
-                              atom_number=1e7,
-                              interaction=InteractionLaw(exponent=5.0 / 3.0))
-        with pytest.raises(UnsupportedModelError):
-            thomas_fermi(spec)
 
     @pytest.mark.parametrize("scenario", ["sodium", "rubidium"])
     def test_consistency_invariants(self, scenario, sodium_derived, rubidium_derived,

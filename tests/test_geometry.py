@@ -5,12 +5,12 @@ import pytest
 
 from scipy.optimize import brentq
 
-from becosmo.condensate import thomas_fermi
+from becosmo.condensate import INTERACTION_EXPONENT, thomas_fermi
 from becosmo.geometry import (apparent_horizon, conformal_factor,
                               flatness_exponent, horizon_crossing_time,
                               metric_components, particle_horizon,
                               settled_apparent_horizon)
-from becosmo.scaling import ExpansionProtocol, integrate_scale_factor
+from becosmo.scaling import ExpansionProtocol, integrate_scale_factor, is_flat_case
 from becosmo.scenarios import PRESETS, config_from_dict, run
 
 from conftest import W0_2D
@@ -22,9 +22,6 @@ class TestConformalFactor:
 
     def test_2d_power(self):
         assert conformal_factor(3.0, 2.0, 2) == pytest.approx((1.5) ** 2, rel=1e-15)
-
-    def test_1d_is_free_choice(self):
-        assert conformal_factor(5.0, 0.3, 1) == 1.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -59,19 +56,29 @@ class TestMetric:
 
 
 class TestFlatness:
-    @pytest.mark.parametrize("d, n", [(1, 3.0), (2, 2.0), (3, 5.0 / 3.0)])
+    @pytest.mark.parametrize("d, n", [(2, 2.0), (3, 5.0 / 3.0)])
     def test_flat_cases(self, d, n):
-        assert flatness_exponent(d, n).is_flat
+        assert is_flat_case(d, n)
+        assert flatness_exponent(d, n) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("d, n", [(3, 2.0), (2, 3.0)])
     def test_non_flat_cases(self, d, n):
-        assert not flatness_exponent(d, n).is_flat
+        assert not is_flat_case(d, n)
+        assert abs(flatness_exponent(d, n)) > 0.1
 
     def test_3d_quartic_exponent(self):
-        assert flatness_exponent(3, 2.0).exponent == pytest.approx(0.5, rel=1e-12)
+        assert flatness_exponent(3, 2.0) == pytest.approx(0.5, rel=1e-12)
 
-    def test_d1_has_no_exponent(self):
-        assert flatness_exponent(1, 3.0).exponent is None
+
+@pytest.mark.parametrize("c0", [math.nan, 0.0, -1.0, math.inf])
+def test_horizons_reject_bad_sound_speed(traj2d, c0):
+    calls = (lambda: particle_horizon(traj2d, 0.0, c0),
+             lambda: apparent_horizon(traj2d, 1.0, c0),
+             lambda: settled_apparent_horizon(traj2d, c0),
+             lambda: horizon_crossing_time([1e4, 1e6], traj2d, c0))
+    for call in calls:
+        with pytest.raises(ValueError, match="c0"):
+            call()
 
 
 class TestParticleHorizon:
@@ -143,7 +150,7 @@ def _preset_trajectory(name):
     config = config_from_dict(PRESETS[name])
     spec, numeric = config.condensate, config.numeric
     trajectory = integrate_scale_factor(
-        config.protocol(), spec.trap.dimension, spec.interaction.exponent,
+        config.protocol(), spec.trap.dimension, INTERACTION_EXPONENT,
         t_max=numeric.t_max_omega0 / spec.trap.longitudinal_frequency,
         tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples)
     return trajectory, thomas_fermi(spec).sound_speed

@@ -107,6 +107,9 @@ class TestTrajectory:
             integrate_scale_factor(protocol, 2, 2.0, -1.0)
         with pytest.raises(ValueError):
             integrate_scale_factor(protocol, 2, 2.0, math.nan)
+        for dimension in (1, 4):  # the model is quasi-2D or 3D
+            with pytest.raises(ValueError, match="dimension"):
+                integrate_scale_factor(protocol, dimension, 2.0, 1.0)
 
     def test_range_guard(self, traj2d):
         for lookup in (traj2d.b, traj2d.bdot, traj2d.clock, traj2d.horizon_integral):
@@ -217,14 +220,10 @@ class TestProperTime:
         assert clock_exponent(2, 2.0) == pytest.approx(-2.0)
         assert clock_exponent(3, 5.0 / 3.0) == pytest.approx(-2.0)
         assert clock_exponent(3, 2.0) == pytest.approx(-2.25)
-        assert clock_exponent(1, 3.0) == pytest.approx(-2.0)
-        with pytest.raises(ValueError):
-            clock_exponent(1, 2.0)
 
     def test_flat_classification(self):
         assert is_flat_case(2, 2.0)
         assert is_flat_case(3, 5.0 / 3.0)
-        assert is_flat_case(1, 3.0)
         assert not is_flat_case(3, 2.0)
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import becosmo
 from becosmo import scenarios
 from becosmo.cli import main
+from becosmo.condensate import thomas_fermi
 from becosmo.scaling import ScaleTrajectory
 from becosmo.scenarios import (PRESETS, ConfigError, StageError,
                                config_from_dict, load_scenario, run)
@@ -105,6 +106,15 @@ class TestLoading:
         config = config_from_dict(data)
         assert config.condensate.species.scattering_length == pytest.approx(1.9e-9)
 
+    def test_readme_configs_load_and_derive(self):
+        # every JSON block of the README is a scenario the loader accepts
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = [block.split("```", 1)[0] for block in readme.split("```json\n")[1:]]
+        assert blocks
+        for block in blocks:
+            config = config_from_dict(json.loads(block))
+            assert thomas_fermi(config.condensate).healing_length > 0.0
+
 
 # Inputs the config boundary must reject: each is a ConfigError, and the CLI
 # exits 1 without writing anything.
@@ -185,6 +195,7 @@ def test_mutated_preset_rejects_or_round_trips(leaf, value):
     except ConfigError:
         return
     assert config_from_dict(config.to_dict()) == config
+    thomas_fermi(config.condensate)  # an accepted model always derives
 
 
 class TestRun:
@@ -241,15 +252,19 @@ class TestRun:
             "manifest.json", "derived.json", "horizons.csv", "spectrum.csv"}
 
     def test_stage_failure_keeps_partial_outputs(self, tmp_path):
+        # kappa edges of 1e-300 and 1e300 overflow the 3D spectrum
         data = _preset_dict("rubidium-3d")
-        data["condensate"]["interaction_exponent"] = 5.0 / 3.0
+        data["numeric"].update(kappa_min_per_m=1e-300, kappa_max_per_m=1e300)
         out = tmp_path / "fail"
         with pytest.raises(StageError) as err:
             run(config_from_dict(data), out)
-        assert err.value.stage == "derive"
+        assert err.value.stage == "spectrum-3d"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["complete"] is False
-        assert manifest["failed_stage"] == "derive"
+        assert manifest["failed_stage"] == "spectrum-3d"
+        for name in ("derived.json", "trajectory.csv", "horizons.csv"):
+            assert (out / name).exists(), name
+        assert not (out / "spectrum.csv").exists()
 
     # A failure anywhere inside a stage, file writes and reference rows
     # included, names that stage in the error and in the manifest. A patched
@@ -356,13 +371,28 @@ class TestCli:
         assert main(["derive", "--scenario", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "x")]) == 1
 
-    def test_numeric_failure_exit_two(self, tmp_path):
-        data = _preset_dict("rubidium-3d")
-        data["condensate"]["interaction_exponent"] = 5.0 / 3.0
-        path = tmp_path / "bad.json"
+    def test_numeric_failure_exit_two(self, tmp_path, capsys):
+        assert main(["spectrum3d", "--scenario", "rubidium-3d", "--out",
+                     str(tmp_path / "y"), "--kappa-min", "1e-300",
+                     "--kappa-max", "1e300"]) == 2
+        assert "stage 'spectrum-3d' failed" in capsys.readouterr().err
+
+    # The model is quasi-2D or 3D with the quartic coupling; any other is
+    # rejected at load, before a run directory exists.
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("field, value", [
+        ("dimension", 1), ("interaction_exponent", 1.5),
+        ("interaction_exponent", 3.0), ("interaction_exponent", 5.0 / 3.0)])
+    def test_unsupported_model_exit_one(self, tmp_path, capsys, preset, field, value):
+        data = _preset_dict(preset)
+        data["condensate"][field] = value
+        path = tmp_path / "model.json"
         path.write_text(json.dumps(data))
-        assert main(["derive", "--scenario", str(path),
-                     "--out", str(tmp_path / "y")]) == 2
+        out = tmp_path / "never"
+        assert main(["report", "--scenario", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and field in err
+        assert not out.exists()
 
     def test_warning_exit_three(self, tmp_path):
         data = _preset_dict("sodium-q2d", analysis=["derive"])
@@ -494,13 +524,14 @@ class TestCli:
             "import numpy as np",
             "import becosmo",
             "from becosmo.cli import main",
+            "from becosmo.condensate import INTERACTION_EXPONENT",
             "for preset in ('sodium-q2d', 'rubidium-3d'):",
             "    out = sys.argv[1] + '/' + preset",
             "    assert main(['report', '--scenario', preset, '--out', out]) == 0",
             "    config = becosmo.load_scenario(preset)",
             "    spec = config.condensate",
             "    traj = becosmo.integrate_scale_factor(",
-            "        config.protocol(), spec.trap.dimension, spec.interaction.exponent,",
+            "        config.protocol(), spec.trap.dimension, INTERACTION_EXPONENT,",
             "        config.numeric.t_max_omega0 / spec.trap.longitudinal_frequency)",
             "    kappas = np.geomspace(1e2, 1e10, 64)",
             "    times = becosmo.horizon_crossing_time(kappas, traj, 1e-3)",

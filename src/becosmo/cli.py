@@ -2,9 +2,9 @@
 
 Verbs: derive, evolve, horizons, spectrum2d, spectrum3d, report, each taking
 --scenario <preset|path> plus output and numeric overrides. Exit codes:
-0 success, 1 configuration error, 2 numeric failure, 3 success with validity
-warnings. An undocumented selftest verb dumps the special-function identity
-table.
+0 success, 1 configuration error (a usage error included: an unknown verb, a
+missing or malformed option), 2 numeric failure, 3 success with validity
+warnings.
 """
 
 from __future__ import annotations
@@ -15,10 +15,18 @@ import sys
 
 from .scenarios import (STAGES, ConfigError, ScenarioConfig, StageError,
                         load_scenario, run, stage_chain)
-from .specfun import identity_table
 
 # One verb per pipeline stage, named without the hyphen (spectrum-2d -> spectrum2d).
 _VERB_STAGES = {stage.replace("-", ""): stage for stage in STAGES}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so it exits 1 like any other
+    configuration error; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -37,7 +45,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="becosmo",
         description="Expanding-condensate acoustic cosmology: derived "
                     "parameters, expansion histories, horizons and frozen "
@@ -47,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     for verb in _VERB_STAGES:
         sub = subs.add_parser(verb)
         _add_common(sub)
-    subs.add_parser("selftest")
     return parser
 
 
@@ -67,22 +74,9 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
                                analysis=tuple(dict.fromkeys(chain)))
 
 
-def _run_selftest() -> int:
-    ok = True
-    for row in identity_table():
-        passed = row["residual"] <= max(row["budget"], 1e-15)
-        ok = ok and passed
-        print(f"{'pass' if passed else 'FAIL'}  {row['check']:<34} "
-              f"residual {row['residual']:.3e}  budget {row['budget']:.0e}")
-    return 0 if ok else 2
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.verb == "selftest":
-        return _run_selftest()
-
     try:
+        args = build_parser().parse_args(argv)
         config = load_scenario(args.scenario)
         config = _apply_overrides(config, args)
     except ConfigError as exc:

@@ -4,7 +4,9 @@ The model is stated here once: a quasi-2D or 3D condensate (DIMENSIONS)
 with the quartic coupling g |psi|^4 (INTERACTION_EXPONENT N = 2). Trap and
 species parameters go in; the Thomas-Fermi state comes out: chemical
 potential, peak density, healing length, sound speed, reduced and effective
-couplings, plus the dimensional-reduction validity checks.
+couplings, plus the dimensional-reduction validity checks. The effective
+(fluctuation) coupling g N(N-1)/2 rho0^(N-2) is the contact coupling itself
+at N = 2.
 
 Inputs are SI. Internally the interaction formulas use natural units with
 hbar = 1 (mass -> m/hbar, energy -> E/hbar, coupling -> g/hbar); DerivedParams
@@ -124,15 +126,6 @@ class ValidityCheck:
     description: str
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    checks: tuple[ValidityCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def swave_coupling(species: AtomSpecies) -> float:
     """3D s-wave coupling g = 4 pi hbar^2 a_s / m (J m^3)."""
     return 4.0 * math.pi * HBAR**2 * species.scattering_length / species.mass
@@ -155,15 +148,6 @@ def reduce_coupling(g3d: float, species: AtomSpecies, omega_z: float) -> float:
         raise ValueError("g3d must be positive")
     a_z = transverse_width(species, omega_z)
     return g3d / (math.sqrt(2.0 * math.pi) * a_z)
-
-
-def effective_coupling(g: float, exponent: float, rho0: float) -> float:
-    """Quadratic-fluctuation coupling g_N = g N(N-1)/2 rho0^(N-2)."""
-    if exponent <= 1.0:
-        raise ValueError("exponent N must exceed 1 (N=1 carries no sound)")
-    if rho0 <= 0.0:
-        raise ValueError("rho0 must be positive")
-    return g * exponent * (exponent - 1.0) / 2.0 * rho0 ** (exponent - 2.0)
 
 
 def thomas_fermi(spec: CondensateSpec) -> DerivedParams:
@@ -213,7 +197,7 @@ def thomas_fermi(spec: CondensateSpec) -> DerivedParams:
 
 
 def validate_dimensional_reduction(spec: CondensateSpec,
-                                   derived: DerivedParams) -> ValidityReport:
+                                   derived: DerivedParams) -> tuple[ValidityCheck, ...]:
     """Scale-hierarchy checks behind the lower-dimensional description.
 
     (a) mode mixing: the transverse level spacing hbar*omega_z must dominate
@@ -222,6 +206,7 @@ def validate_dimensional_reduction(spec: CondensateSpec,
     (b) mean-field validity: a_perp must dominate the scattering length.
 
     A check fails when its ratio is below 3; failing is reported, never raised.
+    Returns the checks, none in 3D.
     """
     checks = []
     if derived.transverse_width is not None:
@@ -243,7 +228,7 @@ def validate_dimensional_reduction(spec: CondensateSpec,
             passed=ratio_b >= _VALIDITY_THRESHOLD,
             description="transverse width vs s-wave scattering length",
         ))
-    return ValidityReport(checks=tuple(checks))
+    return tuple(checks)
 
 
 def sound_frequency_at_healing_scale(derived: DerivedParams) -> float:

@@ -6,7 +6,6 @@ with hbar = 1; conversion happens at the boundary where SI inputs enter
 """
 
 HBAR = 1.054571817e-34       # J s
-K_B = 1.380649e-23           # J/K
 ATOMIC_MASS = 1.66053906660e-27  # kg
 
 # Species table: mass and default s-wave scattering length. Entries can be

@@ -63,15 +63,6 @@ def metric_components(conformal: float, sound_speed: float, velocity):
     return cov, contra
 
 
-def flatness_exponent(dimension: int, exponent: float) -> float:
-    """Scaling exponent of the co-moving metric factor A b^2, D = 2 or 3.
-
-    Zero, a flat co-moving metric, exactly when N = 1 + 2/D (see
-    scaling.is_flat_case).
-    """
-    return 2.0 + dimension * (exponent - 3.0) / (dimension - 1.0)
-
-
 def _check_c0(c0: float) -> None:
     if not 0.0 < c0 < math.inf:
         raise ValueError(f"sound speed c0={c0} must be positive and finite")

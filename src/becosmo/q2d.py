@@ -4,7 +4,9 @@ The flat quartic case (D = N = 2) scales perfectly: expressed in co-moving
 coordinates, background and fluctuations evolve identically before and during
 the free expansion, so the relative density correlation spectrum measured
 after the modes freeze equals the spectrum of the initially trapped cloud.
-Everything here therefore quantizes the initial state.
+Everything here therefore quantizes the initial state: at scale factor b the
+diluted cloud (mu -> mu/b^2, wavenumber -> kappa/b) gives, after the b^2
+Fourier-measure factor, the same density_spectrum_2d at co-moving kappa.
 
 Conventions. Spectra follow C(kappa) = integral d^D rho e^{i kappa rho}
 <drho(0) drho(rho)> / rho0^2. Mode amplitudes are stored per unit
@@ -12,10 +14,10 @@ quantization volume, so phase_amplitude * density_amplitude = 1/2 for every
 mode (the canonical pairing) and no volume factor survives in any reported
 spectrum. Interaction inputs are SI; hbar conversions happen inside.
 
-bogoliubov_frequency, density_spectrum_2d and thermal_occupation take a
-scalar or an array for k, kappa or temperature (every element checked) and
-return a NumPy scalar or an array. The module computes only; the run
-pipeline in scenarios writes the spectrum to spectrum.csv.
+bogoliubov_frequency and density_spectrum_2d take a scalar or an array for
+k or kappa (every element checked) and return a NumPy scalar or an array.
+The module computes only; the run pipeline in scenarios writes the spectrum
+to spectrum.csv.
 """
 
 from __future__ import annotations
@@ -25,10 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR, K_B
-
-# Occupation below which vacuum noise dominates a mode.
-_QUANTUM_THRESHOLD = 0.01
+from .constants import HBAR
 
 
 def bogoliubov_frequency(k, mu: float, m: float):
@@ -87,25 +86,6 @@ def density_spectrum_2d(kappa, g2d: float, mu: float, m: float):
     return g2d * kappa / (mu * np.sqrt(4.0 * m * mu / HBAR**2 + np.float_power(kappa, 2)))
 
 
-def comoving_spectrum_during_expansion(kappa: float, b: float, g2d: float,
-                                       mu: float, m: float) -> float:
-    """Co-moving spectrum at scale factor b: laboratory spectrum of the
-    diluted cloud (mu -> mu/b^2, wavenumber -> kappa/b) divided by the b^2
-    Fourier-measure factor. Equal to the initial spectrum for every b."""
-    if b <= 0.0:
-        raise ValueError("scale factor must be positive")
-    return density_spectrum_2d(kappa / b, g2d, mu / b**2, m) / b**2
-
-
-def subtracted_spectrum_2d(kappa: float, g2d: float, mu: float, m: float) -> float:
-    """Spectrum minus its local (contact) part g2d/mu.
-
-    Negative definite, approaching -2 g2d m / (hbar kappa)^2 ... i.e. the
-    magnitude falls off as 1/kappa^2 at large kappa.
-    """
-    return density_spectrum_2d(kappa, g2d, mu, m) - g2d / mu
-
-
 def windowed_contrast(kappa: float, xi: float, g2d: float, mu: float,
                       m: float) -> float:
     """Dimensionless density contrast C(kappa)/xi^2 inside a patch of area xi^2.
@@ -115,26 +95,6 @@ def windowed_contrast(kappa: float, xi: float, g2d: float, mu: float,
     windowed ratio is the observable.
     """
     return density_spectrum_2d(kappa, g2d, mu, m) / xi**2
-
-
-@dataclass(frozen=True)
-class ThermalOccupation:
-    occupation: float | np.ndarray
-    quantum_dominated: bool | np.ndarray
-
-
-def thermal_occupation(k: float, temperature, mu: float, m: float) -> ThermalOccupation:
-    """Bose-Einstein occupation of mode k and whether vacuum noise dominates
-    (occupation below 0.01)."""
-    temperature = np.asarray(temperature, dtype=float)
-    if np.any(temperature < 0.0):
-        raise ValueError("temperature must be non-negative")
-    omega = bogoliubov_frequency(k, mu, m)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = HBAR * omega / (K_B * temperature)
-        # T = 0 and x > 700 (where exp would overflow) both leave n = 0
-        n = np.where((temperature == 0.0) | (x > 700.0), 0.0, 1.0 / np.expm1(x))
-    return ThermalOccupation(n[()], (n < _QUANTUM_THRESHOLD)[()])
 
 
 @dataclass(frozen=True)

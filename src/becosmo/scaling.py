@@ -5,10 +5,12 @@ The whole expansion is carried by a single scale factor b(t) obeying
     b'' = -omega_ext(t)^2 b + omega0^2 / b^p,      p = D(N-1) + 1,
 
 with b(0) = 1, b'(0) = 0 and D = 2 or 3; the quartic coupling (N = 2) gives
-p = 3 in 2D and p = 4 in 3D. Alongside b the integrator
-accumulates the two improper-integral kernels everything downstream needs:
-the co-moving clock integral of b^q (proper time up to a constant prefactor)
-and the horizon integral of b^-s. The integrator is an in-module
+p = 3 in 2D and p = 4 in 3D. Alongside b the integrator accumulates the two
+improper-integral kernels everything downstream needs: the co-moving clock
+integral of b^q and the horizon integral of b^-s. The clock is the co-moving
+proper time tau over the constant sqrt(A(0)) c(0); in the flat cases
+(N = 1 + 2/D, q = -2) tau is the clock itself, a real time, and otherwise the
+run pipeline applies the prefactor. The integrator is an in-module
 Dormand-Prince 5(4) stepper (the method of scipy's RK45) with Shampine's
 quartic dense output, so the module needs numpy only. It computes only; the
 run pipeline in scenarios writes the sampled history to trajectory.csv.
@@ -301,9 +303,6 @@ class ScaleTrajectory:
                 bd_f**2 + 2.0 * self.omega0**2 / ((self.p - 1.0) * b_f ** (self.p - 1.0)))
         else:
             self.asymptotic_velocity = bd_f
-        accel = abs(scale_ode_rhs(b_f, t_f, self.protocol, self.dimension,
-                                  self.exponent))
-        self.alpha_converged = bd_f > 0.0 and accel * b_f / bd_f**2 <= self.tolerance
 
         # The linear regime needs bdot within _LINEAR_TOL of its asymptote:
         # over a short window b ~ 1 fits any line, and the fit alone would
@@ -441,31 +440,3 @@ class LinearExpansion:
 
     def bdot(self, t):
         return np.full_like(self._check_range(t), self.asymptotic_velocity)
-
-
-class _ProperTime:
-    def __init__(self, trajectory, prefactor):
-        self._traj = trajectory
-        self._prefactor = prefactor
-
-    def __call__(self, t):
-        return self._prefactor * self._traj.clock(t)
-
-    @property
-    def samples(self) -> np.ndarray:
-        """tau at the trajectory's sample times ts, from its stored clocks."""
-        return self._prefactor * self._traj.clocks
-
-    @property
-    def infinity(self) -> float:
-        return self._prefactor * self._traj.clock_infinity
-
-
-def proper_time(trajectory: ScaleTrajectory, prefactor: float = 1.0):
-    """Co-moving proper time as a function of laboratory time.
-
-    Flat cases (N = 1 + 2/D) use the bare 1/b^2 integrand, making tau a real
-    time. The general branch multiplies the b^q clock by the caller-supplied
-    prefactor sqrt(A(0)) c(0).
-    """
-    return _ProperTime(trajectory, prefactor)

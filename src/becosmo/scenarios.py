@@ -31,7 +31,7 @@ from .condensate import (DIMENSIONS, INTERACTION_EXPONENT, AtomSpecies,
                          sound_frequency_at_healing_scale, swave_coupling,
                          thomas_fermi, validate_dimensional_reduction)
 from .scaling import (ExpansionProtocol, ScaleTrajectory, integrate_scale_factor,
-                      is_flat_case, proper_time)
+                      is_flat_case)
 
 
 class ConfigError(ValueError):
@@ -374,7 +374,7 @@ def _derive(r: _Run) -> None:
     spec = r.config.condensate
     derived = r.derived = thomas_fermi(spec)
     validity = validate_dimensional_reduction(spec, derived)
-    for check in validity.checks:
+    for check in validity:
         if not check.passed:
             r.report.warnings.append({
                 "source": f"validity:{check.name}",
@@ -384,7 +384,7 @@ def _derive(r: _Run) -> None:
 
     payload = r.report.derived = derived.as_dict()
     payload["omega_xi_rad_per_s"] = sound_frequency_at_healing_scale(derived)
-    payload["validity"] = r.report.validity = [vars(c) for c in validity.checks]
+    payload["validity"] = r.report.validity = [vars(c) for c in validity]
     _write_json(r.out / "derived.json", payload)
     r.files["derived"] = "derived.json"
 
@@ -430,7 +430,7 @@ def _evolve(r: _Run) -> None:
             tau_prefactor = math.sqrt(conformal0) * derived.sound_speed
         _write_csv(r.out / "trajectory.csv", {
             "t_s": trajectory.ts, "b": trajectory.bs, "bdot_per_s": trajectory.bdots,
-            "tau": proper_time(trajectory, tau_prefactor).samples})
+            "tau": tau_prefactor * trajectory.clocks})
         r.files["trajectory"] = "trajectory.csv"
 
 

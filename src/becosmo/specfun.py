@@ -8,8 +8,11 @@ Evaluation uses two branches of one array-valued kernel:
   * ascending power series (extended-precision accumulation) for x < X_SWITCH,
   * Hankel asymptotic expansion (modulus/phase form) for x >= X_SWITCH.
 
-The Bessel and Hankel functions take a scalar or an array x (every element
-checked) and return a NumPy scalar or an array of x's shape; nu is a scalar.
+The public functions are bessel_j, bessel_y and hankel1 (= J + iY). Each
+takes a scalar or an array x (every element checked) and returns a NumPy
+scalar or an array of x's shape; nu is a scalar. Derivatives follow from the
+order recurrence dH_nu/dx = H_(nu-1) - (nu/x) H_nu, which is how the 3D mode
+solution in threed uses them.
 
 Guaranteed relative accuracy is 1e-10 for x in [1e-3, 100] away from zeros
 of the individual functions; both branches remain usable outside that range.
@@ -31,9 +34,6 @@ _LD = np.longdouble
 _SERIES_TERMS = 60
 # Terms tried by the asymptotic expansion, which stops at its smallest term.
 _ASYMPTOTIC_TERMS = 60
-# Orders and grid points of the self-test table.
-_IDENTITY_ORDERS = (1.0 / 3.0, 2.0 / 3.0)
-_IDENTITY_POINTS = 25
 
 # Gamma is the standard library's, accurate to about 1e-16 relative; it
 # raises ValueError at the poles (zero and the negative integers).
@@ -119,51 +119,3 @@ def hankel1(nu: float, x):
     nu = _check_noninteger(nu)
     return _branches(x, lambda xs: _hankel1_series(nu, xs),
                      lambda xs: _hankel1_asymptotic(nu, xs))[()]
-
-
-def hankel2(nu: float, x):
-    """H^(2)_nu, the complex conjugate of H^(1)_nu for real order and argument."""
-    return hankel1(nu, x).conjugate()
-
-
-def bessel_jp(nu: float, x):
-    """dJ_nu/dx through the downward order recurrence."""
-    return bessel_j(nu - 1.0, x) - (nu / x) * bessel_j(nu, x)
-
-
-def bessel_yp(nu: float, x):
-    """dY_nu/dx through the downward order recurrence."""
-    return bessel_y(nu - 1.0, x) - (nu / x) * bessel_y(nu, x)
-
-
-def wronskian_jy(nu: float, x):
-    """J_nu(x) Y'_nu(x) - J'_nu(x) Y_nu(x); identically 2/(pi x)."""
-    return bessel_j(nu, x) * bessel_yp(nu, x) - bessel_jp(nu, x) * bessel_y(nu, x)
-
-
-def identity_table() -> list[dict]:
-    """Self-test table: Wronskian residuals and branch continuity at the switch.
-
-    Returns one row per check with the measured relative residual.
-    """
-    rows = []
-    xs = np.geomspace(1e-3, 100.0, _IDENTITY_POINTS)
-    edge = X_SWITCH * np.array([1 - 1e-12, 1 + 1e-12])
-    for nu in _IDENTITY_ORDERS:
-        residuals = np.abs(wronskian_jy(nu, xs) / (2.0 / (math.pi * xs)) - 1.0)
-        rows.append({"check": f"wronskian nu={nu:.6f}", "residual": residuals.max(),
-                     "budget": 1e-10})
-        # continuity across the series/asymptotic switch point
-        below, above = hankel1(nu, edge)
-        rows.append({
-            "check": f"branch continuity nu={nu:.6f}",
-            "residual": abs(below - above) / abs(above),
-            "budget": 1e-9,
-        })
-        h1 = hankel1(nu, 7.7)
-        rows.append({
-            "check": f"conjugacy nu={nu:.6f}",
-            "residual": abs(hankel2(nu, 7.7) - h1.conjugate()),
-            "budget": 0.0,
-        })
-    return rows

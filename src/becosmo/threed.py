@@ -21,9 +21,10 @@ spectra below; couplings are in natural units (g/hbar when starting from SI).
 Everything here is hydrodynamic: quoted spectra apply to wavelengths far
 above the healing length, enforced through the kappa_max band edge.
 
-analytic_mode(_derivative), frozen_phase_variance and density_spectrum_3d
-take a scalar or an array for t or kappa (every element checked) and return
-a NumPy scalar or an array. The module computes only: a ModeEvolution keeps
+The basis solution (1/t) H^(1)_{2/3}(z) and its time derivative come from
+_basis_pair; H^(2) is their complex conjugate. _basis_pair,
+frozen_phase_variance and density_spectrum_3d take a scalar or an array for
+t or kappa (every element checked) and return a NumPy scalar or an array. The module computes only: a ModeEvolution keeps
 its history as arrays, and the run pipeline in scenarios writes the 3D
 spectrum to spectrum.csv.
 
@@ -119,18 +120,6 @@ def _basis_pair(kappa: float, t, alpha: float, c0: float):
     dh1 = specfun.hankel1(_NU - 1.0, z) - (_NU / z) * h1
     zdot = -1.5 * z / t
     return (h1 / t)[()], (-h1 / t**2 + dh1 * zdot / t)[()]
-
-
-def analytic_mode(kappa: float, t, alpha: float, c0: float = 1.0):
-    """Both basis solutions (1/t) H^(1,2)_{2/3}(z(t)) on b = alpha t."""
-    u1 = _basis_pair(kappa, t, alpha, c0)[0]
-    return u1, u1.conjugate()
-
-
-def analytic_mode_derivative(kappa: float, t, alpha: float, c0: float = 1.0):
-    """Time derivatives of the two basis solutions."""
-    d1 = _basis_pair(kappa, t, alpha, c0)[1]
-    return d1, d1.conjugate()
 
 
 def freezing_time(kappa: float, alpha: float, c0: float = 1.0) -> float:

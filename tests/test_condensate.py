@@ -1,15 +1,15 @@
+import copy
 import math
 
-import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from becosmo.condensate import (AtomSpecies, CondensateSpec, DerivedParams,
-                                TrapGeometry, effective_coupling,
-                                natural_coupling, reduce_coupling,
+                                TrapGeometry, natural_coupling, reduce_coupling,
                                 sound_frequency_at_healing_scale, swave_coupling,
                                 transverse_width, validate_dimensional_reduction)
 from becosmo.constants import HBAR
+from becosmo.scenarios import PRESETS, ConfigError, config_from_dict
 
 from conftest import W0_3D, WZ_2D
 
@@ -98,21 +98,21 @@ class TestReduceCoupling:
 
 
 class TestEffectiveCoupling:
-    def test_quartic_is_identity(self):
-        for rho0 in (1.0, 3.7, 1e21):
-            assert effective_coupling(2.5, 2.0, rho0) == pytest.approx(2.5, rel=1e-15)
+    def test_quartic_is_identity(self, sodium_spec, sodium_derived, rubidium_spec,
+                                 rubidium_derived):
+        # g N(N-1)/2 rho0^(N-2) is the contact coupling itself at N = 2
+        assert sodium_derived.effective_coupling == sodium_derived.reduced_coupling
+        assert sodium_derived.reduced_coupling == reduce_coupling(
+            swave_coupling(sodium_spec.species), sodium_spec.species, WZ_2D)
+        assert rubidium_derived.effective_coupling == swave_coupling(
+            rubidium_spec.species)
 
     def test_no_sound_rejected(self):
-        with pytest.raises(ValueError):
-            effective_coupling(1.0, 1.0, 1.0)
-
-    def test_sextic_value(self):
-        assert effective_coupling(1.0, 3.0, 2.0) == pytest.approx(6.0, rel=1e-15)
-
-    def test_monotonic_for_steep_coupling(self):
-        rhos = np.linspace(0.5, 10.0, 30)
-        vals = [effective_coupling(1.0, 3.0, r) for r in rhos]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
+        # N = 1 carries no sound; only the quartic model loads
+        data = copy.deepcopy(PRESETS["sodium-q2d"])
+        data["condensate"]["interaction_exponent"] = 1.0
+        with pytest.raises(ConfigError, match="interaction_exponent"):
+            config_from_dict(data)
 
 
 class TestThomasFermi:
@@ -154,10 +154,10 @@ class TestThomasFermi:
 
 class TestValidity:
     def test_sodium_passes_both(self, sodium_spec, sodium_derived):
-        report = validate_dimensional_reduction(sodium_spec, sodium_derived)
-        assert len(report.checks) == 2
-        assert report.all_passed
-        by_name = {c.name: c for c in report.checks}
+        checks = validate_dimensional_reduction(sodium_spec, sodium_derived)
+        assert len(checks) == 2
+        assert all(c.passed for c in checks)
+        by_name = {c.name: c for c in checks}
         assert by_name["mode_mixing_suppression"].ratio == pytest.approx(
             (sodium_derived.healing_length / sodium_derived.transverse_width) ** 2,
             rel=1e-12)
@@ -174,8 +174,8 @@ class TestValidity:
             reduced_coupling=sodium_derived.reduced_coupling,
             effective_coupling=sodium_derived.effective_coupling,
             dimension=2, exponent=2.0)
-        report = validate_dimensional_reduction(sodium_spec, doctored)
-        check = {c.name: c for c in report.checks}["mode_mixing_suppression"]
+        checks = validate_dimensional_reduction(sodium_spec, doctored)
+        check = {c.name: c for c in checks}["mode_mixing_suppression"]
         assert check.ratio == pytest.approx(1.0, rel=1e-12)
         assert not check.passed
 
@@ -184,15 +184,13 @@ class TestValidity:
             species=AtomSpecies("tight", sodium_spec.species.mass,
                                 sodium_derived.transverse_width),
             trap=sodium_spec.trap, atom_number=sodium_spec.atom_number)
-        report = validate_dimensional_reduction(squeezed, sodium_derived)
-        check = {c.name: c for c in report.checks}["mean_field_validity"]
+        checks = validate_dimensional_reduction(squeezed, sodium_derived)
+        check = {c.name: c for c in checks}["mean_field_validity"]
         assert check.ratio == pytest.approx(1.0, rel=1e-12)
         assert not check.passed
 
     def test_3d_has_no_reduction_checks(self, rubidium_spec, rubidium_derived):
-        report = validate_dimensional_reduction(rubidium_spec, rubidium_derived)
-        assert report.checks == ()
-        assert report.all_passed
+        assert validate_dimensional_reduction(rubidium_spec, rubidium_derived) == ()
 
 
 class TestHealingFrequency:

@@ -7,10 +7,10 @@ from scipy.optimize import brentq
 
 from becosmo.condensate import INTERACTION_EXPONENT, thomas_fermi
 from becosmo.geometry import (apparent_horizon, conformal_factor,
-                              flatness_exponent, horizon_crossing_time,
-                              metric_components, particle_horizon,
-                              settled_apparent_horizon)
-from becosmo.scaling import ExpansionProtocol, integrate_scale_factor, is_flat_case
+                              horizon_crossing_time, metric_components,
+                              particle_horizon, settled_apparent_horizon)
+from becosmo.scaling import (ExpansionProtocol, horizon_exponent,
+                             integrate_scale_factor, is_flat_case)
 from becosmo.scenarios import PRESETS, config_from_dict, run
 
 from conftest import W0_2D
@@ -59,15 +59,17 @@ class TestFlatness:
     @pytest.mark.parametrize("d, n", [(2, 2.0), (3, 5.0 / 3.0)])
     def test_flat_cases(self, d, n):
         assert is_flat_case(d, n)
-        assert flatness_exponent(d, n) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("d, n", [(3, 2.0), (2, 3.0)])
     def test_non_flat_cases(self, d, n):
         assert not is_flat_case(d, n)
-        assert abs(flatness_exponent(d, n)) > 0.1
 
     def test_3d_quartic_exponent(self):
-        assert flatness_exponent(3, 2.0) == pytest.approx(0.5, rel=1e-12)
+        # with c = c0 b^(1-s), the co-moving metric factor A b^2 grows as b^(1/2)
+        s = horizon_exponent(3, 2.0)
+        factor = lambda b: conformal_factor(b ** (1.0 - s), 1.0, 3) * b**2
+        assert math.log(factor(4.0) / factor(1.0)) / math.log(4.0) == \
+            pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("c0", [math.nan, 0.0, -1.0, math.inf])
@@ -101,12 +103,10 @@ class TestParticleHorizon:
 
     def test_null_line_consistency(self, traj2d):
         # flat case: horizon = c0 (tau_inf - tau(t)), same integral both ways
-        from becosmo.scaling import proper_time
-        tau = proper_time(traj2d)
         c0 = 2.0e-3
         for t in (0.0, 1.0 / W0_2D, 30.0 / W0_2D):
             lhs = particle_horizon(traj2d, t, c0)
-            rhs = c0 * (tau.infinity - float(tau(t)))
+            rhs = c0 * (traj2d.clock_infinity - float(traj2d.clock(t)))
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
 

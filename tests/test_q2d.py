@@ -2,13 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
-from becosmo.constants import HBAR, K_B
-from becosmo.q2d import (bogoliubov_frequency, bogoliubov_mode,
-                         comoving_spectrum_during_expansion, density_spectrum_2d,
-                         spectrum_2d_grid, subtracted_spectrum_2d,
-                         thermal_occupation, windowed_contrast)
+from becosmo.constants import HBAR
+from becosmo.q2d import (bogoliubov_frequency, bogoliubov_mode, density_spectrum_2d,
+                         spectrum_2d_grid, windowed_contrast)
 from becosmo.scenarios import PRESETS, config_from_dict, run
 
 
@@ -99,9 +96,11 @@ class TestSpectrum:
         p = sodium_params
         kappa = 2.0 * math.pi / p["xi"]
         reference = density_spectrum_2d(kappa, p["g2d"], p["mu"], p["m"])
+        # the diluted cloud at scale factor b (mu -> mu/b^2, kappa -> kappa/b),
+        # over the b^2 Fourier measure
         for b in (1.0, 1.5, 2.0, 7.0, 100.0):
-            transported = comoving_spectrum_during_expansion(
-                kappa, b, p["g2d"], p["mu"], p["m"])
+            transported = density_spectrum_2d(
+                kappa / b, p["g2d"], p["mu"] / b**2, p["m"]) / b**2
             assert transported == pytest.approx(reference, rel=1e-12)
 
     def test_contrast_scales_with_coupling(self, sodium_params):
@@ -115,30 +114,32 @@ class TestSpectrum:
                                  p["mu"], p["m"]) < 1e-10
 
 
+def _subtracted(kappa, p):
+    """The spectrum minus its local (contact) value g2d/mu."""
+    return density_spectrum_2d(kappa, p["g2d"], p["mu"], p["m"]) - p["g2d"] / p["mu"]
+
+
 class TestSubtractedSpectrum:
     def test_zero_kappa_limit(self, sodium_params):
         p = sodium_params
-        assert subtracted_spectrum_2d(0.0, p["g2d"], p["mu"], p["m"]) == pytest.approx(
-            -p["g2d"] / p["mu"], rel=1e-14)
+        assert _subtracted(0.0, p) == pytest.approx(-p["g2d"] / p["mu"], rel=1e-14)
 
     def test_negative_definite(self, sodium_params):
         p = sodium_params
         for k in np.geomspace(0.01 / p["xi"], 1e4 / p["xi"], 40):
-            assert subtracted_spectrum_2d(float(k), p["g2d"], p["mu"], p["m"]) < 0.0
+            assert _subtracted(float(k), p) < 0.0
 
     def test_tail_coefficient(self, sodium_params):
         p = sodium_params
         kappa = 300.0 / p["xi"]
         expected = -2.0 * p["g2d"] * p["m"] / (HBAR**2 * kappa**2)
-        assert subtracted_spectrum_2d(kappa, p["g2d"], p["mu"], p["m"]) == \
-            pytest.approx(expected, rel=1e-4)
+        assert _subtracted(kappa, p) == pytest.approx(expected, rel=1e-4)
 
     def test_doubling_kappa_quarters_tail(self, sodium_params):
         p = sodium_params
         kappa = 500.0 / p["xi"]
-        t1 = subtracted_spectrum_2d(kappa, p["g2d"], p["mu"], p["m"])
-        t2 = subtracted_spectrum_2d(2.0 * kappa, p["g2d"], p["mu"], p["m"])
-        assert t2 / t1 == pytest.approx(0.25, rel=1e-3)
+        assert _subtracted(2.0 * kappa, p) / _subtracted(kappa, p) == pytest.approx(
+            0.25, rel=1e-3)
 
 
 class TestQuantization:
@@ -156,58 +157,6 @@ class TestQuantization:
         mode = bogoliubov_mode(k, p["mu"], p["m"], p["rho0"], p["g2d"])
         assert mode.density_amplitude**2 / p["rho0"]**2 == pytest.approx(
             density_spectrum_2d(k, p["g2d"], p["mu"], p["m"]), rel=1e-12)
-
-
-class TestThermal:
-    def test_zero_temperature(self, sodium_params):
-        p = sodium_params
-        result = thermal_occupation(1.0 / p["xi"], 0.0, p["mu"], p["m"])
-        assert result.occupation == 0.0
-        assert result.quantum_dominated
-
-    def test_matched_scales(self, sodium_params):
-        p = sodium_params
-        k = 1.0 / p["xi"]
-        omega = bogoliubov_frequency(k, p["mu"], p["m"])
-        t_match = HBAR * omega / K_B
-        result = thermal_occupation(k, t_match, p["mu"], p["m"])
-        assert result.occupation == pytest.approx(1.0 / (math.e - 1.0), rel=1e-12)
-        assert not result.quantum_dominated
-
-    def test_occupancy_threshold_root(self, sodium_params):
-        # temperature at which n = 0.01, found independently on the curve
-        p = sodium_params
-        k = 1.0 / p["xi"]
-        omega = bogoliubov_frequency(k, p["mu"], p["m"])
-        f = lambda t: thermal_occupation(k, t, p["mu"], p["m"]).occupation - 0.01
-        t_star = brentq(f, 1e-12, 1e-6)
-        assert t_star == pytest.approx(HBAR * omega / (K_B * math.log(101.0)),
-                                       rel=1e-9)
-        assert thermal_occupation(k, t_star * 0.99, p["mu"], p["m"]).quantum_dominated
-
-    def test_curve_is_monotone(self, sodium_params):
-        p = sodium_params
-        temps = np.geomspace(1e-10, 1e-7, 30)
-        curve = thermal_occupation(1.0 / p["xi"], temps, p["mu"], p["m"]).occupation
-        assert np.all(np.diff(curve) > 0.0)
-
-    def test_rejects_negative_temperature(self, sodium_params):
-        p = sodium_params
-        with pytest.raises(ValueError):
-            thermal_occupation(1.0, -1.0, p["mu"], p["m"])
-        with pytest.raises(ValueError):
-            thermal_occupation(1.0, np.array([1e-9, -1.0]), p["mu"], p["m"])
-
-    def test_array_matches_scalar(self, sodium_params):
-        p = sodium_params
-        k = 1.0 / p["xi"]
-        temps = np.concatenate([[0.0], np.geomspace(1e-12, 1e-6, 50)])
-        result = thermal_occupation(k, temps, p["mu"], p["m"])
-        for i, t in enumerate(temps):
-            point = thermal_occupation(k, float(t), p["mu"], p["m"])
-            assert result.occupation[i] == point.occupation
-            assert result.quantum_dominated[i] == point.quantum_dominated
-        assert result.occupation[0] == 0.0 and result.quantum_dominated[0]
 
 
 def test_grid_and_csv(sodium_params, tmp_path):

@@ -8,7 +8,9 @@ from becosmo.scaling import (ExpansionProtocol, LinearExpansion,
                              NumericalError, analytic_scale_2d,
                              clock_exponent, horizon_exponent,
                              integrate_scale_factor, is_flat_case,
-                             proper_time, scale_exponent, scale_ode_rhs)
+                             scale_exponent, scale_ode_rhs)
+from becosmo.condensate import natural_coupling, thomas_fermi
+from becosmo.geometry import conformal_factor
 from becosmo.scenarios import PRESETS, config_from_dict, run
 
 from conftest import W0_2D, W0_3D
@@ -68,7 +70,7 @@ class TestAnalytic2d:
 class TestTrajectory:
     def test_matches_closed_form(self, traj2d):
         ts = np.linspace(0.0, 100.0 / W0_2D, 500)
-        exact = np.sqrt(1.0 + W0_2D**2 * ts**2)
+        exact = np.array([analytic_scale_2d(float(t), W0_2D)[0] for t in ts])
         rel = np.abs(traj2d.b(ts) / exact - 1.0)
         assert rel.max() <= 1e-8
 
@@ -89,7 +91,6 @@ class TestTrajectory:
     def test_asymptotic_velocity_3d(self, traj3d):
         assert traj3d.asymptotic_velocity / W0_3D == pytest.approx(
             math.sqrt(2.0 / 3.0), abs=1e-4)
-        assert traj3d.alpha_converged
 
     def test_trap_on_is_static(self):
         traj = integrate_scale_factor(ExpansionProtocol.hold(W0_2D), 2, 2.0,
@@ -191,29 +192,43 @@ class TestStepperReference:
 
 
 class TestProperTime:
+    # In the flat cases the clock integral of 1/b^2 is the proper time tau.
     def test_2d_arctan(self, traj2d):
-        tau = proper_time(traj2d)
         ts = np.linspace(0.5 / W0_2D, 100.0 / W0_2D, 300)
         expected = np.arctan(W0_2D * ts) / W0_2D
-        assert np.abs(tau(ts) / expected - 1.0).max() <= 1e-8
+        assert np.abs(traj2d.clock(ts) / expected - 1.0).max() <= 1e-8
 
     def test_2d_limit(self, traj2d):
-        tau = proper_time(traj2d)
-        assert tau.infinity == pytest.approx(math.pi / (2.0 * W0_2D), rel=1e-6)
+        assert traj2d.clock_infinity == pytest.approx(math.pi / (2.0 * W0_2D), rel=1e-6)
 
     def test_static_background(self):
         traj = integrate_scale_factor(ExpansionProtocol.hold(W0_2D), 2, 2.0,
                                       t_max=10.0 / W0_2D, tolerance=1e-10)
-        tau = proper_time(traj)
         t = 5.0 / W0_2D
-        assert tau(t) == pytest.approx(t, rel=1e-10)
-        prefactored = proper_time(traj, prefactor=2.5)
-        assert prefactored(t) == pytest.approx(2.5 * t, rel=1e-10)
+        assert traj.clock(t) == pytest.approx(t, rel=1e-10)
 
-    def test_samples_are_the_lookup_at_ts(self, traj2d):
-        # trajectory.csv writes tau from the samples
-        tau = proper_time(traj2d, prefactor=2.5)
-        assert tau.samples.tobytes() == tau(traj2d.ts).tobytes()
+    def test_samples_are_the_lookup_at_ts(self, tmp_path):
+        # trajectory.csv writes tau = sqrt(A(0)) c(0) * clock at the samples,
+        # with the prefactor 1 in the flat cases
+        for preset in ("sodium-q2d", "rubidium-3d"):
+            config = config_from_dict(PRESETS[preset])
+            run(config, tmp_path / preset)
+            spec, numeric = config.condensate, config.numeric
+            D = spec.trap.dimension
+            traj = integrate_scale_factor(
+                config.protocol(), D, 2.0,
+                t_max=numeric.t_max_omega0 / spec.trap.longitudinal_frequency,
+                tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples)
+            prefactor = 1.0
+            if not is_flat_case(D, 2.0):
+                derived = thomas_fermi(spec)
+                conformal0 = conformal_factor(
+                    derived.sound_speed, natural_coupling(derived.effective_coupling), D)
+                prefactor = math.sqrt(conformal0) * derived.sound_speed
+            lines = (tmp_path / preset / "trajectory.csv").read_text().splitlines()
+            assert lines[0].endswith(",tau")
+            tau = [line.rsplit(",", 1)[1] for line in lines[1:]]
+            assert tau == ["%.12e" % v for v in prefactor * traj.clock(traj.ts)]
 
     def test_general_branch_exponent(self):
         # flat cases reduce to the 1/b^2 integrand

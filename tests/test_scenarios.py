@@ -20,6 +20,11 @@ from becosmo.scenarios import (PRESETS, ConfigError, StageError,
                                config_from_dict, load_scenario, run)
 
 
+def _readme_blocks(language):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return [block.split("```", 1)[0] for block in readme.split(f"```{language}\n")[1:]]
+
+
 def _preset_dict(name, **overrides):
     data = json.loads(json.dumps(PRESETS[name]))  # deep copy
     for key, value in overrides.items():
@@ -108,12 +113,20 @@ class TestLoading:
 
     def test_readme_configs_load_and_derive(self):
         # every JSON block of the README is a scenario the loader accepts
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        blocks = [block.split("```", 1)[0] for block in readme.split("```json\n")[1:]]
+        blocks = _readme_blocks("json")
         assert blocks
         for block in blocks:
             config = config_from_dict(json.loads(block))
             assert thomas_fermi(config.condensate).healing_length > 0.0
+
+    def test_readme_python_runs(self, capsys):
+        # every Python block of the README runs as written, so it names no
+        # function the package lacks
+        blocks = _readme_blocks("python")
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out
 
 
 # Inputs the config boundary must reject: each is a ConfigError, and the CLI
@@ -546,10 +559,23 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
 
-    def test_selftest(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "wronskian" in out
+    # A usage error is a configuration error: exit 1, never argparse's 2,
+    # which the exit-code contract reserves for a numeric failure.
+    @pytest.mark.parametrize("argv", [
+        ["selftest"], ["nosuchverb"],
+        ["derive", "--scenario", "sodium-q2d", "--kappa-points", "abc"],
+        ["derive"]], ids=["selftest", "unknown-verb", "bad-int", "no-scenario"])
+    def test_usage_error_exits_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "never"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        assert "usage: becosmo" in capsys.readouterr().out
 
 
 class TestDeterminism:

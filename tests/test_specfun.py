@@ -59,6 +59,13 @@ class TestGamma:
         assert sf.gamma(-0.7) == pytest.approx(-4.2736699824108437547, rel=1e-12)
 
 
+def _wronskian(nu, x):
+    """J_nu Y'_nu - J'_nu Y_nu = Im(conj(H) H'), with H' = H_(nu-1) - (nu/x) H
+    from the order recurrence; identically 2/(pi x)."""
+    h = sf.hankel1(nu, x)
+    return (h.conjugate() * (sf.hankel1(nu - 1.0, x) - (nu / x) * h)).imag
+
+
 class TestBessel:
     @pytest.mark.parametrize("key", sorted(BESSEL_REF))
     def test_reference_values(self, key):
@@ -107,24 +114,19 @@ class TestBessel:
     def test_wronskian_spot_values(self):
         for x in (0.01, 1.0, 50.0):
             expected = 2.0 / (math.pi * x)
-            assert sf.wronskian_jy(2 / 3, x) == pytest.approx(expected, rel=1e-10)
+            assert _wronskian(2 / 3, x) == pytest.approx(expected, rel=1e-10)
 
     def test_wronskian_log_grid(self):
         for nu in (1 / 3, 2 / 3):
             for x in np.geomspace(1e-3, 100.0, 40):
                 expected = 2.0 / (math.pi * float(x))
-                assert sf.wronskian_jy(nu, float(x)) == pytest.approx(expected, rel=1e-10)
+                assert _wronskian(nu, float(x)) == pytest.approx(expected, rel=1e-10)
 
     def test_branch_continuity(self):
         for nu in (1 / 3, 2 / 3, -1 / 3, -2 / 3):
             below = sf.hankel1(nu, sf.X_SWITCH * (1 - 1e-12))
             above = sf.hankel1(nu, sf.X_SWITCH * (1 + 1e-12))
             assert abs(below - above) <= 1e-9 * abs(above)
-
-    def test_hankel_conjugacy(self):
-        for x in (0.02, 3.0, 40.0):
-            h1 = sf.hankel1(2 / 3, x)
-            assert sf.hankel2(2 / 3, x) == h1.conjugate()
 
     def test_hankel_combination(self):
         x = 4.2
@@ -187,8 +189,3 @@ class TestMpmathOracle:
         assert np.max(np.abs(sf.hankel1(nu, self.XS) - ref) / scale) <= 1e-10
         assert np.max(np.abs(sf.bessel_j(nu, self.XS) - ref.real) / scale) <= 1e-10
         assert np.max(np.abs(sf.bessel_y(nu, self.XS) - ref.imag) / scale) <= 1e-10
-
-
-def test_identity_table_within_budget():
-    for row in sf.identity_table():
-        assert row["residual"] <= max(row["budget"], 1e-15), row

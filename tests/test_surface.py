@@ -1,0 +1,76 @@
+"""Public-surface guard: every public name earns its place.
+
+A public function or class of a becosmo module must be used by the package
+itself (outside its own definition and the package exports), by the
+benchmark in bench/, or by the README. Otherwise only tests call it, and it
+is a dead helper. The one exception is a reference implementation that a
+test compares the package against; each is listed in ORACLES with that
+test.
+"""
+
+import importlib
+import inspect
+import pkgutil
+import re
+from pathlib import Path
+
+import becosmo
+
+ROOT = Path(__file__).parents[1]
+SRC = ROOT / "src" / "becosmo"
+
+# (name, the test that uses it as the reference)
+ORACLES = (
+    ("metric_components",
+     "tests/test_geometry.py::TestApparentHorizon::test_g00_vanishes_on_horizon"),
+    ("bogoliubov_mode",
+     "tests/test_q2d.py::TestQuantization::test_density_amplitude_gives_spectrum"),
+    ("analytic_scale_2d",
+     "tests/test_scaling.py::TestTrajectory::test_matches_closed_form"),
+)
+
+
+def _public_names():
+    """(module, name) of every public function and class a module defines."""
+    for info in pkgutil.iter_modules(becosmo.__path__):
+        module = importlib.import_module(f"becosmo.{info.name}")
+        for name, obj in vars(module).items():
+            if ((inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == module.__name__ and not name.startswith("_")):
+                yield info.name, name
+
+
+def _users(module: str, name: str) -> list[str]:
+    """Files outside tests that name `name`, not counting its definition."""
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    definition = re.compile(rf"^\s*(def|class) {re.escape(name)}\b")
+    users = []
+    for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "bench").glob("*.py")),
+                 ROOT / "README.md"]:
+        if path.name == "__init__.py" and path.parent == SRC:
+            continue
+        lines = path.read_text().splitlines()
+        if path == SRC / f"{module}.py":
+            lines = [line for line in lines if not definition.match(line)]
+        if any(word.search(line) for line in lines):
+            users.append(path.name)
+    return users
+
+
+def test_every_public_name_is_used():
+    oracles = {name for name, _ in ORACLES}
+    unused = [f"{module}.{name}" for module, name in _public_names()
+              if name not in oracles and not _users(module, name)]
+    assert not unused, f"public names only tests use: {unused}"
+
+
+def test_oracles_are_test_references_only():
+    defined = {name: module for module, name in _public_names()}
+    for name, test in ORACLES:
+        # an oracle that gains a caller leaves the list
+        assert not _users(defined[name], name), name
+        path, _, node = test.partition("::")
+        function = node.rpartition("::")[2]
+        source = (ROOT / path).read_text()
+        body = source.split(f"def {function}(", 1)[1].split("\n    def ", 1)[0]
+        assert name in body, f"{test} does not use {name}"

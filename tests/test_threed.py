@@ -15,9 +15,8 @@ import becosmo
 from becosmo import specfun, threed
 from becosmo.scaling import (ExpansionProtocol, LinearExpansion, ScaleTrajectory,
                              integrate_scale_factor)
-from becosmo.threed import (ModeIntegrationError, adiabatic_frequency,
-                            analytic_evolution, analytic_mode,
-                            analytic_mode_derivative,
+from becosmo.threed import (ModeIntegrationError, _basis_pair,
+                            adiabatic_frequency, analytic_evolution,
                             density_contrast_from_mode, density_spectrum_3d,
                             freezing_time, frozen_phase_variance,
                             hankel_argument, integrate_mode, kappa_band_edge,
@@ -61,28 +60,29 @@ class TestModeOde:
         kappa, c0 = 2.2, 1.0
         t = 0.2
         h = t * 1e-6
-        u = lambda tt: analytic_mode(kappa, tt, ALPHA, c0)[0]
+        u = lambda tt: _basis_pair(kappa, tt, ALPHA, c0)[0]
         second = (u(t + h) - 2.0 * u(t) + u(t - h)) / h**2
-        rhs = mode_ode_rhs(u(t), analytic_mode_derivative(kappa, t, ALPHA, c0)[0],
+        rhs = mode_ode_rhs(u(t), _basis_pair(kappa, t, ALPHA, c0)[1],
                            kappa, ALPHA * t, ALPHA, c0)
         assert abs(second - rhs) <= 1e-5 * abs(rhs)
 
 
 class TestAnalyticMode:
+    """The basis solution u = (1/t) H^(1)_{2/3}(z) and its derivative, from
+    threed._basis_pair; the H^(2) solution is their complex conjugate."""
+
     def test_early_time_wkb(self):
         kappa, c0 = 5.0, 1.0
         t = _deep_start(kappa, depth_z=2000.0)
-        u1, u2 = analytic_mode(kappa, t, ALPHA, c0)
-        d1, d2 = analytic_mode_derivative(kappa, t, ALPHA, c0)
+        u1, d1 = _basis_pair(kappa, t, ALPHA, c0)
         omega = adiabatic_frequency(kappa, ALPHA * t, c0)
         assert abs(d1 + 1j * omega * u1) / (omega * abs(u1)) <= 1e-3
-        assert abs(d2 - 1j * omega * u2) / (omega * abs(u2)) <= 1e-3
 
     def test_late_time_constant(self):
         kappa, c0 = 5.0, 1.0
         t_frozen = freezing_time(kappa, ALPHA, c0)
-        u_late = analytic_mode(kappa, t_frozen, ALPHA, c0)[0]
-        u_later = analytic_mode(kappa, 2.0 * t_frozen, ALPHA, c0)[0]
+        u_late = _basis_pair(kappa, t_frozen, ALPHA, c0)[0]
+        u_later = _basis_pair(kappa, 2.0 * t_frozen, ALPHA, c0)[0]
         assert abs(u_later - u_late) <= 1e-6 * abs(u_late)
 
     def test_frozen_limit_value(self):
@@ -93,7 +93,7 @@ class TestAnalyticMode:
         expected = beta_half ** (-2.0 / 3.0) / (math.sin(2.0 * math.pi / 3.0)
                                                 * specfun.gamma(1.0 / 3.0))
         t = 100.0 * freezing_time(kappa, ALPHA, c0)
-        u1 = analytic_mode(kappa, t, ALPHA, c0)[0]
+        u1 = _basis_pair(kappa, t, ALPHA, c0)[0]
         assert abs(u1) == pytest.approx(expected, rel=1e-8)
         assert u1.imag < 0.0  # positive-frequency branch freezes onto -i
 
@@ -106,22 +106,18 @@ class TestAnalyticMode:
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
-            analytic_mode(1.0, 0.0, ALPHA)
+            _basis_pair(1.0, 0.0, ALPHA, 1.0)
         with pytest.raises(ValueError):
-            analytic_mode_derivative(1.0, np.array([1.0, 0.0]), ALPHA)
+            _basis_pair(1.0, np.array([1.0, 0.0]), ALPHA, 1.0)
 
     def test_array_matches_scalar(self):
         kappa = 4.0
         times = np.geomspace(_deep_start(kappa), 10.0 * freezing_time(kappa, ALPHA), 60)
-        u1, u2 = analytic_mode(kappa, times, ALPHA)
-        d1, d2 = analytic_mode_derivative(kappa, times, ALPHA)
+        u1, d1 = _basis_pair(kappa, times, ALPHA, 1.0)
         for i, t in enumerate(times):
-            pu1, pu2 = analytic_mode(kappa, float(t), ALPHA)
-            pd1, pd2 = analytic_mode_derivative(kappa, float(t), ALPHA)
+            pu1, pd1 = _basis_pair(kappa, float(t), ALPHA, 1.0)
             assert abs(u1[i] - pu1) <= 1e-15 * abs(pu1)
-            assert u2[i] == u1[i].conjugate()
             assert abs(d1[i] - pd1) <= 1e-15 * abs(pd1)
-            assert d2[i] == d1[i].conjugate()
 
     def test_wronskian_constancy_with_measure(self):
         # b^3 (u1 u2' - u2 u1') = 6 i alpha^3 / pi, which mode_normalization
@@ -130,9 +126,8 @@ class TestAnalyticMode:
         expected = 6j * ALPHA**3 / math.pi
         norm = mode_normalization(coupling, ALPHA)
         times = np.geomspace(0.01, 1000.0, 25)
-        u1, u2 = analytic_mode(kappa, times, ALPHA, c0)
-        d1, d2 = analytic_mode_derivative(kappa, times, ALPHA, c0)
-        w = (ALPHA * times) ** 3 * (u1 * d2 - u2 * d1)
+        u1, d1 = _basis_pair(kappa, times, ALPHA, c0)
+        w = (ALPHA * times) ** 3 * (u1 * d1.conjugate() - u1.conjugate() * d1)
         assert np.max(np.abs(w - expected)) <= 1e-10 * abs(expected)
         assert np.max(np.abs(norm**2 * w - 1j * coupling)) <= 1e-10 * coupling
 

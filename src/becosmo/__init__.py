@@ -17,8 +17,8 @@ from .geometry import (apparent_horizon, conformal_factor, horizon_crossing_time
                        settled_apparent_horizon)
 from .q2d import (BogoliubovMode, Spectrum, bogoliubov_frequency,
                   bogoliubov_mode, density_spectrum_2d, windowed_contrast)
-from .scaling import (ExpansionProtocol, LinearExpansion, ScaleTrajectory,
-                      analytic_scale_2d, integrate_scale_factor, scale_ode_rhs)
+from .scaling import (LinearExpansion, ScaleTrajectory, analytic_scale_2d,
+                      integrate_scale_factor)
 from .scenarios import (PRESETS, ConfigError, RunReport, ScenarioConfig,
                         StageError, load_scenario, run)
 from .threed import (FrozenSpectrum3D, ModeEvolution, density_spectrum_3d,

@@ -100,7 +100,6 @@ class DerivedParams:
     reduced_coupling: float | None     # J m^D, D = 2 only
     effective_coupling: float          # J m^D
     dimension: int
-    exponent: float
 
     def as_dict(self) -> dict:
         return {
@@ -113,7 +112,7 @@ class DerivedParams:
             "reduced_coupling_J_mD": self.reduced_coupling,
             "effective_coupling_J_mD": self.effective_coupling,
             "dimension": self.dimension,
-            "exponent": self.exponent,
+            "exponent": INTERACTION_EXPONENT,
         }
 
 
@@ -192,7 +191,6 @@ def thomas_fermi(spec: CondensateSpec) -> DerivedParams:
         reduced_coupling=g_reduced,
         effective_coupling=g_eff,
         dimension=D,
-        exponent=INTERACTION_EXPONENT,
     )
 
 

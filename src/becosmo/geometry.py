@@ -71,7 +71,7 @@ def _check_c0(c0: float) -> None:
 def particle_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):
     """Co-moving particle horizon: remaining reach of sound emitted at t.
 
-    Evaluates c0 * integral_t^inf b^-s dt' with s = 1 + D(N-1)/2, numerically
+    Evaluates c0 * integral_t^inf b^-s dt' with s = 1 + D/2, numerically
     up to the trajectory end plus the closed-form tail on the linear
     asymptote. Returns inf when the expansion never reaches the linear regime
     (e.g. trap held on).
@@ -97,19 +97,16 @@ def apparent_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):
 
 def settled_apparent_horizon(trajectory: ScaleTrajectory,
                              c0: float = 1.0) -> float | None:
-    """Late-time limit of the apparent horizon, when it exists.
+    """Late-time limit of the apparent horizon, None when the trap is held.
 
-    Flat cases settle at c0/alpha; steeper sound-speed decay drives the
-    horizon to zero, shallower decay to infinity (returned as None).
+    In quasi-2D (s = 2) the horizon settles at c0/alpha; in 3D the faster
+    sound-speed decay (s = 5/2) drives it to zero.
     """
     _check_c0(c0)
     alpha = trajectory.asymptotic_velocity
     if alpha <= 0.0:
         return None
-    power = 2.0 - trajectory.s
-    if math.isclose(power, 0.0, abs_tol=1e-12):
-        return c0 / alpha
-    return 0.0 if power < 0.0 else None
+    return c0 / alpha if trajectory.s == 2.0 else 0.0
 
 
 def horizon_crossing_time(kappa, trajectory: ScaleTrajectory, c0: float = 1.0):

@@ -47,11 +47,9 @@ def bogoliubov_frequency(k, mu: float, m: float):
 @dataclass(frozen=True)
 class BogoliubovMode:
     """One quantized phonon mode of the trapped cloud (per unit volume)."""
-    wavenumber: float
     frequency: float
     phase_amplitude: float      # prefactor of (a + a^dag) in the phase mode
     density_amplitude: float    # prefactor of i(a - a^dag) in the density mode
-    quantization: str = "per unit volume"
 
 
 def bogoliubov_mode(k: float, mu: float, m: float, rho0: float,
@@ -67,7 +65,6 @@ def bogoliubov_mode(k: float, mu: float, m: float, rho0: float,
     m_nat = m / HBAR
     stiffness = g_nat + k**2 / (4.0 * m_nat * rho0)
     return BogoliubovMode(
-        wavenumber=k,
         frequency=omega,
         phase_amplitude=math.sqrt(stiffness / (2.0 * omega)),
         density_amplitude=math.sqrt(omega / (2.0 * stiffness)),

@@ -2,25 +2,26 @@
 
 The whole expansion is carried by a single scale factor b(t) obeying
 
-    b'' = -omega_ext(t)^2 b + omega0^2 / b^p,      p = D(N-1) + 1,
+    b'' = omega0^2 / b^p,      p = D + 1,
 
-with b(0) = 1, b'(0) = 0 and D = 2 or 3; the quartic coupling (N = 2) gives
-p = 3 in 2D and p = 4 in 3D. Alongside b the integrator accumulates the two
-improper-integral kernels everything downstream needs: the co-moving clock
-integral of b^q and the horizon integral of b^-s. The clock is the co-moving
-proper time tau over the constant sqrt(A(0)) c(0); in the flat cases
-(N = 1 + 2/D, q = -2) tau is the clock itself, a real time, and otherwise the
-run pipeline applies the prefactor. The integrator is an in-module
-Dormand-Prince 5(4) stepper (the method of scipy's RK45) with Shampine's
-quartic dense output, so the module needs numpy only. It computes only; the
-run pipeline in scenarios writes the sampled history to trajectory.csv.
+with b(0) = 1, b'(0) = 0 and D = 2 or 3: the quartic coupling after the
+trap is switched off at t = 0. A held trap adds the restoring force
+-omega0^2 b, which keeps b = 1. Alongside b the integrator accumulates the
+two improper-integral kernels everything downstream needs: the co-moving
+clock integral of b^q and the horizon integral of b^-s, s = 1 + D/2. The
+clock is the co-moving proper time tau over the constant sqrt(A(0)) c(0);
+in quasi-2D, the flat case (q = -2), tau is the clock itself, a real time,
+and in 3D (q = -9/4) the run pipeline applies the prefactor. The integrator
+is an in-module Dormand-Prince 5(4) stepper (the method of scipy's RK45)
+with Shampine's quartic dense output, so the module needs numpy only. It
+computes only; the run pipeline in scenarios writes the sampled history to
+trajectory.csv.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,66 +32,10 @@ class NumericalError(RuntimeError):
     """Integration failed (step-size underflow or tolerance not met)."""
 
 
-def scale_exponent(dimension: int, exponent: float) -> float:
-    """Restoring-force exponent p = D(N-1) + 1 of the scale-factor equation."""
-    return dimension * (exponent - 1.0) + 1.0
-
-
-def horizon_exponent(dimension: int, exponent: float) -> float:
-    """Integrand exponent s in the horizon integral of b^-s: s = 1 + D(N-1)/2."""
-    return 1.0 + dimension * (exponent - 1.0) / 2.0
-
-
-def is_flat_case(dimension: int, exponent: float) -> bool:
-    """True when the co-moving metric is flat, i.e. N = 1 + 2/D."""
-    return math.isclose(exponent, 1.0 + 2.0 / dimension, rel_tol=1e-12)
-
-
-def clock_exponent(dimension: int, exponent: float) -> float:
-    """Integrand exponent q in the co-moving clock integral of b^q, D = 2 or 3.
-
-    The value combines the conformal-factor and sound-speed scalings; flat
-    cases have q = -2 exactly.
-    """
-    return (dimension * (exponent - 3.0) / (2.0 * (dimension - 1.0))
-            - dimension * (exponent - 1.0) / 2.0)
-
-
-@dataclass(frozen=True)
-class ExpansionProtocol:
-    """Trap schedule. The default releases the trap instantaneously at t = 0;
-    a held trap stays on at omega0 forever."""
-    initial_frequency: float          # omega0, rad/s
-    held: bool = False
-
-    def __post_init__(self):
-        # b'' carries omega0^2, which must neither underflow nor overflow
-        omega0 = self.initial_frequency
-        if not (omega0 > 0.0 and sys.float_info.min <= omega0 * omega0 < math.inf):
-            raise ValueError("initial frequency must be positive, with a square "
-                             "that is a normal float (about 1.5e-154 to 1.3e154)")
-
-    def omega_ext(self, t: float) -> float:
-        return self.initial_frequency if self.held else 0.0
-
-    @classmethod
-    def free_expansion(cls, omega0: float) -> "ExpansionProtocol":
-        return cls(omega0)
-
-    @classmethod
-    def hold(cls, omega0: float) -> "ExpansionProtocol":
-        """Trap kept on forever; b stays at 1."""
-        return cls(omega0, held=True)
-
-
-def scale_ode_rhs(b: float, t: float, protocol: ExpansionProtocol,
-                  dimension: int, exponent: float) -> float:
-    """Acceleration b'' at scale factor b and time t."""
-    if b <= 0.0:
-        raise ValueError(f"scale factor b={b} must be positive")
-    p = scale_exponent(dimension, exponent)
-    w_ext = protocol.omega_ext(t)
-    return -w_ext**2 * b + protocol.initial_frequency**2 / b**p
+def _exponents(dimension: int) -> tuple[float, float, float]:
+    """(p, q, s): the exponents of b'' = omega0^2/b^p, of the clock integrand
+    b^q and of the horizon integrand b^-s in D dimensions."""
+    return dimension + 1.0, (-2.0 if dimension == 2 else -2.25), 1.0 + dimension / 2.0
 
 
 def analytic_scale_2d(t: float, omega0: float) -> tuple[float, float]:
@@ -269,19 +214,16 @@ class ScaleTrajectory:
     b ~ alpha (t - linear_offset) used to close the improper integrals. Each
     lookup takes a scalar or an array of times within [0, t_max]; the stored
     samples at ts are the same lookup. p, q and s are the exponents of b''
-    and of the clock and horizon integrands. method, rtol, nfev (right-hand
-    side calls) and steps (accepted steps) record what the stepper did.
+    and of the clock and horizon integrands; held says the trap stayed on.
+    method, rtol, nfev (right-hand side calls) and steps (accepted steps)
+    record what the stepper did.
     """
 
     method = "dormand-prince-5(4)"
 
-    def __init__(self, protocol, dimension, exponent, tolerance, dense,
-                 ts, rtol, nfev, steps, p, q, s):
-        self.protocol = protocol
-        self.dimension = dimension
-        self.exponent = exponent
-        self.omega0 = protocol.initial_frequency
-        self.tolerance = tolerance
+    def __init__(self, omega0, held, dense, ts, rtol, nfev, steps, p, q, s):
+        self.omega0 = omega0
+        self.held = held
         self.t_max = float(ts[-1])
         self.rtol, self.nfev, self.steps = rtol, nfev, steps
         self._dense = dense
@@ -296,8 +238,7 @@ class ScaleTrajectory:
         t_f = self.t_max
         b_f = float(self.b(t_f))
         bd_f = float(self.bdot(t_f))
-        released = self.protocol.omega_ext(t_f) == 0.0
-        if released:
+        if not self.held:
             # first integral of b'' = omega0^2/b^p after release
             self.asymptotic_velocity = math.sqrt(
                 bd_f**2 + 2.0 * self.omega0**2 / ((self.p - 1.0) * b_f ** (self.p - 1.0)))
@@ -310,7 +251,7 @@ class ScaleTrajectory:
         self.linear_offset = None
         self.linear_onset = None
         alpha = self.asymptotic_velocity
-        if released and alpha > 0.0 and bd_f >= (1.0 - _LINEAR_TOL) * alpha:
+        if not self.held and alpha > 0.0 and bd_f >= (1.0 - _LINEAR_TOL) * alpha:
             decade = self.ts >= self.t_max / 10.0
             if np.any(decade):
                 self.linear_offset = float(np.mean(self.ts[decade]
@@ -356,8 +297,6 @@ class ScaleTrajectory:
         """Closed-form integral of b^-e over [t_max, inf) on the linear asymptote."""
         if self.linear_onset is None or self.linear_offset is None:
             return math.inf
-        if exponent_e <= 1.0:
-            return math.inf
         alpha = self.asymptotic_velocity
         span = self.t_max - self.linear_offset
         return span ** (1.0 - exponent_e) / (alpha**exponent_e * (exponent_e - 1.0))
@@ -371,30 +310,33 @@ class ScaleTrajectory:
         return float(self.horizon_integrals[-1]) + self._tail(self.s)
 
 
-def integrate_scale_factor(protocol: ExpansionProtocol, dimension: int,
-                           exponent: float, t_max: float,
-                           tolerance: float = 1e-10,
-                           n_samples: int = 400) -> ScaleTrajectory:
+def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
+                           tolerance: float = 1e-10, n_samples: int = 400,
+                           held: bool = False) -> ScaleTrajectory:
     """Integrate the scale-factor equation with dense output.
 
-    tolerance is the local relative error target, restricted to
+    The trap of frequency omega0 is switched off at t = 0, or stays on when
+    held. tolerance is the local relative error target, restricted to
     (1e-14, 1e-4) so the embedded Runge-Kutta error control stays honest.
     """
     if dimension not in DIMENSIONS:
         raise ValueError(f"dimension must be 2 or 3, got {dimension!r}")
+    # b'' carries omega0^2, which must neither underflow nor overflow
+    if not (omega0 > 0.0 and sys.float_info.min <= omega0 * omega0 < math.inf):
+        raise ValueError("initial frequency must be positive, with a square "
+                         "that is a normal float (about 1.5e-154 to 1.3e154)")
     if not t_max > 0.0:
         raise ValueError("t_max must be positive")
     if not 1e-14 < tolerance < 1e-4:
         raise ValueError("tolerance must lie in (1e-14, 1e-4)")
-    p = scale_exponent(dimension, exponent)
-    s = horizon_exponent(dimension, exponent)
-    q = clock_exponent(dimension, exponent)
-    omega0 = protocol.initial_frequency
+    p, q, s = _exponents(dimension)
+    w2 = omega0**2
+    w_ext2 = w2 if held else 0.0
 
     def deriv(t, b, bdot):
         if b <= 0.0:
             raise NumericalError(f"scale factor collapsed to b={b} at t={t}")
-        return bdot, scale_ode_rhs(b, t, protocol, dimension, exponent), b**q, b**-s
+        return bdot, -w_ext2 * b + w2 / b**p, b**q, b**-s
 
     rtol = max(tolerance / 20.0, 1e-13)
     atol = tuple(scale * tolerance * 1e-4 for scale in (1.0, omega0, 1.0 / omega0,
@@ -404,7 +346,7 @@ def integrate_scale_factor(protocol: ExpansionProtocol, dimension: int,
         # a finite state can still overflow the dense coefficients
         with np.errstate(over="raise", invalid="raise"):
             dense = _PiecewiseQuartic(starts, widths, states, stages)
-            trajectory = ScaleTrajectory(protocol, dimension, exponent, tolerance, dense,
+            trajectory = ScaleTrajectory(omega0, held, dense,
                                          np.linspace(0.0, t_max, n_samples), rtol,
                                          nfev, len(starts), p=p, q=q, s=s)
     except (OverflowError, FloatingPointError) as exc:

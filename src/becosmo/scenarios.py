@@ -30,8 +30,7 @@ from .condensate import (DIMENSIONS, INTERACTION_EXPONENT, AtomSpecies,
                          CondensateSpec, DerivedParams, TrapGeometry, natural_coupling,
                          sound_frequency_at_healing_scale, swave_coupling,
                          thomas_fermi, validate_dimensional_reduction)
-from .scaling import (ExpansionProtocol, ScaleTrajectory, integrate_scale_factor,
-                      is_flat_case)
+from .scaling import ScaleTrajectory, integrate_scale_factor
 
 
 class ConfigError(ValueError):
@@ -92,12 +91,6 @@ class ScenarioConfig:
                               f"got {self.expansion_mode!r}")
         validate_analysis(self.analysis, self.condensate.trap.dimension,
                           self.expansion_mode)
-
-    def protocol(self) -> ExpansionProtocol:
-        omega0 = self.condensate.trap.longitudinal_frequency
-        if self.expansion_mode == "free":
-            return ExpansionProtocol.free_expansion(omega0)
-        return ExpansionProtocol.hold(omega0)
 
     def to_dict(self) -> dict:
         cond = self.condensate
@@ -406,11 +399,11 @@ def _derive(r: _Run) -> None:
 
 def _evolve(r: _Run) -> None:
     spec, numeric, derived = r.config.condensate, r.config.numeric, r.derived
-    D, N = spec.trap.dimension, INTERACTION_EXPONENT
+    D, omega0 = spec.trap.dimension, spec.trap.longitudinal_frequency
     r.trajectory = integrate_scale_factor(
-        r.config.protocol(), D, N,
-        t_max=numeric.t_max_omega0 / spec.trap.longitudinal_frequency,
-        tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples)
+        omega0, D, t_max=numeric.t_max_omega0 / omega0,
+        tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples,
+        held=r.config.expansion_mode == "hold")
     trajectory = r.trajectory
     r.solvers["scale_ode"] = {"method": trajectory.method, "rtol": trajectory.rtol,
                               "nfev": trajectory.nfev, "steps": trajectory.steps}
@@ -423,8 +416,8 @@ def _evolve(r: _Run) -> None:
                        "are infinite",
         })
     if "evolve" in r.writes:
-        tau_prefactor = 1.0
-        if not is_flat_case(D, N):
+        tau_prefactor = 1.0  # quasi-2D is the flat case: tau is the clock
+        if D == 3:
             conformal0 = geometry.conformal_factor(
                 derived.sound_speed, natural_coupling(derived.effective_coupling), D)
             tau_prefactor = math.sqrt(conformal0) * derived.sound_speed
@@ -498,7 +491,7 @@ def _spectrum_3d(r: _Run) -> None:
 
     estimate = threed.max_contrast_estimate(
         species.scattering_length, derived.peak_density,
-        r.config.condensate.trap.longitudinal_frequency, omega_xi, alpha, xi)
+        r.config.condensate.trap.longitudinal_frequency, omega_xi, alpha)
     r.report.reference_comparison.append(_comparison_row(
         "threed.max_contrast_prefactor", estimate.prefactor))
     r.report.reference_comparison.append(_comparison_row(

@@ -136,13 +136,10 @@ def freezing_time(kappa: float, alpha: float, c0: float = 1.0) -> float:
 @dataclass
 class ModeEvolution:
     """History of one co-moving mode: (t, phi, phidot) plus the frozen value."""
-    kappa: float
     times: np.ndarray
     phi: np.ndarray
     phidot: np.ndarray
     frozen_value: float | None
-    frozen_time: float | None
-    source: str                      # "numeric" or "analytic"
     wkb_residual_start: float
     nfev: int                        # background reads at block nodes, rejected
                                      # blocks included; 0 when analytic
@@ -314,17 +311,15 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     phi, phidot = _interpolate_blocks(starts, widths, values, t_eval)
 
     frozen_value = None
-    frozen_time = None
     tail = abs(phidot[-1]) * t_eval[-1] / abs(phi[-1])
     if tail < _FREEZE_CRITERION:
         frozen_value = float(abs(phi[-1]))
-        frozen_time = float(t_eval[-1])
     else:
         notes.append(f"not frozen by t_end (|phi'| t/|phi| = {tail:.2e})")
 
-    return ModeEvolution(kappa=kappa, times=t_eval, phi=phi, phidot=phidot,
-                         frozen_value=frozen_value, frozen_time=frozen_time,
-                         source="numeric", wkb_residual_start=float(wkb_residual),
+    return ModeEvolution(times=t_eval, phi=phi, phidot=phidot,
+                         frozen_value=frozen_value,
+                         wkb_residual_start=float(wkb_residual),
                          nfev=nfev, warnings=notes)
 
 
@@ -338,10 +333,9 @@ def analytic_evolution(kappa: float, times, alpha: float, c0: float = 1.0,
     phidot = norm * d1
     omega0_ad = adiabatic_frequency(kappa, float(alpha * times[0]), c0)
     residual = abs(phidot[0] + 1j * omega0_ad * phi[0]) / (omega0_ad * abs(phi[0]))
-    return ModeEvolution(kappa=kappa, times=times, phi=phi, phidot=phidot,
-                         frozen_value=float(abs(phi[-1])), frozen_time=float(times[-1]),
-                         source="analytic", wkb_residual_start=float(residual),
-                         nfev=0)
+    return ModeEvolution(times=times, phi=phi, phidot=phidot,
+                         frozen_value=float(abs(phi[-1])),
+                         wkb_residual_start=float(residual), nfev=0)
 
 
 def frozen_phase_variance(kappa, coupling: float, alpha: float, c0: float = 1.0):
@@ -392,14 +386,11 @@ def kappa_band_edge(xi: float, alpha: float, omega_xi: float) -> float:
 class MaxContrastEstimate:
     value: float                 # kappa^3 C at the band edge
     prefactor: float             # dimensionless, ~30.3 for quartic 3D
-    kappa_max: float
-    expansion_ratio: float       # omega_xi / omega0
     short_linear_window: bool    # True flags omega_xi/omega0 < 10
 
 
 def max_contrast_estimate(scattering_length: float, rho0: float, omega0: float,
-                          omega_xi: float, alpha: float,
-                          xi: float) -> MaxContrastEstimate:
+                          omega_xi: float, alpha: float) -> MaxContrastEstimate:
     """Peak density contrast kappa^3 C(kappa_max).
 
     kappa^3 C = prefactor * sqrt(a_s^3 rho0) * (omega_xi/omega0)^(-3/4) with
@@ -412,13 +403,8 @@ def max_contrast_estimate(scattering_length: float, rho0: float, omega0: float,
                  / 3.0 ** (1.0 / 3.0))
     ratio = omega_xi / omega0
     value = prefactor * math.sqrt(scattering_length**3 * rho0) * ratio ** (-0.75)
-    return MaxContrastEstimate(
-        value=value,
-        prefactor=prefactor,
-        kappa_max=kappa_band_edge(xi, alpha, omega_xi),
-        expansion_ratio=ratio,
-        short_linear_window=ratio < 10.0,
-    )
+    return MaxContrastEstimate(value=value, prefactor=prefactor,
+                               short_linear_window=ratio < 10.0)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import pytest
 
 from becosmo.condensate import (AtomSpecies, CondensateSpec, TrapGeometry,
                                 thomas_fermi)
-from becosmo.scaling import ExpansionProtocol, integrate_scale_factor
+from becosmo.scaling import integrate_scale_factor
 
 W0_2D = 2.0 * math.pi * 10.0
 WZ_2D = 2.0 * math.pi * 790.0
@@ -42,13 +42,11 @@ def rubidium_derived(rubidium_spec):
 
 @pytest.fixture(scope="session")
 def traj2d():
-    protocol = ExpansionProtocol.free_expansion(W0_2D)
-    return integrate_scale_factor(protocol, 2, 2.0, t_max=1100.0 / W0_2D,
+    return integrate_scale_factor(W0_2D, 2, t_max=1100.0 / W0_2D,
                                   tolerance=1e-10, n_samples=600)
 
 
 @pytest.fixture(scope="session")
 def traj3d():
-    protocol = ExpansionProtocol.free_expansion(W0_3D)
-    return integrate_scale_factor(protocol, 3, 2.0, t_max=5000.0 / W0_3D,
+    return integrate_scale_factor(W0_3D, 3, t_max=5000.0 / W0_3D,
                                   tolerance=1e-10, n_samples=500)

@@ -18,8 +18,7 @@ from becosmo.condensate import (sound_frequency_at_healing_scale, thomas_fermi,
 from becosmo.geometry import (apparent_horizon, metric_components,
                               particle_horizon, settled_apparent_horizon)
 from becosmo.q2d import density_spectrum_2d, windowed_contrast
-from becosmo.scaling import (ExpansionProtocol, LinearExpansion,
-                             integrate_scale_factor)
+from becosmo.scaling import LinearExpansion, integrate_scale_factor
 from becosmo.scenarios import load_scenario, run
 from becosmo.threed import (analytic_evolution, density_contrast_from_mode,
                             density_spectrum_3d, freezing_time,
@@ -60,13 +59,11 @@ def test_criterion_2_rubidium_3d():
     omega0 = spec.trap.longitudinal_frequency
     omega_min = 2.0 * math.pi * derived.sound_speed / derived.thomas_fermi_radius
 
-    trajectory = integrate_scale_factor(config.protocol(), 3, 2.0,
-                                        t_max=100.0 / omega0, tolerance=1e-10)
+    trajectory = integrate_scale_factor(omega0, 3, t_max=100.0 / omega0, tolerance=1e-10)
     omega_xi = sound_frequency_at_healing_scale(derived)
     estimate = max_contrast_estimate(spec.species.scattering_length,
                                      derived.peak_density, omega0, omega_xi,
-                                     trajectory.asymptotic_velocity,
-                                     derived.healing_length)
+                                     trajectory.asymptotic_velocity)
     elapsed = time.perf_counter() - start
 
     assert derived.thomas_fermi_radius == pytest.approx(12.2e-6, rel=0.02)
@@ -82,9 +79,7 @@ def test_criterion_2_rubidium_3d():
 def test_criterion_3_contrast_prefactor():
     start = time.perf_counter()
     omega0 = 2.0 * math.pi * 200.0
-    trajectory = integrate_scale_factor(
-        ExpansionProtocol.free_expansion(omega0), 3, 2.0,
-        t_max=100.0 / omega0, tolerance=1e-10)
+    trajectory = integrate_scale_factor(omega0, 3, t_max=100.0 / omega0, tolerance=1e-10)
     alpha_tilde = trajectory.asymptotic_velocity / omega0
     prefactor = (4.0 * math.sqrt(math.pi) * specfun.gamma(1.0 / 3.0) ** 2
                  * alpha_tilde**0.75 / 3.0 ** (1.0 / 3.0))
@@ -101,9 +96,8 @@ def test_criterion_4_scale_factor_oracle():
     start = time.perf_counter()
     omega0 = 2.0 * math.pi * 10.0
     tolerance = 1e-10
-    trajectory = integrate_scale_factor(
-        ExpansionProtocol.free_expansion(omega0), 2, 2.0,
-        t_max=100.0 / omega0, tolerance=tolerance)
+    trajectory = integrate_scale_factor(omega0, 2, t_max=100.0 / omega0,
+                                        tolerance=tolerance)
 
     ts = np.linspace(0.0, 100.0 / omega0, 1000)
     b_exact = np.sqrt(1.0 + omega0**2 * ts**2)
@@ -168,9 +162,7 @@ def test_criterion_5_mode_oracle():
 def test_criterion_6_horizon_suite():
     start = time.perf_counter()
     omega0 = 2.0 * math.pi * 10.0
-    trajectory = integrate_scale_factor(
-        ExpansionProtocol.free_expansion(omega0), 2, 2.0,
-        t_max=1000.0 / omega0, tolerance=1e-10)
+    trajectory = integrate_scale_factor(omega0, 2, t_max=1000.0 / omega0, tolerance=1e-10)
 
     c0 = 1.0
     r_late = apparent_horizon(trajectory, 1000.0 / omega0, c0)
@@ -192,8 +184,8 @@ def test_criterion_6_horizon_suite():
     config = load_scenario("sodium-q2d")
     derived = thomas_fermi(config.condensate)
     omega0_na = config.condensate.trap.longitudinal_frequency
-    traj_na = integrate_scale_factor(config.protocol(), 2, 2.0,
-                                     t_max=200.0 / omega0_na, tolerance=1e-10)
+    traj_na = integrate_scale_factor(omega0_na, 2, t_max=200.0 / omega0_na,
+                                     tolerance=1e-10)
     settled = settled_apparent_horizon(traj_na, derived.sound_speed)
     formula = derived.sound_speed / omega0_na
     assert settled == pytest.approx(formula, rel=1e-6)
@@ -261,8 +253,7 @@ def test_criterion_8_property_suite(tmp_path):
             pytest.approx(reference, rel=1e-12)
 
     omega0 = spec.trap.longitudinal_frequency
-    trajectory = integrate_scale_factor(config.protocol(), 2, 2.0,
-                                        t_max=200.0 / omega0, tolerance=1e-10)
+    trajectory = integrate_scale_factor(omega0, 2, t_max=200.0 / omega0, tolerance=1e-10)
     horizons = [particle_horizon(trajectory, float(t))
                 for t in trajectory.ts[::5]]
     assert all(a > b for a, b in zip(horizons, horizons[1:]))

@@ -173,7 +173,7 @@ class TestValidity:
             transverse_width=sodium_derived.transverse_width,
             reduced_coupling=sodium_derived.reduced_coupling,
             effective_coupling=sodium_derived.effective_coupling,
-            dimension=2, exponent=2.0)
+            dimension=2)
         checks = validate_dimensional_reduction(sodium_spec, doctored)
         check = {c.name: c for c in checks}["mode_mixing_suppression"]
         assert check.ratio == pytest.approx(1.0, rel=1e-12)

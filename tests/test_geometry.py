@@ -5,12 +5,11 @@ import pytest
 
 from scipy.optimize import brentq
 
-from becosmo.condensate import INTERACTION_EXPONENT, thomas_fermi
+from becosmo.condensate import thomas_fermi
 from becosmo.geometry import (apparent_horizon, conformal_factor,
                               horizon_crossing_time, metric_components,
                               particle_horizon, settled_apparent_horizon)
-from becosmo.scaling import (ExpansionProtocol, horizon_exponent,
-                             integrate_scale_factor, is_flat_case)
+from becosmo.scaling import integrate_scale_factor
 from becosmo.scenarios import PRESETS, config_from_dict, run
 
 from conftest import W0_2D
@@ -56,20 +55,17 @@ class TestMetric:
 
 
 class TestFlatness:
-    @pytest.mark.parametrize("d, n", [(2, 2.0), (3, 5.0 / 3.0)])
-    def test_flat_cases(self, d, n):
-        assert is_flat_case(d, n)
+    # with c = c0 b^(1-s), the co-moving metric factor A b^2 grows as a power of b
+    @staticmethod
+    def _growth(trajectory, dimension):
+        factor = lambda b: conformal_factor(b ** (1.0 - trajectory.s), 1.0, dimension) * b**2
+        return math.log(factor(4.0) / factor(1.0)) / math.log(4.0)
 
-    @pytest.mark.parametrize("d, n", [(3, 2.0), (2, 3.0)])
-    def test_non_flat_cases(self, d, n):
-        assert not is_flat_case(d, n)
+    def test_2d_is_flat(self, traj2d):
+        assert self._growth(traj2d, 2) == pytest.approx(0.0, abs=1e-15)
 
-    def test_3d_quartic_exponent(self):
-        # with c = c0 b^(1-s), the co-moving metric factor A b^2 grows as b^(1/2)
-        s = horizon_exponent(3, 2.0)
-        factor = lambda b: conformal_factor(b ** (1.0 - s), 1.0, 3) * b**2
-        assert math.log(factor(4.0) / factor(1.0)) / math.log(4.0) == \
-            pytest.approx(0.5, rel=1e-12)
+    def test_3d_quartic_exponent(self, traj3d):
+        assert self._growth(traj3d, 3) == pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("c0", [math.nan, 0.0, -1.0, math.inf])
@@ -89,8 +85,8 @@ class TestParticleHorizon:
         assert particle_horizon(traj2d, 0.0) == pytest.approx(expected, rel=1e-3)
 
     def test_trap_on_is_infinite(self):
-        traj = integrate_scale_factor(ExpansionProtocol.hold(W0_2D), 2, 2.0,
-                                      t_max=20.0 / W0_2D, tolerance=1e-10)
+        traj = integrate_scale_factor(W0_2D, 2, t_max=20.0 / W0_2D, tolerance=1e-10,
+                                      held=True)
         assert math.isinf(particle_horizon(traj, 0.0))
 
     def test_shrinks_to_zero(self, traj2d):
@@ -149,9 +145,9 @@ def _preset_trajectory(name):
     """The preset's own b(t) and sound speed, as its evolve stage builds them."""
     config = config_from_dict(PRESETS[name])
     spec, numeric = config.condensate, config.numeric
+    omega0 = spec.trap.longitudinal_frequency
     trajectory = integrate_scale_factor(
-        config.protocol(), spec.trap.dimension, INTERACTION_EXPONENT,
-        t_max=numeric.t_max_omega0 / spec.trap.longitudinal_frequency,
+        omega0, spec.trap.dimension, t_max=numeric.t_max_omega0 / omega0,
         tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples)
     return trajectory, thomas_fermi(spec).sound_speed
 
@@ -183,8 +179,8 @@ class TestHorizonCrossing:
         assert math.isinf(horizon_crossing_time(kappa, traj2d, c0=1.0))
 
     def test_held_trap_never_crosses(self):
-        traj = integrate_scale_factor(ExpansionProtocol.hold(W0_2D), 2, 2.0,
-                                      t_max=20.0 / W0_2D, tolerance=1e-10)
+        traj = integrate_scale_factor(W0_2D, 2, t_max=20.0 / W0_2D, tolerance=1e-10,
+                                      held=True)
         times = horizon_crossing_time(np.array([1e-9, 1.0, 1e9]), traj)
         assert np.all(np.isinf(times))
 

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from becosmo.scaling import (ExpansionProtocol, LinearExpansion,
-                             NumericalError, analytic_scale_2d,
-                             clock_exponent, horizon_exponent,
-                             integrate_scale_factor, is_flat_case,
-                             scale_exponent, scale_ode_rhs)
+from becosmo.scaling import (LinearExpansion, NumericalError, analytic_scale_2d,
+                             integrate_scale_factor)
 from becosmo.condensate import natural_coupling, thomas_fermi
 from becosmo.geometry import conformal_factor
 from becosmo.scenarios import PRESETS, config_from_dict, run
@@ -17,36 +14,30 @@ from conftest import W0_2D, W0_3D
 
 
 class TestOdeRhs:
-    def test_2d_at_release(self):
-        protocol = ExpansionProtocol.free_expansion(W0_2D)
-        assert scale_ode_rhs(1.0, 0.0, protocol, 2, 2.0) == pytest.approx(
-            W0_2D**2, rel=1e-15)
+    """The right-hand side b'' = omega0^2/b^(D+1), read off the trajectory."""
 
-    def test_3d_quartic_damping(self):
-        protocol = ExpansionProtocol.free_expansion(W0_3D)
-        assert scale_ode_rhs(2.0, 1.0, protocol, 3, 2.0) == pytest.approx(
-            W0_3D**2 / 16.0, rel=1e-15)
+    def test_2d_at_release(self, traj2d):
+        # b'' = omega0^2 at b = 1: bdot = omega0^2 t (1 - (omega0 t)^2/2 + ...)
+        t = 1e-4 / W0_2D
+        assert traj2d.bdot(t) == pytest.approx(W0_2D**2 * t, rel=1e-7)
 
-    def test_fermi_gas_exponent_matches_flat_case(self):
-        # D=3, N=5/3 shares p=3 with the flat quartic 2D case
-        assert scale_exponent(3, 5.0 / 3.0) == pytest.approx(3.0, rel=1e-15)
-        assert scale_exponent(2, 2.0) == pytest.approx(3.0)
-        assert scale_exponent(3, 2.0) == pytest.approx(4.0)
+    def test_3d_quartic_damping(self, traj3d):
+        # p = 4: the first integral bdot^2 = 2 omega0^2 (1 - b^-3) / 3
+        b, bdot = traj3d.bs[1:], traj3d.bdots[1:]  # b = 1 at t = 0
+        assert np.abs(bdot**2 / (2.0 * W0_3D**2 * (1.0 - b**-3.0) / 3.0) - 1.0).max() <= 1e-8
 
-    def test_rejects_collapsed_scale(self):
-        protocol = ExpansionProtocol.free_expansion(W0_2D)
-        with pytest.raises(ValueError):
-            scale_ode_rhs(0.0, 0.0, protocol, 2, 2.0)
-
+    # the trap schedule: omega0 enters b'' squared, which must be a normal float
     @pytest.mark.parametrize("omega0", [0.0, -1.0, math.nan, math.inf, 1e-300,
                                         1e-155, 1e155])
     def test_protocol_rejects_bad_frequency(self, omega0):
-        with pytest.raises(ValueError):
-            ExpansionProtocol(omega0)
+        for held in (False, True):
+            with pytest.raises(ValueError, match="initial frequency"):
+                integrate_scale_factor(omega0, 2, 1.0, held=held)
 
     def test_trap_on_equilibrium(self):
-        protocol = ExpansionProtocol.hold(W0_2D)
-        assert scale_ode_rhs(1.0, 5.0, protocol, 2, 2.0) == 0.0
+        # b'' = -omega0^2 b + omega0^2/b^3 is exactly 0 at b = 1
+        held = integrate_scale_factor(W0_2D, 2, t_max=5.0, held=True)
+        assert np.all(held.bs == 1.0) and np.all(held.bdots == 0.0)
 
 
 class TestAnalytic2d:
@@ -84,33 +75,33 @@ class TestTrajectory:
         assert np.all(np.diff(traj2d.clocks) > 0.0)
 
     def test_energy_invariant(self, traj2d):
-        p = traj2d.p
-        energy = 0.5 * traj2d.bdots**2 + W0_2D**2 * traj2d.bs**(1 - p) / (p - 1)
-        assert np.abs(energy / energy[0] - 1.0).max() <= 10.0 * traj2d.tolerance
+        # b'' = omega0^2/b^3 conserves bdot^2/2 + omega0^2/(2 b^2); traj2d
+        # was integrated at tolerance 1e-10
+        energy = 0.5 * traj2d.bdots**2 + W0_2D**2 * traj2d.bs**-2.0 / 2.0
+        assert np.abs(energy / energy[0] - 1.0).max() <= 10.0 * 1e-10
 
     def test_asymptotic_velocity_3d(self, traj3d):
         assert traj3d.asymptotic_velocity / W0_3D == pytest.approx(
             math.sqrt(2.0 / 3.0), abs=1e-4)
 
     def test_trap_on_is_static(self):
-        traj = integrate_scale_factor(ExpansionProtocol.hold(W0_2D), 2, 2.0,
-                                      t_max=20.0 / W0_2D, tolerance=1e-10)
+        traj = integrate_scale_factor(W0_2D, 2, t_max=20.0 / W0_2D, tolerance=1e-10,
+                                      held=True)
         assert np.abs(traj.bs - 1.0).max() <= 1e-10
         assert np.abs(traj.bdots).max() <= 1e-8 * W0_2D
 
     def test_tolerance_domain(self):
-        protocol = ExpansionProtocol.free_expansion(W0_2D)
         with pytest.raises(ValueError):
-            integrate_scale_factor(protocol, 2, 2.0, 1.0, tolerance=1e-3)
+            integrate_scale_factor(W0_2D, 2, 1.0, tolerance=1e-3)
         with pytest.raises(ValueError):
-            integrate_scale_factor(protocol, 2, 2.0, 1.0, tolerance=1e-15)
+            integrate_scale_factor(W0_2D, 2, 1.0, tolerance=1e-15)
         with pytest.raises(ValueError):
-            integrate_scale_factor(protocol, 2, 2.0, -1.0)
+            integrate_scale_factor(W0_2D, 2, -1.0)
         with pytest.raises(ValueError):
-            integrate_scale_factor(protocol, 2, 2.0, math.nan)
+            integrate_scale_factor(W0_2D, 2, math.nan)
         for dimension in (1, 4):  # the model is quasi-2D or 3D
             with pytest.raises(ValueError, match="dimension"):
-                integrate_scale_factor(protocol, dimension, 2.0, 1.0)
+                integrate_scale_factor(W0_2D, dimension, 1.0)
 
     def test_range_guard(self, traj2d):
         for lookup in (traj2d.b, traj2d.bdot, traj2d.clock, traj2d.horizon_integral):
@@ -119,9 +110,8 @@ class TestTrajectory:
                     lookup(bad)
 
     def test_overflow_is_a_numerical_error(self):
-        protocol = ExpansionProtocol.free_expansion(W0_2D)
         with pytest.raises(NumericalError, match="overflow"):
-            integrate_scale_factor(protocol, 2, 2.0, t_max=1e300 / W0_2D)
+            integrate_scale_factor(W0_2D, 2, t_max=1e300 / W0_2D)
 
     def test_csv_export(self, traj2d, tmp_path):
         # The evolve stage repeats the traj2d integration and writes its
@@ -141,18 +131,20 @@ class TestTrajectory:
 
 class TestStepperReference:
     """The in-package stepper against scipy's DOP853 at rtol 2.3e-14 (just
-    above its floor of 100 machine epsilons) on the same four channels."""
+    above its floor of 100 machine epsilons) on the same four channels,
+    with the model written out here: b'' = omega0^2/b^(D+1), less omega0^2 b
+    while the trap is held, and the integrands b^q of the clock and b^-s of
+    the horizon, (q, s) = (-2, 2) in quasi-2D and (-9/4, 5/2) in 3D."""
 
     @staticmethod
-    def _reference(traj):
-        protocol, dimension, exponent = traj.protocol, traj.dimension, traj.exponent
-        q = clock_exponent(dimension, exponent)
-        s = horizon_exponent(dimension, exponent)
+    def _reference(traj, dimension, held=False):
+        w0 = traj.omega0
+        p = dimension + 1
+        q, s = {2: (-2.0, 2.0), 3: (-2.25, 2.5)}[dimension]
+        w_ext = w0 if held else 0.0
 
         def rhs(t, y):
-            return [y[1], scale_ode_rhs(y[0], t, protocol, dimension, exponent),
-                    y[0]**q, y[0]**-s]
-        w0 = traj.omega0
+            return [y[1], -w_ext**2 * y[0] + w0**2 / y[0]**p, y[0]**q, y[0]**-s]
         atol = np.array([1.0, w0, 1.0 / w0, 1.0 / w0]) * 1e-20
         sol = solve_ivp(rhs, (0.0, traj.t_max), [1.0, 0.0, 0.0, 0.0], method="DOP853",
                         rtol=2.3e-14, atol=atol, dense_output=True)
@@ -161,13 +153,13 @@ class TestStepperReference:
 
     @pytest.fixture(scope="class")
     def held(self):
-        return integrate_scale_factor(ExpansionProtocol.hold(W0_2D), 2, 2.0,
-                                      t_max=20.0 / W0_2D)
+        return integrate_scale_factor(W0_2D, 2, t_max=20.0 / W0_2D, held=True)
 
     @pytest.mark.parametrize("name", ["traj2d", "traj3d", "held"])
     def test_agrees_with_reference(self, name, request):
         traj = request.getfixturevalue(name)
-        reference = self._reference(traj)
+        dimension = 3 if name == "traj3d" else 2
+        reference = self._reference(traj, dimension, held=name == "held")
         # absolute floor in each channel's natural unit, for the zeros at t = 0
         # and the static bdot of a held trap
         floor = 1e-13 * np.array([1.0, traj.omega0, 1.0 / traj.omega0,
@@ -192,7 +184,7 @@ class TestStepperReference:
 
 
 class TestProperTime:
-    # In the flat cases the clock integral of 1/b^2 is the proper time tau.
+    # In quasi-2D, the flat case, the clock integral of 1/b^2 is the proper time tau.
     def test_2d_arctan(self, traj2d):
         ts = np.linspace(0.5 / W0_2D, 100.0 / W0_2D, 300)
         expected = np.arctan(W0_2D * ts) / W0_2D
@@ -202,25 +194,25 @@ class TestProperTime:
         assert traj2d.clock_infinity == pytest.approx(math.pi / (2.0 * W0_2D), rel=1e-6)
 
     def test_static_background(self):
-        traj = integrate_scale_factor(ExpansionProtocol.hold(W0_2D), 2, 2.0,
-                                      t_max=10.0 / W0_2D, tolerance=1e-10)
+        traj = integrate_scale_factor(W0_2D, 2, t_max=10.0 / W0_2D, tolerance=1e-10,
+                                      held=True)
         t = 5.0 / W0_2D
         assert traj.clock(t) == pytest.approx(t, rel=1e-10)
 
     def test_samples_are_the_lookup_at_ts(self, tmp_path):
         # trajectory.csv writes tau = sqrt(A(0)) c(0) * clock at the samples,
-        # with the prefactor 1 in the flat cases
+        # with the prefactor 1 in quasi-2D, the flat case
         for preset in ("sodium-q2d", "rubidium-3d"):
             config = config_from_dict(PRESETS[preset])
             run(config, tmp_path / preset)
             spec, numeric = config.condensate, config.numeric
             D = spec.trap.dimension
+            omega0 = spec.trap.longitudinal_frequency
             traj = integrate_scale_factor(
-                config.protocol(), D, 2.0,
-                t_max=numeric.t_max_omega0 / spec.trap.longitudinal_frequency,
+                omega0, D, t_max=numeric.t_max_omega0 / omega0,
                 tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples)
             prefactor = 1.0
-            if not is_flat_case(D, 2.0):
+            if D == 3:
                 derived = thomas_fermi(spec)
                 conformal0 = conformal_factor(
                     derived.sound_speed, natural_coupling(derived.effective_coupling), D)
@@ -230,16 +222,10 @@ class TestProperTime:
             tau = [line.rsplit(",", 1)[1] for line in lines[1:]]
             assert tau == ["%.12e" % v for v in prefactor * traj.clock(traj.ts)]
 
-    def test_general_branch_exponent(self):
-        # flat cases reduce to the 1/b^2 integrand
-        assert clock_exponent(2, 2.0) == pytest.approx(-2.0)
-        assert clock_exponent(3, 5.0 / 3.0) == pytest.approx(-2.0)
-        assert clock_exponent(3, 2.0) == pytest.approx(-2.25)
-
-    def test_flat_classification(self):
-        assert is_flat_case(2, 2.0)
-        assert is_flat_case(3, 5.0 / 3.0)
-        assert not is_flat_case(3, 2.0)
+    def test_general_branch_exponent(self, traj2d, traj3d):
+        # the flat quasi-2D case reduces to the 1/b^2 integrand
+        assert traj2d.q == -2.0
+        assert traj3d.q == -2.25
 
 
 class TestLinearExpansion:

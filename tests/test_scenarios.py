@@ -537,15 +537,14 @@ class TestCli:
             "import numpy as np",
             "import becosmo",
             "from becosmo.cli import main",
-            "from becosmo.condensate import INTERACTION_EXPONENT",
             "for preset in ('sodium-q2d', 'rubidium-3d'):",
             "    out = sys.argv[1] + '/' + preset",
             "    assert main(['report', '--scenario', preset, '--out', out]) == 0",
             "    config = becosmo.load_scenario(preset)",
             "    spec = config.condensate",
+            "    omega0 = spec.trap.longitudinal_frequency",
             "    traj = becosmo.integrate_scale_factor(",
-            "        config.protocol(), spec.trap.dimension, INTERACTION_EXPONENT,",
-            "        config.numeric.t_max_omega0 / spec.trap.longitudinal_frequency)",
+            "        omega0, spec.trap.dimension, config.numeric.t_max_omega0 / omega0)",
             "    kappas = np.geomspace(1e2, 1e10, 64)",
             "    times = becosmo.horizon_crossing_time(kappas, traj, 1e-3)",
             "    assert times.shape == (64,)",

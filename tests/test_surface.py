@@ -5,9 +5,11 @@ itself (outside its own definition and the package exports), by the
 benchmark in bench/, or by the README. Otherwise only tests call it, and it
 is a dead helper. The one exception is a reference implementation that a
 test compares the package against; each is listed in ORACLES with that
-test.
+test. Likewise every field of a public dataclass must be read somewhere as
+.<field>.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -74,3 +76,23 @@ def test_oracles_are_test_references_only():
         source = (ROOT / path).read_text()
         body = source.split(f"def {function}(", 1)[1].split("\n    def ", 1)[0]
         assert name in body, f"{test} does not use {name}"
+
+
+def _public_dataclasses():
+    """(module, class) of every public dataclass a module defines."""
+    for module, name in _public_names():
+        cls = getattr(importlib.import_module(f"becosmo.{module}"), name)
+        if dataclasses.is_dataclass(cls):
+            yield module, cls
+
+
+def test_every_dataclass_field_is_read():
+    # a field nothing reads as .<field> is computed, stored and thrown away
+    texts = [path.read_text() for path in [
+        *sorted(SRC.glob("*.py")), *sorted((ROOT / "bench").glob("*.py")),
+        *sorted((ROOT / "tests").glob("*.py")), ROOT / "README.md"]
+        if path != Path(__file__)]
+    unread = [f"{module}.{cls.__name__}.{f.name}"
+              for module, cls in _public_dataclasses() for f in dataclasses.fields(cls)
+              if not any(re.search(rf"\.{f.name}\b", text) for text in texts)]
+    assert not unread, f"dataclass fields nothing reads: {unread}"

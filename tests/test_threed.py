@@ -13,8 +13,7 @@ from scipy.stats import linregress
 
 import becosmo
 from becosmo import specfun, threed
-from becosmo.scaling import (ExpansionProtocol, LinearExpansion, ScaleTrajectory,
-                             integrate_scale_factor)
+from becosmo.scaling import LinearExpansion, ScaleTrajectory, integrate_scale_factor
 from becosmo.threed import (ModeIntegrationError, _basis_pair,
                             adiabatic_frequency, analytic_evolution,
                             density_contrast_from_mode, density_spectrum_3d,
@@ -203,7 +202,7 @@ class TestIntegrateMode:
             integrate_mode(kappa, bg, t_late, 2.0 * t_late)
 
     def test_background_without_linear_regime_rejected(self, monkeypatch):
-        held = integrate_scale_factor(ExpansionProtocol.hold(1.0), 3, 2.0, 100.0)
+        held = integrate_scale_factor(1.0, 3, 100.0, held=True)
         assert held.linear_offset is None
         monkeypatch.setattr(threed, "_solve_blocks", _no_solve)
         with pytest.raises(ModeIntegrationError, match="no linear regime"):
@@ -225,8 +224,7 @@ class TestIntegrateMode:
 
         kappa = 1000.0
         t_end = freezing_time(kappa, ALPHA)
-        trajectory = integrate_scale_factor(ExpansionProtocol.free_expansion(1.0),
-                                            3, 2.0, 1.5 * t_end)
+        trajectory = integrate_scale_factor(1.0, 3, 1.5 * t_end)
         per_solve = []
         for background, shift in ((LinearExpansion(ALPHA), 0.0),
                                   (trajectory, trajectory.linear_offset)):
@@ -256,8 +254,7 @@ class TestIntegrateMode:
         monkeypatch.setattr(ScaleTrajectory, "expansion_on", recorded)
 
         kappa = 1000.0
-        trajectory = integrate_scale_factor(ExpansionProtocol.free_expansion(1.0),
-                                            3, 2.0, freezing_time(kappa, ALPHA))
+        trajectory = integrate_scale_factor(1.0, 3, freezing_time(kappa, ALPHA))
         t_start = trajectory.linear_offset + _deep_start(kappa, 40.0)
         evo = integrate_mode(kappa, trajectory, t_start, trajectory.t_max,
                              tolerance=1e-9)
@@ -355,8 +352,7 @@ class TestRealBackground:
     @pytest.fixture(scope="class")
     def trajectory(self):
         t_end = freezing_time(self.KAPPA, ALPHA)
-        return integrate_scale_factor(ExpansionProtocol.free_expansion(1.0), 3,
-                                      2.0, 1.5 * t_end, tolerance=1e-11)
+        return integrate_scale_factor(1.0, 3, 1.5 * t_end, tolerance=1e-11)
 
     def test_frozen_value_matches_closed_form(self, trajectory):
         alpha = trajectory.asymptotic_velocity
@@ -420,18 +416,17 @@ class TestClosedForms:
 
 class TestMaxContrast:
     def test_prefactor_value(self):
-        estimate = max_contrast_estimate(5.3e-9, 3.3e21, 1.0, 128.0, ALPHA, 6.7e-8)
+        estimate = max_contrast_estimate(5.3e-9, 3.3e21, 1.0, 128.0, ALPHA)
         assert estimate.prefactor == pytest.approx(30.3, abs=0.05)
 
     def test_ideal_gas_limit(self):
-        estimate = max_contrast_estimate(1e-30, 1.0, 1.0, 128.0, ALPHA, 6.7e-8)
+        estimate = max_contrast_estimate(1e-30, 1.0, 1.0, 128.0, ALPHA)
         assert estimate.value < 1e-30
 
     def test_short_window_flagged(self):
-        assert max_contrast_estimate(5.3e-9, 3.3e21, 1.0, 5.0, ALPHA,
-                                     6.7e-8).short_linear_window
-        assert not max_contrast_estimate(5.3e-9, 3.3e21, 1.0, 128.0, ALPHA,
-                                         6.7e-8).short_linear_window
+        assert max_contrast_estimate(5.3e-9, 3.3e21, 1.0, 5.0, ALPHA).short_linear_window
+        assert not max_contrast_estimate(5.3e-9, 3.3e21, 1.0, 128.0,
+                                         ALPHA).short_linear_window
 
     def test_band_edge(self):
         xi, omega_xi = 6.7e-8, 1.6e5

@@ -77,15 +77,11 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = load_scenario(args.scenario)
-        config = _apply_overrides(config, args)
+        config = _apply_overrides(load_scenario(args.scenario), args)
+        report = run(config, args.out if args.out is not None else f"{config.name}-out")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-
-    out_dir = args.out if args.out is not None else f"{config.name}-out"
-    try:
-        report = run(config, out_dir)
     except StageError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

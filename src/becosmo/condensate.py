@@ -28,6 +28,19 @@ INTERACTION_EXPONENT = 2.0
 _VALIDITY_THRESHOLD = 3.0
 
 
+def check_dimension(dimension) -> None:
+    if dimension not in DIMENSIONS:
+        raise ValueError(f"dimension must be 2 or 3, got {dimension!r}")
+
+
+def check_frequency(omega0, name: str) -> None:
+    # omega0^2 sets the restoring force of b(t); a square that underflows or
+    # overflows would silently hold b at 1 or blow the derivation up.
+    if not (omega0 > 0.0 and sys.float_info.min <= omega0 * omega0 < math.inf):
+        raise ValueError(f"{name} must be positive, with a square that is a "
+                         "normal float (about 1.5e-154 to 1.3e154)")
+
+
 @dataclass(frozen=True)
 class AtomSpecies:
     name: str
@@ -57,14 +70,8 @@ class TrapGeometry:
     transverse_frequency: float | None = None  # omega_z, rad/s, required iff D = 2
 
     def __post_init__(self):
-        if self.dimension not in DIMENSIONS:
-            raise ValueError(f"dimension must be 2 or 3, got {self.dimension!r}")
-        # omega0^2 sets the restoring force of b(t); a square that underflows
-        # or overflows would silently hold b at 1 or blow the derivation up.
-        omega0 = self.longitudinal_frequency
-        if not (omega0 > 0.0 and sys.float_info.min <= omega0 * omega0 < math.inf):
-            raise ValueError("longitudinal frequency must be positive, with a square "
-                             "that is a normal float (about 1.5e-154 to 1.3e154)")
+        check_dimension(self.dimension)
+        check_frequency(self.longitudinal_frequency, "longitudinal frequency")
         if self.dimension == 2:
             if self.transverse_frequency is None:
                 raise ValueError("transverse frequency required for dimension 2")

@@ -21,15 +21,30 @@ trajectory.csv.
 from __future__ import annotations
 
 import math
-import sys
+import numbers
 
 import numpy as np
 
-from .condensate import DIMENSIONS
+from .condensate import check_dimension, check_frequency
+
+# Upper bound on a sample count: far above any grid a run needs, and small
+# enough that a typo cannot ask for terabytes.
+_MAX_SAMPLES = 1_000_000
 
 
 class NumericalError(RuntimeError):
     """Integration failed (step-size underflow or tolerance not met)."""
+
+
+def check_tolerance(tolerance, name: str) -> None:
+    # the embedded Runge-Kutta error control is honest in this interval only
+    if not 1e-14 < tolerance < 1e-4:
+        raise ValueError(f"{name} must lie in (1e-14, 1e-4)")
+
+
+def check_sample_count(count, name: str) -> None:
+    if not (isinstance(count, numbers.Integral) and 2 <= count <= _MAX_SAMPLES):
+        raise ValueError(f"{name} must be an integer in [2, {_MAX_SAMPLES}]")
 
 
 def _exponents(dimension: int) -> tuple[float, float, float]:
@@ -211,17 +226,18 @@ class ScaleTrajectory:
 
     Exposes dense-output lookups b(t), bdot(t), the co-moving clock integral
     and the horizon integral, plus the late-time linear-regime fit
-    b ~ alpha (t - linear_offset) used to close the improper integrals. Each
+    b ~ alpha (t - linear_offset) used to close the horizon integral. Each
     lookup takes a scalar or an array of times within [0, t_max]; the stored
-    samples at ts are the same lookup. p, q and s are the exponents of b''
-    and of the clock and horizon integrands; held says the trap stayed on.
+    samples at ts are the same lookup, and the fit reads the last sample.
+    p and s are the exponents of b'' and of the horizon integrand; held says
+    the trap stayed on.
     method, rtol, nfev (right-hand side calls) and steps (accepted steps)
     record what the stepper did.
     """
 
     method = "dormand-prince-5(4)"
 
-    def __init__(self, omega0, held, dense, ts, rtol, nfev, steps, p, q, s):
+    def __init__(self, omega0, held, dense, ts, rtol, nfev, steps, p, s):
         self.omega0 = omega0
         self.held = held
         self.t_max = float(ts[-1])
@@ -229,15 +245,14 @@ class ScaleTrajectory:
         self._dense = dense
         self.ts = ts
         self.bs, self.bdots, self.clocks, self.horizon_integrals = dense(ts)
-        self.p, self.q, self.s = p, q, s
+        self.p, self.s = p, s
         self._fit_asymptote()
 
     # -- linear-regime bookkeeping -------------------------------------------
 
     def _fit_asymptote(self):
-        t_f = self.t_max
-        b_f = float(self.b(t_f))
-        bd_f = float(self.bdot(t_f))
+        b_f = float(self.bs[-1])
+        bd_f = float(self.bdots[-1])
         if not self.held:
             # first integral of b'' = omega0^2/b^p after release
             self.asymptotic_velocity = math.sqrt(
@@ -291,23 +306,16 @@ class ScaleTrajectory:
         """Integral of b^-s from 0 to t."""
         return self._dense(self._check_range(t))[3]
 
-    # -- improper-integral tails ----------------------------------------------
-
-    def _tail(self, exponent_e: float) -> float:
-        """Closed-form integral of b^-e over [t_max, inf) on the linear asymptote."""
-        if self.linear_onset is None or self.linear_offset is None:
-            return math.inf
-        alpha = self.asymptotic_velocity
-        span = self.t_max - self.linear_offset
-        return span ** (1.0 - exponent_e) / (alpha**exponent_e * (exponent_e - 1.0))
-
-    @property
-    def clock_infinity(self) -> float:
-        return float(self.clocks[-1]) + self._tail(-self.q)
-
     @property
     def horizon_integral_infinity(self) -> float:
-        return float(self.horizon_integrals[-1]) + self._tail(self.s)
+        """Integral of b^-s from 0 to infinity: the samples up to t_max, then
+        the closed form on the linear asymptote; inf without a linear regime."""
+        if self.linear_onset is None or self.linear_offset is None:
+            return math.inf
+        alpha, s = self.asymptotic_velocity, self.s
+        span = self.t_max - self.linear_offset
+        tail = span ** (1.0 - s) / (alpha**s * (s - 1.0))
+        return float(self.horizon_integrals[-1]) + tail
 
 
 def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
@@ -316,19 +324,16 @@ def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
     """Integrate the scale-factor equation with dense output.
 
     The trap of frequency omega0 is switched off at t = 0, or stays on when
-    held. tolerance is the local relative error target, restricted to
-    (1e-14, 1e-4) so the embedded Runge-Kutta error control stays honest.
+    held. tolerance is the local relative error target (check_tolerance),
+    and n_samples evenly spaced samples from 0 to t_max are stored
+    (check_sample_count).
     """
-    if dimension not in DIMENSIONS:
-        raise ValueError(f"dimension must be 2 or 3, got {dimension!r}")
-    # b'' carries omega0^2, which must neither underflow nor overflow
-    if not (omega0 > 0.0 and sys.float_info.min <= omega0 * omega0 < math.inf):
-        raise ValueError("initial frequency must be positive, with a square "
-                         "that is a normal float (about 1.5e-154 to 1.3e154)")
+    check_dimension(dimension)
+    check_frequency(omega0, "initial frequency")
     if not t_max > 0.0:
         raise ValueError("t_max must be positive")
-    if not 1e-14 < tolerance < 1e-4:
-        raise ValueError("tolerance must lie in (1e-14, 1e-4)")
+    check_tolerance(tolerance, "tolerance")
+    check_sample_count(n_samples, "n_samples")
     p, q, s = _exponents(dimension)
     w2 = omega0**2
     w_ext2 = w2 if held else 0.0
@@ -348,7 +353,7 @@ def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
             dense = _PiecewiseQuartic(starts, widths, states, stages)
             trajectory = ScaleTrajectory(omega0, held, dense,
                                          np.linspace(0.0, t_max, n_samples), rtol,
-                                         nfev, len(starts), p=p, q=q, s=s)
+                                         nfev, len(starts), p=p, s=s)
     except (OverflowError, FloatingPointError) as exc:
         raise NumericalError("scale-factor integration failed: overflow "
                              f"({exc.args[-1]})") from exc

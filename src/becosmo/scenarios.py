@@ -28,9 +28,10 @@ import numpy as np
 from . import geometry, q2d, threed
 from .condensate import (DIMENSIONS, INTERACTION_EXPONENT, AtomSpecies,
                          CondensateSpec, DerivedParams, TrapGeometry, natural_coupling,
-                         sound_frequency_at_healing_scale, swave_coupling,
-                         thomas_fermi, validate_dimensional_reduction)
-from .scaling import ScaleTrajectory, integrate_scale_factor
+                         sound_frequency_at_healing_scale, thomas_fermi,
+                         validate_dimensional_reduction)
+from .scaling import (ScaleTrajectory, check_sample_count, check_tolerance,
+                      integrate_scale_factor)
 
 
 class ConfigError(ValueError):
@@ -46,11 +47,6 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-# Upper bound on trajectory_samples and kappa_points: far above any grid a
-# run needs, and small enough that a typo cannot ask for terabytes.
-_MAX_SAMPLES = 1_000_000
-
-
 @dataclass(frozen=True)
 class NumericSettings:
     ode_tolerance: float = 1e-10
@@ -61,14 +57,14 @@ class NumericSettings:
     kappa_points: int = 64
 
     def __post_init__(self):
-        if not 1e-14 < self.ode_tolerance < 1e-4:
-            raise ConfigError("numeric.ode_tolerance must lie in (1e-14, 1e-4)")
+        try:  # the rules of integrate_scale_factor, named by their config keys
+            check_tolerance(self.ode_tolerance, "numeric.ode_tolerance")
+            check_sample_count(self.trajectory_samples, "numeric.trajectory_samples")
+            check_sample_count(self.kappa_points, "numeric.kappa_points")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not 0.0 < self.t_max_omega0 < math.inf:
             raise ConfigError("numeric.t_max_omega0 must be positive and finite")
-        if not 2 <= self.trajectory_samples <= _MAX_SAMPLES:
-            raise ConfigError(f"numeric.trajectory_samples must lie in [2, {_MAX_SAMPLES}]")
-        if not 2 <= self.kappa_points <= _MAX_SAMPLES:
-            raise ConfigError(f"numeric.kappa_points must lie in [2, {_MAX_SAMPLES}]")
         if (self.kappa_min is not None) != (self.kappa_max is not None):
             raise ConfigError("numeric.kappa_min and kappa_max must be set together")
         if self.kappa_min is not None:
@@ -245,6 +241,15 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         raise
     except (KeyError, ValueError) as exc:  # the condensate types' own checks
         raise ConfigError(f"condensate: {exc}") from exc
+    # The Thomas-Fermi state depends on the input alone, so it is checked here.
+    try:
+        state = vars(thomas_fermi(condensate)).values()
+        finite = all(0.0 < value < math.inf for value in state if value is not None)
+    except ArithmeticError:  # so degenerate that it divides by zero
+        finite = False
+    if not finite:
+        raise ConfigError(f"condensate.atom_number {condensate.atom_number:g} and the "
+                          "trap give a Thomas-Fermi state that is not finite and positive")
     expansion = _section(data.get("expansion", {}), "expansion")
     numeric = NumericSettings(**{_NUMERIC_FIELDS.get(key, key): value for key, value
                                  in _section(data.get("numeric", {}), "numeric").items()})
@@ -262,9 +267,9 @@ def load_scenario(source) -> ScenarioConfig:
     if not path.exists():
         raise ConfigError(f"unknown preset or missing file: {source}")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise ConfigError(f"{path}: not a readable JSON file ({exc})") from exc
     return config_from_dict(data)
 
 
@@ -475,7 +480,7 @@ def _spectrum_3d(r: _Run) -> None:
     with np.errstate(over="raise"):
         spectrum = threed.spectrum_3d_grid(
             kappas, xi, derived.sound_speed, derived.peak_density, alpha,
-            natural_coupling(swave_coupling(species)), omega_xi)
+            natural_coupling(derived.effective_coupling), kmax)
     clipped = int(np.sum(~spectrum.in_band))
     if clipped:
         r.report.warnings.append({
@@ -530,11 +535,15 @@ STAGES: dict[str, Stage] = {
 def run(config: ScenarioConfig, out_dir) -> RunReport:
     """Run the stages the analyses ask for and write the run directory.
 
-    On failure the manifest is written with the failing stage named, the
+    An output directory that cannot be created raises ConfigError. On a
+    stage failure the manifest is written with the failing stage named, the
     partial outputs are left in place and StageError carries the stage name.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out} ({exc})") from exc
     D, mode = config.condensate.trap.dimension, config.expansion_mode
     writes = {"derive", *config.analysis}
     if "report" in writes:

@@ -1,23 +1,24 @@
-"""Gamma and fractional-order Bessel/Hankel functions.
+"""Fractional-order Bessel and Hankel functions.
 
-gamma is math.gamma. The rest is a self-contained kernel for the fractional
-orders appearing in the analytic mode solutions of the expanding condensate
-(nu = +-1/3, +-2/3, plus any non-integer order in (-2, 2)).
+A self-contained kernel for the fractional orders appearing in the analytic
+mode solutions of the expanding condensate (nu = +-1/3, +-2/3, plus any
+non-integer order in (-2, 2)); Gamma is the standard library's math.gamma.
 
-Evaluation uses two branches of one array-valued kernel:
-  * ascending power series (extended-precision accumulation) for x < X_SWITCH,
+hankel1 (= J + iY) is the one kernel, with two branches:
+  * ascending power series of J_nu and J_-nu (extended-precision
+    accumulation) for x < X_SWITCH,
   * Hankel asymptotic expansion (modulus/phase form) for x >= X_SWITCH.
-
-The public functions are bessel_j, bessel_y and hankel1 (= J + iY). Each
-takes a scalar or an array x (every element checked) and returns a NumPy
-scalar or an array of x's shape; nu is a scalar. Derivatives follow from the
-order recurrence dH_nu/dx = H_(nu-1) - (nu/x) H_nu, which is how the 3D mode
+bessel_j and bessel_y are its real and imaginary parts. Each takes a scalar
+or an array x (every element checked) and returns a NumPy scalar or an
+array of x's shape; nu is a scalar. Derivatives follow from the order
+recurrence dH_nu/dx = H_(nu-1) - (nu/x) H_nu, which is how the 3D mode
 solution in threed uses them.
 
 Guaranteed relative accuracy is 1e-10 for x in [1e-3, 100] away from zeros
 of the individual functions; both branches remain usable outside that range.
-Integer orders are rejected: they would hit the logarithmic branch of Y_nu,
-which this kernel deliberately does not implement.
+Integer orders are rejected by every function: they would hit the
+logarithmic branch of Y_nu, which this kernel deliberately does not
+implement.
 """
 
 from __future__ import annotations
@@ -35,24 +36,6 @@ _SERIES_TERMS = 60
 # Terms tried by the asymptotic expansion, which stops at its smallest term.
 _ASYMPTOTIC_TERMS = 60
 
-# Gamma is the standard library's, accurate to about 1e-16 relative; it
-# raises ValueError at the poles (zero and the negative integers).
-gamma = math.gamma
-
-
-def _check_order(nu: float) -> float:
-    nu = float(nu)
-    if not -2.0 < nu < 2.0:
-        raise ValueError(f"order nu={nu} outside supported range (-2, 2)")
-    return nu
-
-
-def _check_noninteger(nu: float) -> float:
-    nu = _check_order(nu)
-    if abs(nu - round(nu)) < _INTEGER_EPS:
-        raise ValueError(f"integer order nu={nu} not supported (logarithmic branch)")
-    return nu
-
 
 def _series_j(orders, x: np.ndarray) -> np.ndarray:
     """Ascending series for J_nu, accumulated in extended precision.
@@ -61,7 +44,7 @@ def _series_j(orders, x: np.ndarray) -> np.ndarray:
     """
     nu = np.array(orders, dtype=_LD)[:, None]
     half = x.astype(_LD) / 2
-    gammas = np.array([gamma(v + 1.0) for v in orders], dtype=_LD)[:, None]
+    gammas = np.array([math.gamma(v + 1.0) for v in orders], dtype=_LD)[:, None]
     pref = np.exp(nu * np.log(half)) / gammas
     k = np.arange(1, _SERIES_TERMS, dtype=_LD)[:, None, None]
     terms = np.cumprod(-half * half / (k * (nu + k)), axis=0)
@@ -88,34 +71,31 @@ def _hankel1_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 / (math.pi * x)) * (np.cos(chi) + 1j * np.sin(chi)) * total
 
 
-def _branches(x, series, asymptotic) -> np.ndarray:
-    """series(x) below X_SWITCH and asymptotic(x) from it up, as one complex array."""
+def hankel1(nu: float, x):
+    """H^(1)_nu = J_nu + i Y_nu: the series below X_SWITCH, the asymptotic
+    expansion from it up."""
+    nu = float(nu)
+    if not -2.0 < nu < 2.0:
+        raise ValueError(f"order nu={nu} outside supported range (-2, 2)")
+    if abs(nu - round(nu)) < _INTEGER_EPS:
+        raise ValueError(f"integer order nu={nu} not supported (logarithmic branch)")
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0.0):
         raise ValueError(f"x={x[~(x > 0.0)][0]} must be positive")
     low = x < X_SWITCH
     out = np.empty(x.shape, dtype=complex)
     if low.any():
-        out[low] = series(x[low])
+        out[low] = _hankel1_series(nu, x[low])
     if not low.all():
-        out[~low] = asymptotic(x[~low])
-    return out
+        out[~low] = _hankel1_asymptotic(nu, x[~low])
+    return out[()]
 
 
 def bessel_j(nu: float, x):
-    """Bessel function of the first kind, fractional order."""
-    nu = _check_order(nu)
-    return _branches(x, lambda xs: _series_j((nu,), xs)[0],
-                     lambda xs: _hankel1_asymptotic(nu, xs)).real[()]
+    """Bessel function of the first kind, the real part of H^(1)_nu."""
+    return hankel1(nu, x).real
 
 
 def bessel_y(nu: float, x):
-    """Bessel function of the second kind via the non-integer connection formula."""
+    """Bessel function of the second kind, the imaginary part of H^(1)_nu."""
     return hankel1(nu, x).imag
-
-
-def hankel1(nu: float, x):
-    """H^(1)_nu = J_nu + i Y_nu."""
-    nu = _check_noninteger(nu)
-    return _branches(x, lambda xs: _hankel1_series(nu, xs),
-                     lambda xs: _hankel1_asymptotic(nu, xs))[()]

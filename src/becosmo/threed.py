@@ -22,13 +22,14 @@ Everything here is hydrodynamic: quoted spectra apply to wavelengths far
 above the healing length, enforced through the kappa_max band edge.
 
 The basis solution (1/t) H^(1)_{2/3}(z) and its time derivative come from
-_basis_pair; H^(2) is their complex conjugate. _basis_pair,
-frozen_phase_variance and density_spectrum_3d take a scalar or an array for
-t or kappa (every element checked) and return a NumPy scalar or an array. The module computes only: a ModeEvolution keeps
-its history as arrays, and the run pipeline in scenarios writes the 3D
-spectrum to spectrum.csv.
+_basis_pair on specfun.hankel1; H^(2) is their complex conjugate, and the
+Gamma factors are math.gamma. _basis_pair, frozen_phase_variance and
+density_spectrum_3d take a scalar or an array for t or kappa (every element
+checked) and return a NumPy scalar or an array. The module computes only;
+the run pipeline in scenarios writes the closed form on the linear
+asymptote to spectrum.csv.
 
-integrate_mode evolves a mode numerically with numpy only: the equation is
+integrate_mode evolves a single mode with numpy only: the equation is
 linear with smooth coefficients, so each block of a few oscillations is one
 Chebyshev-Lobatto collocation solve (Trefethen, Spectral Methods in MATLAB,
 ch. 6-7), accepted on the decay of its Chebyshev coefficients.
@@ -129,7 +130,7 @@ def freezing_time(kappa: float, alpha: float, c0: float = 1.0) -> float:
     |phi'| t / |phi| = 2 (beta/2)^(4/3) Gamma(1/3)/Gamma(5/3) t^-2.
     """
     beta_half = c0 * kappa / (3.0 * alpha**2.5)
-    factor = 2.0 * specfun.gamma(1.0 / 3.0) / specfun.gamma(5.0 / 3.0)
+    factor = 2.0 * math.gamma(1.0 / 3.0) / math.gamma(5.0 / 3.0)
     return beta_half ** (2.0 / 3.0) * math.sqrt(factor / _FREEZE_CRITERION)
 
 
@@ -140,7 +141,6 @@ class ModeEvolution:
     phi: np.ndarray
     phidot: np.ndarray
     frozen_value: float | None
-    wkb_residual_start: float
     nfev: int                        # background reads at block nodes, rejected
                                      # blocks included; 0 when analytic
     warnings: list[str] = field(default_factory=list)
@@ -318,9 +318,7 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
         notes.append(f"not frozen by t_end (|phi'| t/|phi| = {tail:.2e})")
 
     return ModeEvolution(times=t_eval, phi=phi, phidot=phidot,
-                         frozen_value=frozen_value,
-                         wkb_residual_start=float(wkb_residual),
-                         nfev=nfev, warnings=notes)
+                         frozen_value=frozen_value, nfev=nfev, warnings=notes)
 
 
 def analytic_evolution(kappa: float, times, alpha: float, c0: float = 1.0,
@@ -331,11 +329,8 @@ def analytic_evolution(kappa: float, times, alpha: float, c0: float = 1.0,
     u1, d1 = _basis_pair(kappa, times, alpha, c0)
     phi = norm * u1
     phidot = norm * d1
-    omega0_ad = adiabatic_frequency(kappa, float(alpha * times[0]), c0)
-    residual = abs(phidot[0] + 1j * omega0_ad * phi[0]) / (omega0_ad * abs(phi[0]))
     return ModeEvolution(times=times, phi=phi, phidot=phidot,
-                         frozen_value=float(abs(phi[-1])),
-                         wkb_residual_start=float(residual), nfev=0)
+                         frozen_value=float(abs(phi[-1])), nfev=0)
 
 
 def frozen_phase_variance(kappa, coupling: float, alpha: float, c0: float = 1.0):
@@ -344,7 +339,7 @@ def frozen_phase_variance(kappa, coupling: float, alpha: float, c0: float = 1.0)
     <phi_kappa^2> = (g / 6 pi) Gamma(2/3)^2 3^(4/3) alpha^(1/3) c0^(-4/3)
                     kappa^(-4/3).
     """
-    g23 = specfun.gamma(2.0 / 3.0)
+    g23 = math.gamma(2.0 / 3.0)
     return (coupling / (6.0 * math.pi) * g23**2 * 3.0 ** (4.0 / 3.0)
             * alpha ** (1.0 / 3.0) * c0 ** (-4.0 / 3.0)
             * np.float_power(kappa, -4.0 / 3.0))
@@ -358,7 +353,7 @@ def density_spectrum_3d(kappa, xi: float, c0: float, rho0: float, alpha: float):
 
     with all right-hand-side quantities taken on the initial state.
     """
-    g13 = specfun.gamma(1.0 / 3.0)
+    g13 = math.gamma(1.0 / 3.0)
     return (g13**2 * 3.0 ** (2.0 / 3.0) / (6.0 * math.pi)
             * xi * c0 ** (1.0 / 3.0) / (rho0 * alpha ** (1.0 / 3.0))
             * np.float_power(kappa, 4.0 / 3.0))
@@ -397,7 +392,7 @@ def max_contrast_estimate(scattering_length: float, rho0: float, omega0: float,
     prefactor = 4 sqrt(pi) Gamma(1/3)^2 (alpha/omega0)^(3/4) / 3^(1/3). The
     estimate needs a long linear-expansion window, omega_xi/omega0 >> 1.
     """
-    g13 = specfun.gamma(1.0 / 3.0)
+    g13 = math.gamma(1.0 / 3.0)
     alpha_tilde = alpha / omega0
     prefactor = (4.0 * math.sqrt(math.pi) * g13**2 * alpha_tilde**0.75
                  / 3.0 ** (1.0 / 3.0))
@@ -416,13 +411,13 @@ class FrozenSpectrum3D:
 
 
 def spectrum_3d_grid(kappas, xi: float, c0: float, rho0: float, alpha: float,
-                     coupling: float, omega_xi: float) -> FrozenSpectrum3D:
+                     coupling: float, kmax: float) -> FrozenSpectrum3D:
     """Closed-form frozen spectra on a wavenumber grid with band flags.
 
-    Values beyond kappa_max are still computed but flagged out of band.
+    Values beyond the band edge kmax (kappa_band_edge) are still computed
+    but flagged out of band.
     """
     kappas = np.asarray(kappas, dtype=float)
-    kmax = kappa_band_edge(xi, alpha, omega_xi)
     return FrozenSpectrum3D(
         kappa_grid=kappas,
         phase_variance=frozen_phase_variance(kappas, coupling, alpha, c0),

@@ -102,8 +102,8 @@ class TestParticleHorizon:
         c0 = 2.0e-3
         for t in (0.0, 1.0 / W0_2D, 30.0 / W0_2D):
             lhs = particle_horizon(traj2d, t, c0)
-            rhs = c0 * (traj2d.clock_infinity - float(traj2d.clock(t)))
-            assert lhs == pytest.approx(rhs, rel=1e-8)
+            rhs = c0 * (math.pi / 2.0 - math.atan(W0_2D * t)) / W0_2D
+            assert lhs == pytest.approx(rhs, rel=1e-7)
 
 
 class TestApparentHorizon:

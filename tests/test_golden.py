@@ -3,18 +3,24 @@ reproduce these digests.
 
 Each scenario is run through run() and every file it writes is hashed:
 the CSVs, derived.json and manifest.json as written, and report.json
-without output_dir (the one field that names the run directory). The
-digests were recorded on x86-64 Linux with Python 3.11 and numpy 2.4; a
-change that moves any of them must say why in CHANGES.md and record the
-new digests here.
+without output_dir (the one field that names the run directory). The mode
+engine is pinned the same way: the (times, phi, phidot) arrays of
+integrate_mode and of analytic_evolution for three modes. The digests were
+recorded on x86-64 Linux with Python 3.11 and numpy 2.4; a change that
+moves any of them must say why in CHANGES.md and record the new digests
+here.
 """
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
+from becosmo.scaling import LinearExpansion
 from becosmo.scenarios import PRESETS, config_from_dict, run
+from becosmo.threed import analytic_evolution, freezing_time, integrate_mode
 
 
 def _variant(preset, mode="free", analysis=None, t_max_omega0=None):
@@ -97,3 +103,33 @@ def _digests(out):
 def test_run_outputs_match_recorded_digests(name, tmp_path):
     run(config_from_dict(SCENARIOS[name]), tmp_path)
     assert _digests(tmp_path) == GOLDEN[name]
+
+
+# (kappa, start depth z(t_start)) -> digests of the integrated and the
+# analytic history, on b = sqrt(2/3) t with c0 = g = 1 and tolerance 1e-11.
+MODE_ALPHA = math.sqrt(2.0 / 3.0)
+GOLDEN_MODES = {
+    (1.0, 180.0): ("4e311237a1fbfb973b00699719679e471a6783ab7922af2b360145acf4f2b774",
+                   "1248c4e7bdf2ff1aa4776f24b6e54c491b69498a01b651070407fc9428241a69"),
+    (10.0, 320.0): ("d1c8d29b02f099521e3be5ec0286b8e4d5c97e835d7edabe0c5dd6d210ba7449",
+                    "7b8258b3c60d99e3977206c8456409130156745857d1cd11024c9406e3ee2a0a"),
+    (100.0, 600.0): ("736d88a242f76c730949514e64e1f39f7b809f0593c73529c4b0dfb52b3d8781",
+                     "487b61c029f04c033b847abbe8cecc1f95fbe66f02e2924dcef7207e9a8f9269"),
+}
+
+
+def _history_digest(evolution):
+    digest = hashlib.sha256()
+    for array in (evolution.times, evolution.phi, evolution.phidot):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kappa, depth", sorted(GOLDEN_MODES))
+def test_mode_histories_match_recorded_digests(kappa, depth):
+    t_start = ((2.0 / 3.0) * kappa * MODE_ALPHA ** -2.5 / depth) ** (2.0 / 3.0)
+    evolution = integrate_mode(kappa, LinearExpansion(MODE_ALPHA), t_start,
+                               freezing_time(kappa, MODE_ALPHA), tolerance=1e-11)
+    analytic = analytic_evolution(kappa, evolution.times, MODE_ALPHA)
+    assert (_history_digest(evolution), _history_digest(analytic)) == GOLDEN_MODES[
+        (kappa, depth)]

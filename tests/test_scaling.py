@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from becosmo.scaling import (LinearExpansion, NumericalError, analytic_scale_2d,
                              integrate_scale_factor)
@@ -103,6 +103,13 @@ class TestTrajectory:
             with pytest.raises(ValueError, match="dimension"):
                 integrate_scale_factor(W0_2D, dimension, 1.0)
 
+    # n_samples = 1 would store t_max = 0, 0 has no last sample, and 2.5 is
+    # not a count
+    @pytest.mark.parametrize("n_samples", [0, 1, 2.5])
+    def test_rejects_bad_sample_count(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            integrate_scale_factor(W0_2D, 2, 10.0, n_samples=n_samples)
+
     def test_range_guard(self, traj2d):
         for lookup in (traj2d.b, traj2d.bdot, traj2d.clock, traj2d.horizon_integral):
             for bad in (2.0 * traj2d.t_max, -1.0, math.nan):
@@ -191,7 +198,12 @@ class TestProperTime:
         assert np.abs(traj2d.clock(ts) / expected - 1.0).max() <= 1e-8
 
     def test_2d_limit(self, traj2d):
-        assert traj2d.clock_infinity == pytest.approx(math.pi / (2.0 * W0_2D), rel=1e-6)
+        # in quasi-2D the clock integrand b^q is the horizon integrand b^-s
+        # (q = -s = -2), so the two channels agree bit for bit and the horizon
+        # integral closes to the total proper time pi / (2 omega0)
+        assert traj2d.clocks.tobytes() == traj2d.horizon_integrals.tobytes()
+        assert traj2d.horizon_integral_infinity == pytest.approx(math.pi / (2.0 * W0_2D),
+                                                                 rel=1e-6)
 
     def test_static_background(self):
         traj = integrate_scale_factor(W0_2D, 2, t_max=10.0 / W0_2D, tolerance=1e-10,
@@ -223,9 +235,12 @@ class TestProperTime:
             assert tau == ["%.12e" % v for v in prefactor * traj.clock(traj.ts)]
 
     def test_general_branch_exponent(self, traj2d, traj3d):
-        # the flat quasi-2D case reduces to the 1/b^2 integrand
-        assert traj2d.q == -2.0
-        assert traj3d.q == -2.25
+        # the clock samples integrate b^q: -2 in the flat quasi-2D case, -9/4 in 3D
+        for traj, q in ((traj2d, -2.0), (traj3d, -2.25)):
+            for t in traj.ts[1::97]:
+                expected = quad(lambda u: float(traj.b(u)) ** q, 0.0, t, epsabs=0.0,
+                                epsrel=1e-12, limit=200)[0]
+                assert float(traj.clock(t)) == pytest.approx(expected, rel=1e-9)
 
 
 class TestLinearExpansion:

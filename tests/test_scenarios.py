@@ -98,6 +98,15 @@ class TestLoading:
             config_from_dict(_preset_dict(
                 "sodium-q2d", numeric={"kappa_min_per_m": 10.0}))
 
+    def test_non_finite_thomas_fermi_state_named(self):
+        # 1e308 atoms overflow the 3D Thomas-Fermi radius: the state depends
+        # on the input alone, so the load fails and names the field
+        with pytest.raises(ConfigError, match="condensate.atom_number"):
+            config_from_dict(_preset_dict("rubidium-3d",
+                                          **{"condensate.atom_number": 1e308}))
+        # 1e300 gives a finite, if absurd, state, and loads
+        config_from_dict(_preset_dict("rubidium-3d", **{"condensate.atom_number": 1e300}))
+
     def test_inline_species(self):
         data = _preset_dict("sodium-q2d")
         data["condensate"]["species"] = {
@@ -134,6 +143,7 @@ class TestLoading:
 _BAD_INPUTS = {
     "nan-omega0": ("sodium-q2d", "condensate.omega0_rad_per_s", math.nan),
     "nan-atom-number": ("sodium-q2d", "condensate.atom_number", math.nan),
+    "huge-atom-number": ("rubidium-3d", "condensate.atom_number", 1e308),
     "inf-omega0": ("rubidium-3d", "condensate.omega0_rad_per_s", math.inf),
     "tiny-omega0": ("sodium-q2d", "condensate.omega0_rad_per_s", 1e-300),
     "huge-omega0": ("rubidium-3d", "condensate.omega0_rad_per_s", 1e200),
@@ -406,6 +416,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and field in err
         assert not out.exists()
+
+    # A scenario the CLI cannot read, or an output directory it cannot
+    # create, is a configuration error naming the path: exit 1, no traceback
+    # and nothing written. "file" is an existing file.
+    @pytest.mark.parametrize("scenario, content, out, named", [
+        ("dir", None, "out", "dir"),
+        ("latin1.json", b'{"name": "caf\xe9"}', "out", "latin1.json"),
+        ("deep.json", b"[" * 100_000, "out", "deep.json"),
+        ("sodium-q2d", None, "file", "file"),
+        ("sodium-q2d", None, "file/sub", "file/sub"),
+    ], ids=["scenario-directory", "scenario-not-utf8", "scenario-deep-json",
+            "out-is-file", "out-under-file"])
+    def test_bad_path_exit_one(self, tmp_path, monkeypatch, capsys, scenario, content,
+                               out, named):
+        monkeypatch.chdir(tmp_path)
+        Path("dir").mkdir()
+        Path("file").write_text("kept")
+        if content is not None:
+            Path(scenario).write_bytes(content)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["derive", "--scenario", scenario, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and named in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert Path("file").read_text() == "kept"
 
     def test_warning_exit_three(self, tmp_path):
         data = _preset_dict("sodium-q2d", analysis=["derive"])

@@ -10,7 +10,10 @@ suffix, and unknown keys are rejected. A run writes one directory:
 manifest.json, derived.json, trajectory.csv, horizons.csv, spectrum.csv and
 report.json, depending on the analyses (pipeline stages, see STAGES) requested.
 This module is the only one that writes files: the physics modules return
-arrays, and _write_csv and _write_json fix the two file formats.
+arrays, and _write_csv and _write_json fix the two file formats. _write_csv
+formats whole columns in numpy and writes exactly the bytes of %.12e and
+%d; values the longdouble scaling cannot round with certainty go through
+Python's own %.12e.
 """
 
 from __future__ import annotations
@@ -323,11 +326,74 @@ def _write_json(path: Path, payload: dict) -> None:
                                allow_nan=False) + "\n")
 
 
+# Tables of the float formatter, built with array arithmetic at import. A
+# formatted double is 24 bytes: a head word (sign, lead digit, point), three
+# words of four digits and a double word for the exponent, little-endian,
+# with zero bytes as padding. _POW10[k + 340] = 10**k in longdouble;
+# _DIGITS4[i] ("%04d" % i) and _EXPONENT[e + 324] ("e+XX" or "e-XXX") are
+# packed words.
+with np.errstate(over="ignore"):  # 10**340 overflows where longdouble is double
+    _POW10 = np.longdouble(10) ** np.arange(-340, 341)
+_DIGITS4 = np.arange(10, dtype="<u4")  # one place value per axis, thousands first
+_DIGITS4 = (0x30303030 + _DIGITS4[:, None, None, None] + (_DIGITS4[:, None, None] << 8)
+            + (_DIGITS4[:, None] << 16) + (_DIGITS4 << 24)).ravel()
+_EXPONENT = np.zeros((633, 8), np.uint8)
+_EXPONENT[:, 0] = ord("e")
+_EXPONENT[:, 1] = np.where(np.arange(-324, 309) < 0, ord("-"), ord("+"))
+_EXPONENT[:, 2:5] = 48 + abs(np.arange(-324, 309))[:, None] // [100, 10, 1] % 10
+_EXPONENT[_EXPONENT[:, 2] == ord("0"), 2] = 0  # |e| < 100 has two digits
+_EXPONENT = _EXPONENT.view("<u8")[:, 0]
+# A scaled mantissa this close to a half-way point may round either way
+# under the longdouble error of the scaling; Python formats it instead.
+_WINDOW = float(1e13 * 64 * np.finfo(np.longdouble).eps)
+
+
+def _format_floats(x: np.ndarray) -> np.ndarray:
+    """The bytes of "%.12e" % v for each double v of a 1-D array, as rows of
+    six '<u4' words, zero-padded. The 13-digit mantissa is |v| scaled by a
+    power of ten in longdouble and rounded; zeros, inf and mantissas within
+    _WINDOW of a half-way point are formatted by Python, so every row is
+    exact."""
+    a = np.abs(x)
+    special = (a == 0.0) | (a == math.inf)
+    a[special] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf where longdouble is double
+        mantissa = a * _POW10[352 - e]  # |x| / 10**(e - 12)
+        digits = mantissa.astype(np.int64)
+        off = np.flatnonzero((digits < 10**12) | (digits >= 10**13))  # log10 near 10**e
+        e[off] += np.where(digits[off] < 10**12, -1, 1)
+        mantissa[off] = a[off] * _POW10[352 - e[off]]
+        digits[off] = mantissa[off].astype(np.int64)
+        fraction = (mantissa - digits).astype(np.float64)
+    exact = ~special & (np.abs(fraction - 0.5) > _WINDOW) & np.isfinite(fraction)
+    digits += fraction > 0.5
+    digits[~exact] = 10**12  # a placeholder: Python formats these rows below
+    carry = digits == 10**13  # 9.9999999999995 rounds up to 1.000000000000e+01
+    digits[carry] = 10**12
+    e += carry
+    high = digits // 10**8  # the lead digit and the next four
+    low = digits - high * 10**8
+    lead, mid = high // 10**4, low // 10**4
+    out = np.empty((len(x), 6), "<u4")
+    out[:, 0] = 0x2E3000 + (lead << 8) + ord("-") * np.signbit(x)  # "-", "0" + lead, "."
+    out[:, 1] = _DIGITS4[high - lead * 10**4]
+    out[:, 2] = _DIGITS4[mid]
+    out[:, 3] = _DIGITS4[low - mid * 10**4]
+    out.view("<u8")[:, 2] = _EXPONENT[e + 324]
+    fallback = np.flatnonzero(~exact)
+    out[fallback] = np.array([b"%.12e" % v for v in x[fallback].tolist()],
+                             dtype="S24").view("<u4").reshape(-1, 6)
+    return out
+
+
 def _write_csv(path: Path, columns: dict, infinite: tuple[str, ...] = ()) -> None:
     """A headered CSV with one column per key: floats as %.12e, bool and
     integer columns as %d (flags read 0/1). A NaN, or an infinity outside
     the columns named in infinite (which may hold +inf), raises ValueError
-    before anything is written."""
+    before anything is written. The cells are built in numpy as a table of
+    zero-padded 24-byte fields, each ending in its separator; the zero
+    bytes are dropped on writing."""
     arrays = [np.asarray(values) for values in columns.values()]
     for name, a in zip(columns, arrays):
         ok = np.isfinite(a)
@@ -335,9 +401,23 @@ def _write_csv(path: Path, columns: dict, infinite: tuple[str, ...] = ()) -> Non
             ok |= a == math.inf
         if not ok.all():
             raise ValueError(f"{path.name}: column {name} holds a non-finite value")
-    row = ",".join("%d" if a.dtype.kind in "biu" else "%.12e" for a in arrays) + "\n"
-    lines = [row % values for values in zip(*(a.tolist() for a in arrays))]
-    path.write_text(",".join(columns) + "\n" + "".join(lines), newline="")
+    rows = len(arrays[0])
+    real = np.array([a.dtype.kind not in "biu" for a in arrays])
+    reals = np.array([a for a, is_real in zip(arrays, real) if is_real], np.float64)
+    table = np.empty((rows, len(arrays), 6), "<u4")
+    table[:, real] = _format_floats(reals.T.ravel()).reshape(rows, len(reals), 6)
+    for i in np.flatnonzero(~real):
+        a = arrays[i]
+        if a.dtype.kind == "b":  # the word of b"0" or b"1"
+            table[:, i] = 0
+            table[:, i, 0] = 48 + a
+        else:  # numpy writes integers as %d does
+            table[:, i] = a.astype("S24").view("<u4").reshape(rows, 6)
+    cells = table.view(np.uint8)
+    cells[:, :, 23] = ord(",")
+    cells[:, -1, 23] = ord("\n")
+    path.write_bytes(",".join(columns).encode() + b"\n"
+                     + cells.tobytes().translate(None, b"\0"))
 
 
 def _finite_or_none(value: float) -> float | None:

@@ -3,7 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -659,3 +661,62 @@ def test_write_csv_format(tmp_path):
         with pytest.raises(ValueError, match="column v"):
             scenarios._write_csv(bad, {"v": np.array(column)}, infinite=infinite)
         assert not bad.exists()
+
+
+def _written(columns: dict, infinite=()) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        scenarios._write_csv(path, columns, infinite)
+        return path.read_bytes()
+
+
+def _percent_e(values) -> bytes:
+    """The reference: Python's own %.12e, one value per row."""
+    return ("v\n" + "".join("%.12e\n" % v for v in values)).encode()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+def test_write_csv_matches_percent_e(values):
+    assert _written({"v": np.array(values, dtype=np.float64)}) == _percent_e(values)
+
+
+@pytest.mark.parametrize("longdouble", ["native", "double"])
+def test_write_csv_matches_percent_e_on_hard_cases(monkeypatch, longdouble):
+    if longdouble == "double":
+        # the tables where longdouble is double: more values fall back, and
+        # 10**k overflows for k > 308
+        with np.errstate(over="ignore"):
+            monkeypatch.setattr(scenarios, "_POW10", 10.0 ** np.arange(-340, 341))
+        monkeypatch.setattr(scenarios, "_WINDOW", 1e13 * 64 * np.finfo(float).eps)
+    rng = np.random.default_rng(14)
+    bits = rng.integers(0, 2**64, 120_000, dtype=np.uint64).view(np.float64)
+    # exact halves of the 13th digit, scaled by 1 and, inexactly, by 1/10**j
+    ties = [rng.integers(10**12, 10**13, 1000) * 10.0**j + 0.5 * 10.0**j
+            for j in range(4)]
+    powers = 10.0 ** np.arange(-323, 309)  # where log10 rounds to an integer
+    values = np.concatenate([
+        bits[np.isfinite(bits)], *ties, powers, np.nextafter(powers, 0.0),
+        np.nextafter(powers, math.inf),
+        [12345678901234.5, 1234567890123.5, 9.9999999999995, 9.99999999999949,
+         9.9999999999995e-101, 5e-324, 2.2250738585072014e-308,
+         1.7976931348623157e308, 1e22, 1e23, 1e100, 1e-100, -1e100, -1e-100,
+         0.0, -0.0, math.inf]])
+    assert _written({"v": values}, infinite=("v",)) == _percent_e(values.tolist())
+    assert _written({"v": np.array([]), "f": np.array([], dtype=bool)}) == b"v,f\n"
+
+
+def test_format_tables():
+    # built by array arithmetic at import; each entry decodes to its text
+    digits = scenarios._DIGITS4.view("S4")
+    assert digits.tolist() == [b"%04d" % i for i in range(10000)]
+    exponents = scenarios._EXPONENT.view("S8")
+    assert [x.replace(b"\0", b"") for x in exponents.tolist()] == [
+        b"e%+03d" % e for e in range(-324, 309)]
+    # the rounding window holds only if each power of ten the scaling uses
+    # (10**k for k in [-297, 337]) is near exact; an infinite one falls back
+    eps = Fraction(float(np.finfo(np.longdouble).eps))
+    for k in range(-297, 338):
+        power, exact = scenarios._POW10[k + 340], Fraction(10) ** k
+        if np.isfinite(power):
+            assert abs(Fraction(*power.as_integer_ratio()) - exact) <= 4 * eps * exact, k

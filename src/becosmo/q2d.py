@@ -36,7 +36,7 @@ def bogoliubov_frequency(k, mu: float, m: float):
     Linear (sound-like) below 1/xi, quadratic (free-particle) above; the
     quantum-pressure term is kept, so the curve is valid through k xi ~ 1.
     """
-    if np.any(np.asarray(k) < 0.0):
+    if not np.all(np.asarray(k) >= 0.0):
         raise ValueError("k must be non-negative")
     if mu <= 0.0:
         raise ValueError("mu must be positive")
@@ -78,7 +78,7 @@ def density_spectrum_2d(kappa, g2d: float, mu: float, m: float):
     the initial trapped state. Perfect scaling makes this the post-expansion
     spectrum at co-moving wavenumber kappa.
     """
-    if np.any(np.asarray(kappa) < 0.0):
+    if not np.all(np.asarray(kappa) >= 0.0):
         raise ValueError("kappa must be non-negative")
     return g2d * kappa / (mu * np.sqrt(4.0 * m * mu / HBAR**2 + np.float_power(kappa, 2)))
 

@@ -217,7 +217,8 @@ class _PiecewiseQuartic:
         return (((c[4] * x + c[3]) * x + c[2]) * x + c[1]) * x + c[0]
 
 
-# Relative departure from b = alpha (t - offset) that still counts as linear.
+# A free run counts as linear once bdot is within this fraction of alpha:
+# over a short window b ~ 1 fits any line, so bdot, not a residual, decides.
 _LINEAR_TOL = 1e-3
 
 
@@ -225,57 +226,34 @@ class ScaleTrajectory:
     """Integrated expansion history; immutable once constructed.
 
     Exposes dense-output lookups b(t), bdot(t), the co-moving clock integral
-    and the horizon integral, plus the late-time linear-regime fit
+    and the horizon integral, plus the late-time asymptote
     b ~ alpha (t - linear_offset) used to close the horizon integral. Each
     lookup takes a scalar or an array of times within [0, t_max]; the stored
-    samples at ts are the same lookup, and the fit reads the last sample.
-    p and s are the exponents of b'' and of the horizon integrand; held says
-    the trap stayed on.
+    samples at ts are the same lookup. The asymptote is read from the final
+    state alone, so the sample count sets output resolution only: velocity
+    maps (b, bdot) at t_max to alpha, the line passes through b(t_max), and s
+    is the exponent of the horizon integrand.
     method, rtol, nfev (right-hand side calls) and steps (accepted steps)
     record what the stepper did.
     """
 
     method = "dormand-prince-5(4)"
 
-    def __init__(self, omega0, held, dense, ts, rtol, nfev, steps, p, s):
-        self.omega0 = omega0
-        self.held = held
+    def __init__(self, dense, ts, velocity, s, rtol, nfev, steps):
         self.t_max = float(ts[-1])
         self.rtol, self.nfev, self.steps = rtol, nfev, steps
         self._dense = dense
-        self.ts = ts
+        self.ts, self.s = ts, s
         self.bs, self.bdots, self.clocks, self.horizon_integrals = dense(ts)
-        self.p, self.s = p, s
-        self._fit_asymptote()
-
-    # -- linear-regime bookkeeping -------------------------------------------
-
-    def _fit_asymptote(self):
-        b_f = float(self.bs[-1])
-        bd_f = float(self.bdots[-1])
-        if not self.held:
-            # first integral of b'' = omega0^2/b^p after release
-            self.asymptotic_velocity = math.sqrt(
-                bd_f**2 + 2.0 * self.omega0**2 / ((self.p - 1.0) * b_f ** (self.p - 1.0)))
-        else:
-            self.asymptotic_velocity = bd_f
-
-        # The linear regime needs bdot within _LINEAR_TOL of its asymptote:
-        # over a short window b ~ 1 fits any line, and the fit alone would
-        # pass the residual test below.
+        b_f, bd_f = float(self.bs[-1]), float(self.bdots[-1])
+        alpha = self.asymptotic_velocity = velocity(b_f, bd_f)
         self.linear_offset = None
-        self.linear_onset = None
-        alpha = self.asymptotic_velocity
-        if not self.held and alpha > 0.0 and bd_f >= (1.0 - _LINEAR_TOL) * alpha:
-            decade = self.ts >= self.t_max / 10.0
-            if np.any(decade):
-                self.linear_offset = float(np.mean(self.ts[decade]
-                                                   - self.bs[decade] / alpha))
-                resid = np.abs(self.bs - alpha * (self.ts - self.linear_offset))
-                ok = resid <= _LINEAR_TOL * self.bs
-                if ok[-1]:
-                    onset_idx = len(ok) - np.argmin(ok[::-1])  # after last failure
-                    self.linear_onset = float(self.ts[min(onset_idx, len(ok) - 1)])
+        self.horizon_integral_infinity = math.inf
+        if alpha > 0.0 and bd_f >= (1.0 - _LINEAR_TOL) * alpha:
+            self.linear_offset = self.t_max - b_f / alpha
+            # the tail of b^-s along the line, in closed form
+            self.horizon_integral_infinity = (float(self.horizon_integrals[-1])
+                                              + b_f ** (1.0 - s) / (alpha * (s - 1.0)))
 
     def _check_range(self, t):
         t = np.asarray(t, dtype=float)
@@ -306,17 +284,6 @@ class ScaleTrajectory:
         """Integral of b^-s from 0 to t."""
         return self._dense(self._check_range(t))[3]
 
-    @property
-    def horizon_integral_infinity(self) -> float:
-        """Integral of b^-s from 0 to infinity: the samples up to t_max, then
-        the closed form on the linear asymptote; inf without a linear regime."""
-        if self.linear_onset is None or self.linear_offset is None:
-            return math.inf
-        alpha, s = self.asymptotic_velocity, self.s
-        span = self.t_max - self.linear_offset
-        tail = span ** (1.0 - s) / (alpha**s * (s - 1.0))
-        return float(self.horizon_integrals[-1]) + tail
-
 
 def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
                            tolerance: float = 1e-10, n_samples: int = 400,
@@ -343,6 +310,12 @@ def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
             raise NumericalError(f"scale factor collapsed to b={b} at t={t}")
         return bdot, -w_ext2 * b + w2 / b**p, b**q, b**-s
 
+    def velocity(b, bdot):
+        """alpha, the first integral of deriv after release; 0 while held."""
+        if held:
+            return 0.0
+        return math.sqrt(bdot**2 + 2.0 * w2 / ((p - 1.0) * b ** (p - 1.0)))
+
     rtol = max(tolerance / 20.0, 1e-13)
     atol = tuple(scale * tolerance * 1e-4 for scale in (1.0, omega0, 1.0 / omega0,
                                                         1.0 / omega0))
@@ -351,9 +324,8 @@ def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
         # a finite state can still overflow the dense coefficients
         with np.errstate(over="raise", invalid="raise"):
             dense = _PiecewiseQuartic(starts, widths, states, stages)
-            trajectory = ScaleTrajectory(omega0, held, dense,
-                                         np.linspace(0.0, t_max, n_samples), rtol,
-                                         nfev, len(starts), p=p, s=s)
+            trajectory = ScaleTrajectory(dense, np.linspace(0.0, t_max, n_samples),
+                                         velocity, s, rtol, nfev, len(starts))
     except (OverflowError, FloatingPointError) as exc:
         raise NumericalError("scale-factor integration failed: overflow "
                              f"({exc.args[-1]})") from exc

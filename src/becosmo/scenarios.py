@@ -492,7 +492,7 @@ def _evolve(r: _Run) -> None:
     trajectory = r.trajectory
     r.solvers["scale_ode"] = {"method": trajectory.method, "rtol": trajectory.rtol,
                               "nfev": trajectory.nfev, "steps": trajectory.steps}
-    if r.config.expansion_mode == "free" and trajectory.linear_onset is None:
+    if r.config.expansion_mode == "free" and trajectory.linear_offset is None:
         r.report.warnings.append({
             "source": "evolve:linear_regime",
             "message": f"b(t) never reached the linear regime by t_max = "

@@ -339,6 +339,8 @@ def frozen_phase_variance(kappa, coupling: float, alpha: float, c0: float = 1.0)
     <phi_kappa^2> = (g / 6 pi) Gamma(2/3)^2 3^(4/3) alpha^(1/3) c0^(-4/3)
                     kappa^(-4/3).
     """
+    if not np.all(np.asarray(kappa) > 0.0):
+        raise ValueError("kappa must be positive")
     g23 = math.gamma(2.0 / 3.0)
     return (coupling / (6.0 * math.pi) * g23**2 * 3.0 ** (4.0 / 3.0)
             * alpha ** (1.0 / 3.0) * c0 ** (-4.0 / 3.0)
@@ -353,6 +355,8 @@ def density_spectrum_3d(kappa, xi: float, c0: float, rho0: float, alpha: float):
 
     with all right-hand-side quantities taken on the initial state.
     """
+    if not np.all(np.asarray(kappa) > 0.0):
+        raise ValueError("kappa must be positive")
     g13 = math.gamma(1.0 / 3.0)
     return (g13**2 * 3.0 ** (2.0 / 3.0) / (6.0 * math.pi)
             * xi * c0 ** (1.0 / 3.0) / (rho0 * alpha ** (1.0 / 3.0))

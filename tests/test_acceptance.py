@@ -108,7 +108,7 @@ def test_criterion_4_scale_factor_oracle():
     tau_err = np.abs(trajectory.clock(ts_pos) / (np.arctan(omega0 * ts_pos) / omega0)
                      - 1.0).max()
 
-    p = trajectory.p
+    p = 3  # b'' = omega0^2 / b^(D+1) in quasi-2D
     energy = 0.5 * trajectory.bdots**2 + omega0**2 * trajectory.bs**(1 - p) / (p - 1)
     energy_drift = np.abs(energy / energy[0] - 1.0).max()
     elapsed = time.perf_counter() - start

@@ -274,3 +274,18 @@ def test_horizon_report_and_csv(traj2d, tmp_path):
     for column, expected in zip(table.T, (ts, apparent_horizon(traj2d, ts, c0),
                                           particle_horizon(traj2d, ts, c0))):
         np.testing.assert_allclose(column, expected, rtol=1e-12, atol=0.0)
+
+
+def test_preset_2d_horizons_match_arctan(tmp_path):
+    # In quasi-2D the particle horizon is c0/omega0 (pi/2 - arctan(omega0 t)).
+    # The line through b(t_max) misses the tail by 1/(6x^3) of c0/omega0, with
+    # x = omega0 t_max, against a horizon of at least about 1/x: every row of
+    # the sodium-q2d run is within 1/(4 x^2) relative.
+    config = config_from_dict({**PRESETS["sodium-q2d"], "analysis": ["horizons"]})
+    report = run(config, tmp_path)
+    c0 = report.derived["sound_speed_m_per_s"]
+    omega0 = config.condensate.trap.longitudinal_frequency
+    span = config.numeric.t_max_omega0
+    table = np.loadtxt(tmp_path / "horizons.csv", delimiter=",", skiprows=1)
+    exact = c0 / omega0 * (math.pi / 2.0 - np.arctan(omega0 * table[:, 0]))
+    assert np.abs(table[:, 2] / exact - 1.0).max() <= 1.0 / (4.0 * span**2)

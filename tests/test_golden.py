@@ -62,9 +62,9 @@ GOLDEN = {
     },
     "sodium-q2d": {
         "derived.json": "5d46c9eba5a2081cde7dde78c9c7268844a531ba921e2d43d41c475c30d247e3",
-        "horizons.csv": "da16fec5bc40c265c56840ff033d2fd4ce7205ecc4bc7ce07102c844b07cec1d",
+        "horizons.csv": "cd6a814eb13bcc3cded47436c2a8a69dca26c009484c42bb6a2fe63b18eee23d",
         "manifest.json": "7fbfa901d970e975107cfb93546af4453b89c073e27a2bb65f830c7b96c94f29",
-        "report.json": "7b1e91d4a3f37ba5bb687e5635bed8ddbdfa6c91163b3ab4702cafc8e7300bc7",
+        "report.json": "a8c924683647fecfba06c03bf6036a2b8e6776161f335b871822b39a4a0c54d0",
         "spectrum.csv": "16da8ba1c94bfc4f177a9d6c8330a85163ebf71350e8fe006ef53db941e8e9e8",
         "trajectory.csv": "5c365a7045ada6475d5cdf2c180b17cc81e97f5ae6b91e1646e7c46c7f490bf8",
     },
@@ -102,7 +102,9 @@ def _digests(out):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_run_outputs_match_recorded_digests(name, tmp_path):
     run(config_from_dict(SCENARIOS[name]), tmp_path)
-    assert _digests(tmp_path) == GOLDEN[name]
+    digests = _digests(tmp_path)
+    # the full digests, ready to paste into GOLDEN when a change is deliberate
+    assert digests == GOLDEN[name], json.dumps({name: digests}, indent=4)
 
 
 # (kappa, start depth z(t_start)) -> digests of the integrated and the

@@ -76,6 +76,17 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             density_spectrum_2d(np.array([1.0, -1.0, 2.0]), p["g2d"], p["mu"], p["m"])
 
+    # NaN must fail the check too, not slip through as a NaN spectrum
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    def test_rejects_negative_or_nan_kappa(self, sodium_params, bad, as_array):
+        p = sodium_params
+        kappa = np.array([1.0, bad, 2.0]) if as_array else bad
+        with pytest.raises(ValueError, match="non-negative"):
+            density_spectrum_2d(kappa, p["g2d"], p["mu"], p["m"])
+        with pytest.raises(ValueError, match="non-negative"):
+            bogoliubov_frequency(kappa, p["mu"], p["m"])
+
     def test_monotone_and_bounded(self, sodium_params):
         p = sodium_params
         kappas = np.linspace(0.0, 100.0 / p["xi"], 400)

@@ -144,8 +144,7 @@ class TestStepperReference:
     the horizon, (q, s) = (-2, 2) in quasi-2D and (-9/4, 5/2) in 3D."""
 
     @staticmethod
-    def _reference(traj, dimension, held=False):
-        w0 = traj.omega0
+    def _reference(traj, w0, dimension, held=False):
         p = dimension + 1
         q, s = {2: (-2.0, 2.0), 3: (-2.25, 2.5)}[dimension]
         w_ext = w0 if held else 0.0
@@ -165,12 +164,11 @@ class TestStepperReference:
     @pytest.mark.parametrize("name", ["traj2d", "traj3d", "held"])
     def test_agrees_with_reference(self, name, request):
         traj = request.getfixturevalue(name)
-        dimension = 3 if name == "traj3d" else 2
-        reference = self._reference(traj, dimension, held=name == "held")
+        dimension, w0 = (3, W0_3D) if name == "traj3d" else (2, W0_2D)
+        reference = self._reference(traj, w0, dimension, held=name == "held")
         # absolute floor in each channel's natural unit, for the zeros at t = 0
         # and the static bdot of a held trap
-        floor = 1e-13 * np.array([1.0, traj.omega0, 1.0 / traj.omega0,
-                                  1.0 / traj.omega0])[:, None]
+        floor = 1e-13 * np.array([1.0, w0, 1.0 / w0, 1.0 / w0])[:, None]
         off_sample = np.random.default_rng(7).uniform(0.0, traj.t_max, 1000)
         for ts, got in ((traj.ts, np.array([traj.bs, traj.bdots, traj.clocks,
                                             traj.horizon_integrals])),
@@ -199,11 +197,19 @@ class TestProperTime:
 
     def test_2d_limit(self, traj2d):
         # in quasi-2D the clock integrand b^q is the horizon integrand b^-s
-        # (q = -s = -2), so the two channels agree bit for bit and the horizon
-        # integral closes to the total proper time pi / (2 omega0)
+        # (q = -s = -2), so the two channels agree bit for bit
         assert traj2d.clocks.tobytes() == traj2d.horizon_integrals.tobytes()
-        assert traj2d.horizon_integral_infinity == pytest.approx(math.pi / (2.0 * W0_2D),
-                                                                 rel=1e-6)
+
+    @pytest.mark.parametrize("span", [100.0, 200.0, 1100.0])
+    def test_2d_closure(self, span):
+        # The horizon integral closes to the total proper time pi/(2 omega0).
+        # With x = omega0 t_max the exact tail is arctan(1/x) = 1/x - 1/(3x^3)
+        # and the line through b(t_max) = sqrt(1 + x^2) gives 1/x - 1/(2x^3),
+        # so the closure misses by 1/(3 pi x^3) relative: bound it with half
+        # again as margin, plus the integration error.
+        traj = integrate_scale_factor(W0_2D, 2, t_max=span / W0_2D, tolerance=1e-10)
+        closure = 2.0 * W0_2D * traj.horizon_integral_infinity / math.pi
+        assert abs(closure - 1.0) <= 1.5 / (3.0 * math.pi * span**3) + 1e-10
 
     def test_static_background(self):
         traj = integrate_scale_factor(W0_2D, 2, t_max=10.0 / W0_2D, tolerance=1e-10,
@@ -241,6 +247,23 @@ class TestProperTime:
                 expected = quad(lambda u: float(traj.b(u)) ** q, 0.0, t, epsabs=0.0,
                                 epsrel=1e-12, limit=200)[0]
                 assert float(traj.clock(t)) == pytest.approx(expected, rel=1e-9)
+
+
+class TestAsymptote:
+    # The asymptote is read from the state at t_max, so the sample count of
+    # trajectory.csv cannot move the horizons. The first three spans sit just
+    # past the onset of the linear regime.
+    @pytest.mark.parametrize("dimension, span", [(2, 27.59), (3, 10.81), (3, 13.66),
+                                                 (2, 200.0), (3, 5000.0)])
+    def test_sample_count_is_output_resolution_only(self, dimension, span):
+        omega0 = W0_2D if dimension == 2 else W0_3D
+        asymptotes = set()
+        for n_samples in (2, 7, 50, 400, 4000):
+            traj = integrate_scale_factor(omega0, dimension, t_max=span / omega0,
+                                          n_samples=n_samples)
+            asymptotes.add((traj.asymptotic_velocity, traj.linear_offset,
+                            traj.horizon_integral_infinity))
+        assert len(asymptotes) == 1
 
 
 class TestLinearExpansion:

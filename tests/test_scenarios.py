@@ -455,8 +455,8 @@ class TestCli:
 
     # b(t) never reaches the linear regime, so every particle horizon is
     # infinite; the run says so and exits 3. Over the two shortest spans b
-    # stays so close to 1 that it fits any line, so the fit alone would give
-    # a finite horizon (about 1.0 c0/omega0 against the exact pi/2).
+    # stays so close to 1 that a line through the last point alone would
+    # give a finite horizon (about 1.0 c0/omega0 against the exact pi/2).
     @pytest.mark.parametrize("t_max_omega0", [0.5, 1e-12, 1e-3])
     def test_short_free_run_exit_three(self, tmp_path, t_max_omega0):
         data = _preset_dict("sodium-q2d", **{"numeric.t_max_omega0": t_max_omega0})
@@ -467,6 +467,22 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert [w["source"] for w in report["warnings"]] == ["evolve:linear_regime"]
         assert report["horizon_summary"]["particle_horizon_initial_m"] is None
+
+    def test_trajectory_samples_do_not_move_the_horizon(self, tmp_path):
+        # just past the onset of the linear regime, the sample count of
+        # trajectory.csv must not decide whether the horizon is finite
+        reports = []
+        for samples in (7, 400):
+            data = _preset_dict("sodium-q2d", **{"numeric.t_max_omega0": 27.59})
+            data["numeric"]["trajectory_samples"] = samples
+            path = tmp_path / f"n{samples}.json"
+            path.write_text(json.dumps(data))
+            out = tmp_path / f"n{samples}"
+            assert main(["report", "--scenario", str(path), "--out", str(out)]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        assert [r["warnings"] for r in reports] == [[], []]
+        initial = [r["horizon_summary"]["particle_horizon_initial_m"] for r in reports]
+        assert initial[0] is not None and initial[0] == initial[1]
 
     def test_wrong_dimension_spectrum_exit_one(self, tmp_path):
         assert main(["spectrum2d", "--scenario", "rubidium-3d",

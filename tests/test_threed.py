@@ -412,6 +412,20 @@ class TestClosedForms:
     def test_density_vanishes_at_zero(self):
         assert density_spectrum_3d(1e-12, 1.0, 1.0, 1.0, ALPHA) < 1e-12
 
+    # kappa = 0 would make the phase variance infinite, and NaN or a negative
+    # kappa a NaN spectrum
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    def test_rejects_nonpositive_or_nan_kappa(self, bad, as_array):
+        kappa = np.array([1.0, bad, 2.0]) if as_array else bad
+        for closed_form in (lambda k: frozen_phase_variance(k, 1.0, ALPHA),
+                            lambda k: density_spectrum_3d(k, 1.0, 1.0, 1.0, ALPHA),
+                            lambda k: spectrum_3d_grid(k, 1.0, 1.0, 1.0, ALPHA, 1.0, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="kappa must be positive"):
+                    closed_form(kappa)
+
 
 class TestMaxContrast:
     def test_prefactor_value(self):

@@ -6,8 +6,8 @@ by A = (c/g_N)^(2/(D-1)), D = 2 or 3. This module builds the metric and
 evaluates the two horizon notions: the apparent horizon (flow speed = sound
 speed, g00 = 0 in laboratory slicing) and the co-moving particle horizon
 (total remaining reach of sound signals). Both read the sound-speed decay
-from the trajectory's horizon exponent s, and the release sound speed c0
-must be positive and finite.
+c = c0 b^(-D/2) from the trajectory's dimension D, and the release sound
+speed c0 must be positive and finite.
 
 All horizon statements apply to wavelengths well above the healing length;
 below it, dispersion takes over and the geometric picture dissolves.
@@ -16,9 +16,9 @@ apparent_horizon and particle_horizon take a scalar or an array of times
 (each within the sampled range), and horizon_crossing_time a scalar or an
 array of co-moving wavenumbers; all return a NumPy scalar or an array. A
 crossing time is 0.0 for a mode already outside the particle horizon at
-release and inf for one that does not cross by the end of the trajectory.
-The module needs numpy only. It computes only; the run pipeline in
-scenarios writes horizons.csv.
+release and inf for one that does not cross by the end of the trajectory
+(every mode of a held trap). The module needs numpy only. It computes only;
+the run pipeline in scenarios writes horizons.csv.
 """
 
 from __future__ import annotations
@@ -71,10 +71,9 @@ def _check_c0(c0: float) -> None:
 def particle_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):
     """Co-moving particle horizon: remaining reach of sound emitted at t.
 
-    Evaluates c0 * integral_t^inf b^-s dt' with s = 1 + D/2, numerically
-    up to the trajectory end plus the closed-form tail on the linear
-    asymptote. Returns inf when the expansion never reaches the linear regime
-    (e.g. trap held on).
+    c0 * integral_t^inf b^-s dt' with s = 1 + D/2. After release the first
+    integral makes this (2 c0/(D alpha)) arcsin(b(t)^(-D/2)), finite from
+    t = 0 on, however short the run; a held trap gives inf.
     """
     _check_c0(c0)
     return c0 * (trajectory.horizon_integral_infinity - trajectory.horizon_integral(t))
@@ -83,13 +82,13 @@ def particle_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):
 def apparent_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):
     """Laboratory radius where the outward flow reaches the sound speed.
 
-    r = c(t) b / bdot = c0 b^(2 - s) / bdot, with c(t) = c0 b^(1 - s) and
-    s the horizon exponent; infinite while bdot <= 0.
+    r = c(t) b / bdot = c0 b^(1 - D/2) / bdot, with c(t) = c0 b^(-D/2);
+    infinite while bdot <= 0.
     """
     _check_c0(c0)
     b = trajectory.b(t)
     bdot = trajectory.bdot(t)
-    power = 2.0 - trajectory.s
+    power = 1.0 - trajectory.dimension / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = c0 * np.float_power(b, power) / bdot
     return np.where(bdot > 0.0, radius, math.inf)[()]
@@ -99,14 +98,14 @@ def settled_apparent_horizon(trajectory: ScaleTrajectory,
                              c0: float = 1.0) -> float | None:
     """Late-time limit of the apparent horizon, None when the trap is held.
 
-    In quasi-2D (s = 2) the horizon settles at c0/alpha; in 3D the faster
-    sound-speed decay (s = 5/2) drives it to zero.
+    In quasi-2D the horizon settles at c0/alpha; in 3D the faster
+    sound-speed decay drives it to zero.
     """
     _check_c0(c0)
     alpha = trajectory.asymptotic_velocity
     if alpha <= 0.0:
         return None
-    return c0 / alpha if trajectory.s == 2.0 else 0.0
+    return c0 / alpha if trajectory.dimension == 2 else 0.0
 
 
 def horizon_crossing_time(kappa, trajectory: ScaleTrajectory, c0: float = 1.0):
@@ -118,7 +117,7 @@ def horizon_crossing_time(kappa, trajectory: ScaleTrajectory, c0: float = 1.0):
     later, and every kappa is bisected at once on [0, t_max] down to
     1e-14 t_max. A wavelength already beyond the horizon at t = 0 gives 0.0;
     one still inside it at t_max gives inf, as does every kappa when the
-    horizon is infinite (trap held on, or no linear regime reached).
+    trap is held on (an infinite horizon).
     """
     _check_c0(c0)
     kappa = np.asarray(kappa, dtype=float)

@@ -7,15 +7,16 @@ The whole expansion is carried by a single scale factor b(t) obeying
 with b(0) = 1, b'(0) = 0 and D = 2 or 3: the quartic coupling after the
 trap is switched off at t = 0. A held trap adds the restoring force
 -omega0^2 b, which keeps b = 1. Alongside b the integrator accumulates the
-two improper-integral kernels everything downstream needs: the co-moving
-clock integral of b^q and the horizon integral of b^-s, s = 1 + D/2. The
-clock is the co-moving proper time tau over the constant sqrt(A(0)) c(0);
-in quasi-2D, the flat case (q = -2), tau is the clock itself, a real time,
-and in 3D (q = -9/4) the run pipeline applies the prefactor. The integrator
-is an in-module Dormand-Prince 5(4) stepper (the method of scipy's RK45)
-with Shampine's quartic dense output, so the module needs numpy only. It
-computes only; the run pipeline in scenarios writes the sampled history to
-trajectory.csv.
+co-moving clock integral of b^q: the co-moving proper time tau over the
+constant sqrt(A(0)) c(0). In quasi-2D, the flat case (q = -2), tau is the
+clock itself, a real time, and in 3D (q = -9/4) the run pipeline applies
+the prefactor. The horizon integral of b^-s, s = 1 + D/2, needs no
+integration: after release the first integral bdot = alpha sqrt(1 - b^-D),
+alpha = omega0 sqrt(2/D), turns it into (2/(D alpha)) arccos(b^(-D/2)),
+which tends to pi/(D alpha). The integrator is an in-module Dormand-Prince
+5(4) stepper (the method of scipy's RK45) with Shampine's quartic dense
+output, so the module needs numpy only. It computes only; the run pipeline
+in scenarios writes the sampled history to trajectory.csv.
 """
 
 from __future__ import annotations
@@ -45,12 +46,6 @@ def check_tolerance(tolerance, name: str) -> None:
 def check_sample_count(count, name: str) -> None:
     if not (isinstance(count, numbers.Integral) and 2 <= count <= _MAX_SAMPLES):
         raise ValueError(f"{name} must be an integer in [2, {_MAX_SAMPLES}]")
-
-
-def _exponents(dimension: int) -> tuple[float, float, float]:
-    """(p, q, s): the exponents of b'' = omega0^2/b^p, of the clock integrand
-    b^q and of the horizon integrand b^-s in D dimensions."""
-    return dimension + 1.0, (-2.0 if dimension == 2 else -2.25), 1.0 + dimension / 2.0
 
 
 def analytic_scale_2d(t: float, omega0: float) -> tuple[float, float]:
@@ -91,34 +86,33 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 def _dormand_prince(deriv, t_end: float, rtol: float, atol):
-    """Integrate y = (b, bdot, clock, horizon) from (1, 0, 0, 0) at t = 0 to
-    t_end, in Python floats.
+    """Integrate y = (b, bdot, clock) from (1, 0, 0) at t = 0 to t_end, in
+    Python floats.
 
-    deriv(t, b, bdot) returns dy/dt as a 4-tuple; the clock and horizon
-    channels do not feed back, so the stage sums carry b and bdot only. Step
-    control is scipy's RK45: the error is the RMS over the channels of
+    deriv(t, b, bdot) returns dy/dt as a 3-tuple; the clock channel does not
+    feed back, so the stage sums carry b and bdot only. Step control is
+    scipy's RK45: the error is the RMS over the channels of
     err / (atol + rtol max(|y|, |y_new|)), and a step changes by a factor
     0.9 err^(-1/5) clipped to [0.2, 10], never growing right after a
-    rejection. Returns the step starts, widths, start states (4, steps),
-    stages (steps, 7, 4) and the number of deriv calls. Overflow and a step
+    rejection. Returns the step starts, widths, start states (3, steps),
+    stages (steps, 7, 3) and the number of deriv calls. Overflow and a step
     below ten float spacings of t raise NumericalError.
     """
-    a_b, a_v, a_c, a_z = atol
-    t, b, v, c, z = 0.0, 1.0, 0.0, 0.0, 0.0
+    a_b, a_v, a_c = atol
+    t, b, v, c = 0.0, 1.0, 0.0, 0.0
     k1 = deriv(t, b, v)
 
     # Initial step of Hairer, Norsett & Wanner (Sec. II.4), as in scipy, from
     # the RMS norms d0 of y/scale, d1 of y'/scale and d2 of y''/scale at
-    # t = 0. d0 >= 0.5/(1e-8 + 5e-6) always, so only d1 and d2 can be small.
+    # t = 0. d0 >= 0.57/(1e-8 + 5e-6) always, so only d1 and d2 can be small.
     s_b = a_b + rtol                  # scale of b = 1; the other channels are 0
-    d0 = 0.5 / s_b
-    d1 = math.sqrt(((k1[0] / s_b) ** 2 + (k1[1] / a_v) ** 2 + (k1[2] / a_c) ** 2
-                    + (k1[3] / a_z) ** 2) / 4.0)
+    d0 = math.sqrt(1.0 / 3.0) / s_b
+    d1 = math.sqrt(((k1[0] / s_b) ** 2 + (k1[1] / a_v) ** 2 + (k1[2] / a_c) ** 2)
+                   / 3.0)
     h0 = min(1e-6 if d1 < 1e-5 else 0.01 * d0 / d1, t_end)
     k = deriv(h0, b + h0 * k1[0], v + h0 * k1[1])
     d2 = math.sqrt((((k[0] - k1[0]) / s_b) ** 2 + ((k[1] - k1[1]) / a_v) ** 2
-                    + ((k[2] - k1[2]) / a_c) ** 2 + ((k[3] - k1[3]) / a_z) ** 2)
-                   / 4.0) / h0
+                    + ((k[2] - k1[2]) / a_c) ** 2) / 3.0) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, 1e-3 * h0)
     else:
@@ -137,31 +131,30 @@ def _dormand_prince(deriv, t_end: float, rtol: float, atol):
                                      f"{h:g} below the float spacing at t={t}")
             t_new = min(t + h, t_end)
             h = t_new - t
-            kb1, kv1, kc1, kz1 = k1
-            kb2, kv2, kc2, kz2 = k2 = deriv(t + _C2 * h, b + h * _A21 * kb1,
-                                            v + h * _A21 * kv1)
-            kb3, kv3, kc3, kz3 = k3 = deriv(
+            kb1, kv1, kc1 = k1
+            kb2, kv2, kc2 = k2 = deriv(t + _C2 * h, b + h * _A21 * kb1,
+                                       v + h * _A21 * kv1)
+            kb3, kv3, kc3 = k3 = deriv(
                 t + _C3 * h, b + h * (_A31 * kb1 + _A32 * kb2),
                 v + h * (_A31 * kv1 + _A32 * kv2))
-            kb4, kv4, kc4, kz4 = k4 = deriv(
+            kb4, kv4, kc4 = k4 = deriv(
                 t + _C4 * h, b + h * (_A41 * kb1 + _A42 * kb2 + _A43 * kb3),
                 v + h * (_A41 * kv1 + _A42 * kv2 + _A43 * kv3))
-            kb5, kv5, kc5, kz5 = k5 = deriv(
+            kb5, kv5, kc5 = k5 = deriv(
                 t + _C5 * h,
                 b + h * (_A51 * kb1 + _A52 * kb2 + _A53 * kb3 + _A54 * kb4),
                 v + h * (_A51 * kv1 + _A52 * kv2 + _A53 * kv3 + _A54 * kv4))
-            kb6, kv6, kc6, kz6 = k6 = deriv(
+            kb6, kv6, kc6 = k6 = deriv(
                 t + h,
                 b + h * (_A61 * kb1 + _A62 * kb2 + _A63 * kb3 + _A64 * kb4 + _A65 * kb5),
                 v + h * (_A61 * kv1 + _A62 * kv2 + _A63 * kv3 + _A64 * kv4 + _A65 * kv5))
             b_new = b + h * (_B1 * kb1 + _B3 * kb3 + _B4 * kb4 + _B5 * kb5 + _B6 * kb6)
             v_new = v + h * (_B1 * kv1 + _B3 * kv3 + _B4 * kv4 + _B5 * kv5 + _B6 * kv6)
             c_new = c + h * (_B1 * kc1 + _B3 * kc3 + _B4 * kc4 + _B5 * kc5 + _B6 * kc6)
-            z_new = z + h * (_B1 * kz1 + _B3 * kz3 + _B4 * kz4 + _B5 * kz5 + _B6 * kz6)
-            if not math.isfinite(b_new + v_new + c_new + z_new):
+            if not math.isfinite(b_new + v_new + c_new):
                 raise NumericalError("scale-factor integration failed: overflow "
                                      f"in the step from t={t}")
-            kb7, kv7, kc7, kz7 = k7 = deriv(t_new, b_new, v_new)
+            kb7, kv7, kc7 = k7 = deriv(t_new, b_new, v_new)
             nfev += 6
             e_b = (_E1 * kb1 + _E3 * kb3 + _E4 * kb4 + _E5 * kb5 + _E6 * kb6
                    + _E7 * kb7) / (a_b + rtol * max(abs(b), abs(b_new)))
@@ -169,9 +162,7 @@ def _dormand_prince(deriv, t_end: float, rtol: float, atol):
                    + _E7 * kv7) / (a_v + rtol * max(abs(v), abs(v_new)))
             e_c = (_E1 * kc1 + _E3 * kc3 + _E4 * kc4 + _E5 * kc5 + _E6 * kc6
                    + _E7 * kc7) / (a_c + rtol * max(abs(c), abs(c_new)))
-            e_z = (_E1 * kz1 + _E3 * kz3 + _E4 * kz4 + _E5 * kz5 + _E6 * kz6
-                   + _E7 * kz7) / (a_z + rtol * max(abs(z), abs(z_new)))
-            error = h * math.sqrt((e_b * e_b + e_v * e_v + e_c * e_c + e_z * e_z) / 4.0)
+            error = h * math.sqrt((e_b * e_b + e_v * e_v + e_c * e_c) / 3.0)
             if error < 1.0:
                 factor = _MAX_FACTOR if error == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * error ** -0.2)
@@ -182,12 +173,12 @@ def _dormand_prince(deriv, t_end: float, rtol: float, atol):
             rejected = True
         starts.append(t)
         widths.append(h)
-        states += (b, v, c, z)
+        states += (b, v, c)
         stages += (*k1, *k2, *k3, *k4, *k5, *k6, *k7)
-        t, b, v, c, z, k1 = t_new, b_new, v_new, c_new, z_new, k7
+        t, b, v, c, k1 = t_new, b_new, v_new, c_new, k7
         h *= factor
-    return (np.array(starts), np.array(widths), np.array(states).reshape(-1, 4).T,
-            np.array(stages).reshape(-1, 7, 4), nfev)
+    return (np.array(starts), np.array(widths), np.array(states).reshape(-1, 3).T,
+            np.array(stages).reshape(-1, 7, 3), nfev)
 
 
 class _PiecewiseQuartic:
@@ -196,15 +187,15 @@ class _PiecewiseQuartic:
     On step i, y(t) = sum_j c_ij x^j with x = (t - t_i)/h_i, c_i0 the state
     at t_i and (c_i1 .. c_i4) = h_i K_i^T P (Shampine's interpolant). A
     lookup finds the step with searchsorted and evaluates the quartic in
-    Horner form for every channel at once: a scalar time gives shape (4,),
-    an array of times shape (4, n). Times must be >= 0; past the last step
+    Horner form for every channel at once: a scalar time gives shape (3,),
+    an array of times shape (3, n). Times must be >= 0; past the last step
     its quartic is extrapolated.
     """
 
     def __init__(self, starts, widths, states, stages):
         self._starts = starts
         self._widths = widths
-        coefs = np.empty((5, 4, len(starts)))
+        coefs = np.empty((5, 3, len(starts)))
         coefs[0] = states
         coefs[1:] = (widths[:, None, None]
                      * (stages.transpose(0, 2, 1) @ _P)).transpose(2, 1, 0)
@@ -225,35 +216,34 @@ _LINEAR_TOL = 1e-3
 class ScaleTrajectory:
     """Integrated expansion history; immutable once constructed.
 
-    Exposes dense-output lookups b(t), bdot(t), the co-moving clock integral
-    and the horizon integral, plus the late-time asymptote
-    b ~ alpha (t - linear_offset) used to close the horizon integral. Each
-    lookup takes a scalar or an array of times within [0, t_max]; the stored
-    samples at ts are the same lookup. The asymptote is read from the final
-    state alone, so the sample count sets output resolution only: velocity
-    maps (b, bdot) at t_max to alpha, the line passes through b(t_max), and s
-    is the exponent of the horizon integrand.
-    method, rtol, nfev (right-hand side calls) and steps (accepted steps)
-    record what the stepper did.
+    Exposes dense-output lookups b(t), bdot(t) and the co-moving clock
+    integral, each taking a scalar or an array of times within [0, t_max];
+    the stored samples at ts are the same lookup. asymptotic_velocity is the
+    model constant alpha = omega0 sqrt(2/D) of a free run (0 while held), and
+    the horizon integral of b^-s is the closed form of the first integral:
+    (2/(D alpha)) arccos(b^(-D/2)), tending to pi/(D alpha), or t and inf
+    for a held trap. linear_offset places the line b ~ alpha (t -
+    linear_offset) through b(t_max) once bdot(t_max) is within _LINEAR_TOL
+    of alpha, and is None before that; the mode engine matches its start on
+    that line. method, rtol, nfev (right-hand side calls) and steps
+    (accepted steps) record what the stepper did.
     """
 
     method = "dormand-prince-5(4)"
 
-    def __init__(self, dense, ts, velocity, s, rtol, nfev, steps):
+    def __init__(self, dense, ts, alpha, dimension, rtol, nfev, steps):
         self.t_max = float(ts[-1])
         self.rtol, self.nfev, self.steps = rtol, nfev, steps
         self._dense = dense
-        self.ts, self.s = ts, s
-        self.bs, self.bdots, self.clocks, self.horizon_integrals = dense(ts)
-        b_f, bd_f = float(self.bs[-1]), float(self.bdots[-1])
-        alpha = self.asymptotic_velocity = velocity(b_f, bd_f)
+        self.ts, self.dimension = ts, dimension
+        self.bs, self.bdots, self.clocks = dense(ts)
+        self.asymptotic_velocity = alpha
         self.linear_offset = None
         self.horizon_integral_infinity = math.inf
-        if alpha > 0.0 and bd_f >= (1.0 - _LINEAR_TOL) * alpha:
-            self.linear_offset = self.t_max - b_f / alpha
-            # the tail of b^-s along the line, in closed form
-            self.horizon_integral_infinity = (float(self.horizon_integrals[-1])
-                                              + b_f ** (1.0 - s) / (alpha * (s - 1.0)))
+        if alpha > 0.0:
+            self.horizon_integral_infinity = math.pi / (dimension * alpha)
+            if self.bdots[-1] >= (1.0 - _LINEAR_TOL) * alpha:
+                self.linear_offset = self.t_max - float(self.bs[-1]) / alpha
 
     def _check_range(self, t):
         t = np.asarray(t, dtype=float)
@@ -281,8 +271,13 @@ class ScaleTrajectory:
         return self._dense(self._check_range(t))[2]
 
     def horizon_integral(self, t):
-        """Integral of b^-s from 0 to t."""
-        return self._dense(self._check_range(t))[3]
+        """Integral of b^-s from 0 to t, s = 1 + D/2, in closed form."""
+        t = self._check_range(t)
+        alpha, D = self.asymptotic_velocity, self.dimension
+        if alpha == 0.0:
+            return t[()]
+        u = np.float_power(self._dense(t)[0], -D / 2.0)
+        return 2.0 / (D * alpha) * np.arccos(u)
 
 
 def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
@@ -301,31 +296,27 @@ def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
         raise ValueError("t_max must be positive")
     check_tolerance(tolerance, "tolerance")
     check_sample_count(n_samples, "n_samples")
-    p, q, s = _exponents(dimension)
+    # b'' = omega0^2/b^p and the clock integrand b^q in D dimensions
+    p, q = dimension + 1.0, (-2.0 if dimension == 2 else -2.25)
     w2 = omega0**2
     w_ext2 = w2 if held else 0.0
 
     def deriv(t, b, bdot):
         if b <= 0.0:
             raise NumericalError(f"scale factor collapsed to b={b} at t={t}")
-        return bdot, -w_ext2 * b + w2 / b**p, b**q, b**-s
-
-    def velocity(b, bdot):
-        """alpha, the first integral of deriv after release; 0 while held."""
-        if held:
-            return 0.0
-        return math.sqrt(bdot**2 + 2.0 * w2 / ((p - 1.0) * b ** (p - 1.0)))
+        return bdot, -w_ext2 * b + w2 / b**p, b**q
 
     rtol = max(tolerance / 20.0, 1e-13)
-    atol = tuple(scale * tolerance * 1e-4 for scale in (1.0, omega0, 1.0 / omega0,
-                                                        1.0 / omega0))
+    atol = tuple(scale * tolerance * 1e-4 for scale in (1.0, omega0, 1.0 / omega0))
+    # the first integral bdot^2 = alpha^2 (1 - b^-D) of a free run
+    alpha = 0.0 if held else omega0 * math.sqrt(2.0 / dimension)
     try:
         starts, widths, states, stages, nfev = _dormand_prince(deriv, t_max, rtol, atol)
         # a finite state can still overflow the dense coefficients
         with np.errstate(over="raise", invalid="raise"):
             dense = _PiecewiseQuartic(starts, widths, states, stages)
             trajectory = ScaleTrajectory(dense, np.linspace(0.0, t_max, n_samples),
-                                         velocity, s, rtol, nfev, len(starts))
+                                         alpha, dimension, rtol, nfev, len(starts))
     except (OverflowError, FloatingPointError) as exc:
         raise NumericalError("scale-factor integration failed: overflow "
                              f"({exc.args[-1]})") from exc

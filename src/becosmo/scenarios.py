@@ -492,14 +492,6 @@ def _evolve(r: _Run) -> None:
     trajectory = r.trajectory
     r.solvers["scale_ode"] = {"method": trajectory.method, "rtol": trajectory.rtol,
                               "nfev": trajectory.nfev, "steps": trajectory.steps}
-    if r.config.expansion_mode == "free" and trajectory.linear_offset is None:
-        r.report.warnings.append({
-            "source": "evolve:linear_regime",
-            "message": f"b(t) never reached the linear regime by t_max = "
-                       f"{trajectory.t_max:.4g} s, so the horizon integrals "
-                       "have no closed-form tail and the particle horizons "
-                       "are infinite",
-        })
     if "evolve" in r.writes:
         tau_prefactor = 1.0  # quasi-2D is the flat case: tau is the clock
         if D == 3:

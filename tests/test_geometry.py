@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from becosmo.condensate import thomas_fermi
@@ -55,10 +56,11 @@ class TestMetric:
 
 
 class TestFlatness:
-    # with c = c0 b^(1-s), the co-moving metric factor A b^2 grows as a power of b
+    # with c = c0 b^(-D/2), the co-moving metric factor A b^2 grows as a power of b
     @staticmethod
     def _growth(trajectory, dimension):
-        factor = lambda b: conformal_factor(b ** (1.0 - trajectory.s), 1.0, dimension) * b**2
+        factor = lambda b: conformal_factor(b ** (-trajectory.dimension / 2.0), 1.0,
+                                            dimension) * b**2
         return math.log(factor(4.0) / factor(1.0)) / math.log(4.0)
 
     def test_2d_is_flat(self, traj2d):
@@ -77,6 +79,17 @@ def test_horizons_reject_bad_sound_speed(traj2d, c0):
     for call in calls:
         with pytest.raises(ValueError, match="c0"):
             call()
+
+
+def _preset_trajectory(name):
+    """The preset's own b(t) and sound speed, as its evolve stage builds them."""
+    config = config_from_dict(PRESETS[name])
+    spec, numeric = config.condensate, config.numeric
+    omega0 = spec.trap.longitudinal_frequency
+    trajectory = integrate_scale_factor(
+        omega0, spec.trap.dimension, t_max=numeric.t_max_omega0 / omega0,
+        tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples)
+    return trajectory, thomas_fermi(spec).sound_speed
 
 
 class TestParticleHorizon:
@@ -104,6 +117,26 @@ class TestParticleHorizon:
             lhs = particle_horizon(traj2d, t, c0)
             rhs = c0 * (math.pi / 2.0 - math.atan(W0_2D * t)) / W0_2D
             assert lhs == pytest.approx(rhs, rel=1e-7)
+
+    @pytest.mark.parametrize("name", ["sodium-q2d", "rubidium-3d"])
+    def test_matches_quadrature(self, name):
+        # An oracle independent of the first integral: quad of b^-s on the
+        # dense b(t) up to t_max, plus the tail along the line through
+        # b(t_max) with slope alpha. bdot = alpha (1 - b^-D/2 + ...) makes the
+        # line miss the tail by b_f^(1-s-D)/(2 alpha (s-1+D)) to leading
+        # order; allow half again that, plus the ODE tolerance.
+        traj, c0 = _preset_trajectory(name)
+        tolerance = config_from_dict(PRESETS[name]).numeric.ode_tolerance
+        D, alpha = traj.dimension, traj.asymptotic_velocity
+        s, b_f = 1.0 + D / 2.0, float(traj.bs[-1])
+        tail = b_f ** (1.0 - s) / (alpha * (s - 1.0))
+        miss = b_f ** (1.0 - s - D) / (2.0 * alpha * (s - 1.0 + D))
+        for t in traj.ts[::20]:
+            body = quad(lambda u: float(traj.b(u)) ** -s, t, traj.t_max, epsabs=0.0,
+                        epsrel=1e-13, limit=400)[0]
+            horizon = particle_horizon(traj, t, c0)
+            assert abs(c0 * (body + tail) - horizon) <= (tolerance * horizon
+                                                         + 1.5 * c0 * miss)
 
 
 class TestApparentHorizon:
@@ -139,17 +172,6 @@ class TestApparentHorizon:
             v = float(traj2d.bdot(t)) / b * r_h
             cov, _ = metric_components(conformal, c_t, [v])
             assert abs(cov[0, 0]) <= 1e-10 * conformal * c_t**2
-
-
-def _preset_trajectory(name):
-    """The preset's own b(t) and sound speed, as its evolve stage builds them."""
-    config = config_from_dict(PRESETS[name])
-    spec, numeric = config.condensate, config.numeric
-    omega0 = spec.trap.longitudinal_frequency
-    trajectory = integrate_scale_factor(
-        omega0, spec.trap.dimension, t_max=numeric.t_max_omega0 / omega0,
-        tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples)
-    return trajectory, thomas_fermi(spec).sound_speed
 
 
 class TestHorizonCrossing:
@@ -218,6 +240,39 @@ class TestHorizonCrossing:
         assert np.array_equal(np.isinf(times), np.isinf(expected))
         assert np.max(np.abs(times[crossing] - expected[crossing])) <= 1e-13 * traj.t_max
 
+    @pytest.mark.parametrize("name", ["sodium-q2d", "rubidium-3d"])
+    def test_matches_closed_form_crossing(self, name):
+        # 2 pi/kappa = (2 c0/(D alpha)) arcsin(b^(-D/2)) at
+        # b_c = sin(pi D alpha/(c0 kappa))^(-2/D) for kappa >= 2 D alpha/c0;
+        # a longer wavelength is outside the horizon at release. t_c is
+        # bisected on the stored b(t) as the code bisects the horizon.
+        traj, c0 = _preset_trajectory(name)
+        D, alpha, t_max = traj.dimension, traj.asymptotic_velocity, traj.t_max
+        edge = 2.0 * D * alpha / c0
+        kappas = np.geomspace(0.5 * edge,
+                              2.0 * 2.0 * math.pi / particle_horizon(traj, t_max, c0), 64)
+        b_c = np.sin(np.minimum(math.pi * D * alpha / (c0 * kappas), math.pi / 2.0)) ** (
+            -2.0 / D)
+        lo, hi, width = np.zeros_like(kappas), np.full_like(kappas, t_max), t_max
+        while width > 1e-14 * t_max:
+            mid = 0.5 * (lo + hi)
+            grown = traj.b(mid) >= b_c
+            hi, lo = np.where(grown, mid, hi), np.where(grown, lo, mid)
+            width *= 0.5
+        expected = np.where(kappas < edge, 0.0,
+                            np.where(b_c > traj.b(t_max), math.inf, 0.5 * (lo + hi)))
+        times = horizon_crossing_time(kappas, traj, c0)
+        crossing = (expected > 0.0) & np.isfinite(expected)
+        assert np.any(expected == 0.0) and np.any(np.isinf(expected))
+        assert np.array_equal(times == 0.0, expected == 0.0)
+        assert np.array_equal(np.isinf(times), np.isinf(expected))
+        # the bisection width, plus the float resolution of the horizon
+        # c0 (I_inf - I(t)): a few ulps of c0 I_inf over |dr_p/dt| = c0 b_c^-s
+        resolution = 4.0 * np.finfo(float).eps * traj.horizon_integral_infinity * b_c ** (
+            1.0 + D / 2.0)
+        assert np.all(np.abs(times[crossing] - expected[crossing])
+                      <= 1e-14 * t_max + resolution[crossing])
+
 
 class TestArrayPath:
     @pytest.mark.parametrize("horizon", [apparent_horizon, particle_horizon])
@@ -277,15 +332,27 @@ def test_horizon_report_and_csv(traj2d, tmp_path):
 
 
 def test_preset_2d_horizons_match_arctan(tmp_path):
-    # In quasi-2D the particle horizon is c0/omega0 (pi/2 - arctan(omega0 t)).
-    # The line through b(t_max) misses the tail by 1/(6x^3) of c0/omega0, with
-    # x = omega0 t_max, against a horizon of at least about 1/x: every row of
-    # the sodium-q2d run is within 1/(4 x^2) relative.
+    # In quasi-2D the particle horizon is c0/omega0 (pi/2 - arctan(omega0 t)):
+    # every row of the sodium-q2d run is within the ODE tolerance of it, as
+    # b(t) itself is.
     config = config_from_dict({**PRESETS["sodium-q2d"], "analysis": ["horizons"]})
     report = run(config, tmp_path)
     c0 = report.derived["sound_speed_m_per_s"]
     omega0 = config.condensate.trap.longitudinal_frequency
-    span = config.numeric.t_max_omega0
     table = np.loadtxt(tmp_path / "horizons.csv", delimiter=",", skiprows=1)
     exact = c0 / omega0 * (math.pi / 2.0 - np.arctan(omega0 * table[:, 0]))
-    assert np.abs(table[:, 2] / exact - 1.0).max() <= 1.0 / (4.0 * span**2)
+    assert np.abs(table[:, 2] / exact - 1.0).max() <= config.numeric.ode_tolerance
+
+
+def test_preset_3d_horizons_match_arcsin(tmp_path):
+    # r_p = (2 c0/(3 alpha)) arcsin(b^(-3/2)), alpha = omega0 sqrt(2/3), on
+    # the b(t) the same run writes to trajectory.csv
+    config = config_from_dict({**PRESETS["rubidium-3d"],
+                               "analysis": ["evolve", "horizons"]})
+    report = run(config, tmp_path)
+    c0 = report.derived["sound_speed_m_per_s"]
+    alpha = config.condensate.trap.longitudinal_frequency * math.sqrt(2.0 / 3.0)
+    b = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)[1:, 1]
+    table = np.loadtxt(tmp_path / "horizons.csv", delimiter=",", skiprows=1)
+    exact = 2.0 * c0 / (3.0 * alpha) * np.arcsin(b**-1.5)
+    assert np.abs(table[:, 2] / exact - 1.0).max() <= 1e-9

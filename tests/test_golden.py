@@ -40,49 +40,49 @@ SCENARIOS = {
     # a held trap never releases, so it has no 3D spectrum
     "rubidium-3d-hold": _variant("rubidium-3d", mode="hold",
                                  analysis=["derive", "evolve", "horizons", "report"]),
-    # too short to reach the linear regime: infinite particle horizons
+    # too short to reach the linear regime, with finite closed-form horizons
     "sodium-q2d-short": _variant("sodium-q2d", t_max_omega0=0.5),
 }
 
 GOLDEN = {
     "rubidium-3d": {
         "derived.json": "f13d3a855970a2c98f7e10ebbaafec91e85fcd9487c2a1755cb3f61e1677f607",
-        "horizons.csv": "0754131da989ebc608920a9f5840b5890a6a35d5d7972407233d5f4877a4e93d",
-        "manifest.json": "b0fa19c7ea768fdb30c80b9ff790256e7595cd5ab6f5f3860fe1c04d37d12c4c",
-        "report.json": "f7f370bfdfdbafe6610791d6d1540c2ef962df322713aa128f5a4b31a5e0b328",
-        "spectrum.csv": "dc87b8a36de2024ac5a529ed65b61eaa9ddcbedba699bd445588926262138fec",
-        "trajectory.csv": "294ae937ca93c474ee004811e9605cd6922ed44a34754cd918736b424661fabd",
+        "horizons.csv": "d4a3b0ba913a9712f4b165465e19c0db1b16a3234dfa8ab8b54dd558092d89cf",
+        "manifest.json": "2585a177c1863af14f2354ac2d2b18a6a5f7e7bc15d2226d92e743f421e3a378",
+        "report.json": "fcf71e1fac7498683671d6541ca56d654756201536e701aeb46373e3ae5e5704",
+        "spectrum.csv": "9606584a985626533d6e94729ba2322d233aacd635c3523fa2d88e25b4716bfc",
+        "trajectory.csv": "caf3df5b8771c93c22776ea8cf2bfa422a5fab9d73be3cfa5d594745ee597845",
     },
     "rubidium-3d-hold": {
         "derived.json": "f13d3a855970a2c98f7e10ebbaafec91e85fcd9487c2a1755cb3f61e1677f607",
         "horizons.csv": "a1444ff10fdb5f92e3daeb8893e93d295fc93204db1a913d130a06d9960eccce",
         "manifest.json": "a4aa8eaaf35f46ce79f5961380f91c7de0b1f887d9fd5a35dfe7d9be551722a9",
         "report.json": "3351b8bd67ad940b055045fbf75275ffc76a805cfc358a379c5e7ac25dcabfd1",
-        "trajectory.csv": "9bf3c8d9317babfd98eb455ba2a6280e1cce128e5d6a982cd101415304bb05fd",
+        "trajectory.csv": "3c9601062b76c4ad6b5e72ab59d1472989316e2c26c17c4e7e7e29a54031d3ea",
     },
     "sodium-q2d": {
         "derived.json": "5d46c9eba5a2081cde7dde78c9c7268844a531ba921e2d43d41c475c30d247e3",
-        "horizons.csv": "cd6a814eb13bcc3cded47436c2a8a69dca26c009484c42bb6a2fe63b18eee23d",
-        "manifest.json": "7fbfa901d970e975107cfb93546af4453b89c073e27a2bb65f830c7b96c94f29",
-        "report.json": "a8c924683647fecfba06c03bf6036a2b8e6776161f335b871822b39a4a0c54d0",
+        "horizons.csv": "2110468c2588b52a28593902577711e52bbf5d0e160e663e496907cdab27e97a",
+        "manifest.json": "204e45635eb5f34ae7f3abe14c76528c07b410a90d25d5a69d481d487807b026",
+        "report.json": "49ab321af8362d0245eba928778810b6943df0fc104ee9dabc77034d47b425e8",
         "spectrum.csv": "16da8ba1c94bfc4f177a9d6c8330a85163ebf71350e8fe006ef53db941e8e9e8",
-        "trajectory.csv": "5c365a7045ada6475d5cdf2c180b17cc81e97f5ae6b91e1646e7c46c7f490bf8",
+        "trajectory.csv": "fe0328fee941b9e4ce8e6eae56e0f906fe8ab9e78d0f05499d03fc689883ddd0",
     },
     "sodium-q2d-hold": {
         "derived.json": "5d46c9eba5a2081cde7dde78c9c7268844a531ba921e2d43d41c475c30d247e3",
         "horizons.csv": "c901fd8777b2166b4d64c467b1961ff01279712b6f874011d80e28be4debecb3",
-        "manifest.json": "56b5fc3772967fffb6729034b497581e5f0c39fe0b0a25f540a5054b831c524a",
+        "manifest.json": "db394b5d9266119b9c6ca09b5022a4340b41744d810db05c5f4e10031e9b604d",
         "report.json": "2f2c09f46707933c6e8d40ed38ff9812c9776ff1059c76606fdefeed51df2dfa",
         "spectrum.csv": "16da8ba1c94bfc4f177a9d6c8330a85163ebf71350e8fe006ef53db941e8e9e8",
         "trajectory.csv": "71a3ce609cb9cb4cd66d733d50f8c5390a13591d1266e2b8edcaaaef2f956a84",
     },
     "sodium-q2d-short": {
         "derived.json": "5d46c9eba5a2081cde7dde78c9c7268844a531ba921e2d43d41c475c30d247e3",
-        "horizons.csv": "9ddb0c08d51bf2aa6e022f0ca232471dfc27cb61d17e61708ac7d188cec09d1f",
-        "manifest.json": "4e4e8c37af5e49da67e3fdd29343df004244f065d9210b1728b11e2429d45d7f",
-        "report.json": "41897ccd8dbc74344ca258b100bea194ce09bf8b326f1322c52d5c458a3c37cf",
+        "horizons.csv": "dbf439e5121103bd20af70bfccf46e3af3ef39a14b7aa146b3ca0afa562d2edc",
+        "manifest.json": "f02484d323195b01087f38038f2854e584ce9c77e9278c1f5a53d9881d108dbc",
+        "report.json": "768e766d3675c282c4ae33e112a8e20943b0e17466da7d4403e3032c0bccbe96",
         "spectrum.csv": "16da8ba1c94bfc4f177a9d6c8330a85163ebf71350e8fe006ef53db941e8e9e8",
-        "trajectory.csv": "83724cd5b30697ffec8a0fc7461ac2c197eb7954937da4edb79605d2a0e9521f",
+        "trajectory.csv": "fca4baafa3e7e115b73f1a216558cffd582af25d61a3cbbc9498d03b08ebdd6b",
     },
 }
 

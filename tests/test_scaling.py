@@ -138,21 +138,21 @@ class TestTrajectory:
 
 class TestStepperReference:
     """The in-package stepper against scipy's DOP853 at rtol 2.3e-14 (just
-    above its floor of 100 machine epsilons) on the same four channels,
+    above its floor of 100 machine epsilons) on the same three channels,
     with the model written out here: b'' = omega0^2/b^(D+1), less omega0^2 b
-    while the trap is held, and the integrands b^q of the clock and b^-s of
-    the horizon, (q, s) = (-2, 2) in quasi-2D and (-9/4, 5/2) in 3D."""
+    while the trap is held, and the clock integrand b^q, q = -2 in quasi-2D
+    and -9/4 in 3D."""
 
     @staticmethod
     def _reference(traj, w0, dimension, held=False):
         p = dimension + 1
-        q, s = {2: (-2.0, 2.0), 3: (-2.25, 2.5)}[dimension]
+        q = {2: -2.0, 3: -2.25}[dimension]
         w_ext = w0 if held else 0.0
 
         def rhs(t, y):
-            return [y[1], -w_ext**2 * y[0] + w0**2 / y[0]**p, y[0]**q, y[0]**-s]
-        atol = np.array([1.0, w0, 1.0 / w0, 1.0 / w0]) * 1e-20
-        sol = solve_ivp(rhs, (0.0, traj.t_max), [1.0, 0.0, 0.0, 0.0], method="DOP853",
+            return [y[1], -w_ext**2 * y[0] + w0**2 / y[0]**p, y[0]**q]
+        atol = np.array([1.0, w0, 1.0 / w0]) * 1e-20
+        sol = solve_ivp(rhs, (0.0, traj.t_max), [1.0, 0.0, 0.0], method="DOP853",
                         rtol=2.3e-14, atol=atol, dense_output=True)
         assert sol.success
         return sol.sol
@@ -168,13 +168,11 @@ class TestStepperReference:
         reference = self._reference(traj, w0, dimension, held=name == "held")
         # absolute floor in each channel's natural unit, for the zeros at t = 0
         # and the static bdot of a held trap
-        floor = 1e-13 * np.array([1.0, w0, 1.0 / w0, 1.0 / w0])[:, None]
+        floor = 1e-13 * np.array([1.0, w0, 1.0 / w0])[:, None]
         off_sample = np.random.default_rng(7).uniform(0.0, traj.t_max, 1000)
-        for ts, got in ((traj.ts, np.array([traj.bs, traj.bdots, traj.clocks,
-                                            traj.horizon_integrals])),
+        for ts, got in ((traj.ts, np.array([traj.bs, traj.bdots, traj.clocks])),
                         (off_sample, np.array([traj.b(off_sample), traj.bdot(off_sample),
-                                               traj.clock(off_sample),
-                                               traj.horizon_integral(off_sample)]))):
+                                               traj.clock(off_sample)]))):
             expected = reference(ts)
             assert np.all(np.abs(got - expected) <= 1e-9 * np.abs(expected) + floor)
 
@@ -182,8 +180,7 @@ class TestStepperReference:
     def test_samples_are_the_dense_lookup(self, name, request):
         traj = request.getfixturevalue(name)
         for lookup, stored in ((traj.b, traj.bs), (traj.bdot, traj.bdots),
-                               (traj.clock, traj.clocks),
-                               (traj.horizon_integral, traj.horizon_integrals)):
+                               (traj.clock, traj.clocks)):
             assert lookup(traj.ts).tobytes() == stored.tobytes()
         assert traj.nfev > 6 * traj.steps > 0
 
@@ -197,19 +194,18 @@ class TestProperTime:
 
     def test_2d_limit(self, traj2d):
         # in quasi-2D the clock integrand b^q is the horizon integrand b^-s
-        # (q = -s = -2), so the two channels agree bit for bit
-        assert traj2d.clocks.tobytes() == traj2d.horizon_integrals.tobytes()
+        # (q = -s = -2): the closed-form horizon integral from b(t) meets the
+        # stepped clock channel
+        np.testing.assert_allclose(traj2d.horizon_integral(traj2d.ts), traj2d.clocks,
+                                   rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("span", [100.0, 200.0, 1100.0])
     def test_2d_closure(self, span):
-        # The horizon integral closes to the total proper time pi/(2 omega0).
-        # With x = omega0 t_max the exact tail is arctan(1/x) = 1/x - 1/(3x^3)
-        # and the line through b(t_max) = sqrt(1 + x^2) gives 1/x - 1/(2x^3),
-        # so the closure misses by 1/(3 pi x^3) relative: bound it with half
-        # again as margin, plus the integration error.
+        # the horizon integral closes to the total proper time pi/(2 omega0),
+        # exactly, whatever the span
         traj = integrate_scale_factor(W0_2D, 2, t_max=span / W0_2D, tolerance=1e-10)
-        closure = 2.0 * W0_2D * traj.horizon_integral_infinity / math.pi
-        assert abs(closure - 1.0) <= 1.5 / (3.0 * math.pi * span**3) + 1e-10
+        assert traj.horizon_integral_infinity == pytest.approx(math.pi / (2.0 * W0_2D),
+                                                               rel=1e-14)
 
     def test_static_background(self):
         traj = integrate_scale_factor(W0_2D, 2, t_max=10.0 / W0_2D, tolerance=1e-10,

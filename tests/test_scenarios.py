@@ -453,20 +453,23 @@ class TestCli:
         assert main(["derive", "--scenario", str(path),
                      "--out", str(tmp_path / "z")]) == 3
 
-    # b(t) never reaches the linear regime, so every particle horizon is
-    # infinite; the run says so and exits 3. Over the two shortest spans b
-    # stays so close to 1 that a line through the last point alone would
-    # give a finite horizon (about 1.0 c0/omega0 against the exact pi/2).
+    # b(t) need not reach the linear regime: the particle horizon comes from
+    # the first integral, finite from release however short the run, and
+    # r_p(0) = pi c0/(2 omega0) in quasi-2D. At omega0 t_max = 1e-12 b stays
+    # 1 to the last bit.
     @pytest.mark.parametrize("t_max_omega0", [0.5, 1e-12, 1e-3])
-    def test_short_free_run_exit_three(self, tmp_path, t_max_omega0):
+    def test_short_free_run_has_finite_horizons(self, tmp_path, t_max_omega0):
         data = _preset_dict("sodium-q2d", **{"numeric.t_max_omega0": t_max_omega0})
         path = tmp_path / "short.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "short"
-        assert main(["report", "--scenario", str(path), "--out", str(out)]) == 3
+        assert main(["report", "--scenario", str(path), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert [w["source"] for w in report["warnings"]] == ["evolve:linear_regime"]
-        assert report["horizon_summary"]["particle_horizon_initial_m"] is None
+        assert report["warnings"] == []
+        c0 = report["derived"]["sound_speed_m_per_s"]
+        omega0 = data["condensate"]["omega0_rad_per_s"]
+        assert report["horizon_summary"]["particle_horizon_initial_m"] == pytest.approx(
+            math.pi * c0 / (2.0 * omega0), rel=1e-13)
 
     def test_trajectory_samples_do_not_move_the_horizon(self, tmp_path):
         # just past the onset of the linear regime, the sample count of
@@ -555,8 +558,7 @@ class TestCli:
         summary = report["horizon_summary"]
         assert summary["apparent_at_t_max_m"] is None
         assert summary["particle_horizon_initial_m"] is None
-        # a held trap is not a free run cut short
-        assert "evolve:linear_regime" not in [w["source"] for w in report["warnings"]]
+        assert report["warnings"] == []
 
     def test_overflow_is_a_named_numeric_failure(self, tmp_path, capsys):
         data = _preset_dict("sodium-q2d")

@@ -6,9 +6,11 @@ benchmark in bench/, or by the README. Otherwise only tests call it, and it
 is a dead helper. The one exception is a reference implementation that a
 test compares the package against; each is listed in ORACLES with that
 test. Likewise every field of a public dataclass must be read somewhere as
-.<field>.
+.<field>, and every public attribute of a background (ScaleTrajectory,
+LinearExpansion) must be read by code outside its own class.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -17,6 +19,7 @@ import re
 from pathlib import Path
 
 import becosmo
+from becosmo.scaling import LinearExpansion, integrate_scale_factor
 
 ROOT = Path(__file__).parents[1]
 SRC = ROOT / "src" / "becosmo"
@@ -96,3 +99,32 @@ def test_every_dataclass_field_is_read():
               for module, cls in _public_dataclasses() for f in dataclasses.fields(cls)
               if not any(re.search(rf"\.{f.name}\b", text) for text in texts)]
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def _attribute_reads(skipped_class: str) -> set[str]:
+    """Names read as .<name> by the package or the bench, outside the body
+    of the class named skipped_class."""
+    reads = set()
+    for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]:
+        nodes = [ast.parse(path.read_text())]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, ast.ClassDef) and node.name == skipped_class:
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            nodes.extend(ast.iter_child_nodes(node))
+    return reads
+
+
+def test_every_background_attribute_is_read():
+    # an attribute that only its own class or the tests read is computed,
+    # stored and thrown away
+    backgrounds = (integrate_scale_factor(1.0, 3, 10.0, n_samples=2), LinearExpansion(1.0))
+    unread = []
+    for background in backgrounds:
+        name = type(background).__name__
+        reads = _attribute_reads(name)
+        unread += [f"{name}.{attr}" for attr in vars(background)
+                   if not attr.startswith("_") and attr not in reads]
+    assert not unread, f"background attributes nothing else reads: {unread}"

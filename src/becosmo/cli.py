@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     if (args.kappa_min is None) != (args.kappa_max is None):
         raise ConfigError("--kappa-min and --kappa-max must be given together")
-    flags = {"ode_tolerance": args.tol, "kappa_min": args.kappa_min,
-             "kappa_max": args.kappa_max, "kappa_points": args.kappa_points}
+    flags = {"ode_tolerance": args.tol, "kappa_min_per_m": args.kappa_min,
+             "kappa_max_per_m": args.kappa_max, "kappa_points": args.kappa_points}
     numeric = dataclasses.replace(
         config.numeric, **{key: value for key, value in flags.items() if value is not None})
 

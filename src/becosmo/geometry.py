@@ -71,12 +71,13 @@ def _check_c0(c0: float) -> None:
 def particle_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):
     """Co-moving particle horizon: remaining reach of sound emitted at t.
 
-    c0 * integral_t^inf b^-s dt' with s = 1 + D/2. After release the first
-    integral makes this (2 c0/(D alpha)) arcsin(b(t)^(-D/2)), finite from
-    t = 0 on, however short the run; a held trap gives inf.
+    c0 times the trajectory's remaining horizon integral, integral_t^inf
+    b^-s dt' with s = 1 + D/2. After release the first integral makes this
+    one arcsin, (2 c0/(D alpha)) arcsin(b(t)^(-D/2)), finite from t = 0 on,
+    however short the run; a held trap gives inf.
     """
     _check_c0(c0)
-    return c0 * (trajectory.horizon_integral_infinity - trajectory.horizon_integral(t))
+    return c0 * trajectory.horizon_integral(t)
 
 
 def apparent_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):

@@ -10,13 +10,14 @@ trap is switched off at t = 0. A held trap adds the restoring force
 co-moving clock integral of b^q: the co-moving proper time tau over the
 constant sqrt(A(0)) c(0). In quasi-2D, the flat case (q = -2), tau is the
 clock itself, a real time, and in 3D (q = -9/4) the run pipeline applies
-the prefactor. The horizon integral of b^-s, s = 1 + D/2, needs no
-integration: after release the first integral bdot = alpha sqrt(1 - b^-D),
-alpha = omega0 sqrt(2/D), turns it into (2/(D alpha)) arccos(b^(-D/2)),
-which tends to pi/(D alpha). The integrator is an in-module Dormand-Prince
-5(4) stepper (the method of scipy's RK45) with Shampine's quartic dense
-output, so the module needs numpy only. It computes only; the run pipeline
-in scenarios writes the sampled history to trajectory.csv.
+the prefactor. The horizon integral, what remains from t on of the
+integral of b^-s, s = 1 + D/2, needs no integration: after release the
+first integral bdot = alpha sqrt(1 - b^-D), alpha = omega0 sqrt(2/D), turns
+it into (2/(D alpha)) arcsin(b(t)^(-D/2)), pi/(D alpha) at release. The
+integrator is an in-module Dormand-Prince 5(4) stepper (the method of
+scipy's RK45) with Shampine's quartic dense output, so the module needs
+numpy only. It computes only; the run pipeline in scenarios writes the
+sampled history to trajectory.csv.
 """
 
 from __future__ import annotations
@@ -220,13 +221,13 @@ class ScaleTrajectory:
     integral, each taking a scalar or an array of times within [0, t_max];
     the stored samples at ts are the same lookup. asymptotic_velocity is the
     model constant alpha = omega0 sqrt(2/D) of a free run (0 while held), and
-    the horizon integral of b^-s is the closed form of the first integral:
-    (2/(D alpha)) arccos(b^(-D/2)), tending to pi/(D alpha), or t and inf
-    for a held trap. linear_offset places the line b ~ alpha (t -
-    linear_offset) through b(t_max) once bdot(t_max) is within _LINEAR_TOL
-    of alpha, and is None before that; the mode engine matches its start on
-    that line. method, rtol, nfev (right-hand side calls) and steps
-    (accepted steps) record what the stepper did.
+    the remaining horizon integral of b^-s is the closed form of the first
+    integral: (2/(D alpha)) arcsin(b(t)^(-D/2)), or inf for a held trap.
+    linear_offset places the line b ~ alpha (t - linear_offset) through
+    b(t_max) once bdot(t_max) is within _LINEAR_TOL of alpha, and is None
+    before that; the mode engine matches its start on that line. method,
+    rtol, nfev (right-hand side calls) and steps (accepted steps) record
+    what the stepper did.
     """
 
     method = "dormand-prince-5(4)"
@@ -239,11 +240,8 @@ class ScaleTrajectory:
         self.bs, self.bdots, self.clocks = dense(ts)
         self.asymptotic_velocity = alpha
         self.linear_offset = None
-        self.horizon_integral_infinity = math.inf
-        if alpha > 0.0:
-            self.horizon_integral_infinity = math.pi / (dimension * alpha)
-            if self.bdots[-1] >= (1.0 - _LINEAR_TOL) * alpha:
-                self.linear_offset = self.t_max - float(self.bs[-1]) / alpha
+        if alpha > 0.0 and self.bdots[-1] >= (1.0 - _LINEAR_TOL) * alpha:
+            self.linear_offset = self.t_max - float(self.bs[-1]) / alpha
 
     def _check_range(self, t):
         t = np.asarray(t, dtype=float)
@@ -271,13 +269,13 @@ class ScaleTrajectory:
         return self._dense(self._check_range(t))[2]
 
     def horizon_integral(self, t):
-        """Integral of b^-s from 0 to t, s = 1 + D/2, in closed form."""
+        """Integral of b^-s from t to inf, s = 1 + D/2, in closed form."""
         t = self._check_range(t)
         alpha, D = self.asymptotic_velocity, self.dimension
         if alpha == 0.0:
-            return t[()]
+            return np.full_like(t, math.inf)[()]
         u = np.float_power(self._dense(t)[0], -D / 2.0)
-        return 2.0 / (D * alpha) * np.arccos(u)
+        return 2.0 / (D * alpha) * np.arcsin(u)
 
 
 def integrate_scale_factor(omega0: float, dimension: int, t_max: float,

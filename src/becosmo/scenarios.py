@@ -11,9 +11,9 @@ manifest.json, derived.json, trajectory.csv, horizons.csv, spectrum.csv and
 report.json, depending on the analyses (pipeline stages, see STAGES) requested.
 This module is the only one that writes files: the physics modules return
 arrays, and _write_csv and _write_json fix the two file formats. _write_csv
-formats whole columns in numpy and writes exactly the bytes of %.12e and
-%d; values the longdouble scaling cannot round with certainty go through
-Python's own %.12e.
+formats whole columns in numpy, writes exactly the bytes of %.12e and flags
+as 0/1; values the longdouble scaling cannot round with certainty go
+through Python's own %.12e.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class NumericSettings:
     ode_tolerance: float = 1e-10
     t_max_omega0: float = 200.0        # integration span in units of 1/omega0
     trajectory_samples: int = 400
-    kappa_min: float | None = None     # 1/m; None -> scenario default grid
-    kappa_max: float | None = None
+    kappa_min_per_m: float | None = None   # None -> scenario default grid
+    kappa_max_per_m: float | None = None
     kappa_points: int = 64
 
     def __post_init__(self):
@@ -68,12 +68,13 @@ class NumericSettings:
             raise ConfigError(str(exc)) from exc
         if not 0.0 < self.t_max_omega0 < math.inf:
             raise ConfigError("numeric.t_max_omega0 must be positive and finite")
-        if (self.kappa_min is not None) != (self.kappa_max is not None):
-            raise ConfigError("numeric.kappa_min and kappa_max must be set together")
-        if self.kappa_min is not None:
-            if not 0.0 < self.kappa_min < self.kappa_max < math.inf:
+        if (self.kappa_min_per_m is None) != (self.kappa_max_per_m is None):
+            raise ConfigError("numeric.kappa_min_per_m and kappa_max_per_m must be "
+                              "set together")
+        if self.kappa_min_per_m is not None:
+            if not 0.0 < self.kappa_min_per_m < self.kappa_max_per_m < math.inf:
                 raise ConfigError("kappa grid must be positive and finite with "
-                                  "kappa_min < kappa_max")
+                                  "kappa_min_per_m < kappa_max_per_m")
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,7 @@ class ScenarioConfig:
             "expansion": {"mode": self.expansion_mode},
             "analysis": list(self.analysis),
             "numeric": {key: value for key in _SCHEMA["numeric"]
-                        if (value := getattr(self.numeric, _NUMERIC_FIELDS.get(key, key)))
-                        is not None},
+                        if (value := getattr(self.numeric, key)) is not None},
         }
         if cond.trap.transverse_frequency is not None:
             d["condensate"]["omega_z_rad_per_s"] = cond.trap.transverse_frequency
@@ -183,8 +183,6 @@ _SCHEMA = {
 _TYPE_NAMES = {str: "a string", dict: "a JSON object", list: "a list",
                (str, dict): "a species name or a JSON object",
                float: "a finite number", int: "an integer"}
-# numeric keys that differ from their NumericSettings field names
-_NUMERIC_FIELDS = {"kappa_min_per_m": "kappa_min", "kappa_max_per_m": "kappa_max"}
 
 
 def _section(value, context: str) -> dict:
@@ -254,8 +252,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(f"condensate.atom_number {condensate.atom_number:g} and the "
                           "trap give a Thomas-Fermi state that is not finite and positive")
     expansion = _section(data.get("expansion", {}), "expansion")
-    numeric = NumericSettings(**{_NUMERIC_FIELDS.get(key, key): value for key, value
-                                 in _section(data.get("numeric", {}), "numeric").items()})
+    numeric = NumericSettings(**_section(data.get("numeric", {}), "numeric"))
     return ScenarioConfig(name=_require(data, "name", "scenario"), condensate=condensate,
                           expansion_mode=expansion.get("mode", "free"),
                           analysis=tuple(data.get("analysis", ["derive"])),
@@ -388,12 +385,12 @@ def _format_floats(x: np.ndarray) -> np.ndarray:
 
 
 def _write_csv(path: Path, columns: dict, infinite: tuple[str, ...] = ()) -> None:
-    """A headered CSV with one column per key: floats as %.12e, bool and
-    integer columns as %d (flags read 0/1). A NaN, or an infinity outside
-    the columns named in infinite (which may hold +inf), raises ValueError
-    before anything is written. The cells are built in numpy as a table of
-    zero-padded 24-byte fields, each ending in its separator; the zero
-    bytes are dropped on writing."""
+    """A headered CSV with one column per key: floats as %.12e, bool
+    columns (flags) as 0/1. A NaN, or an infinity outside the columns named
+    in infinite (which may hold +inf), raises ValueError before anything is
+    written. The cells are built in numpy as a table of zero-padded 24-byte
+    fields, each ending in its separator; the zero bytes are dropped on
+    writing."""
     arrays = [np.asarray(values) for values in columns.values()]
     for name, a in zip(columns, arrays):
         ok = np.isfinite(a)
@@ -402,17 +399,13 @@ def _write_csv(path: Path, columns: dict, infinite: tuple[str, ...] = ()) -> Non
         if not ok.all():
             raise ValueError(f"{path.name}: column {name} holds a non-finite value")
     rows = len(arrays[0])
-    real = np.array([a.dtype.kind not in "biu" for a in arrays])
+    real = np.array([a.dtype.kind != "b" for a in arrays])
     reals = np.array([a for a, is_real in zip(arrays, real) if is_real], np.float64)
     table = np.empty((rows, len(arrays), 6), "<u4")
     table[:, real] = _format_floats(reals.T.ravel()).reshape(rows, len(reals), 6)
-    for i in np.flatnonzero(~real):
-        a = arrays[i]
-        if a.dtype.kind == "b":  # the word of b"0" or b"1"
-            table[:, i] = 0
-            table[:, i, 0] = 48 + a
-        else:  # numpy writes integers as %d does
-            table[:, i] = a.astype("S24").view("<u4").reshape(rows, 6)
+    for i in np.flatnonzero(~real):  # a flag: the word of b"0" or b"1"
+        table[:, i] = 0
+        table[:, i, 0] = 48 + arrays[i]
     cells = table.view(np.uint8)
     cells[:, :, 23] = ord(",")
     cells[:, -1, 23] = ord("\n")
@@ -428,8 +421,8 @@ def _finite_or_none(value: float) -> float | None:
 def _kappa_grid(numeric: NumericSettings, default_min: float,
                 default_max: float) -> np.ndarray:
     """Log-spaced wavenumber grid; the configured edges override the defaults."""
-    if numeric.kappa_min is not None:
-        default_min, default_max = numeric.kappa_min, numeric.kappa_max
+    if numeric.kappa_min_per_m is not None:
+        default_min, default_max = numeric.kappa_min_per_m, numeric.kappa_max_per_m
     return np.geomspace(default_min, default_max, numeric.kappa_points)
 
 
@@ -506,17 +499,17 @@ def _evolve(r: _Run) -> None:
 
 def _horizons(r: _Run) -> None:
     trajectory, c0 = r.trajectory, r.derived.sound_speed
-    ts = trajectory.ts[1:]  # the apparent horizon is infinite at t = 0
+    ts = trajectory.ts[1:]  # the apparent horizon is infinite at t = 0; ts[-1] = t_max
+    apparent = geometry.apparent_horizon(trajectory, ts, c0)
     _write_csv(r.out / "horizons.csv", {
-        "t_s": ts, "r_apparent_m": geometry.apparent_horizon(trajectory, ts, c0),
+        "t_s": ts, "r_apparent_m": apparent,
         "particle_horizon_comoving_m": geometry.particle_horizon(trajectory, ts, c0)},
         infinite=("r_apparent_m", "particle_horizon_comoving_m"))
     r.files["horizons"] = "horizons.csv"
     settled = geometry.settled_apparent_horizon(trajectory, c0)
     r.report.horizon_summary = {
         "settled_apparent_m": settled,
-        "apparent_at_t_max_m": _finite_or_none(geometry.apparent_horizon(
-            trajectory, trajectory.t_max, c0)),
+        "apparent_at_t_max_m": _finite_or_none(apparent[-1]),
         "particle_horizon_initial_m": _finite_or_none(
             geometry.particle_horizon(trajectory, 0.0, c0)),
         "note": "valid for wavelengths well above the healing length",

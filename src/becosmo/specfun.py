@@ -8,17 +8,16 @@ hankel1 (= J + iY) is the one kernel, with two branches:
   * ascending power series of J_nu and J_-nu (extended-precision
     accumulation) for x < X_SWITCH,
   * Hankel asymptotic expansion (modulus/phase form) for x >= X_SWITCH.
-bessel_j and bessel_y are its real and imaginary parts. Each takes a scalar
-or an array x (every element checked) and returns a NumPy scalar or an
-array of x's shape; nu is a scalar. Derivatives follow from the order
-recurrence dH_nu/dx = H_(nu-1) - (nu/x) H_nu, which is how the 3D mode
-solution in threed uses them.
+Its real and imaginary parts are J_nu and Y_nu. It takes a scalar or an
+array x (every element checked) and returns a NumPy scalar or an array of
+x's shape; nu is a scalar. Derivatives follow from the order recurrence
+dH_nu/dx = H_(nu-1) - (nu/x) H_nu, which is how the 3D mode solution in
+threed uses them.
 
 Guaranteed relative accuracy is 1e-10 for x in [1e-3, 100] away from zeros
-of the individual functions; both branches remain usable outside that range.
-Integer orders are rejected by every function: they would hit the
-logarithmic branch of Y_nu, which this kernel deliberately does not
-implement.
+of J_nu and Y_nu; both branches remain usable outside that range.
+Integer orders are rejected: they would hit the logarithmic branch of Y_nu,
+which this kernel deliberately does not implement.
 """
 
 from __future__ import annotations
@@ -89,13 +88,3 @@ def hankel1(nu: float, x):
     if not low.all():
         out[~low] = _hankel1_asymptotic(nu, x[~low])
     return out[()]
-
-
-def bessel_j(nu: float, x):
-    """Bessel function of the first kind, the real part of H^(1)_nu."""
-    return hankel1(nu, x).real
-
-
-def bessel_y(nu: float, x):
-    """Bessel function of the second kind, the imaginary part of H^(1)_nu."""
-    return hankel1(nu, x).imag

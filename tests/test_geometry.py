@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -138,6 +139,20 @@ class TestParticleHorizon:
             assert abs(c0 * (body + tail) - horizon) <= (tolerance * horizon
                                                          + 1.5 * c0 * miss)
 
+    @pytest.mark.parametrize("name", ["sodium-q2d", "rubidium-3d"])
+    def test_matches_mpmath_arcsin(self, name):
+        # the horizon is one arcsin of the stored b, so it is as accurate
+        # as that: within 4 ulps of a 40-digit (2 c0/(D alpha)) arcsin(b^(-D/2))
+        # on the same b, at every sample however far b has grown
+        traj, c0 = _preset_trajectory(name)
+        D, alpha = traj.dimension, traj.asymptotic_velocity
+        with mpmath.workdps(40):
+            scale = 2 * mpmath.mpf(c0) / (D * mpmath.mpf(alpha))
+            expected = np.array([float(scale * mpmath.asin(mpmath.mpf(b) ** (-D / 2)))
+                                 for b in traj.bs.tolist()])
+        horizon = particle_horizon(traj, traj.ts, c0)
+        assert np.all(np.abs(horizon - expected) <= 4.0 * np.finfo(float).eps * expected)
+
 
 class TestApparentHorizon:
     def test_flat_case_formula(self, traj2d):
@@ -266,12 +281,9 @@ class TestHorizonCrossing:
         assert np.any(expected == 0.0) and np.any(np.isinf(expected))
         assert np.array_equal(times == 0.0, expected == 0.0)
         assert np.array_equal(np.isinf(times), np.isinf(expected))
-        # the bisection width, plus the float resolution of the horizon
-        # c0 (I_inf - I(t)): a few ulps of c0 I_inf over |dr_p/dt| = c0 b_c^-s
-        resolution = 4.0 * np.finfo(float).eps * traj.horizon_integral_infinity * b_c ** (
-            1.0 + D / 2.0)
-        assert np.all(np.abs(times[crossing] - expected[crossing])
-                      <= 1e-14 * t_max + resolution[crossing])
+        # the bisection width: the horizon is one arcsin of b, so its float
+        # resolution moves no crossing past it
+        assert np.all(np.abs(times[crossing] - expected[crossing]) <= 1e-14 * t_max)
 
 
 class TestArrayPath:

@@ -47,7 +47,7 @@ SCENARIOS = {
 GOLDEN = {
     "rubidium-3d": {
         "derived.json": "f13d3a855970a2c98f7e10ebbaafec91e85fcd9487c2a1755cb3f61e1677f607",
-        "horizons.csv": "d4a3b0ba913a9712f4b165465e19c0db1b16a3234dfa8ab8b54dd558092d89cf",
+        "horizons.csv": "186210c1d38a7ba16a70842bd5963458dff2f484d134346d77e4b50ec68d4815",
         "manifest.json": "2585a177c1863af14f2354ac2d2b18a6a5f7e7bc15d2226d92e743f421e3a378",
         "report.json": "fcf71e1fac7498683671d6541ca56d654756201536e701aeb46373e3ae5e5704",
         "spectrum.csv": "9606584a985626533d6e94729ba2322d233aacd635c3523fa2d88e25b4716bfc",
@@ -62,9 +62,9 @@ GOLDEN = {
     },
     "sodium-q2d": {
         "derived.json": "5d46c9eba5a2081cde7dde78c9c7268844a531ba921e2d43d41c475c30d247e3",
-        "horizons.csv": "2110468c2588b52a28593902577711e52bbf5d0e160e663e496907cdab27e97a",
+        "horizons.csv": "beb80387205205bd206c890e5c633f343938af551d6a2cbc08d6e136d116f6ea",
         "manifest.json": "204e45635eb5f34ae7f3abe14c76528c07b410a90d25d5a69d481d487807b026",
-        "report.json": "49ab321af8362d0245eba928778810b6943df0fc104ee9dabc77034d47b425e8",
+        "report.json": "637db777b23432a2db3140d7cfc2073aeed577467f8acc448a07fd3d88e33aa2",
         "spectrum.csv": "16da8ba1c94bfc4f177a9d6c8330a85163ebf71350e8fe006ef53db941e8e9e8",
         "trajectory.csv": "fe0328fee941b9e4ce8e6eae56e0f906fe8ab9e78d0f05499d03fc689883ddd0",
     },
@@ -80,7 +80,7 @@ GOLDEN = {
         "derived.json": "5d46c9eba5a2081cde7dde78c9c7268844a531ba921e2d43d41c475c30d247e3",
         "horizons.csv": "dbf439e5121103bd20af70bfccf46e3af3ef39a14b7aa146b3ca0afa562d2edc",
         "manifest.json": "f02484d323195b01087f38038f2854e584ce9c77e9278c1f5a53d9881d108dbc",
-        "report.json": "768e766d3675c282c4ae33e112a8e20943b0e17466da7d4403e3032c0bccbe96",
+        "report.json": "b99d81de482c698d2aa57dd72a0330ad7c1b223ab0bff6f90739b7c85d262bec",
         "spectrum.csv": "16da8ba1c94bfc4f177a9d6c8330a85163ebf71350e8fe006ef53db941e8e9e8",
         "trajectory.csv": "fca4baafa3e7e115b73f1a216558cffd582af25d61a3cbbc9498d03b08ebdd6b",
     },

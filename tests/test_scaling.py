@@ -194,18 +194,22 @@ class TestProperTime:
 
     def test_2d_limit(self, traj2d):
         # in quasi-2D the clock integrand b^q is the horizon integrand b^-s
-        # (q = -s = -2): the closed-form horizon integral from b(t) meets the
-        # stepped clock channel
-        np.testing.assert_allclose(traj2d.horizon_integral(traj2d.ts), traj2d.clocks,
-                                   rtol=1e-9, atol=0.0)
+        # (q = -s = -2): the total pi/(2 omega0) less the closed-form
+        # remaining integral from b(t) meets the stepped clock channel (t = 0,
+        # where both are 0, has no relative error to compare)
+        elapsed = math.pi / (2.0 * W0_2D) - traj2d.horizon_integral(traj2d.ts)
+        np.testing.assert_allclose(elapsed[1:], traj2d.clocks[1:], rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("span", [100.0, 200.0, 1100.0])
     def test_2d_closure(self, span):
-        # the horizon integral closes to the total proper time pi/(2 omega0),
-        # exactly, whatever the span
+        # the remaining integral at release is the total proper time
+        # pi/(2 omega0), exactly, whatever the span, and the elapsed clock
+        # plus what remains closes to it at t_max
         traj = integrate_scale_factor(W0_2D, 2, t_max=span / W0_2D, tolerance=1e-10)
-        assert traj.horizon_integral_infinity == pytest.approx(math.pi / (2.0 * W0_2D),
-                                                               rel=1e-14)
+        total = math.pi / (2.0 * W0_2D)
+        assert traj.horizon_integral(0.0) == pytest.approx(total, rel=1e-14)
+        assert traj.clock(traj.t_max) + traj.horizon_integral(traj.t_max) == (
+            pytest.approx(total, rel=1e-9))
 
     def test_static_background(self):
         traj = integrate_scale_factor(W0_2D, 2, t_max=10.0 / W0_2D, tolerance=1e-10,
@@ -258,7 +262,8 @@ class TestAsymptote:
             traj = integrate_scale_factor(omega0, dimension, t_max=span / omega0,
                                           n_samples=n_samples)
             asymptotes.add((traj.asymptotic_velocity, traj.linear_offset,
-                            traj.horizon_integral_infinity))
+                            float(traj.horizon_integral(0.0)),
+                            float(traj.horizon_integral(traj.t_max))))
         assert len(asymptotes) == 1
 
 

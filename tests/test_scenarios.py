@@ -100,6 +100,13 @@ class TestLoading:
             config_from_dict(_preset_dict(
                 "sodium-q2d", numeric={"kappa_min_per_m": 10.0}))
 
+    @pytest.mark.parametrize("key", ["kappa_min_per_m", "kappa_max_per_m"])
+    def test_lone_kappa_edge_names_its_keys(self, key):
+        # the message names the JSON keys, which are also the settings fields
+        with pytest.raises(ConfigError, match="numeric.kappa_min_per_m and "
+                                              "kappa_max_per_m must be set together"):
+            config_from_dict(_preset_dict("sodium-q2d", numeric={key: 10.0}))
+
     def test_non_finite_thomas_fermi_state_named(self):
         # 1e308 atoms overflow the 3D Thomas-Fermi radius: the state depends
         # on the input alone, so the load fails and names the field
@@ -359,9 +366,10 @@ class TestRun:
             data = _preset_dict("sodium-q2d", analysis=["horizons"])
             data["numeric"]["trajectory_samples"] = samples
             run(config_from_dict(data), tmp_path / str(samples))
-        # one array lookup each for the CSV columns and the two summary points
+        # one array lookup each for the CSV columns and the initial particle
+        # horizon; the apparent horizon at t_max is the column's last row
         assert per_stage[50] == per_stage[400] == per_stage[4000] == [
-            "b", "b", "bdot", "bdot", "horizon_integral", "horizon_integral"]
+            "b", "bdot", "horizon_integral", "horizon_integral"]
 
     def test_band_clip_warning(self, tmp_path):
         report = run(load_scenario("rubidium-3d"), tmp_path / "clip")
@@ -654,13 +662,12 @@ class TestDeterminism:
 def test_write_csv_format(tmp_path):
     path = tmp_path / "table.csv"
     scenarios._write_csv(path, {"x_m": np.array([0.5, -1.0e-20, math.inf]),
-                                "count": np.array([3, 0, 12]),
                                 "flag": np.array([True, False, True])},
                         infinite=("x_m",))
-    assert path.read_bytes() == (b"x_m,count,flag\n"
-                                 b"5.000000000000e-01,3,1\n"
-                                 b"-1.000000000000e-20,0,0\n"
-                                 b"inf,12,1\n")
+    assert path.read_bytes() == (b"x_m,flag\n"
+                                 b"5.000000000000e-01,1\n"
+                                 b"-1.000000000000e-20,0\n"
+                                 b"inf,1\n")
 
     # the per-row f-string loop the stage writers used is the reference
     rng = np.random.default_rng(7)

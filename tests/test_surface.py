@@ -7,7 +7,8 @@ is a dead helper. The one exception is a reference implementation that a
 test compares the package against; each is listed in ORACLES with that
 test. Likewise every field of a public dataclass must be read somewhere as
 .<field>, and every public attribute of a background (ScaleTrajectory,
-LinearExpansion) must be read by code outside its own class.
+LinearExpansion) must be read by code outside its own class. The names the
+benchmark's tracer patches by name must exist where it looks them up.
 """
 
 import ast
@@ -128,3 +129,36 @@ def test_every_background_attribute_is_read():
         unread += [f"{name}.{attr}" for attr in vars(background)
                    if not attr.startswith("_") and attr not in reads]
     assert not unread, f"background attributes nothing else reads: {unread}"
+
+
+def _bench_tracing_table(name: str) -> ast.Dict:
+    """The dict literal assigned to name in bench/tracing.py, read unexecuted."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)):
+            return node.value
+    raise AssertionError(f"bench/tracing.py assigns no dict {name}")
+
+
+def test_bench_lookup_methods_exist():
+    # the tracer patches each through vars(cls)[method]: a method that has
+    # gone, or moved out of the class body, is a KeyError in --trace runs
+    scaling = importlib.import_module("becosmo.scaling")
+    lookups = ast.literal_eval(_bench_tracing_table("LOOKUP_METHODS"))
+    missing = [f"{cls}.{method}" for cls, methods in lookups.items()
+               for method in methods
+               if not inspect.isfunction(vars(getattr(scaling, cls, object)).get(method))]
+    assert lookups and not missing, f"lookup methods the bench patches are gone: {missing}"
+
+
+def test_bench_result_hooks_name_functions():
+    # each key is the span name layer.function of a function the tracer wraps
+    missing = []
+    for key in _bench_tracing_table("RESULT_HOOKS").keys:
+        module, _, function = ast.literal_eval(key).partition(".")
+        owner = importlib.import_module(f"becosmo.{module}")
+        defined = getattr(owner, function, None)
+        if not (inspect.isfunction(defined) and defined.__module__ == owner.__name__):
+            missing.append(f"{module}.{function}")
+    assert not missing, f"functions the bench result hooks name are gone: {missing}"

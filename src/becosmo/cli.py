@@ -35,7 +35,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None,
                         help="output directory (default: ./<scenario>-out)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="ODE relative tolerance override")
+                        help="tolerance override of the free 3D b(t) stepper")
     parser.add_argument("--kappa-min", type=float, default=None,
                         help="lower edge of the wavenumber grid (1/m)")
     parser.add_argument("--kappa-max", type=float, default=None,

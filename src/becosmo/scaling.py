@@ -5,19 +5,19 @@ The whole expansion is carried by a single scale factor b(t) obeying
     b'' = omega0^2 / b^p,      p = D + 1,
 
 with b(0) = 1, b'(0) = 0 and D = 2 or 3: the quartic coupling after the
-trap is switched off at t = 0. A held trap adds the restoring force
--omega0^2 b, which keeps b = 1. Alongside b the integrator accumulates the
-co-moving clock integral of b^q: the co-moving proper time tau over the
-constant sqrt(A(0)) c(0). In quasi-2D, the flat case (q = -2), tau is the
-clock itself, a real time, and in 3D (q = -9/4) the run pipeline applies
-the prefactor. The horizon integral, what remains from t on of the
-integral of b^-s, s = 1 + D/2, needs no integration: after release the
-first integral bdot = alpha sqrt(1 - b^-D), alpha = omega0 sqrt(2/D), turns
-it into (2/(D alpha)) arcsin(b(t)^(-D/2)), pi/(D alpha) at release. The
-integrator is an in-module Dormand-Prince 5(4) stepper (the method of
-scipy's RK45) with Shampine's quartic dense output, so the module needs
-numpy only. It computes only; the run pipeline in scenarios writes the
-sampled history to trajectory.csv.
+trap is switched off at t = 0. Alongside b runs the co-moving clock integral
+of b^q: the co-moving proper time tau over the constant sqrt(A(0)) c(0). In
+quasi-2D, the flat case (q = -2), tau is the clock itself, a real time, and
+in 3D (q = -9/4) the run pipeline applies the prefactor. Quasi-2D is closed
+form, b = sqrt(1 + omega0^2 t^2) with clock arctan(omega0 t)/omega0, and so
+is a held trap, b = 1 with clock t; only a free 3D run is integrated, by an
+in-module Dormand-Prince 5(4) stepper (the method of scipy's RK45) with
+Shampine's quartic dense output, so the module needs numpy only. The horizon
+integral, what remains from t on of the integral of b^-s, s = 1 + D/2, needs
+no integration: after release the first integral bdot = alpha sqrt(1 - b^-D),
+alpha = omega0 sqrt(2/D), turns it into (2/(D alpha)) arcsin(b(t)^(-D/2)),
+pi/(D alpha) at release. The module computes only; the run pipeline in
+scenarios writes the sampled history to trajectory.csv.
 """
 
 from __future__ import annotations
@@ -49,12 +49,21 @@ def check_sample_count(count, name: str) -> None:
         raise ValueError(f"{name} must be an integer in [2, {_MAX_SAMPLES}]")
 
 
-def analytic_scale_2d(t: float, omega0: float) -> tuple[float, float]:
-    """Closed-form free expansion for the flat quartic 2D case."""
-    if not t >= 0.0:
+def analytic_scale_2d(t, omega0: float):
+    """Closed-form free expansion of the flat quartic 2D case: with x = omega0 t,
+    (b, bdot, clock) = (hypot(1, x), omega0 x/b, arctan(x)/omega0), shaped
+    (3,) for a scalar time and (3, n) for n times."""
+    x = omega0 * np.asarray(t, dtype=float)
+    if not np.all(x >= 0.0):
         raise ValueError("t must be non-negative")
-    b = math.sqrt(1.0 + omega0**2 * t**2)
-    return b, omega0**2 * t / b
+    b = np.hypot(1.0, x)
+    return np.array([b, omega0 * (x / b), np.arctan(x) / omega0])
+
+
+def _held_trap(t):
+    """The trap held on: (b, bdot, clock) = (1, 0, t), shaped as analytic_scale_2d."""
+    t = np.asarray(t, dtype=float)
+    return np.array([np.ones_like(t), np.zeros_like(t), t])
 
 
 # Dormand-Prince 5(4) tableau: nodes C, stage weights A, fifth-order weights
@@ -215,7 +224,7 @@ _LINEAR_TOL = 1e-3
 
 
 class ScaleTrajectory:
-    """Integrated expansion history; immutable once constructed.
+    """Expansion history, closed form or integrated; immutable once constructed.
 
     Exposes dense-output lookups b(t), bdot(t) and the co-moving clock
     integral, each taking a scalar or an array of times within [0, t_max];
@@ -227,14 +236,12 @@ class ScaleTrajectory:
     b(t_max) once bdot(t_max) is within _LINEAR_TOL of alpha, and is None
     before that; the mode engine matches its start on that line. method,
     rtol, nfev (right-hand side calls) and steps (accepted steps) record
-    what the stepper did.
+    what the stepper did; a closed form has "closed-form", None, 0 and 0.
     """
 
-    method = "dormand-prince-5(4)"
-
-    def __init__(self, dense, ts, alpha, dimension, rtol, nfev, steps):
+    def __init__(self, dense, ts, alpha, dimension, method, rtol, nfev, steps):
         self.t_max = float(ts[-1])
-        self.rtol, self.nfev, self.steps = rtol, nfev, steps
+        self.method, self.rtol, self.nfev, self.steps = method, rtol, nfev, steps
         self._dense = dense
         self.ts, self.dimension = ts, dimension
         self.bs, self.bdots, self.clocks = dense(ts)
@@ -281,12 +288,12 @@ class ScaleTrajectory:
 def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
                            tolerance: float = 1e-10, n_samples: int = 400,
                            held: bool = False) -> ScaleTrajectory:
-    """Integrate the scale-factor equation with dense output.
+    """The scale factor with dense output: closed form, or integrated in 3D.
 
     The trap of frequency omega0 is switched off at t = 0, or stays on when
-    held. tolerance is the local relative error target (check_tolerance),
-    and n_samples evenly spaced samples from 0 to t_max are stored
-    (check_sample_count).
+    held. Only a free 3D run is stepped, to the local relative error target
+    tolerance (check_tolerance); n_samples evenly spaced samples from 0 to
+    t_max are stored (check_sample_count).
     """
     check_dimension(dimension)
     check_frequency(omega0, "initial frequency")
@@ -294,31 +301,32 @@ def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
         raise ValueError("t_max must be positive")
     check_tolerance(tolerance, "tolerance")
     check_sample_count(n_samples, "n_samples")
-    # b'' = omega0^2/b^p and the clock integrand b^q in D dimensions
-    p, q = dimension + 1.0, (-2.0 if dimension == 2 else -2.25)
+    # the first integral bdot^2 = alpha^2 (1 - b^-D) of a free run
+    alpha = 0.0 if held else omega0 * math.sqrt(2.0 / dimension)
+    # free 3D: b'' = omega0^2/b^4 keeps b >= 1; the clock integrand is b^(-9/4)
     w2 = omega0**2
-    w_ext2 = w2 if held else 0.0
 
     def deriv(t, b, bdot):
-        if b <= 0.0:
-            raise NumericalError(f"scale factor collapsed to b={b} at t={t}")
-        return bdot, -w_ext2 * b + w2 / b**p, b**q
+        return bdot, w2 / b**4.0, b**-2.25
 
     rtol = max(tolerance / 20.0, 1e-13)
     atol = tuple(scale * tolerance * 1e-4 for scale in (1.0, omega0, 1.0 / omega0))
-    # the first integral bdot^2 = alpha^2 (1 - b^-D) of a free run
-    alpha = 0.0 if held else omega0 * math.sqrt(2.0 / dimension)
     try:
-        starts, widths, states, stages, nfev = _dormand_prince(deriv, t_max, rtol, atol)
-        # a finite state can still overflow the dense coefficients
+        # the top of the float range overflows the samples or omega0 t, and a
+        # finite stepped state can overflow the dense coefficients
         with np.errstate(over="raise", invalid="raise"):
-            dense = _PiecewiseQuartic(starts, widths, states, stages)
-            trajectory = ScaleTrajectory(dense, np.linspace(0.0, t_max, n_samples),
-                                         alpha, dimension, rtol, nfev, len(starts))
+            ts = np.linspace(0.0, t_max, n_samples)
+            if held or dimension == 2:
+                dense = _held_trap if held else lambda t: analytic_scale_2d(t, omega0)
+                return ScaleTrajectory(dense, ts, alpha, dimension, "closed-form",
+                                       None, 0, 0)
+            starts, widths, states, stages, nfev = _dormand_prince(
+                deriv, t_max, rtol, atol)
+            return ScaleTrajectory(_PiecewiseQuartic(starts, widths, states, stages),
+                                   ts, alpha, dimension, "dormand-prince-5(4)", rtol,
+                                   nfev, len(starts))
     except (OverflowError, FloatingPointError) as exc:
-        raise NumericalError("scale-factor integration failed: overflow "
-                             f"({exc.args[-1]})") from exc
-    return trajectory
+        raise NumericalError(f"scale factor overflows ({exc.args[-1]})") from exc
 
 
 class LinearExpansion:

@@ -56,33 +56,33 @@ GOLDEN = {
     "rubidium-3d-hold": {
         "derived.json": "f13d3a855970a2c98f7e10ebbaafec91e85fcd9487c2a1755cb3f61e1677f607",
         "horizons.csv": "a1444ff10fdb5f92e3daeb8893e93d295fc93204db1a913d130a06d9960eccce",
-        "manifest.json": "a4aa8eaaf35f46ce79f5961380f91c7de0b1f887d9fd5a35dfe7d9be551722a9",
+        "manifest.json": "e032607f994626a89ec4d64ea0194fcfdffaa180f7b234fd90044c972866355b",
         "report.json": "3351b8bd67ad940b055045fbf75275ffc76a805cfc358a379c5e7ac25dcabfd1",
-        "trajectory.csv": "3c9601062b76c4ad6b5e72ab59d1472989316e2c26c17c4e7e7e29a54031d3ea",
+        "trajectory.csv": "9bf3c8d9317babfd98eb455ba2a6280e1cce128e5d6a982cd101415304bb05fd",
     },
     "sodium-q2d": {
         "derived.json": "5d46c9eba5a2081cde7dde78c9c7268844a531ba921e2d43d41c475c30d247e3",
-        "horizons.csv": "beb80387205205bd206c890e5c633f343938af551d6a2cbc08d6e136d116f6ea",
-        "manifest.json": "204e45635eb5f34ae7f3abe14c76528c07b410a90d25d5a69d481d487807b026",
-        "report.json": "637db777b23432a2db3140d7cfc2073aeed577467f8acc448a07fd3d88e33aa2",
+        "horizons.csv": "8a03191794ffbd8744cb0c03ca2890338274664bf8899ecc0d4240699e344be1",
+        "manifest.json": "c5846d3d757108eebd59816a3e92280b652f1f4bcd62571bb42fd08e9157b1a4",
+        "report.json": "ef684d6ff797c18ad615660ccc4d708ff2f49e52b3d98394fbf1e3a30272f35b",
         "spectrum.csv": "16da8ba1c94bfc4f177a9d6c8330a85163ebf71350e8fe006ef53db941e8e9e8",
-        "trajectory.csv": "fe0328fee941b9e4ce8e6eae56e0f906fe8ab9e78d0f05499d03fc689883ddd0",
+        "trajectory.csv": "32c7e87296c21f9059bb18aca80152872b9057c21636680d2a5bff5566f84c1c",
     },
     "sodium-q2d-hold": {
         "derived.json": "5d46c9eba5a2081cde7dde78c9c7268844a531ba921e2d43d41c475c30d247e3",
         "horizons.csv": "c901fd8777b2166b4d64c467b1961ff01279712b6f874011d80e28be4debecb3",
-        "manifest.json": "db394b5d9266119b9c6ca09b5022a4340b41744d810db05c5f4e10031e9b604d",
+        "manifest.json": "bebb8ab9c1b90cc6d0b0d226d615dea737b2c7868f0843967fcce318da29e2f5",
         "report.json": "2f2c09f46707933c6e8d40ed38ff9812c9776ff1059c76606fdefeed51df2dfa",
         "spectrum.csv": "16da8ba1c94bfc4f177a9d6c8330a85163ebf71350e8fe006ef53db941e8e9e8",
         "trajectory.csv": "71a3ce609cb9cb4cd66d733d50f8c5390a13591d1266e2b8edcaaaef2f956a84",
     },
     "sodium-q2d-short": {
         "derived.json": "5d46c9eba5a2081cde7dde78c9c7268844a531ba921e2d43d41c475c30d247e3",
-        "horizons.csv": "dbf439e5121103bd20af70bfccf46e3af3ef39a14b7aa146b3ca0afa562d2edc",
-        "manifest.json": "f02484d323195b01087f38038f2854e584ce9c77e9278c1f5a53d9881d108dbc",
-        "report.json": "b99d81de482c698d2aa57dd72a0330ad7c1b223ab0bff6f90739b7c85d262bec",
+        "horizons.csv": "e62990d590b427a4842b8dbd2ba04f74a87c10827af2c031cff0f5f801adc84c",
+        "manifest.json": "56854cbce3efd7be525ee69186f559b4ba15eb3bb29ac51bda5bd8d2477146c8",
+        "report.json": "7bc709a86549dca88f26adcb1ed0706e81121bd0436c693d29f32c32432ea63e",
         "spectrum.csv": "16da8ba1c94bfc4f177a9d6c8330a85163ebf71350e8fe006ef53db941e8e9e8",
-        "trajectory.csv": "fca4baafa3e7e115b73f1a216558cffd582af25d61a3cbbc9498d03b08ebdd6b",
+        "trajectory.csv": "6317c2920419f934c4a5bbec1cb680e43416b783172bf6610d8b0ee64dc501f1",
     },
 }
 

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from becosmo.scaling import (LinearExpansion, NumericalError, analytic_scale_2d,
@@ -35,22 +38,41 @@ class TestOdeRhs:
                 integrate_scale_factor(omega0, 2, 1.0, held=held)
 
     def test_trap_on_equilibrium(self):
-        # b'' = -omega0^2 b + omega0^2/b^3 is exactly 0 at b = 1
+        # the held trap is the closed form b = 1, exactly
         held = integrate_scale_factor(W0_2D, 2, t_max=5.0, held=True)
         assert np.all(held.bs == 1.0) and np.all(held.bdots == 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(omega0=st.floats(1e-2, 1e3), span=st.floats(1.0, 1e4))
+    def test_3d_first_integral(self, omega0, span):
+        # the stepper on any free 3D run: bdot^2 = 2 omega0^2 (1 - b^-3) / 3
+        traj = integrate_scale_factor(omega0, 3, t_max=span / omega0)
+        b, bdot = traj.bs[1:], traj.bdots[1:]  # b = 1 at t = 0
+        assert np.abs(bdot**2 / (2.0 * omega0**2 * (1.0 - b**-3.0) / 3.0) - 1.0).max() <= 1e-8
 
 
 class TestAnalytic2d:
     def test_initial_conditions(self):
-        assert analytic_scale_2d(0.0, W0_2D) == (1.0, 0.0)
+        assert analytic_scale_2d(0.0, W0_2D).tolist() == [1.0, 0.0, 0.0]
 
     def test_closed_form_point(self):
-        b, _ = analytic_scale_2d(1.0 / W0_2D, W0_2D)
+        b, bdot, clock = analytic_scale_2d(1.0 / W0_2D, W0_2D)
         assert b == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert bdot == pytest.approx(W0_2D / math.sqrt(2.0), rel=1e-15)
+        assert clock == pytest.approx(math.pi / (4.0 * W0_2D), rel=1e-15)
 
     def test_velocity_saturates(self):
-        _, bdot = analytic_scale_2d(1e6 / W0_2D, W0_2D)
+        _, bdot, clock = analytic_scale_2d(1e6 / W0_2D, W0_2D)
         assert bdot == pytest.approx(W0_2D, rel=1e-10)
+        assert clock == pytest.approx(math.pi / (2.0 * W0_2D), rel=1e-6)
+
+    def test_array_contract(self):
+        # the dense-lookup shape: (3,) for a scalar time, (3, n) for n times
+        ts = np.array([0.0, 1.0, 1e300]) / W0_2D
+        table = analytic_scale_2d(ts, W0_2D)
+        assert table.shape == (3, 3) and np.all(np.isfinite(table))
+        for j, t in enumerate(ts):
+            assert analytic_scale_2d(t, W0_2D).tolist() == table[:, j].tolist()
 
     def test_rejects_negative_or_nan_time(self):
         for bad in (-1.0, math.nan):
@@ -60,10 +82,13 @@ class TestAnalytic2d:
 
 class TestTrajectory:
     def test_matches_closed_form(self, traj2d):
+        # the 2D closed form against scipy's DOP853 on b'' = omega0^2/b^3,
+        # over the bend before the linear regime
+        reference = TestStepperReference._reference(traj2d, W0_2D, 2)
         ts = np.linspace(0.0, 100.0 / W0_2D, 500)
-        exact = np.array([analytic_scale_2d(float(t), W0_2D)[0] for t in ts])
-        rel = np.abs(traj2d.b(ts) / exact - 1.0)
-        assert rel.max() <= 1e-8
+        floor = 1e-13 * np.array([1.0, W0_2D, 1.0 / W0_2D])[:, None]
+        got = np.array([traj2d.b(ts), traj2d.bdot(ts), traj2d.clock(ts)])
+        assert np.all(np.abs(got - reference(ts)) <= 1e-11 * np.abs(got) + floor)
 
     def test_initial_conditions(self, traj2d):
         assert traj2d.b(0.0) == pytest.approx(1.0, abs=1e-13)
@@ -117,8 +142,14 @@ class TestTrajectory:
                     lookup(bad)
 
     def test_overflow_is_a_numerical_error(self):
+        # the 3D stepper; the quasi-2D closed form is finite at any such span
+        for span in (1e200, 1e300):
+            with pytest.raises(NumericalError, match="overflow"):
+                integrate_scale_factor(W0_3D, 3, t_max=span / W0_3D)
+        assert np.isfinite(integrate_scale_factor(W0_2D, 2, t_max=1e300 / W0_2D).bs).all()
+        # at the top of the float range omega0 t itself overflows
         with pytest.raises(NumericalError, match="overflow"):
-            integrate_scale_factor(W0_2D, 2, t_max=1e300 / W0_2D)
+            integrate_scale_factor(3.0, 2, t_max=sys.float_info.max / 3.0)
 
     def test_csv_export(self, traj2d, tmp_path):
         # The evolve stage repeats the traj2d integration and writes its
@@ -137,11 +168,11 @@ class TestTrajectory:
 
 
 class TestStepperReference:
-    """The in-package stepper against scipy's DOP853 at rtol 2.3e-14 (just
-    above its floor of 100 machine epsilons) on the same three channels,
-    with the model written out here: b'' = omega0^2/b^(D+1), less omega0^2 b
-    while the trap is held, and the clock integrand b^q, q = -2 in quasi-2D
-    and -9/4 in 3D."""
+    """The 3D stepper and the quasi-2D and held closed forms against scipy's
+    DOP853 at rtol 2.3e-14 (just above its floor of 100 machine epsilons) on
+    the same three channels, with the model written out here:
+    b'' = omega0^2/b^(D+1), less omega0^2 b while the trap is held, and the
+    clock integrand b^q, q = -2 in quasi-2D and -9/4 in 3D."""
 
     @staticmethod
     def _reference(traj, w0, dimension, held=False):
@@ -182,7 +213,21 @@ class TestStepperReference:
         for lookup, stored in ((traj.b, traj.bs), (traj.bdot, traj.bdots),
                                (traj.clock, traj.clocks)):
             assert lookup(traj.ts).tobytes() == stored.tobytes()
-        assert traj.nfev > 6 * traj.steps > 0
+        if name == "traj3d":
+            assert traj.method == "dormand-prince-5(4)"
+            assert traj.nfev > 6 * traj.steps > 0
+        else:
+            assert (traj.method, traj.rtol, traj.nfev, traj.steps) == (
+                "closed-form", None, 0, 0)
+
+    @pytest.mark.parametrize("dimension, held", [(2, False), (3, True)])
+    def test_closed_forms_ignore_tolerance(self, dimension, held):
+        # only the free 3D stepper reads the tolerance
+        runs = [integrate_scale_factor(W0_2D, dimension, t_max=200.0 / W0_2D,
+                                       tolerance=tolerance, held=held)
+                for tolerance in (1e-6, 1e-12)]
+        first, second = (np.array([r.bs, r.bdots, r.clocks]).tobytes() for r in runs)
+        assert first == second
 
 
 class TestProperTime:

@@ -240,12 +240,9 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["complete"] is True
         assert manifest["failed_stage"] is None
-        solver = manifest["solvers"]["scale_ode"]
-        assert set(solver) == {"method", "rtol", "nfev", "steps"}
-        assert solver["method"] == "dormand-prince-5(4)"
-        assert 0.0 < solver["rtol"] < 1e-10
-        for count in (solver["nfev"], solver["steps"]):
-            assert isinstance(count, int) and count > 0
+        # quasi-2D scales perfectly: nothing is integrated
+        assert manifest["solvers"]["scale_ode"] == {
+            "method": "closed-form", "rtol": None, "nfev": 0, "steps": 0}
         rows = {r["key"]: r for r in report.reference_comparison}
         assert rows["q2d.windowed_contrast"]["ratio"] == pytest.approx(1.0, abs=0.01)
         assert rows["q2d.transverse_width_m"]["ratio"] == pytest.approx(1.0, abs=0.01)
@@ -259,6 +256,13 @@ class TestRun:
 
     def test_rubidium_full_run(self, tmp_path):
         report = run(load_scenario("rubidium-3d"), tmp_path / "rb")
+        manifest = json.loads((tmp_path / "rb" / "manifest.json").read_text())
+        solver = manifest["solvers"]["scale_ode"]
+        assert set(solver) == {"method", "rtol", "nfev", "steps"}
+        assert solver["method"] == "dormand-prince-5(4)"
+        assert 0.0 < solver["rtol"] < 1e-10
+        for count in (solver["nfev"], solver["steps"]):
+            assert isinstance(count, int) and count > 0
         rows = {r["key"]: r for r in report.reference_comparison}
         assert rows["threed.thomas_fermi_radius_m"]["ratio"] == pytest.approx(
             1.0, abs=0.02)
@@ -569,7 +573,7 @@ class TestCli:
         assert report["warnings"] == []
 
     def test_overflow_is_a_named_numeric_failure(self, tmp_path, capsys):
-        data = _preset_dict("sodium-q2d")
+        data = _preset_dict("rubidium-3d")
         data["numeric"]["t_max_omega0"] = 1e300
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
@@ -580,6 +584,26 @@ class TestCli:
         assert code == 2
         assert "stage 'evolve' failed" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_quasi_2d_span_at_1e300_completes(self, tmp_path):
+        # the closed form b = hypot(1, omega0 t) is finite at any valid span
+        data = _preset_dict("sodium-q2d")
+        data["numeric"]["t_max_omega0"] = 1e300
+        path, out = tmp_path / "huge.json", tmp_path / "o"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["report", "--scenario", str(path), "--out", str(out)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        for name in ("manifest.json", "derived.json", "report.json"):
+            json.loads((out / name).read_text(), parse_constant=reject)
+        for name in ("trajectory.csv", "horizons.csv", "spectrum.csv"):
+            table = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+            assert np.isfinite(table).all(), name
 
     def test_spectrum_overflow_is_a_named_numeric_failure(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -31,8 +31,6 @@ ORACLES = (
      "tests/test_geometry.py::TestApparentHorizon::test_g00_vanishes_on_horizon"),
     ("bogoliubov_mode",
      "tests/test_q2d.py::TestQuantization::test_density_amplitude_gives_spectrum"),
-    ("analytic_scale_2d",
-     "tests/test_scaling.py::TestTrajectory::test_matches_closed_form"),
 )
 
 

@@ -9,10 +9,23 @@ hankel1 (= J + iY) is the one kernel, with two branches:
     accumulation) for x < X_SWITCH,
   * Hankel asymptotic expansion (modulus/phase form) for x >= X_SWITCH.
 Its real and imaginary parts are J_nu and Y_nu. It takes a scalar or an
-array x (every element checked) and returns a NumPy scalar or an array of
-x's shape; nu is a scalar. Derivatives follow from the order recurrence
-dH_nu/dx = H_(nu-1) - (nu/x) H_nu, which is how the 3D mode solution in
-threed uses them.
+array x (every element checked: positive and finite) and returns a NumPy
+scalar or an array of x's shape, a scalar call bit for bit the element an
+array call gives; nu is a scalar. Derivatives follow from the order
+recurrence dH_nu/dx = H_(nu-1) - (nu/x) H_nu, which is how the 3D mode
+solution in threed uses them.
+
+The series stops early for each argument, and returns bit for bit what the
+full sum of _SERIES_TERMS terms would. Its terms are made in chunks of
+_SERIES_CHUNK by a running product, and each is added to a running sum in
+turn, in the order of the full sum; the leading 1 is added after the terms.
+After each chunk an argument stops once, for both orders, its last term is
+below eps/4 of its running sum (eps of np.longdouble). That is under half an
+ulp of the sum, so adding the term cannot change it. For x < X_SWITCH and
+nu > -2 the ratio of consecutive terms, (x/2)^2 / (k (k + nu)), is below
+36/48 from k = 8 on, so every later term is smaller still and cannot change
+the sum either. Small x, where a few terms reach extended precision, costs
+one chunk instead of the whole sum.
 
 Guaranteed relative accuracy is 1e-10 for x in [1e-3, 100] away from zeros
 of J_nu and Y_nu; both branches remain usable outside that range.
@@ -29,9 +42,16 @@ import numpy as np
 X_SWITCH = 12.0
 _INTEGER_EPS = 1e-9
 _LD = np.longdouble
-# Terms summed by the power series; below X_SWITCH the last one is more than
-# 60 orders of magnitude under the largest.
+# Terms summed by the power series at most; below X_SWITCH the last one is
+# more than 60 orders of magnitude under the largest.
 _SERIES_TERMS = 60
+# Terms made between two stop checks. At least 8, so that the first check
+# falls where the terms already shrink (k (k + nu) > 48 > x^2/4); any later
+# term is then smaller than the checked one.
+_SERIES_CHUNK = 8
+# A term below this fraction of the running sum is under half its ulp.
+_SERIES_STOP = np.finfo(_LD).eps / 4
+_K = np.arange(1, _SERIES_TERMS, dtype=_LD)[:, None, None]
 # Terms tried by the asymptotic expansion, which stops at its smallest term.
 _ASYMPTOTIC_TERMS = 60
 
@@ -39,15 +59,36 @@ _ASYMPTOTIC_TERMS = 60
 def _series_j(orders, x: np.ndarray) -> np.ndarray:
     """Ascending series for J_nu, accumulated in extended precision.
 
-    Returns one row per order in orders, one column per argument in x.
+    Returns one row per order in orders, one column per argument in x. An
+    argument stops after the first chunk whose last terms cannot change its
+    sums (the module docstring gives the rule).
     """
     nu = np.array(orders, dtype=_LD)[:, None]
     half = x.astype(_LD) / 2
     gammas = np.array([math.gamma(v + 1.0) for v in orders], dtype=_LD)[:, None]
     pref = np.exp(nu * np.log(half)) / gammas
-    k = np.arange(1, _SERIES_TERMS, dtype=_LD)[:, None, None]
-    terms = np.cumprod(-half * half / (k * (nu + k)), axis=0)
-    return (pref * (1 + terms.sum(axis=0))).astype(float)
+    step = -half * half
+    sums = np.empty(pref.shape, dtype=_LD)
+    live = np.arange(x.size)
+    term = np.ones(pref.shape, dtype=_LD)
+    total = np.zeros(pref.shape, dtype=_LD)
+    for start in range(0, _SERIES_TERMS - 1, _SERIES_CHUNK):
+        k = _K[start:start + _SERIES_CHUNK]
+        # row 0 carries the previous terms into the product, then the
+        # running sums into the accumulation
+        chunk = np.concatenate((term[None], step / (k * (nu + k))))
+        np.cumprod(chunk, axis=0, out=chunk)
+        term = chunk[-1].copy()
+        chunk[0] = total
+        total = np.cumsum(chunk, axis=0, out=chunk)[-1]
+        done = (np.abs(term) < _SERIES_STOP * np.abs(total)).all(axis=0)
+        if done.any():
+            sums[:, live[done]] = total[:, done]
+            keep = ~done
+            live, step = live[keep], step[keep]
+            term, total = term[:, keep], total[:, keep]
+    sums[:, live] = total
+    return (pref * (1 + sums)).astype(float)
 
 
 def _hankel1_series(nu: float, x: np.ndarray) -> np.ndarray:
@@ -65,7 +106,9 @@ def _hankel1_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
     previous = np.vstack([np.full((1, x.size), math.inf), size[:-1]])
     shrinking = np.logical_and.accumulate(size < previous, axis=0)
     phase = np.array([1j, -1.0, -1j, 1.0])[(k - 1) % 4]     # i^k
-    total = 1.0 + (phase * np.where(shrinking, terms, 0.0)).sum(axis=0)
+    # cumsum adds row by row for any number of arguments; numpy's sum would
+    # add a single argument's terms pairwise, off by a bit from an array call
+    total = 1.0 + np.cumsum(phase * np.where(shrinking, terms, 0.0), axis=0)[-1]
     chi = x - nu * (math.pi / 2.0) - math.pi / 4.0
     return np.sqrt(2.0 / (math.pi * x)) * (np.cos(chi) + 1j * np.sin(chi)) * total
 
@@ -79,8 +122,9 @@ def hankel1(nu: float, x):
     if abs(nu - round(nu)) < _INTEGER_EPS:
         raise ValueError(f"integer order nu={nu} not supported (logarithmic branch)")
     x = np.asarray(x, dtype=float)
-    if not np.all(x > 0.0):
-        raise ValueError(f"x={x[~(x > 0.0)][0]} must be positive")
+    valid = (x > 0.0) & (x < math.inf)
+    if not valid.all():
+        raise ValueError(f"x={x[~valid][0]} must be positive and finite")
     low = x < X_SWITCH
     out = np.empty(x.shape, dtype=complex)
     if low.any():

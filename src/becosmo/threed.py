@@ -114,9 +114,21 @@ def _positive_times(t) -> np.ndarray:
 
 def _basis_pair(kappa: float, t, alpha: float, c0: float):
     """(1/t) H^(1)_{2/3}(z(t)) and its time derivative from one z and two
-    Hankel evaluations: dH^(1)_nu/dz = H^(1)_{nu-1} - (nu/z) H^(1)_nu."""
+    Hankel evaluations: dH^(1)_nu/dz = H^(1)_{nu-1} - (nu/z) H^(1)_nu.
+
+    kappa must be positive and finite, t non-empty and positive, and every
+    z(t) finite and positive."""
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa={kappa} must be positive and finite")
     t = _positive_times(t)
-    z = hankel_argument(kappa, t, alpha, c0)
+    if t.size == 0:
+        raise ValueError("t must hold at least one time")
+    with np.errstate(over="ignore"):
+        z = hankel_argument(kappa, t, alpha, c0)
+    valid = (z > 0.0) & (z < math.inf)
+    if not valid.all():
+        raise ValueError(f"t={t[~valid][0]} gives a Hankel argument "
+                         f"z={z[~valid][0]} that is not positive and finite")
     h1 = specfun.hankel1(_NU, z)
     dh1 = specfun.hankel1(_NU - 1.0, z) - (_NU / z) * h1
     zdot = -1.5 * z / t

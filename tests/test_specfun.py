@@ -5,6 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from becosmo import specfun as sf
 
@@ -140,11 +143,12 @@ class TestBessel:
         assert h1.imag == pytest.approx(ref.imag, rel=1e-12)
 
     def test_rejects_bad_arguments(self):
-        for nu, x in ((1 / 3, 0.0), (1 / 3, -2.0), (2.5, 1.0), (1.0, 1.0), (0.0, 1.0)):
+        for nu, x in ((1 / 3, 0.0), (1 / 3, -2.0), (1 / 3, math.inf), (2.5, 1.0),
+                      (1.0, 1.0), (0.0, 1.0)):
             with pytest.raises(ValueError):
                 sf.hankel1(nu, x)
         # one bad element in an array whose other elements are valid
-        for bad in (0.0, -2.0, math.nan):
+        for bad in (0.0, -2.0, math.nan, math.inf):
             x = np.array([[30.0, 2.0], [bad, 0.5]])
             for nu in (1 / 3, 2 / 3):
                 with pytest.raises(ValueError):
@@ -169,14 +173,55 @@ class TestBessel:
                 function(nu, x)
 
     def test_scalar_or_array_contract(self):
-        # both branches in one array; each scalar call returns a scalar
-        xs = np.array([[0.01, 11.9], [12.1, 80.0]])
-        h1 = sf.hankel1(2 / 3, xs)
-        assert h1.shape == xs.shape
-        for index in np.ndindex(xs.shape):
-            x = float(xs[index])
-            assert isinstance(sf.hankel1(2 / 3, x), complex)
-            assert h1[index] == pytest.approx(sf.hankel1(2 / 3, x), rel=1e-15)
+        # both branches in one 2-D array, unsorted and with repeated
+        # arguments whose series stop in different chunks; each scalar call
+        # returns a scalar, and every element equals it bit for bit; at 12.9
+        # (nu = 2/3) and 12.83 (nu = -1/3) a pairwise sum of one argument's
+        # asymptotic terms would differ from the array's in the last bit
+        xs = np.array([[11.9, 1e-6, 80.0, 0.5, 12.9],
+                       [0.01, 12.1, 3.0, 11.9, 12.83],
+                       [7.3, 0.01, 1e-6, 25.0, 12.9]])
+        for nu in (2 / 3, -1 / 3):
+            h1 = sf.hankel1(nu, xs)
+            assert h1.shape == xs.shape
+            for index in np.ndindex(xs.shape):
+                scalar = sf.hankel1(nu, float(xs[index]))
+                assert isinstance(scalar, complex)
+                assert h1[index] == scalar
+            empty = sf.hankel1(nu, np.empty((0, 3)))
+            assert empty.shape == (0, 3)
+            assert empty.dtype == complex
+
+
+def _full_series_hankel1(nu, x):
+    """H^(1)_nu from all 59 terms of the J_nu and J_-nu series summed along
+    axis 0: the fixed-length sum that the early stop must equal bit for bit."""
+    orders = np.array((nu, -nu), dtype=np.longdouble)[:, None]
+    half = np.asarray(x, dtype=float).astype(np.longdouble) / 2
+    gammas = np.array([math.gamma(v + 1.0) for v in (nu, -nu)], dtype=np.longdouble)
+    pref = np.exp(orders * np.log(half)) / gammas[:, None]
+    k = np.arange(1, 60, dtype=np.longdouble)[:, None, None]
+    terms = np.cumprod(-half * half / (k * (orders + k)), axis=0)
+    j_pos, j_neg = (pref * (1 + terms.sum(axis=0))).astype(float)
+    s, c = math.sin(nu * math.pi), math.cos(nu * math.pi)
+    return j_pos + 1j * ((j_pos * c - j_neg) / s)
+
+
+class TestSeriesStop:
+    """The series stops early per order and argument, bit for bit the full sum."""
+
+    @pytest.mark.parametrize("nu", [1 / 3, 2 / 3, -1 / 3, -2 / 3])
+    def test_matches_full_series_on_dense_grid(self, nu):
+        xs = np.geomspace(1e-12, sf.X_SWITCH, 5000, endpoint=False)
+        assert np.array_equal(sf.hankel1(nu, xs), _full_series_hankel1(nu, xs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(nu=st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True)
+           .filter(lambda v: abs(v - round(v)) > 1e-6),
+           xs=hnp.arrays(float, st.integers(1, 40),
+                         elements=st.floats(1e-100, sf.X_SWITCH, exclude_max=True)))
+    def test_matches_full_series(self, nu, xs):
+        assert np.array_equal(sf.hankel1(nu, xs), _full_series_hankel1(nu, xs))
 
 
 class TestMpmathOracle:

@@ -109,6 +109,22 @@ class TestAnalyticMode:
         with pytest.raises(ValueError):
             _basis_pair(1.0, np.array([1.0, 0.0]), ALPHA, 1.0)
 
+    # each bad input is named: kappa, or the time whose z(t) is not finite
+    @pytest.mark.parametrize("kappa, times, name", [
+        (-1.0, 1.0, "kappa"),
+        (math.nan, 1.0, "kappa"),
+        (math.inf, 1.0, "kappa"),
+        (1.0, [], "t"),
+        (1.0, 5e-324, "t"),
+        (1.0, [1.0, 5e-324], "t"),
+    ], ids=["kappa-negative", "kappa-nan", "kappa-inf", "t-empty", "t-tiny",
+            "t-tiny-element"])
+    def test_rejects_bad_input(self, kappa, times, name):
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            _basis_pair(kappa, times, ALPHA, 1.0)
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            analytic_evolution(kappa, times, ALPHA)
+
     def test_array_matches_scalar(self):
         kappa = 4.0
         times = np.geomspace(_deep_start(kappa), 10.0 * freezing_time(kappa, ALPHA), 60)

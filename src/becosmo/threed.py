@@ -31,8 +31,11 @@ asymptote to spectrum.csv.
 
 integrate_mode evolves a single mode with numpy only: the equation is
 linear with smooth coefficients, so each block of a few oscillations is one
-Chebyshev-Lobatto collocation solve (Trefethen, Spectral Methods in MATLAB,
-ch. 6-7), accepted on the decay of its Chebyshev coefficients.
+Chebyshev-Lobatto collocation solve for phi'' in integral form (Greengard,
+"Spectral integration and two-point boundary value problems", SIAM J.
+Numer. Anal. 28, 1991), accepted on the decay of its Chebyshev coefficients.
+The blocks are laid out on the linear asymptote before any solve, and each
+round of refinement solves its blocks together, up to 256 per batched call.
 """
 
 from __future__ import annotations
@@ -50,29 +53,38 @@ _DEPTH_FACTOR = 20.0           # required omega_ad / H at the start of a mode
 _MODE_SAMPLES = 400            # output samples of an integrated mode
 _CHEB_DEGREE = 32              # polynomial degree of one collocation block
 _TAIL_COEFS = 3                # trailing Chebyshev coefficients that bound the error
-_NEAR_BOUND = 1e-2             # error/bound above which a block grows by 1.2, not 2
+_BLOCK_PHASE = 6.0 * math.pi   # adiabatic phase a block spans inside the horizon
+_BLOCK_GROWTH = 1.0            # block width over t - linear_offset outside it
+_MAX_HALVINGS = 5              # refinement rounds before a tolerance is out of reach
+_BATCH_BLOCKS = 256            # blocks per batched solve, which bounds its memory
 
 
 def _chebyshev_lobatto(degree: int):
     """Lobatto nodes x_j = -cos(j pi/degree) on [-1, 1] in increasing order,
-    their barycentric weights, the differentiation matrix (diagonal from the
-    negative row sums) and the map from node values to Chebyshev
+    their barycentric weights, the map from node values to Chebyshev
     coefficients, c_k = (2/degree) sum_j'' T_k(x_j) f_j halved at k = 0 and
-    k = degree."""
+    k = degree, and the integration matrix Q: (Q f)_j is the integral from
+    -1 to x_j of the polynomial through the node values f."""
     j = np.arange(degree + 1)
     nodes = -np.cos(np.pi * j / degree)
     ends = np.where((j == 0) | (j == degree), 0.5, 1.0)
     weights = (-1.0) ** j * ends
-    gap = nodes[:, None] - nodes + np.eye(degree + 1)
-    diff = weights / weights[:, None] / gap
-    np.fill_diagonal(diff, 0.0)
-    np.fill_diagonal(diff, -diff.sum(axis=1))
     to_coefs = ((2.0 / degree) * ends[:, None] * ends
                 * (-1.0) ** j[:, None] * np.cos(np.pi * np.outer(j, j) / degree))
-    return nodes, weights, diff, to_coefs
+    # the integral of T_k is T_{k+1}/(2(k+1)) - T_{k-1}/(2(k-1)), of T_1
+    # T_2/4 and of T_0 T_1, up to constants fixed by the zero at x = -1
+    k = np.arange(degree + 2)
+    integral = np.zeros((degree + 2, degree + 1))
+    integral[1, 0] = 1.0
+    integral[k[2:], k[1:-1]] = 0.5 / k[2:]
+    integral[k[1:-2], k[2:-1]] = -0.5 / k[1:-2]
+    # T_m(x_j) = (-1)^m cos(m j pi/degree), and T_m(-1) = (-1)^m
+    at_nodes = (-1.0) ** k * (np.cos(np.pi * np.outer(j, k) / degree) - 1.0)
+    return nodes, weights, to_coefs, at_nodes @ integral @ to_coefs
 
 
-_NODES, _BARY, _DIFF, _TO_COEFS = _chebyshev_lobatto(_CHEB_DEGREE)
+_NODES, _BARY, _TO_COEFS, _INTEGRATE = _chebyshev_lobatto(_CHEB_DEGREE)
+_INTEGRATE_TWICE = _INTEGRATE @ _INTEGRATE
 
 
 class ModeIntegrationError(RuntimeError):
@@ -158,86 +170,113 @@ class ModeEvolution:
     warnings: list[str] = field(default_factory=list)
 
 
-def _solve_blocks(kappa: float, expansion, t_start: float, t_end: float,
-                  start, width: float, tolerance: float, atol, c0: float):
-    """Step (phi, phi') from start at t_start to t_end in Chebyshev blocks.
-
-    start is the 2x2 array ((Re phi, Im phi), (Re phi', Im phi')), width the
-    first block's trial width and atol the absolute bounds of phi and phi'.
-    On a block [t, t + h] with the 33 Lobatto nodes t_j, the mode equation
-    in first-order form,
-
-        (2/h) D phi - phi' = 0,   (2/h) D phi' - c_phi' phi' - c_phi phi = 0,
-
-    with c_phi, c_phi' the coefficients mode_ode_rhs gives for the basis
-    pairs (1, 0) and (0, 1), is one real 66x66 system for the node values;
-    the two rows at t_j = t are replaced by the start values, and one solve
-    takes Re and Im as two right-hand sides. A block is accepted when the
-    last three Chebyshev coefficients of phi and of phi' are each within
-    tolerance max|c| + atol; then the next block is twice as wide, or 1.2
-    times when the error is near the bound. A rejected block halves. The
-    final block ends exactly at t_end, so the background is read at times
-    inside [t_start, t_end] only.
-
-    Returns the block starts, widths, node values (blocks, 2, 33) as complex
-    and the number of node times read, rejected blocks included.
-    """
-    n = _CHEB_DEGREE + 1
-    # Rows 0 and n hold the start values; the phi' = (2/h) D phi rows couple
-    # to phi' through -1 on the diagonal of the upper-right block.
-    template = np.zeros((2 * n, 2 * n))
-    template[0, 0] = template[n, n] = 1.0
-    inner = np.arange(1, n)
-    template[inner, inner + n] = -1.0
-    lower = (inner + n) * (2 * n) + inner    # flat indices of the c_phi terms
-    upper = lower + n                        # and of the c_phi' terms
-    rhs = np.zeros((2 * n, 2))
-    y = np.asarray(start, dtype=float)
-    atol_phi, atol_phidot = atol
-    t, h = t_start, width
-    starts, widths, values = [], [], []
-    nfev = 0
-    while t < t_end:
-        # a remainder under 1% of a block joins it, so no sliver is left
-        t_next = t_end if t + 1.01 * h >= t_end else t + h
-        h = t_next - t
+def _block_edges(kappa: float, alpha: float, shift: float, t_start: float,
+                 t_end: float, c0: float) -> np.ndarray:
+    """Block boundaries from t_start to t_end, laid out on the linear
+    asymptote b = alpha (t - shift) without reading the background: a block
+    starting at t spans min(_BLOCK_PHASE/omega_ad, _BLOCK_GROWTH/H), with
+    omega_ad and H = 1/(t - shift) taken on the asymptote. A remainder under
+    1% of a block joins it, so the last block ends exactly at t_end."""
+    reach = c0 * kappa * alpha**-2.5     # omega_ad (t - shift) = reach (t - shift)^-1.5
+    edges = [t_start]
+    t = t_start
+    while True:
+        s = t - shift
+        h = s * min(_BLOCK_PHASE * s**1.5 / reach, _BLOCK_GROWTH)
         if h < 10.0 * (math.nextafter(t, math.inf) - t):
             raise ModeIntegrationError(
                 f"mode integration failed: block width {h:g} below ten float "
-                f"spacings at t={t:g}; tolerance {tolerance:g} is out of reach")
-        nodes = t + (_NODES + 1.0) * (0.5 * h)
-        nodes[-1] = t_next
-        b, bdot = expansion(nodes)
-        c_phi = mode_ode_rhs(1.0, 0.0, kappa, b, bdot, c0)
-        c_phidot = mode_ode_rhs(0.0, 1.0, kappa, b, bdot, c0)
-        nfev += n
-        system = template.copy()
-        scaled = (2.0 / h) * _DIFF[1:]
-        system[1:n, :n] = scaled
-        system[n + 1:, n:] = scaled
-        flat = system.reshape(-1)
-        flat[lower] = -c_phi[1:]
-        flat[upper] -= c_phidot[1:]
-        rhs[[0, n]] = y
-        solution = np.linalg.solve(system, rhs).reshape(2, n, 2)
-        coefs = _TO_COEFS @ solution
-        size_phi, size_phidot = np.hypot(coefs[..., 0], coefs[..., 1]).tolist()
-        error = max(max(size_phi[-_TAIL_COEFS:])
-                    / (tolerance * max(size_phi) + atol_phi),
-                    max(size_phidot[-_TAIL_COEFS:])
-                    / (tolerance * max(size_phidot) + atol_phidot))
-        if not error <= 1.0:            # a NaN error is a rejection too
-            h *= 0.5
-            continue
-        starts.append(t)
-        widths.append(h)
-        values.append(solution)
-        y = solution[:, -1]
-        t = t_next
-        h *= 1.2 if error > _NEAR_BOUND else 2.0
-    values = np.array(values)
-    return (np.array(starts), np.array(widths),
-            values[..., 0] + 1j * values[..., 1], nfev)
+                f"spacings at t={t:g}; the start is too deep")
+        if t + 1.01 * h >= t_end:
+            break
+        t += h
+        edges.append(t)
+    edges.append(t_end)
+    return np.array(edges)
+
+
+def _propagators(kappa: float, expansion, lo: np.ndarray, hi: np.ndarray,
+                 c0: float) -> np.ndarray:
+    """Node values of (phi, phi') on the blocks [lo, hi] for the unit starts
+    (1, 0) and (0, 1), shape (blocks, phi or phi', start, node).
+
+    On a block of width h with the 33 Lobatto nodes t_j = t + (h/2)(x_j + 1),
+    the unknowns are sigma = phi'' at the nodes; with the integration matrix
+    Q and start values (y0, y1),
+
+        phi' = y1 + (h/2) Q sigma,   phi = y0 + (h/2)(x + 1) y1 + (h/2)^2 Q^2 sigma,
+
+    so the mode equation sigma = c_phi' phi' + c_phi phi, with c_phi, c_phi'
+    the coefficients mode_ode_rhs gives for the basis pairs (1, 0) and
+    (0, 1), is the real 33x33 system I - (h/2) c_phi' Q - (h/2)^2 c_phi Q^2.
+    The background is read once, at the nodes of all blocks, and all blocks
+    are solved in one batched np.linalg.solve with the two unit starts as
+    right-hand sides.
+    """
+    half = 0.5 * (hi - lo)[:, None]
+    ramp = (_NODES + 1.0) * half            # (h/2)(x + 1) at the nodes
+    nodes = lo[:, None] + ramp
+    nodes[:, -1] = hi
+    b, bdot = expansion(nodes.ravel())
+    c_phi = mode_ode_rhs(1.0, 0.0, kappa, b, bdot, c0).reshape(nodes.shape)
+    c_phidot = mode_ode_rhs(0.0, 1.0, kappa, b, bdot, c0).reshape(nodes.shape)
+    system = (np.eye(_CHEB_DEGREE + 1) - (half * c_phidot)[..., None] * _INTEGRATE
+              - (half**2 * c_phi)[..., None] * _INTEGRATE_TWICE)
+    sigma = np.linalg.solve(system, np.stack([c_phi, c_phidot + c_phi * ramp],
+                                             axis=-1)).swapaxes(1, 2)
+    half = half[..., None]
+    phi = half**2 * (sigma @ _INTEGRATE_TWICE.T)
+    phi[:, 0] += 1.0
+    phi[:, 1] += ramp
+    phidot = half * (sigma @ _INTEGRATE.T)
+    phidot[:, 1] += 1.0
+    return np.stack([phi, phidot], axis=1)
+
+
+def _solve_blocks(kappa: float, expansion, edges: np.ndarray, start,
+                  tolerance: float, atol, c0: float):
+    """Solve (phi, phi') from start at edges[0] on the blocks between edges.
+
+    start is the complex pair (phi, phi') and atol the absolute bounds of phi
+    and phi'. Each round solves the unsolved blocks together (_propagators),
+    in batches of at most _BATCH_BLOCKS, and chains the start values from
+    block to block through the 2x2 propagators at the block ends. A block is
+    accepted when the last three Chebyshev coefficients of phi and of phi'
+    are each within tolerance max|c| + atol. Every failing block is halved
+    and only the halves are solved in the next round; a block still failing
+    after _MAX_HALVINGS rounds raises ModeIntegrationError.
+
+    Returns the final edges, the node values (blocks, 2, 33) as complex and
+    the number of node times read, rejected blocks included.
+    """
+    propagators = np.empty((edges.size - 1, 2, 2, _CHEB_DEGREE + 1))
+    pending = np.ones(edges.size - 1, dtype=bool)
+    nfev = 0
+    for _ in range(_MAX_HALVINGS + 1):
+        todo = np.flatnonzero(pending)
+        for i in range(0, todo.size, _BATCH_BLOCKS):
+            batch = todo[i:i + _BATCH_BLOCKS]
+            propagators[batch] = _propagators(kappa, expansion, edges[batch],
+                                              edges[batch + 1], c0)
+        nfev += todo.size * (_CHEB_DEGREE + 1)
+        y = [start]
+        for (p00, p01), (p10, p11) in propagators[:-1, :, :, -1].tolist():
+            y0, y1 = y[-1]
+            y.append((p00 * y0 + p01 * y1, p10 * y0 + p11 * y1))
+        values = (propagators * np.array(y)[:, None, :, None]).sum(axis=2)
+        size = np.abs(values @ _TO_COEFS.T)
+        passed = (size[..., -_TAIL_COEFS:].max(axis=-1)
+                  <= tolerance * size.max(axis=-1) + atol).all(axis=-1)
+        if passed.all():
+            return edges, values, nfev
+        failed = ~passed
+        edges = np.insert(edges, np.flatnonzero(failed) + 1,
+                          0.5 * (edges[:-1] + edges[1:])[failed])
+        propagators = np.repeat(propagators, 1 + failed, axis=0)
+        pending = np.repeat(failed, 1 + failed)
+    raise ModeIntegrationError(
+        f"mode integration failed: blocks still miss the Chebyshev tail bound "
+        f"after {_MAX_HALVINGS} halvings; tolerance {tolerance:g} is out of reach")
 
 
 def _interpolate_blocks(starts, widths, values, times):
@@ -269,22 +308,30 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
 
     The background provides asymptotic_velocity, linear_offset (None when it
     has no linear regime) and expansion_on(t_start, t_end), which checks the
-    interval once and returns the t -> (b, bdot) lookup, read once per block
-    at all its nodes.
+    interval once and returns the t -> (b, bdot) lookup. kappa, c0 and
+    coupling must be positive and finite, t_start and t_end finite with
+    t_end > t_start, and tolerance in (0, 1); each is checked before the
+    background is read.
 
-    The solver is a Chebyshev-Lobatto collocation block stepper in numpy
-    (_solve_blocks): the equation is linear, so each block of up to a few
-    oscillations is one linear solve, accepted on the decay of its Chebyshev
-    coefficients. The samples are interpolated from the accepted blocks. A
-    block that cannot meet the tolerance raises ModeIntegrationError; nfev
-    counts the node times at which the background was read.
+    The solver is Chebyshev-Lobatto collocation in integral form, in numpy
+    (_solve_blocks). The blocks are laid out in advance on the linear
+    asymptote, each spanning at most three oscillations or its own time since
+    the linear-regime origin, and solved together: the equation is linear, so
+    each block is one linear solve, accepted on the decay of its Chebyshev
+    coefficients, and failing blocks are halved and solved again. The samples
+    are interpolated from the accepted blocks. A tolerance the halvings cannot
+    reach raises ModeIntegrationError; nfev counts the node times at which the
+    background was read, rejected blocks included.
     """
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
-    if not t_end > t_start:
-        raise ValueError("t_end must exceed t_start")
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be positive")
+    for name, value in (("kappa", kappa), ("c0", c0), ("coupling", coupling)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name}={value} must be positive and finite")
+    if not math.isfinite(t_start):
+        raise ValueError(f"t_start={t_start} must be finite")
+    if not t_start < t_end < math.inf:
+        raise ValueError(f"t_end={t_end} must be finite and exceed t_start")
+    if not 0.0 < tolerance < 1.0:
+        raise ValueError(f"tolerance={tolerance} must lie in (0, 1)")
     alpha = background.asymptotic_velocity
     shift = background.linear_offset
     if shift is None:
@@ -315,12 +362,11 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
 
     scale = abs(phi0)
     atol = np.array([scale, omega0_ad * scale]) * tolerance * 1e-3
-    starts, widths, values, nfev = _solve_blocks(
-        kappa, expansion, t_start, t_end,
-        [[phi0.real, phi0.imag], [phidot0.real, phidot0.imag]],
-        2.0 * math.pi / omega0_ad, tolerance, atol, c0)
+    edges = _block_edges(kappa, alpha, shift, t_start, t_end, c0)
+    edges, values, nfev = _solve_blocks(kappa, expansion, edges, (phi0, phidot0),
+                                        tolerance, atol, c0)
     t_eval = np.geomspace(t_start, t_end, _MODE_SAMPLES)
-    phi, phidot = _interpolate_blocks(starts, widths, values, t_eval)
+    phi, phidot = _interpolate_blocks(edges[:-1], np.diff(edges), values, t_eval)
 
     frozen_value = None
     tail = abs(phidot[-1]) * t_eval[-1] / abs(phi[-1])

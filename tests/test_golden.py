@@ -111,11 +111,11 @@ def test_run_outputs_match_recorded_digests(name, tmp_path):
 # analytic history, on b = sqrt(2/3) t with c0 = g = 1 and tolerance 1e-11.
 MODE_ALPHA = math.sqrt(2.0 / 3.0)
 GOLDEN_MODES = {
-    (1.0, 180.0): ("4e311237a1fbfb973b00699719679e471a6783ab7922af2b360145acf4f2b774",
+    (1.0, 180.0): ("4cf816854a0977ca19985eeff5bb5a4357bc6a4f55150b875c8ac34a2f446682",
                    "1248c4e7bdf2ff1aa4776f24b6e54c491b69498a01b651070407fc9428241a69"),
-    (10.0, 320.0): ("d1c8d29b02f099521e3be5ec0286b8e4d5c97e835d7edabe0c5dd6d210ba7449",
+    (10.0, 320.0): ("4e9bfdeb95a3471bf47b2375e5cceeb7a1724bc8db41d749c34fd962b781f6e2",
                     "7b8258b3c60d99e3977206c8456409130156745857d1cd11024c9406e3ee2a0a"),
-    (100.0, 600.0): ("736d88a242f76c730949514e64e1f39f7b809f0593c73529c4b0dfb52b3d8781",
+    (100.0, 600.0): ("e0ee83cb831693eea3835c046459facb3ea935c24bfeab4e7ef943a738ba8705",
                      "487b61c029f04c033b847abbe8cecc1f95fbe66f02e2924dcef7207e9a8f9269"),
 }
 

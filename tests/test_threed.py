@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import linregress
 
@@ -298,14 +300,34 @@ class TestIntegrateMode:
         assert threaded == serial
         assert warnings.filters == filters   # no solve left its filter behind
 
-    def test_solver_failure_is_a_mode_error(self):
+    def test_solver_failure_is_a_mode_error(self, monkeypatch):
         # no block can bring its Chebyshev tail below 1e-30 of its size, so
-        # the width halves down to the float spacing; pytest turns warnings
-        # into errors, so a warning on the way would fail this test instead
+        # every block is halved in every round up to the refinement cap;
+        # pytest turns warnings into errors, so a warning on the way would
+        # fail this test instead
+        reads = []
+        expansion_on = LinearExpansion.expansion_on
+
+        def recorded(self, t0, t1):
+            lookup = expansion_on(self, t0, t1)
+
+            def record(t):
+                reads.append(np.size(t))
+                return lookup(t)
+            return record
+        monkeypatch.setattr(LinearExpansion, "expansion_on", recorded)
+
         kappa = 8.0
         with pytest.raises(ModeIntegrationError, match="out of reach"):
             integrate_mode(kappa, LinearExpansion(ALPHA), _deep_start(kappa),
                            freezing_time(kappa, ALPHA), tolerance=1e-30)
+        # the depth check's start read, then the batches of each round; the
+        # first round is one batch, and each round solves at most the halves
+        # of the blocks solved in the round before
+        start, first, *rest = reads
+        cap = 2 ** (threed._MAX_HALVINGS + 1) - 1
+        assert start == 1 and first + sum(rest) <= cap * first
+        assert max(rest) <= threed._BATCH_BLOCKS * (threed._CHEB_DEGREE + 1)
 
     @pytest.mark.parametrize("kappa, end_factor, match", [
         (0.0, 1.0, "kappa"), (math.nan, 1.0, "kappa"),
@@ -324,6 +346,48 @@ class TestIntegrateMode:
         with pytest.raises(ValueError, match="tolerance"):
             integrate_mode(kappa, LinearExpansion(ALPHA), _deep_start(kappa),
                            freezing_time(kappa, ALPHA), tolerance=tolerance)
+
+    @pytest.mark.parametrize("name, value", [
+        ("tolerance", math.inf), ("tolerance", 10.0), ("t_end", math.inf),
+        ("t_start", math.nan), ("t_start", math.inf), ("coupling", -1.0),
+        ("coupling", 0.0), ("c0", math.nan), ("c0", 0.0), ("c0", -1.0)])
+    def test_rejects_bad_scalar_before_solve(self, name, value, monkeypatch):
+        monkeypatch.setattr(threed, "_solve_blocks", _no_solve)
+        kappa = 8.0
+        scalars = {"t_start": _deep_start(kappa), "t_end": freezing_time(kappa, ALPHA)}
+        scalars[name] = value
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            integrate_mode(kappa, LinearExpansion(ALPHA), **scalars)
+
+    # ceilings: the node reads of the sequential block stepper that the
+    # batched solve replaced, for the GOLDEN_MODES starts of test_golden
+    @pytest.mark.parametrize("tolerance, ceilings", [
+        (1e-9, (957, 1056, 1980)), (1e-11, (891, 1287, 2442)),
+        (1e-12, (1089, 1617, 2871))])
+    def test_node_reads_pinned(self, tolerance, ceilings):
+        bg = LinearExpansion(ALPHA)
+        modes = ((1.0, 180.0), (10.0, 320.0), (100.0, 600.0))
+        for (kappa, depth), ceiling in zip(modes, ceilings):
+            evo = integrate_mode(kappa, bg, _deep_start(kappa, depth),
+                                 freezing_time(kappa, ALPHA), tolerance=tolerance)
+            assert 0 < evo.nfev <= ceiling
+
+    @settings(max_examples=30, deadline=None)
+    @given(kappa=st.floats(1.0, 100.0), depth=st.floats(180.0, 600.0))
+    def test_mode_sweep_checks(self, kappa, depth):
+        # the checks the mode-sweep benchmark makes on each op, tightened to
+        # the pointwise pin; pytest turns any warning into an error
+        bg = LinearExpansion(ALPHA)
+        args = (kappa, bg, _deep_start(kappa, depth), freezing_time(kappa, ALPHA))
+        evo = integrate_mode(*args, tolerance=1e-11)
+        ana = analytic_evolution(kappa, evo.times, ALPHA)
+        assert evo.warnings == [] and evo.frozen_value is not None
+        assert (np.abs(evo.phi - ana.phi) / np.abs(ana.phi)).max() <= 1e-10
+        variance = frozen_phase_variance(kappa, 1.0, ALPHA)
+        assert abs(evo.frozen_value**2 / variance - 1.0) <= 0.005
+        again = integrate_mode(*args, tolerance=1e-11)
+        assert (again.phi.tobytes(), again.phidot.tobytes(), again.nfev) == (
+            evo.phi.tobytes(), evo.phidot.tobytes(), evo.nfev)
 
     def test_mode_solve_imports_no_scipy(self):
         # the mode engine is numpy only
@@ -377,6 +441,15 @@ class TestRealBackground:
         assert evo.warnings == []
         variance = frozen_phase_variance(self.KAPPA, 1.0, alpha)
         assert evo.frozen_value**2 / variance == pytest.approx(1.0, abs=5e-3)
+
+    @pytest.mark.parametrize("tolerance, ceiling", [
+        (1e-9, 1023), (1e-11, 1089), (1e-12, 1221)])
+    def test_node_reads_pinned(self, trajectory, tolerance, ceiling):
+        # the ceilings of TestIntegrateMode.test_node_reads_pinned for this mode
+        t_start = trajectory.linear_offset + _deep_start(self.KAPPA)
+        evo = integrate_mode(self.KAPPA, trajectory, t_start,
+                             freezing_time(self.KAPPA, ALPHA), tolerance=tolerance)
+        assert 0 < evo.nfev <= ceiling
 
     def test_end_beyond_trajectory_rejected(self, trajectory, monkeypatch):
         monkeypatch.setattr(threed, "_solve_blocks", _no_solve)

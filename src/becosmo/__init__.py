@@ -13,12 +13,11 @@ from .condensate import (AtomSpecies, CondensateSpec, DerivedParams,
                          sound_frequency_at_healing_scale, swave_coupling,
                          thomas_fermi, validate_dimensional_reduction)
 from .geometry import (apparent_horizon, conformal_factor, horizon_crossing_time,
-                       metric_components, particle_horizon,
-                       settled_apparent_horizon)
-from .q2d import (BogoliubovMode, Spectrum, bogoliubov_frequency,
-                  bogoliubov_mode, density_spectrum_2d, windowed_contrast)
+                       particle_horizon, settled_apparent_horizon)
+from .q2d import (Spectrum, bogoliubov_frequency, density_spectrum_2d,
+                  windowed_contrast)
 from .scaling import (LinearExpansion, ScaleTrajectory, analytic_scale_2d,
-                      integrate_scale_factor)
+                      analytic_scale_3d, integrate_scale_factor)
 from .scenarios import (PRESETS, ConfigError, RunReport, ScenarioConfig,
                         StageError, load_scenario, run)
 from .threed import (FrozenSpectrum3D, ModeEvolution, density_spectrum_3d,

@@ -34,8 +34,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="preset name (sodium-q2d, rubidium-3d) or JSON path")
     parser.add_argument("--out", default=None,
                         help="output directory (default: ./<scenario>-out)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="tolerance override of the free 3D b(t) stepper")
     parser.add_argument("--kappa-min", type=float, default=None,
                         help="lower edge of the wavenumber grid (1/m)")
     parser.add_argument("--kappa-max", type=float, default=None,
@@ -61,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     if (args.kappa_min is None) != (args.kappa_max is None):
         raise ConfigError("--kappa-min and --kappa-max must be given together")
-    flags = {"ode_tolerance": args.tol, "kappa_min_per_m": args.kappa_min,
-             "kappa_max_per_m": args.kappa_max, "kappa_points": args.kappa_points}
+    flags = {"kappa_min_per_m": args.kappa_min, "kappa_max_per_m": args.kappa_max,
+             "kappa_points": args.kappa_points}
     numeric = dataclasses.replace(
         config.numeric, **{key: value for key, value in flags.items() if value is not None})
 

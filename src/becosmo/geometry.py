@@ -2,7 +2,7 @@
 
 Long-wavelength phonons on the expanding background propagate in an
 effective metric of Painleve-Gullstrand-Lemaitre form, conformally scaled
-by A = (c/g_N)^(2/(D-1)), D = 2 or 3. This module builds the metric and
+by A = (c/g_N)^(2/(D-1)), D = 2 or 3. This module gives that factor and
 evaluates the two horizon notions: the apparent horizon (flow speed = sound
 speed, g00 = 0 in laboratory slicing) and the co-moving particle horizon
 (total remaining reach of sound signals). Both read the sound-speed decay
@@ -35,32 +35,6 @@ def conformal_factor(sound_speed: float, coupling: float, dimension: int) -> flo
     if sound_speed <= 0.0 or coupling <= 0.0:
         raise ValueError("sound speed and coupling must be positive")
     return (sound_speed / coupling) ** (2.0 / (dimension - 1.0))
-
-
-def metric_components(conformal: float, sound_speed: float, velocity):
-    """Covariant and contravariant effective metric at one spacetime point.
-
-    velocity is the local flow vector (length D); returns a pair of
-    (D+1) x (D+1) arrays whose product is the identity.
-    """
-    v = np.atleast_1d(np.asarray(velocity, dtype=float))
-    d = v.size
-    c2 = sound_speed**2
-    v2 = float(v @ v)
-
-    cov = np.zeros((d + 1, d + 1))
-    cov[0, 0] = conformal * (c2 - v2)
-    cov[0, 1:] = conformal * v
-    cov[1:, 0] = conformal * v
-    cov[1:, 1:] = -conformal * np.eye(d)
-
-    contra = np.zeros((d + 1, d + 1))
-    contra[0, 0] = 1.0
-    contra[0, 1:] = v
-    contra[1:, 0] = v
-    contra[1:, 1:] = np.outer(v, v) - c2 * np.eye(d)
-    contra /= conformal * c2
-    return cov, contra
 
 
 def _check_c0(c0: float) -> None:
@@ -115,27 +89,22 @@ def horizon_crossing_time(kappa, trajectory: ScaleTrajectory, c0: float = 1.0):
 
     The particle horizon is used (rather than the apparent one) because it is
     slicing-independent; it decreases monotonically, so larger kappa crosses
-    later, and every kappa is bisected at once on [0, t_max] down to
-    1e-14 t_max. A wavelength already beyond the horizon at t = 0 gives 0.0;
-    one still inside it at t_max gives inf, as does every kappa when the
-    trap is held on (an infinite horizon).
+    later. Setting (2 c0/(D alpha)) arcsin(b^(-D/2)) = 2 pi/kappa gives the
+    crossing in closed form at b_c = sin(pi D alpha/(c0 kappa))^(-2/D), at
+    the time the trajectory reaches b_c. A wavelength already beyond the
+    horizon at t = 0 (kappa <= 2 D alpha/c0) gives 0.0; one still inside it
+    at t_max gives inf, as does every kappa when the trap is held on (an
+    infinite horizon).
     """
     _check_c0(c0)
     kappa = np.asarray(kappa, dtype=float)
     if not np.all(kappa > 0.0):
         raise ValueError("kappa must be positive")
-    wavelength = 2.0 * math.pi / kappa
-    t_max = trajectory.t_max
-    lo = np.zeros_like(wavelength)
-    hi = np.full_like(wavelength, t_max)
-    width = t_max
-    while width > 1e-14 * t_max:
-        mid = 0.5 * (lo + hi)
-        crossed = particle_horizon(trajectory, mid, c0) <= wavelength
-        hi = np.where(crossed, mid, hi)
-        lo = np.where(crossed, lo, mid)
-        width *= 0.5
-    times = np.where(particle_horizon(trajectory, t_max, c0) > wavelength,
-                     math.inf, 0.5 * (lo + hi))
-    return np.where(particle_horizon(trajectory, 0.0, c0) <= wavelength,
-                    0.0, times)[()]
+    alpha, D = trajectory.asymptotic_velocity, trajectory.dimension
+    if alpha == 0.0:
+        return np.full_like(kappa, math.inf)[()]
+    angle = np.minimum(math.pi * D * alpha / (c0 * kappa), math.pi / 2.0)
+    with np.errstate(divide="ignore", over="ignore"):  # kappa -> inf: b_c = inf
+        t_c = trajectory.time_at(np.float_power(np.sin(angle), -2.0 / D))
+    return np.where(kappa <= 2.0 * D * alpha / c0, 0.0,
+                    np.where(t_c > trajectory.t_max, math.inf, t_c))[()]

@@ -9,10 +9,9 @@ diluted cloud (mu -> mu/b^2, wavenumber -> kappa/b) gives, after the b^2
 Fourier-measure factor, the same density_spectrum_2d at co-moving kappa.
 
 Conventions. Spectra follow C(kappa) = integral d^D rho e^{i kappa rho}
-<drho(0) drho(rho)> / rho0^2. Mode amplitudes are stored per unit
-quantization volume, so phase_amplitude * density_amplitude = 1/2 for every
-mode (the canonical pairing) and no volume factor survives in any reported
-spectrum. Interaction inputs are SI; hbar conversions happen inside.
+<drho(0) drho(rho)> / rho0^2, with mode amplitudes per unit quantization
+volume, so no volume factor survives in any reported spectrum. Interaction
+inputs are SI; hbar conversions happen inside.
 
 bogoliubov_frequency and density_spectrum_2d take a scalar or an array for
 k or kappa (every element checked) and return a NumPy scalar or an array.
@@ -22,7 +21,6 @@ to spectrum.csv.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,33 +40,6 @@ def bogoliubov_frequency(k, mu: float, m: float):
         raise ValueError("mu must be positive")
     return np.sqrt(mu * np.float_power(k, 2) / m
                    + HBAR**2 * np.float_power(k, 4) / (4.0 * m**2))
-
-
-@dataclass(frozen=True)
-class BogoliubovMode:
-    """One quantized phonon mode of the trapped cloud (per unit volume)."""
-    frequency: float
-    phase_amplitude: float      # prefactor of (a + a^dag) in the phase mode
-    density_amplitude: float    # prefactor of i(a - a^dag) in the density mode
-
-
-def bogoliubov_mode(k: float, mu: float, m: float, rho0: float,
-                    g2d: float) -> BogoliubovMode:
-    """Diagonalize one k-mode of the trapped condensate.
-
-    Uses natural units internally (g -> g/hbar, m -> m/hbar); the stiffness
-    g + k^2/(4 m rho0) and the frequency then give the canonical pair of
-    amplitudes with product exactly 1/2.
-    """
-    omega = bogoliubov_frequency(k, mu, m)
-    g_nat = g2d / HBAR
-    m_nat = m / HBAR
-    stiffness = g_nat + k**2 / (4.0 * m_nat * rho0)
-    return BogoliubovMode(
-        frequency=omega,
-        phase_amplitude=math.sqrt(stiffness / (2.0 * omega)),
-        density_amplitude=math.sqrt(omega / (2.0 * stiffness)),
-    )
 
 
 def density_spectrum_2d(kappa, g2d: float, mu: float, m: float):

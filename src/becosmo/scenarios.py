@@ -33,8 +33,7 @@ from .condensate import (DIMENSIONS, INTERACTION_EXPONENT, AtomSpecies,
                          CondensateSpec, DerivedParams, TrapGeometry, natural_coupling,
                          sound_frequency_at_healing_scale, thomas_fermi,
                          validate_dimensional_reduction)
-from .scaling import (ScaleTrajectory, check_sample_count, check_tolerance,
-                      integrate_scale_factor)
+from .scaling import ScaleTrajectory, check_sample_count, integrate_scale_factor
 
 
 class ConfigError(ValueError):
@@ -52,7 +51,6 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class NumericSettings:
-    ode_tolerance: float = 1e-10
     t_max_omega0: float = 200.0        # integration span in units of 1/omega0
     trajectory_samples: int = 400
     kappa_min_per_m: float | None = None   # None -> scenario default grid
@@ -61,7 +59,6 @@ class NumericSettings:
 
     def __post_init__(self):
         try:  # the rules of integrate_scale_factor, named by their config keys
-            check_tolerance(self.ode_tolerance, "numeric.ode_tolerance")
             check_sample_count(self.trajectory_samples, "numeric.trajectory_samples")
             check_sample_count(self.kappa_points, "numeric.kappa_points")
         except ValueError as exc:
@@ -176,7 +173,7 @@ _SCHEMA = {
                    "omega_z_rad_per_s": float},
     "condensate.species": {"name": str, "mass_kg": float, "scattering_length_m": float},
     "expansion": {"mode": str},
-    "numeric": {"ode_tolerance": float, "t_max_omega0": float,
+    "numeric": {"t_max_omega0": float,
                 "trajectory_samples": int, "kappa_min_per_m": float,
                 "kappa_max_per_m": float, "kappa_points": int},
 }
@@ -429,14 +426,12 @@ def _kappa_grid(numeric: NumericSettings, default_min: float,
 @dataclass
 class _Run:
     """What one run's stages share: the inputs, the stages that write files,
-    the report, the manifest's file list and solver records, and results
-    later stages read."""
+    the report, the manifest's file list, and results later stages read."""
     config: ScenarioConfig
     out: Path
     writes: set[str]
     report: RunReport
     files: dict
-    solvers: dict
     derived: DerivedParams | None = None
     trajectory: ScaleTrajectory | None = None
 
@@ -480,11 +475,8 @@ def _evolve(r: _Run) -> None:
     D, omega0 = spec.trap.dimension, spec.trap.longitudinal_frequency
     r.trajectory = integrate_scale_factor(
         omega0, D, t_max=numeric.t_max_omega0 / omega0,
-        tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples,
-        held=r.config.expansion_mode == "hold")
+        n_samples=numeric.trajectory_samples, held=r.config.expansion_mode == "hold")
     trajectory = r.trajectory
-    r.solvers["scale_ode"] = {"method": trajectory.method, "rtol": trajectory.rtol,
-                              "nfev": trajectory.nfev, "steps": trajectory.steps}
     if "evolve" in r.writes:
         tau_prefactor = 1.0  # quasi-2D is the flat case: tau is the clock
         if D == 3:
@@ -617,9 +609,9 @@ def run(config: ScenarioConfig, out_dir) -> RunReport:
     needed = {need for name in writes for need in stage_chain(name)}
     report = RunReport(config.name, str(out))
     manifest = {"scenario": config.to_dict(), "analyses": list(config.analysis),
-                "files": {}, "solvers": {}, "complete": False, "failed_stage": None,
+                "files": {}, "complete": False, "failed_stage": None,
                 "warnings": report.warnings}
-    state = _Run(config, out, writes, report, manifest["files"], manifest["solvers"])
+    state = _Run(config, out, writes, report, manifest["files"])
     for name in [name for name in STAGES if name in needed]:
         try:
             STAGES[name].body(state)

@@ -42,11 +42,9 @@ def rubidium_derived(rubidium_spec):
 
 @pytest.fixture(scope="session")
 def traj2d():
-    return integrate_scale_factor(W0_2D, 2, t_max=1100.0 / W0_2D,
-                                  tolerance=1e-10, n_samples=600)
+    return integrate_scale_factor(W0_2D, 2, t_max=1100.0 / W0_2D, n_samples=600)
 
 
 @pytest.fixture(scope="session")
 def traj3d():
-    return integrate_scale_factor(W0_3D, 3, t_max=5000.0 / W0_3D,
-                                  tolerance=1e-10, n_samples=500)
+    return integrate_scale_factor(W0_3D, 3, t_max=5000.0 / W0_3D, n_samples=500)

@@ -9,12 +9,13 @@ from scipy.optimize import brentq
 
 from becosmo.condensate import thomas_fermi
 from becosmo.geometry import (apparent_horizon, conformal_factor,
-                              horizon_crossing_time, metric_components,
-                              particle_horizon, settled_apparent_horizon)
+                              horizon_crossing_time, particle_horizon,
+                              settled_apparent_horizon)
 from becosmo.scaling import integrate_scale_factor
 from becosmo.scenarios import PRESETS, config_from_dict, run
 
 from conftest import W0_2D
+from references import metric_components
 
 
 class TestConformalFactor:
@@ -89,7 +90,7 @@ def _preset_trajectory(name):
     omega0 = spec.trap.longitudinal_frequency
     trajectory = integrate_scale_factor(
         omega0, spec.trap.dimension, t_max=numeric.t_max_omega0 / omega0,
-        tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples)
+        n_samples=numeric.trajectory_samples)
     return trajectory, thomas_fermi(spec).sound_speed
 
 
@@ -99,8 +100,7 @@ class TestParticleHorizon:
         assert particle_horizon(traj2d, 0.0) == pytest.approx(expected, rel=1e-3)
 
     def test_trap_on_is_infinite(self):
-        traj = integrate_scale_factor(W0_2D, 2, t_max=20.0 / W0_2D, tolerance=1e-10,
-                                      held=True)
+        traj = integrate_scale_factor(W0_2D, 2, t_max=20.0 / W0_2D, held=True)
         assert math.isinf(particle_horizon(traj, 0.0))
 
     def test_shrinks_to_zero(self, traj2d):
@@ -127,7 +127,7 @@ class TestParticleHorizon:
         # line miss the tail by b_f^(1-s-D)/(2 alpha (s-1+D)) to leading
         # order; allow half again that, plus the ODE tolerance.
         traj, c0 = _preset_trajectory(name)
-        tolerance = config_from_dict(PRESETS[name]).numeric.ode_tolerance
+        tolerance = 1e-10
         D, alpha = traj.dimension, traj.asymptotic_velocity
         s, b_f = 1.0 + D / 2.0, float(traj.bs[-1])
         tail = b_f ** (1.0 - s) / (alpha * (s - 1.0))
@@ -216,10 +216,24 @@ class TestHorizonCrossing:
         assert math.isinf(horizon_crossing_time(kappa, traj2d, c0=1.0))
 
     def test_held_trap_never_crosses(self):
-        traj = integrate_scale_factor(W0_2D, 2, t_max=20.0 / W0_2D, tolerance=1e-10,
-                                      held=True)
+        traj = integrate_scale_factor(W0_2D, 2, t_max=20.0 / W0_2D, held=True)
         times = horizon_crossing_time(np.array([1e-9, 1.0, 1e9]), traj)
         assert np.all(np.isinf(times))
+
+    @pytest.mark.parametrize("name", ["traj2d", "traj3d"])
+    def test_crossing_meets_the_horizon(self, name, request):
+        # the closed-form crossing puts 2 pi/kappa on the particle horizon,
+        # for wavelengths from half the release horizon to those crossing
+        # near t_max
+        traj = request.getfixturevalue(name)
+        c0 = 2.0e-3
+        edge = 2.0 * traj.dimension * traj.asymptotic_velocity / c0
+        last = 2.0 * math.pi / particle_horizon(traj, traj.t_max, c0)
+        kappas = np.geomspace(2.0 * edge, 0.999 * last, 50)
+        times = horizon_crossing_time(kappas, traj, c0)
+        assert np.all((times > 0.0) & (times <= traj.t_max))
+        reach = particle_horizon(traj, times, c0) * kappas / (2.0 * math.pi)
+        assert np.abs(reach - 1.0).max() <= 1e-13
 
     def test_rejects_nonpositive_kappa(self, traj2d):
         for bad in (0.0, -1.0, math.nan):
@@ -353,7 +367,7 @@ def test_preset_2d_horizons_match_arctan(tmp_path):
     omega0 = config.condensate.trap.longitudinal_frequency
     table = np.loadtxt(tmp_path / "horizons.csv", delimiter=",", skiprows=1)
     exact = c0 / omega0 * (math.pi / 2.0 - np.arctan(omega0 * table[:, 0]))
-    assert np.abs(table[:, 2] / exact - 1.0).max() <= config.numeric.ode_tolerance
+    assert np.abs(table[:, 2] / exact - 1.0).max() <= 1e-10
 
 
 def test_preset_3d_horizons_match_arcsin(tmp_path):

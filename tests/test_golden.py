@@ -47,23 +47,23 @@ SCENARIOS = {
 GOLDEN = {
     "rubidium-3d": {
         "derived.json": "f13d3a855970a2c98f7e10ebbaafec91e85fcd9487c2a1755cb3f61e1677f607",
-        "horizons.csv": "186210c1d38a7ba16a70842bd5963458dff2f484d134346d77e4b50ec68d4815",
-        "manifest.json": "2585a177c1863af14f2354ac2d2b18a6a5f7e7bc15d2226d92e743f421e3a378",
-        "report.json": "fcf71e1fac7498683671d6541ca56d654756201536e701aeb46373e3ae5e5704",
+        "horizons.csv": "cdf705bcb357e80820062acfb99fc59013c928e4d8e435e2c166a447e841f367",
+        "manifest.json": "6aa37e2c12ef8d815ce5b2b46dab98c5c0e1f32826d1232fbd9f17b2276c345f",
+        "report.json": "b02bde9c5d00f0ca96b137aba7cdc4c4d0153e5dd7f6481fa3e37841e6f83767",
         "spectrum.csv": "9606584a985626533d6e94729ba2322d233aacd635c3523fa2d88e25b4716bfc",
-        "trajectory.csv": "caf3df5b8771c93c22776ea8cf2bfa422a5fab9d73be3cfa5d594745ee597845",
+        "trajectory.csv": "c29abe5a90d3d040355354cb956dc479e2a3e46cb198e36599d73608063d1a4a",
     },
     "rubidium-3d-hold": {
         "derived.json": "f13d3a855970a2c98f7e10ebbaafec91e85fcd9487c2a1755cb3f61e1677f607",
         "horizons.csv": "a1444ff10fdb5f92e3daeb8893e93d295fc93204db1a913d130a06d9960eccce",
-        "manifest.json": "e032607f994626a89ec4d64ea0194fcfdffaa180f7b234fd90044c972866355b",
+        "manifest.json": "d8a753fa6e536d05c1aae5679273d0fadad360f20de14e9996085f68505f0c9e",
         "report.json": "3351b8bd67ad940b055045fbf75275ffc76a805cfc358a379c5e7ac25dcabfd1",
         "trajectory.csv": "9bf3c8d9317babfd98eb455ba2a6280e1cce128e5d6a982cd101415304bb05fd",
     },
     "sodium-q2d": {
         "derived.json": "5d46c9eba5a2081cde7dde78c9c7268844a531ba921e2d43d41c475c30d247e3",
         "horizons.csv": "8a03191794ffbd8744cb0c03ca2890338274664bf8899ecc0d4240699e344be1",
-        "manifest.json": "c5846d3d757108eebd59816a3e92280b652f1f4bcd62571bb42fd08e9157b1a4",
+        "manifest.json": "f05eb9fb6e0e82e07f2ba2741c6b230ad36a0cdb0f19658cc3d1f8504b1cd5c6",
         "report.json": "ef684d6ff797c18ad615660ccc4d708ff2f49e52b3d98394fbf1e3a30272f35b",
         "spectrum.csv": "16da8ba1c94bfc4f177a9d6c8330a85163ebf71350e8fe006ef53db941e8e9e8",
         "trajectory.csv": "32c7e87296c21f9059bb18aca80152872b9057c21636680d2a5bff5566f84c1c",
@@ -71,7 +71,7 @@ GOLDEN = {
     "sodium-q2d-hold": {
         "derived.json": "5d46c9eba5a2081cde7dde78c9c7268844a531ba921e2d43d41c475c30d247e3",
         "horizons.csv": "c901fd8777b2166b4d64c467b1961ff01279712b6f874011d80e28be4debecb3",
-        "manifest.json": "bebb8ab9c1b90cc6d0b0d226d615dea737b2c7868f0843967fcce318da29e2f5",
+        "manifest.json": "74e805a5fd1105156cae39824c22ea23bf0723df914a77ca5e4e6867eebd00a5",
         "report.json": "2f2c09f46707933c6e8d40ed38ff9812c9776ff1059c76606fdefeed51df2dfa",
         "spectrum.csv": "16da8ba1c94bfc4f177a9d6c8330a85163ebf71350e8fe006ef53db941e8e9e8",
         "trajectory.csv": "71a3ce609cb9cb4cd66d733d50f8c5390a13591d1266e2b8edcaaaef2f956a84",
@@ -79,7 +79,7 @@ GOLDEN = {
     "sodium-q2d-short": {
         "derived.json": "5d46c9eba5a2081cde7dde78c9c7268844a531ba921e2d43d41c475c30d247e3",
         "horizons.csv": "e62990d590b427a4842b8dbd2ba04f74a87c10827af2c031cff0f5f801adc84c",
-        "manifest.json": "56854cbce3efd7be525ee69186f559b4ba15eb3bb29ac51bda5bd8d2477146c8",
+        "manifest.json": "5081a8bd4da3e1a9e0b5b88d16050bb392acdf2da8a83f0ca6a2befcc9e3a80b",
         "report.json": "7bc709a86549dca88f26adcb1ed0706e81121bd0436c693d29f32c32432ea63e",
         "spectrum.csv": "16da8ba1c94bfc4f177a9d6c8330a85163ebf71350e8fe006ef53db941e8e9e8",
         "trajectory.csv": "6317c2920419f934c4a5bbec1cb680e43416b783172bf6610d8b0ee64dc501f1",

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from becosmo.constants import HBAR
-from becosmo.q2d import (bogoliubov_frequency, bogoliubov_mode, density_spectrum_2d,
+from becosmo.q2d import (bogoliubov_frequency, density_spectrum_2d,
                          spectrum_2d_grid, windowed_contrast)
 from becosmo.scenarios import PRESETS, config_from_dict, run
+
+from references import bogoliubov_mode
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,16 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
+from becosmo import scaling
 from becosmo.scaling import (LinearExpansion, NumericalError, analytic_scale_2d,
-                             integrate_scale_factor)
+                             analytic_scale_3d, integrate_scale_factor)
 from becosmo.condensate import natural_coupling, thomas_fermi
 from becosmo.geometry import conformal_factor
 from becosmo.scenarios import PRESETS, config_from_dict, run
@@ -45,7 +47,7 @@ class TestOdeRhs:
     @settings(max_examples=40, deadline=None)
     @given(omega0=st.floats(1e-2, 1e3), span=st.floats(1.0, 1e4))
     def test_3d_first_integral(self, omega0, span):
-        # the stepper on any free 3D run: bdot^2 = 2 omega0^2 (1 - b^-3) / 3
+        # the closed form on any free 3D run: bdot^2 = 2 omega0^2 (1 - b^-3) / 3
         traj = integrate_scale_factor(omega0, 3, t_max=span / omega0)
         b, bdot = traj.bs[1:], traj.bdots[1:]  # b = 1 at t = 0
         assert np.abs(bdot**2 / (2.0 * omega0**2 * (1.0 - b**-3.0) / 3.0) - 1.0).max() <= 1e-8
@@ -80,6 +82,112 @@ class TestAnalytic2d:
                 analytic_scale_2d(bad, W0_2D)
 
 
+def _beta_tail(b, a):
+    """40-digit x = omega0 t (a = -1/3) or omega0 clock (a = 5/12) at b of a
+    free 3D run: the integral of v^(a-1) (1-v)^(-1/2) from b^-3 to 1 over
+    3 sqrt(2/3), written with v = 1 - s^2 so that the integrand is smooth."""
+    with mpmath.workdps(40):
+        top = mpmath.sqrt(1 - mpmath.mpf(b) ** -3)
+        integral = mpmath.quad(lambda s: 2 * (1 - s * s) ** (a - 1), [0, top / 2, top])
+        return integral / (3 * mpmath.sqrt(mpmath.mpf(2) / 3))
+
+
+class TestAnalytic3d:
+    """The free 3D closed form: t(b) and the clock as incomplete Beta
+    integrals, and b(t) their inverse by Newton's method."""
+
+    # the bin edges of the series (b = 2^(1/3) and 10) and both sides of them
+    B_GRID = np.concatenate([np.geomspace(1.001, 1e6, 20),
+                             [2.0 ** (1.0 / 3.0), np.nextafter(2.0 ** (1.0 / 3.0), 2.0),
+                              np.nextafter(10.0, 0.0), 10.0]])
+
+    def test_time_and_clock_match_mpmath(self):
+        x, clock = scaling._release(self.B_GRID, clock=True)
+        for b, got_x, got_clock in zip(self.B_GRID, x, clock):
+            assert abs(got_x / _beta_tail(b, mpmath.mpf(-1) / 3) - 1) <= 2e-15
+            assert abs(got_clock / _beta_tail(b, mpmath.mpf(5) / 12) - 1) <= 2e-15
+
+    def test_inverse_round_trip(self):
+        # t(b(t)) = t wherever b carries t to a few ulps (b grows away from 1)
+        x = np.concatenate([np.linspace(1.0, 50.0, 2000), np.geomspace(50.0, 1e300, 2000)])
+        b = analytic_scale_3d(x, 1.0)[0]
+        assert np.abs(scaling._release(b)[0] / x - 1.0).max() <= 1e-15
+
+    def test_first_integral_and_release(self):
+        x = np.geomspace(1e-6, 1e6, 500)
+        b, bdot, clock = analytic_scale_3d(x / W0_3D, W0_3D)
+        # the first integral, away from b = 1 where the rounding of b is all of b - 1
+        alpha, late = W0_3D * math.sqrt(2.0 / 3.0), x >= 1.0
+        first = alpha * np.sqrt(-np.expm1(-3.0 * np.log(b[late])))
+        assert np.abs(bdot[late] / first - 1.0).max() <= 1e-14
+        # b = 1 + x^2/2, bdot = omega0 x and clock = t at release; b - 1 only
+        # where it is more than its own rounding
+        early = x < 1e-3
+        resolved = early & (x > 1e-4)
+        np.testing.assert_allclose(b[resolved] - 1.0, x[resolved] ** 2 / 2.0, rtol=1e-5)
+        np.testing.assert_allclose(bdot[early], W0_3D * x[early], rtol=1e-5)
+        np.testing.assert_allclose(clock[early], x[early] / W0_3D, rtol=1e-5)
+        assert analytic_scale_3d(0.0, W0_3D).tolist() == [1.0, 0.0, 0.0]
+
+    def test_scalar_is_its_array_element(self, traj3d):
+        # every bin, its edges and the overflow-safe tail, off the sample times
+        x = np.concatenate([[0.0, 1e-200, 1e-8, 0.3, scaling._X_HALF, 2.0,
+                             scaling._X_LATE, 40.0, 1e10, 1e300],
+                            np.random.default_rng(3).uniform(0.0, 5000.0, 60)])
+        table = analytic_scale_3d(x / W0_3D, W0_3D)
+        assert table.shape == (3, x.size) and np.all(np.isfinite(table))
+        for j, xj in enumerate(x):
+            assert analytic_scale_3d(xj / W0_3D, W0_3D).tolist() == table[:, j].tolist()
+        assert analytic_scale_3d(x / W0_3D, W0_3D, clock=False).tolist() == (
+            table[:2].tolist())
+        ts = x[x <= 5000.0] / W0_3D
+        for lookup, row in ((traj3d.b, 0), (traj3d.bdot, 1), (traj3d.clock, 2)):
+            values = lookup(ts)
+            assert values.tobytes() == analytic_scale_3d(ts, W0_3D)[row].tobytes()
+            assert [float(lookup(t)) for t in ts] == values.tolist()
+
+    def test_samples_are_the_closed_form(self, traj3d):
+        # the stored samples, which lookups at sample times read
+        table = analytic_scale_3d(traj3d.ts, W0_3D)
+        assert table.tobytes() == np.array([traj3d.bs, traj3d.bdots,
+                                            traj3d.clocks]).tobytes()
+
+    @pytest.mark.parametrize("factor", [1e-100, 1e-3, 7.3, 1e100])
+    def test_dimensional_scaling(self, factor):
+        # b depends on omega0 t alone: scaling omega0 at fixed t_max_omega0
+        # moves b by a few ulps (omega0 t itself moves by one or two), divides
+        # t by the factor and multiplies bdot by it
+        runs = [integrate_scale_factor(w0, 3, 5000.0 / w0, n_samples=400)
+                for w0 in (W0_3D, W0_3D * factor)]
+        ulps = np.abs(runs[1].bs - runs[0].bs) / np.spacing(runs[0].bs)
+        assert ulps.max() <= 8
+        np.testing.assert_allclose(runs[1].ts * factor, runs[0].ts, rtol=1e-15)
+        np.testing.assert_allclose(runs[1].bdots / factor, runs[0].bdots, rtol=1e-14)
+
+    @pytest.mark.parametrize("omega0", [1e-150, 1e-100, 1e-10, 1.0, 1e10, 1e100,
+                                        1e140, 1e150])
+    def test_any_frequency_and_span(self, omega0):
+        # a finite history or NumericalError, never another exception
+        for span in (1e-8, 1e-3, 1.0, 1e3, 1e10, 1e50):
+            try:
+                traj = integrate_scale_factor(omega0, 3, span / omega0, n_samples=50)
+            except NumericalError:
+                continue
+            rows = np.array([traj.bs, traj.bdots, traj.clocks])
+            assert np.all(np.isfinite(rows)) and traj.bs[-1] >= 1.0
+            assert np.isfinite(traj.horizon_integral(traj.ts)).all()
+
+    def test_unconverged_newton_is_a_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(scaling, "_NEWTON_CAP", 1)
+        with pytest.raises(NumericalError, match="did not converge"):
+            analytic_scale_3d(5.0, 1.0)
+
+    def test_rejects_bad_time(self):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-negative"):
+                analytic_scale_3d(bad, W0_3D)
+
+
 class TestTrajectory:
     def test_matches_closed_form(self, traj2d):
         # the 2D closed form against scipy's DOP853 on b'' = omega0^2/b^3,
@@ -110,16 +218,11 @@ class TestTrajectory:
             math.sqrt(2.0 / 3.0), abs=1e-4)
 
     def test_trap_on_is_static(self):
-        traj = integrate_scale_factor(W0_2D, 2, t_max=20.0 / W0_2D, tolerance=1e-10,
-                                      held=True)
+        traj = integrate_scale_factor(W0_2D, 2, t_max=20.0 / W0_2D, held=True)
         assert np.abs(traj.bs - 1.0).max() <= 1e-10
         assert np.abs(traj.bdots).max() <= 1e-8 * W0_2D
 
     def test_tolerance_domain(self):
-        with pytest.raises(ValueError):
-            integrate_scale_factor(W0_2D, 2, 1.0, tolerance=1e-3)
-        with pytest.raises(ValueError):
-            integrate_scale_factor(W0_2D, 2, 1.0, tolerance=1e-15)
         with pytest.raises(ValueError):
             integrate_scale_factor(W0_2D, 2, -1.0)
         with pytest.raises(ValueError):
@@ -142,14 +245,15 @@ class TestTrajectory:
                     lookup(bad)
 
     def test_overflow_is_a_numerical_error(self):
-        # the 3D stepper; the quasi-2D closed form is finite at any such span
+        # both closed forms are finite at any such span
         for span in (1e200, 1e300):
-            with pytest.raises(NumericalError, match="overflow"):
-                integrate_scale_factor(W0_3D, 3, t_max=span / W0_3D)
-        assert np.isfinite(integrate_scale_factor(W0_2D, 2, t_max=1e300 / W0_2D).bs).all()
+            for omega0, dimension in ((W0_2D, 2), (W0_3D, 3)):
+                traj = integrate_scale_factor(omega0, dimension, t_max=span / omega0)
+                assert np.isfinite(traj.bs).all()
         # at the top of the float range omega0 t itself overflows
-        with pytest.raises(NumericalError, match="overflow"):
-            integrate_scale_factor(3.0, 2, t_max=sys.float_info.max / 3.0)
+        for dimension in (2, 3):
+            with pytest.raises(NumericalError, match="overflow"):
+                integrate_scale_factor(3.0, dimension, t_max=sys.float_info.max / 3.0)
 
     def test_csv_export(self, traj2d, tmp_path):
         # The evolve stage repeats the traj2d integration and writes its
@@ -168,7 +272,7 @@ class TestTrajectory:
 
 
 class TestStepperReference:
-    """The 3D stepper and the quasi-2D and held closed forms against scipy's
+    """The free 3D, quasi-2D and held closed forms against scipy's
     DOP853 at rtol 2.3e-14 (just above its floor of 100 machine epsilons) on
     the same three channels, with the model written out here:
     b'' = omega0^2/b^(D+1), less omega0^2 b while the trap is held, and the
@@ -213,21 +317,6 @@ class TestStepperReference:
         for lookup, stored in ((traj.b, traj.bs), (traj.bdot, traj.bdots),
                                (traj.clock, traj.clocks)):
             assert lookup(traj.ts).tobytes() == stored.tobytes()
-        if name == "traj3d":
-            assert traj.method == "dormand-prince-5(4)"
-            assert traj.nfev > 6 * traj.steps > 0
-        else:
-            assert (traj.method, traj.rtol, traj.nfev, traj.steps) == (
-                "closed-form", None, 0, 0)
-
-    @pytest.mark.parametrize("dimension, held", [(2, False), (3, True)])
-    def test_closed_forms_ignore_tolerance(self, dimension, held):
-        # only the free 3D stepper reads the tolerance
-        runs = [integrate_scale_factor(W0_2D, dimension, t_max=200.0 / W0_2D,
-                                       tolerance=tolerance, held=held)
-                for tolerance in (1e-6, 1e-12)]
-        first, second = (np.array([r.bs, r.bdots, r.clocks]).tobytes() for r in runs)
-        assert first == second
 
 
 class TestProperTime:
@@ -250,15 +339,14 @@ class TestProperTime:
         # the remaining integral at release is the total proper time
         # pi/(2 omega0), exactly, whatever the span, and the elapsed clock
         # plus what remains closes to it at t_max
-        traj = integrate_scale_factor(W0_2D, 2, t_max=span / W0_2D, tolerance=1e-10)
+        traj = integrate_scale_factor(W0_2D, 2, t_max=span / W0_2D)
         total = math.pi / (2.0 * W0_2D)
         assert traj.horizon_integral(0.0) == pytest.approx(total, rel=1e-14)
         assert traj.clock(traj.t_max) + traj.horizon_integral(traj.t_max) == (
             pytest.approx(total, rel=1e-9))
 
     def test_static_background(self):
-        traj = integrate_scale_factor(W0_2D, 2, t_max=10.0 / W0_2D, tolerance=1e-10,
-                                      held=True)
+        traj = integrate_scale_factor(W0_2D, 2, t_max=10.0 / W0_2D, held=True)
         t = 5.0 / W0_2D
         assert traj.clock(t) == pytest.approx(t, rel=1e-10)
 
@@ -273,7 +361,7 @@ class TestProperTime:
             omega0 = spec.trap.longitudinal_frequency
             traj = integrate_scale_factor(
                 omega0, D, t_max=numeric.t_max_omega0 / omega0,
-                tolerance=numeric.ode_tolerance, n_samples=numeric.trajectory_samples)
+                n_samples=numeric.trajectory_samples)
             prefactor = 1.0
             if D == 3:
                 derived = thomas_fermi(spec)

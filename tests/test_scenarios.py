@@ -93,9 +93,9 @@ class TestLoading:
             config_from_dict(_preset_dict("sodium-q2d", analysis=["spectral"]))
         with pytest.raises(ConfigError):
             config_from_dict(_preset_dict("sodium-q2d", analysis=["spectrum-3d"]))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown field numeric.ode_tolerance"):
             config_from_dict(_preset_dict("sodium-q2d",
-                                          numeric={"ode_tolerance": 1.0}))
+                                          numeric={"ode_tolerance": 1e-10}))
         with pytest.raises(ConfigError):
             config_from_dict(_preset_dict(
                 "sodium-q2d", numeric={"kappa_min_per_m": 10.0}))
@@ -174,6 +174,7 @@ _BAD_INPUTS = {
     "unknown-condensate-key": ("sodium-q2d", "condensate.bare_coupling", 1.0),
     "unknown-expansion-key": ("sodium-q2d", "expansion", {"mode": "free", "rate": 1}),
     "unknown-numeric-key": ("sodium-q2d", "numeric", {"tolerance": 1e-10}),
+    "removed-ode-tolerance": ("rubidium-3d", "numeric.ode_tolerance", 1e-10),
     "unknown-species-key": ("sodium-q2d", "condensate.species",
                             {"name": "x", "mass_kg": 3.8e-26,
                              "scattering_length_m": 3e-9, "spin": 1}),
@@ -240,9 +241,8 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["complete"] is True
         assert manifest["failed_stage"] is None
-        # quasi-2D scales perfectly: nothing is integrated
-        assert manifest["solvers"]["scale_ode"] == {
-            "method": "closed-form", "rtol": None, "nfev": 0, "steps": 0}
+        # every background is closed form: there are no solver records
+        assert "solvers" not in manifest
         rows = {r["key"]: r for r in report.reference_comparison}
         assert rows["q2d.windowed_contrast"]["ratio"] == pytest.approx(1.0, abs=0.01)
         assert rows["q2d.transverse_width_m"]["ratio"] == pytest.approx(1.0, abs=0.01)
@@ -257,12 +257,7 @@ class TestRun:
     def test_rubidium_full_run(self, tmp_path):
         report = run(load_scenario("rubidium-3d"), tmp_path / "rb")
         manifest = json.loads((tmp_path / "rb" / "manifest.json").read_text())
-        solver = manifest["solvers"]["scale_ode"]
-        assert set(solver) == {"method", "rtol", "nfev", "steps"}
-        assert solver["method"] == "dormand-prince-5(4)"
-        assert 0.0 < solver["rtol"] < 1e-10
-        for count in (solver["nfev"], solver["steps"]):
-            assert isinstance(count, int) and count > 0
+        assert "solvers" not in manifest
         rows = {r["key"]: r for r in report.reference_comparison}
         assert rows["threed.thomas_fermi_radius_m"]["ratio"] == pytest.approx(
             1.0, abs=0.02)
@@ -573,8 +568,10 @@ class TestCli:
         assert report["warnings"] == []
 
     def test_overflow_is_a_named_numeric_failure(self, tmp_path, capsys):
+        # a 0.5 rad/s trap run for 1e308/omega0 overflows the span t_max
         data = _preset_dict("rubidium-3d")
-        data["numeric"]["t_max_omega0"] = 1e300
+        data["condensate"]["omega0_rad_per_s"] = 0.5
+        data["numeric"]["t_max_omega0"] = 1e308
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data))
         with warnings.catch_warnings(record=True) as caught:
@@ -585,9 +582,11 @@ class TestCli:
         assert "stage 'evolve' failed" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    def test_quasi_2d_span_at_1e300_completes(self, tmp_path):
-        # the closed form b = hypot(1, omega0 t) is finite at any valid span
-        data = _preset_dict("sodium-q2d")
+    @pytest.mark.parametrize("preset", ["sodium-q2d", "rubidium-3d"])
+    def test_span_at_1e300_completes(self, tmp_path, preset):
+        # the closed forms, b = hypot(1, omega0 t) and the 3D inverse of
+        # t(b), are finite at any valid span
+        data = _preset_dict(preset)
         data["numeric"]["t_max_omega0"] = 1e300
         path, out = tmp_path / "huge.json", tmp_path / "o"
         path.write_text(json.dumps(data))
@@ -651,7 +650,9 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["selftest"], ["nosuchverb"],
         ["derive", "--scenario", "sodium-q2d", "--kappa-points", "abc"],
-        ["derive"]], ids=["selftest", "unknown-verb", "bad-int", "no-scenario"])
+        ["derive"],
+        ["report", "--scenario", "rubidium-3d", "--tol", "1e-10"]],
+        ids=["selftest", "unknown-verb", "bad-int", "no-scenario", "removed-tol"])
     def test_usage_error_exits_one(self, tmp_path, capsys, argv):
         out = tmp_path / "never"
         assert main(argv + ["--out", str(out)]) == 1

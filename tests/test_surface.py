@@ -3,11 +3,11 @@
 A public function or class of a becosmo module must be used by the package
 itself (outside its own definition and the package exports), by the
 benchmark in bench/, or by the README. Otherwise only tests call it, and it
-is a dead helper. The one exception is a reference implementation that a
-test compares the package against; each is listed in ORACLES with that
-test. Likewise every field of a public dataclass must be read somewhere as
-.<field>, and every public attribute of a background (ScaleTrajectory,
-LinearExpansion) must be read by code outside its own class. The names the
+is a dead helper; a reference implementation that only tests compare the
+package against lives in tests/references.py. Likewise every field of a
+public dataclass must be read somewhere as .<field>, and every public
+attribute of a background (ScaleTrajectory, LinearExpansion) must be read by
+code outside its own class. The names the
 benchmark's tracer patches by name must exist where it looks them up.
 """
 
@@ -24,14 +24,6 @@ from becosmo.scaling import LinearExpansion, integrate_scale_factor
 
 ROOT = Path(__file__).parents[1]
 SRC = ROOT / "src" / "becosmo"
-
-# (name, the test that uses it as the reference)
-ORACLES = (
-    ("metric_components",
-     "tests/test_geometry.py::TestApparentHorizon::test_g00_vanishes_on_horizon"),
-    ("bogoliubov_mode",
-     "tests/test_q2d.py::TestQuantization::test_density_amplitude_gives_spectrum"),
-)
 
 
 def _public_names():
@@ -62,22 +54,9 @@ def _users(module: str, name: str) -> list[str]:
 
 
 def test_every_public_name_is_used():
-    oracles = {name for name, _ in ORACLES}
     unused = [f"{module}.{name}" for module, name in _public_names()
-              if name not in oracles and not _users(module, name)]
+              if not _users(module, name)]
     assert not unused, f"public names only tests use: {unused}"
-
-
-def test_oracles_are_test_references_only():
-    defined = {name: module for module, name in _public_names()}
-    for name, test in ORACLES:
-        # an oracle that gains a caller leaves the list
-        assert not _users(defined[name], name), name
-        path, _, node = test.partition("::")
-        function = node.rpartition("::")[2]
-        source = (ROOT / path).read_text()
-        body = source.split(f"def {function}(", 1)[1].split("\n    def ", 1)[0]
-        assert name in body, f"{test} does not use {name}"
 
 
 def _public_dataclasses():

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -340,6 +342,25 @@ class TestIntegrateMode:
         with pytest.raises(ValueError, match=match):
             integrate_mode(kappa, LinearExpansion(ALPHA), t_start, t_end)
 
+    def test_start_depth_is_capped(self, monkeypatch):
+        # a z = 1e9 start would lay out some 5e7 blocks; it is refused before
+        # any layout, at once and in little memory, naming z and the cap
+        monkeypatch.setattr(threed, "_solve_blocks", _no_solve)
+        kappa = 10.0
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ModeIntegrationError, match=r"z = 1e\+09 .* cap"):
+                integrate_mode(kappa, LinearExpansion(ALPHA), _deep_start(kappa, 1e9),
+                               freezing_time(kappa, ALPHA))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0 and peak < 1_000_000
+        # every depth the package, the golden modes and the benchmark use
+        # (z up to 2000) clears the cap with room to spare
+        assert threed._MAX_START_BLOCKS * threed._BLOCK_PHASE > 50 * 2000.0
+
     @pytest.mark.parametrize("tolerance", [0.0, -1e-10, math.nan])
     def test_rejects_nonpositive_tolerance(self, tolerance):
         kappa = 8.0
@@ -424,14 +445,14 @@ class TestIntegrateMode:
 
 
 class TestRealBackground:
-    """A mode evolved on the integrated 3D quartic b(t) (omega0 = c0 = 1),
+    """A mode evolved on the closed-form 3D quartic b(t) (omega0 = c0 = 1),
     started deep inside the horizon on the linear regime."""
     KAPPA = 6e4
 
     @pytest.fixture(scope="class")
     def trajectory(self):
         t_end = freezing_time(self.KAPPA, ALPHA)
-        return integrate_scale_factor(1.0, 3, 1.5 * t_end, tolerance=1e-11)
+        return integrate_scale_factor(1.0, 3, 1.5 * t_end)
 
     def test_frozen_value_matches_closed_form(self, trajectory):
         alpha = trajectory.asymptotic_velocity

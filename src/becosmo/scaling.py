@@ -135,20 +135,15 @@ def _clock_late(b, terms: int):
     return _CLOCK_B - r * np.sqrt(np.sqrt(r)) * _horner(_CLOCK_U[:terms], r * r * r)
 
 
-def _release(b, clock: bool = False):
-    """x = omega0 t at which a free 3D run reaches b >= 1, and with clock
-    also omega0 times the clock there: rows (x[, clock]), each shaped as b."""
+def _release(b):
+    """x = omega0 t at which a free 3D run reaches b >= 1, shaped as b."""
     flat = np.asarray(b, dtype=float).reshape(-1)
-    rows = np.empty((1 + clock, flat.size))
+    x = np.empty(flat.size)
     early, late = flat <= _B_HALF, flat >= _B_LATE
-    rows[0, early], w = _time_early(flat[early] - 1.0)
-    if clock:
-        rows[1, early] = _clock_early(w)
+    x[early] = _time_early(flat[early] - 1.0)[0]
     for i, terms in ((~early & ~late, _U_TERMS), (late, _U_TERMS_LATE)):
-        rows[0, i] = _time_late(flat[i], terms)[0]
-        if clock:
-            rows[1, i] = _clock_late(flat[i], terms)
-    return rows.reshape((1 + clock,) + np.shape(b))
+        x[i] = _time_late(flat[i], terms)[0]
+    return x.reshape(np.shape(b))
 
 
 # Newton's method on x(b): a step under _NEWTON_TOL z leaves an error of
@@ -177,13 +172,13 @@ def _newton(evaluate, x, z):
                          f"at omega0 t = {x[active[0]]!r}")
 
 
-_X_HALF, _X_LATE = _release(np.array([_B_HALF, _B_LATE]))[0].tolist()
+_X_HALF, _X_LATE = _release(np.array([_B_HALF, _B_LATE])).tolist()
 
 
-def analytic_scale_3d(t, omega0: float, clock: bool = True):
+def analytic_scale_3d(t, omega0: float):
     """Closed-form free expansion of the quartic 3D case: (b, bdot, clock)
     at times t, shaped (3,) for a scalar time and (3, n) for n times as
-    analytic_scale_2d; clock=False leaves the clock row out.
+    analytic_scale_2d.
 
     b inverts x(b), x = omega0 t, by Newton's method: on y = b - 1 from
     x^2/2 - x^4/6 + 19 x^6/180 while u >= 1/2, and on b from
@@ -195,14 +190,13 @@ def analytic_scale_3d(t, omega0: float, clock: bool = True):
     if not np.all((x >= 0.0) & (x < math.inf)):
         raise ValueError("t must be non-negative, with omega0 t finite")
     flat = x.reshape(-1)
-    rows = np.empty((3 if clock else 2, flat.size))   # b, w (bdot), omega0 clock
+    rows = np.empty((3, flat.size))   # b, w (bdot), omega0 clock
     i = np.flatnonzero(flat < _X_HALF)
     if i.size:
         x2 = flat[i] ** 2
         y = _newton(_time_early, flat[i], x2 * (0.5 - x2 * (1 / 6 - 19 / 180 * x2)))
         rows[0, i], rows[1, i] = 1.0 + y, _early_w(y)
-        if clock:
-            rows[2, i] = _clock_early(rows[1, i])
+        rows[2, i] = _clock_early(rows[1, i])
     for i, terms in ((np.flatnonzero((flat >= _X_HALF) & (flat < _X_LATE)), _U_TERMS),
                      (np.flatnonzero(flat >= _X_LATE), _U_TERMS_LATE)):
         if not i.size:
@@ -212,13 +206,10 @@ def analytic_scale_3d(t, omega0: float, clock: bool = True):
         b = _newton(lambda b: _time_late(b, terms), flat[i],
                     c + inverse**2 * (0.25 - inverse**3 / 20.0))
         r = 1.0 / b
-        rows[0, i], rows[1, i] = b, 1.0 - r * r * r
-        if clock:
-            rows[2, i] = _clock_late(b, terms)
+        rows[0, i], rows[1, i], rows[2, i] = b, 1.0 - r * r * r, _clock_late(b, terms)
     rows[1] = omega0 * _A0 * np.sqrt(rows[1])
-    if clock:
-        rows[2] /= omega0
-    return rows.reshape(rows.shape[:1] + x.shape)
+    rows[2] /= omega0
+    return rows.reshape((3,) + x.shape)
 
 
 # A free run counts as linear once bdot is within this fraction of alpha:
@@ -229,10 +220,10 @@ _LINEAR_TOL = 1e-3
 class ScaleTrajectory:
     """Expansion history in closed form; immutable once constructed.
 
-    dense(t, clock) gives the rows (b, bdot, clock) at times t, the clock row
-    only if clock is true, and time_of(b) the time at which the history
-    reaches b. The lookups b(t), bdot(t) and the co-moving clock integral
-    take a scalar or an array of times within [0, t_max]; the stored samples
+    dense(t) gives the rows (b, bdot, clock) at times t, and time_of(b) the
+    time at which the history reaches b. The lookups b(t), bdot(t) and the
+    co-moving clock integral take a scalar or an array of times within
+    [0, t_max]; the stored samples
     at ts are the same lookup, so a lookup whose times are all sample times
     (the horizons stage reads ts[1:]) reads them instead.
     asymptotic_velocity is the model constant alpha = omega0 sqrt(2/D) of a
@@ -248,7 +239,7 @@ class ScaleTrajectory:
         self.t_max = float(ts[-1])
         self._dense, self._time_of = dense, time_of
         self.ts, self.dimension = ts, dimension
-        self._samples = dense(ts, True)
+        self._samples = dense(ts)
         self.bs, self.bdots, self.clocks = self._samples
         self.asymptotic_velocity = alpha
         self.linear_offset = None
@@ -268,33 +259,33 @@ class ScaleTrajectory:
         inside it, both from one dense evaluation."""
         self._check_range([t0, t1])
         dense = self._dense
-        return lambda t: dense(t, False)[:2]
+        return lambda t: dense(t)[:2]
 
-    def _lookup(self, t, clock: bool):
+    def _lookup(self, t):
         """The rows at times t: the stored samples when every time is a sample
         time, which the dense form gives bit for bit, else the dense form."""
         t = self._check_range(t)
         i = np.minimum(np.searchsorted(self.ts, t), self.ts.size - 1)
         if np.array_equal(self.ts[i], t):
             return self._samples[:, i]
-        return self._dense(t, clock)
+        return self._dense(t)
 
     def b(self, t):
-        return self._lookup(t, False)[0]
+        return self._lookup(t)[0]
 
     def bdot(self, t):
-        return self._lookup(t, False)[1]
+        return self._lookup(t)[1]
 
     def clock(self, t):
         """Co-moving clock integral of b^q from 0 to t (prefactor-free)."""
-        return self._lookup(t, True)[2]
+        return self._lookup(t)[2]
 
     def horizon_integral(self, t):
         """Integral of b^-s from t to inf, s = 1 + D/2, in closed form."""
         alpha, D = self.asymptotic_velocity, self.dimension
         if alpha == 0.0:
             return np.full_like(self._check_range(t), math.inf)[()]
-        u = np.float_power(self._lookup(t, False)[0], -D / 2.0)
+        u = np.float_power(self._lookup(t)[0], -D / 2.0)
         return 2.0 / (D * alpha) * np.arcsin(u)
 
     def time_at(self, b):
@@ -319,14 +310,15 @@ def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
     # the first integral bdot^2 = alpha^2 (1 - b^-D) of a free run
     alpha = 0.0 if held else omega0 * math.sqrt(2.0 / dimension)
     if held:
-        dense, time_of = (lambda t, clock: _held_trap(t),
+        dense, time_of = (_held_trap,
                           lambda b: np.full_like(b, math.inf)[()])
     elif dimension == 2:
-        dense, time_of = (lambda t, clock: analytic_scale_2d(t, omega0),
-                          lambda b: np.sqrt((b - 1.0) * (b + 1.0)) / omega0)
+        # sqrt(b^2 - 1) as two roots, so that b past 1e154 does not overflow
+        dense, time_of = (lambda t: analytic_scale_2d(t, omega0),
+                          lambda b: np.sqrt(b - 1.0) * np.sqrt(b + 1.0) / omega0)
     else:
-        dense, time_of = (lambda t, clock: analytic_scale_3d(t, omega0, clock),
-                          lambda b: _release(b)[0] / omega0)
+        dense, time_of = (lambda t: analytic_scale_3d(t, omega0),
+                          lambda b: _release(b) / omega0)
     try:
         # the top of the float range overflows the samples or omega0 t
         with np.errstate(over="raise", invalid="raise"):

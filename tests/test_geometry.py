@@ -235,6 +235,19 @@ class TestHorizonCrossing:
         reach = particle_horizon(traj, times, c0) * kappas / (2.0 * math.pi)
         assert np.abs(reach - 1.0).max() <= 1e-13
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_crossing_far_past_float_square_root(self, dimension):
+        # b_c = 1e200 on a run to omega0 t = 1e300: sqrt(b_c^2 - 1) would
+        # overflow, yet the crossing lies well inside the run
+        traj = integrate_scale_factor(W0_2D, dimension, 1e300 / W0_2D, n_samples=50)
+        c0 = 1.0
+        alpha = traj.asymptotic_velocity
+        kappa = math.pi * dimension * alpha / (c0 * math.asin(1e-200 ** (dimension / 2.0)))
+        t_c = horizon_crossing_time(kappa, traj, c0)
+        assert 1e199 / W0_2D < t_c < 1e201 / W0_2D
+        reach = particle_horizon(traj, t_c, c0) * kappa / (2.0 * math.pi)
+        assert abs(reach - 1.0) <= 1e-13
+
     def test_rejects_nonpositive_kappa(self, traj2d):
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):

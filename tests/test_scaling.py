@@ -102,8 +102,15 @@ class TestAnalytic3d:
                               np.nextafter(10.0, 0.0), 10.0]])
 
     def test_time_and_clock_match_mpmath(self):
-        x, clock = scaling._release(self.B_GRID, clock=True)
-        for b, got_x, got_clock in zip(self.B_GRID, x, clock):
+        b = self.B_GRID
+        x = scaling._release(b)
+        # the clock series on the bins analytic_scale_3d picks for each b
+        clock = np.where(b <= scaling._B_HALF,
+                         scaling._clock_early(scaling._early_w(b - 1.0)),
+                         np.where(b >= scaling._B_LATE,
+                                  scaling._clock_late(b, scaling._U_TERMS_LATE),
+                                  scaling._clock_late(b, scaling._U_TERMS)))
+        for b, got_x, got_clock in zip(b, x, clock):
             assert abs(got_x / _beta_tail(b, mpmath.mpf(-1) / 3) - 1) <= 2e-15
             assert abs(got_clock / _beta_tail(b, mpmath.mpf(5) / 12) - 1) <= 2e-15
 
@@ -111,7 +118,7 @@ class TestAnalytic3d:
         # t(b(t)) = t wherever b carries t to a few ulps (b grows away from 1)
         x = np.concatenate([np.linspace(1.0, 50.0, 2000), np.geomspace(50.0, 1e300, 2000)])
         b = analytic_scale_3d(x, 1.0)[0]
-        assert np.abs(scaling._release(b)[0] / x - 1.0).max() <= 1e-15
+        assert np.abs(scaling._release(b) / x - 1.0).max() <= 1e-15
 
     def test_first_integral_and_release(self):
         x = np.geomspace(1e-6, 1e6, 500)
@@ -138,8 +145,6 @@ class TestAnalytic3d:
         assert table.shape == (3, x.size) and np.all(np.isfinite(table))
         for j, xj in enumerate(x):
             assert analytic_scale_3d(xj / W0_3D, W0_3D).tolist() == table[:, j].tolist()
-        assert analytic_scale_3d(x / W0_3D, W0_3D, clock=False).tolist() == (
-            table[:2].tolist())
         ts = x[x <= 5000.0] / W0_3D
         for lookup, row in ((traj3d.b, 0), (traj3d.bdot, 1), (traj3d.clock, 2)):
             values = lookup(ts)

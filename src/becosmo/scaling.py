@@ -173,6 +173,10 @@ def _newton(evaluate, x, z):
 
 
 _X_HALF, _X_LATE = _release(np.array([_B_HALF, _B_LATE])).tolist()
+# Below this x the first omitted Taylor terms of b = 1 + x^2/2, bdot/omega0 =
+# x - 2 x^3/3 and omega0 clock = x - 3 x^3/8 are under half an ulp, while
+# y = b - 1 is still far from subnormal (it would underflow below x ~ 1e-162).
+_X_TINY = 2.0**-27
 
 
 def analytic_scale_3d(t, omega0: float):
@@ -183,7 +187,9 @@ def analytic_scale_3d(t, omega0: float):
     b inverts x(b), x = omega0 t, by Newton's method: on y = b - 1 from
     x^2/2 - x^4/6 + 19 x^6/180 while u >= 1/2, and on b from
     c + 1/(4 c^2) - 1/(20 c^5), c = a0 x - B(-1/3, 1/2)/3, after that.
-    bdot = alpha sqrt(1 - b^-3). Every element is computed on its own, so a
+    bdot = alpha sqrt(1 - b^-3). Below x = 2^-27, where the next Taylor
+    terms are under half an ulp, (b, bdot, clock) = (1, omega0 x, x/omega0)
+    as in analytic_scale_2d. Every element is computed on its own, so a
     scalar time gives its array element bit for bit.
     """
     x = omega0 * np.asarray(t, dtype=float)
@@ -191,7 +197,10 @@ def analytic_scale_3d(t, omega0: float):
         raise ValueError("t must be non-negative, with omega0 t finite")
     flat = x.reshape(-1)
     rows = np.empty((3, flat.size))   # b, w (bdot), omega0 clock
-    i = np.flatnonzero(flat < _X_HALF)
+    tiny = np.flatnonzero(flat < _X_TINY)
+    # w = 0 keeps the square root below defined; bdot = omega0 x comes after it
+    rows[0, tiny], rows[1, tiny], rows[2, tiny] = 1.0, 0.0, flat[tiny]
+    i = np.flatnonzero((flat >= _X_TINY) & (flat < _X_HALF))
     if i.size:
         x2 = flat[i] ** 2
         y = _newton(_time_early, flat[i], x2 * (0.5 - x2 * (1 / 6 - 19 / 180 * x2)))
@@ -208,6 +217,7 @@ def analytic_scale_3d(t, omega0: float):
         r = 1.0 / b
         rows[0, i], rows[1, i], rows[2, i] = b, 1.0 - r * r * r, _clock_late(b, terms)
     rows[1] = omega0 * _A0 * np.sqrt(rows[1])
+    rows[1, tiny] = omega0 * flat[tiny]
     rows[2] /= omega0
     return rows.reshape((3,) + x.shape)
 

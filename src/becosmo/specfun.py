@@ -11,21 +11,26 @@ hankel1 (= J + iY) is the one kernel, with two branches:
 Its real and imaginary parts are J_nu and Y_nu. It takes a scalar or an
 array x (every element checked: positive and finite) and returns a NumPy
 scalar or an array of x's shape, a scalar call bit for bit the element an
-array call gives; nu is a scalar. Derivatives follow from the order
-recurrence dH_nu/dx = H_(nu-1) - (nu/x) H_nu, which is how the 3D mode
-solution in threed uses them.
+array call gives. nu is one order, or a 1-D sequence of orders that adds a
+leading order axis, each row bit for bit the one-order call: the series
+runs once over the interleaved orders (nu_1, -nu_1, nu_2, -nu_2, ...), and
+the asymptotic expansion once with the orders broadcast against the
+arguments. Derivatives follow from the order recurrence
+dH_nu/dx = H_(nu-1) - (nu/x) H_nu, which is how the 3D mode solution in
+threed uses them: H_{2/3} and H_{-1/3} from one call.
 
 The series stops early for each argument, and returns bit for bit what the
 full sum of _SERIES_TERMS terms would. Its terms are made in chunks of
 _SERIES_CHUNK by a running product, and each is added to a running sum in
 turn, in the order of the full sum; the leading 1 is added after the terms.
-After each chunk an argument stops once, for both orders, its last term is
+After each chunk an argument stops once, for every order, its last term is
 below eps/4 of its running sum (eps of np.longdouble). That is under half an
 ulp of the sum, so adding the term cannot change it. For x < X_SWITCH and
 nu > -2 the ratio of consecutive terms, (x/2)^2 / (k (k + nu)), is below
 36/48 from k = 8 on, so every later term is smaller still and cannot change
-the sum either. Small x, where a few terms reach extended precision, costs
-one chunk instead of the whole sum.
+the sum either, and an argument that waits on another order keeps its bits.
+Small x, where a few terms reach extended precision, costs one chunk
+instead of the whole sum.
 
 Guaranteed relative accuracy is 1e-10 for x in [1e-3, 100] away from zeros
 of J_nu and Y_nu; both branches remain usable outside that range.
@@ -91,19 +96,24 @@ def _series_j(orders, x: np.ndarray) -> np.ndarray:
     return (pref * (1 + sums)).astype(float)
 
 
-def _hankel1_series(nu: float, x: np.ndarray) -> np.ndarray:
-    """H^(1)_nu = J_nu + i Y_nu from the series of J_nu and J_-nu."""
-    j_pos, j_neg = _series_j((nu, -nu), x)
-    s, c = math.sin(nu * math.pi), math.cos(nu * math.pi)
+def _hankel1_series(orders: list, x: np.ndarray) -> np.ndarray:
+    """H^(1)_nu = J_nu + i Y_nu for each nu in orders, from one series pass
+    over the interleaved orders (nu_1, -nu_1, nu_2, -nu_2, ...)."""
+    j = _series_j([v for nu in orders for v in (nu, -nu)], x)
+    j_pos, j_neg = j[0::2], j[1::2]
+    s = np.array([math.sin(nu * math.pi) for nu in orders])[:, None]
+    c = np.array([math.cos(nu * math.pi) for nu in orders])[:, None]
     return j_pos + 1j * ((j_pos * c - j_neg) / s)
 
 
-def _hankel1_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
-    """Large-argument expansion of H^(1)_nu, truncated before its smallest term."""
-    k = np.arange(1, _ASYMPTOTIC_TERMS)[:, None]
+def _hankel1_asymptotic(orders: list, x: np.ndarray) -> np.ndarray:
+    """Large-argument expansion of H^(1)_nu for each nu in orders, truncated
+    before its smallest term: terms, orders and arguments on axes 0, 1, 2."""
+    nu = np.array(orders)[:, None]
+    k = np.arange(1, _ASYMPTOTIC_TERMS)[:, None, None]
     terms = np.cumprod((4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k * x), axis=0)
     size = np.abs(terms)
-    previous = np.vstack([np.full((1, x.size), math.inf), size[:-1]])
+    previous = np.vstack([np.full((1,) + size.shape[1:], math.inf), size[:-1]])
     shrinking = np.logical_and.accumulate(size < previous, axis=0)
     phase = np.array([1j, -1.0, -1j, 1.0])[(k - 1) % 4]     # i^k
     # cumsum adds row by row for any number of arguments; numpy's sum would
@@ -113,22 +123,32 @@ def _hankel1_asymptotic(nu: float, x: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 / (math.pi * x)) * (np.cos(chi) + 1j * np.sin(chi)) * total
 
 
-def hankel1(nu: float, x):
+def hankel1(nu, x):
     """H^(1)_nu = J_nu + i Y_nu: the series below X_SWITCH, the asymptotic
-    expansion from it up."""
-    nu = float(nu)
-    if not -2.0 < nu < 2.0:
-        raise ValueError(f"order nu={nu} outside supported range (-2, 2)")
-    if abs(nu - round(nu)) < _INTEGER_EPS:
-        raise ValueError(f"integer order nu={nu} not supported (logarithmic branch)")
+    expansion from it up.
+
+    nu is one order, or a 1-D sequence of orders that puts them on a leading
+    axis: the result then has shape (len(nu),) + x.shape, and row i is bit
+    for bit hankel1(nu[i], x). Every order must lie in (-2, 2) and be
+    non-integer."""
+    orders = np.asarray(nu, dtype=float)
+    if orders.ndim > 1 or orders.size == 0:
+        raise ValueError(f"nu must be one order or a non-empty 1-D sequence, "
+                         f"not shape {orders.shape}")
+    orders = orders.reshape(-1).tolist()
+    for v in orders:
+        if not -2.0 < v < 2.0:
+            raise ValueError(f"order nu={v} outside supported range (-2, 2)")
+        if abs(v - round(v)) < _INTEGER_EPS:
+            raise ValueError(f"integer order nu={v} not supported (logarithmic branch)")
     x = np.asarray(x, dtype=float)
     valid = (x > 0.0) & (x < math.inf)
     if not valid.all():
         raise ValueError(f"x={x[~valid][0]} must be positive and finite")
     low = x < X_SWITCH
-    out = np.empty(x.shape, dtype=complex)
+    out = np.empty((len(orders),) + x.shape, dtype=complex)
     if low.any():
-        out[low] = _hankel1_series(nu, x[low])
+        out[:, low] = _hankel1_series(orders, x[low])
     if not low.all():
-        out[~low] = _hankel1_asymptotic(nu, x[~low])
-    return out[()]
+        out[:, ~low] = _hankel1_asymptotic(orders, x[~low])
+    return out.reshape(np.shape(nu) + x.shape)[()]

@@ -22,12 +22,12 @@ Everything here is hydrodynamic: quoted spectra apply to wavelengths far
 above the healing length, enforced through the kappa_max band edge.
 
 The basis solution (1/t) H^(1)_{2/3}(z) and its time derivative come from
-_basis_pair on specfun.hankel1; H^(2) is their complex conjugate, and the
-Gamma factors are math.gamma. _basis_pair, frozen_phase_variance and
-density_spectrum_3d take a scalar or an array for t or kappa (every element
-checked) and return a NumPy scalar or an array. The module computes only;
-the run pipeline in scenarios writes the closed form on the linear
-asymptote to spectrum.csv.
+_basis_pair, one specfun.hankel1 call on the orders (2/3, -1/3); H^(2) is
+their complex conjugate, and the Gamma factors are math.gamma.
+_basis_pair, frozen_phase_variance and density_spectrum_3d take a scalar or
+an array for t or kappa (every element checked) and return a NumPy scalar
+or an array. The module computes only; the run pipeline in scenarios writes
+the closed form on the linear asymptote to spectrum.csv.
 
 integrate_mode evolves a single mode with numpy only: the equation is
 linear with smooth coefficients, so each block of a few oscillations is one
@@ -129,8 +129,9 @@ def _positive_times(t) -> np.ndarray:
 
 
 def _basis_pair(kappa: float, t, alpha: float, c0: float):
-    """(1/t) H^(1)_{2/3}(z(t)) and its time derivative from one z and two
-    Hankel evaluations: dH^(1)_nu/dz = H^(1)_{nu-1} - (nu/z) H^(1)_nu.
+    """(1/t) H^(1)_{2/3}(z(t)) and its time derivative from one z and one
+    Hankel call on the orders (2/3, -1/3), through the recurrence
+    dH^(1)_nu/dz = H^(1)_{nu-1} - (nu/z) H^(1)_nu.
 
     kappa must be positive and finite, t non-empty and positive, and every
     z(t) finite and positive."""
@@ -145,8 +146,8 @@ def _basis_pair(kappa: float, t, alpha: float, c0: float):
     if not valid.all():
         raise ValueError(f"t={t[~valid][0]} gives a Hankel argument "
                          f"z={z[~valid][0]} that is not positive and finite")
-    h1 = specfun.hankel1(_NU, z)
-    dh1 = specfun.hankel1(_NU - 1.0, z) - (_NU / z) * h1
+    h1, h0 = specfun.hankel1((_NU, _NU - 1.0), z)
+    dh1 = h0 - (_NU / z) * h1
     zdot = -1.5 * z / t
     return (h1 / t)[()], (-h1 / t**2 + dh1 * zdot / t)[()]
 

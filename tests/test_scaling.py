@@ -138,7 +138,8 @@ class TestAnalytic3d:
 
     def test_scalar_is_its_array_element(self, traj3d):
         # every bin, its edges and the overflow-safe tail, off the sample times
-        x = np.concatenate([[0.0, 1e-200, 1e-8, 0.3, scaling._X_HALF, 2.0,
+        x = np.concatenate([[0.0, 1e-200, 1e-170, np.nextafter(scaling._X_TINY, 0.0),
+                             scaling._X_TINY, 1e-8, 0.3, scaling._X_HALF, 2.0,
                              scaling._X_LATE, 40.0, 1e10, 1e300],
                             np.random.default_rng(3).uniform(0.0, 5000.0, 60)])
         table = analytic_scale_3d(x / W0_3D, W0_3D)
@@ -150,6 +151,27 @@ class TestAnalytic3d:
             values = lookup(ts)
             assert values.tobytes() == analytic_scale_3d(ts, W0_3D)[row].tobytes()
             assert [float(lookup(t)) for t in ts] == values.tolist()
+
+    @pytest.mark.parametrize("x", [1e-160, 1e-170, 1e-300, 5e-324])
+    @pytest.mark.parametrize("omega0", [1.0, 0.5])
+    def test_tiny_times(self, x, omega0):
+        # b = 1, bdot = omega0 x and clock = t below _X_TINY, where the
+        # Newton variable y = b - 1 would go subnormal or underflow to 0
+        b, bdot, clock = analytic_scale_3d(x / omega0, omega0)
+        assert b == 1.0
+        assert abs(bdot / omega0 - x) <= np.spacing(x)
+        assert abs(omega0 * clock - x) <= np.spacing(x)
+
+    def test_tiny_time_threshold(self):
+        # the Taylor bin below _X_TINY and the Newton bin above it meet to
+        # 2 ulps in every row, each within an ulp or two of (1, x, x)
+        above = scaling._X_TINY
+        below = np.nextafter(above, 0.0)
+        rows = analytic_scale_3d(np.array([below, above]), 1.0)
+        assert rows[0].tolist() == [1.0, 1.0]
+        for row in rows[1:]:
+            assert abs(row[1] - row[0]) <= 2 * np.spacing(below)
+            assert np.all(np.abs(row - [below, above]) <= 2 * np.spacing(below))
 
     def test_samples_are_the_closed_form(self, traj3d):
         # the stored samples, which lookups at sample times read

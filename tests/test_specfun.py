@@ -247,3 +247,50 @@ class TestMpmathOracle:
         assert np.max(np.abs(h1 - ref) / scale) <= 1e-10
         assert np.max(np.abs(h1.real - ref.real) / scale) <= 1e-10
         assert np.max(np.abs(h1.imag - ref.imag) / scale) <= 1e-10
+
+
+class TestOrderAxis:
+    """A sequence of orders puts them on a leading axis; each row is bit for
+    bit the one-order call, on either branch."""
+
+    ORDERS = (2 / 3, -1 / 3)
+
+    def _assert_rows(self, orders, x):
+        h1 = sf.hankel1(orders, x)
+        assert h1.shape == (len(orders),) + np.shape(x)
+        for row, nu in zip(h1, orders):
+            assert np.array_equal(row, sf.hankel1(nu, x))
+
+    def test_rows_match_one_order_calls(self):
+        # both branches, unsorted, with repeats; 12.9 and 12.83 are the
+        # arguments where a pairwise asymptotic sum would move the last bit
+        xs = np.array([[11.9, 1e-6, 80.0, 0.5, 12.9],
+                       [0.01, 12.1, 3.0, 11.9, 12.83],
+                       [7.3, 0.01, 1e-6, 25.0, 12.9]])
+        self._assert_rows(self.ORDERS, xs)
+        for x in (0.5, 12.83, 40.0):
+            self._assert_rows(self.ORDERS, x)
+        empty = sf.hankel1(self.ORDERS, np.empty((0, 3)))
+        assert empty.shape == (2, 0, 3)
+        assert empty.dtype == complex
+
+    @settings(max_examples=150, deadline=None)
+    @given(orders=st.lists(st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True)
+                           .filter(lambda v: abs(v - round(v)) > 1e-6),
+                           min_size=1, max_size=4),
+           xs=hnp.arrays(float, st.integers(1, 40), elements=st.floats(1e-100, 1e4)))
+    def test_rows_match_one_order_calls_property(self, orders, xs):
+        self._assert_rows(orders, xs)
+
+    @pytest.mark.parametrize("bad, match", [
+        (1.0, "integer order nu=1.0"), (-1.0, "integer order nu=-1.0"),
+        (2.5, "order nu=2.5 outside"), (-2.0, "order nu=-2.0 outside")])
+    def test_rejects_one_bad_order(self, bad, match):
+        for x in (0.5, np.array([0.5, 30.0])):
+            with pytest.raises(ValueError, match=match):
+                sf.hankel1((2 / 3, bad, -1 / 3), x)
+
+    @pytest.mark.parametrize("nu", [(), [[2 / 3, -1 / 3]], np.full((2, 1), 0.5)])
+    def test_rejects_empty_or_2d_orders(self, nu):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            sf.hankel1(nu, 1.0)

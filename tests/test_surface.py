@@ -139,3 +139,21 @@ def test_bench_result_hooks_name_functions():
         if not (inspect.isfunction(defined) and defined.__module__ == owner.__name__):
             missing.append(f"{module}.{function}")
     assert not missing, f"functions the bench result hooks name are gone: {missing}"
+
+
+def test_no_module_imports_scipy():
+    # the package runs on numpy and the standard library; scipy is for tests
+    # and the bench only. Each module is parsed, not imported, so an import
+    # inside a function or a branch counts too
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {module}" for module in modules
+                          if module.split(".")[0] == "scipy"]
+    assert not offenders, f"modules under src/ that import scipy: {offenders}"

@@ -150,6 +150,31 @@ class TestAnalyticMode:
         assert np.max(np.abs(w - expected)) <= 1e-10 * abs(expected)
         assert np.max(np.abs(norm**2 * w - 1j * coupling)) <= 1e-10 * coupling
 
+    def test_one_hankel_call_per_basis_pair(self, monkeypatch):
+        # H_{2/3} and H_{-1/3} come from one call on an order axis: one per
+        # _basis_pair, so one per analytic_evolution and one for the start
+        # of integrate_mode
+        calls = []
+        original = threed.specfun.hankel1
+
+        def counted(nu, x):
+            calls.append(nu)
+            return original(nu, x)
+
+        monkeypatch.setattr(threed.specfun, "hankel1", counted)
+        kappa = 4.0
+        times = np.geomspace(_deep_start(kappa), freezing_time(kappa, ALPHA), 30)
+        _basis_pair(kappa, times, ALPHA, 1.0)
+        _basis_pair(kappa, float(times[0]), ALPHA, 1.0)
+        assert len(calls) == 2
+        calls.clear()
+        analytic_evolution(kappa, times, ALPHA)
+        assert len(calls) == 1
+        calls.clear()
+        integrate_mode(kappa, LinearExpansion(ALPHA), float(times[0]),
+                       float(times[-1]), tolerance=1e-11)
+        assert len(calls) == 1
+
 
 class TestIntegrateMode:
     @pytest.mark.parametrize("kappa", [1.0, 8.0, 60.0])
@@ -392,6 +417,26 @@ class TestIntegrateMode:
             evo = integrate_mode(kappa, bg, _deep_start(kappa, depth),
                                  freezing_time(kappa, ALPHA), tolerance=tolerance)
             assert 0 < evo.nfev <= ceiling
+
+    def test_accepted_blocks_meet_both_tail_bounds(self, monkeypatch):
+        # the GOLDEN_MODES start kappa = 1, z = 180 at tolerance 1e-12 has a
+        # block whose phi tail passes and whose phi' tail is 1.65 times its
+        # bound, so accepting on phi alone would keep that block unhalved
+        solved = []
+
+        def kept(*args):
+            edges, values, nfev = original(*args)
+            solved.append((args[4], args[5], values))
+            return edges, values, nfev
+
+        original = threed._solve_blocks
+        monkeypatch.setattr(threed, "_solve_blocks", kept)
+        integrate_mode(1.0, LinearExpansion(ALPHA), _deep_start(1.0, 180.0),
+                       freezing_time(1.0, ALPHA), tolerance=1e-12)
+        [(tolerance, atol, values)] = solved
+        size = np.abs(values @ threed._TO_COEFS.T)
+        tail = size[..., -threed._TAIL_COEFS:].max(axis=-1)
+        assert np.all(tail <= tolerance * size.max(axis=-1) + atol)
 
     @settings(max_examples=30, deadline=None)
     @given(kappa=st.floats(1.0, 100.0), depth=st.floats(180.0, 600.0))

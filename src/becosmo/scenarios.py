@@ -18,7 +18,6 @@ through Python's own %.12e.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
@@ -302,7 +301,8 @@ class RunReport:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # shallow: the JSON encoder only reads the lists and dicts
+        return dict(vars(self))
 
 
 def _comparison_row(key: str, computed: float, note: str | None = None) -> dict:

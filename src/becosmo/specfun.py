@@ -30,7 +30,9 @@ nu > -2 the ratio of consecutive terms, (x/2)^2 / (k (k + nu)), is below
 36/48 from k = 8 on, so every later term is smaller still and cannot change
 the sum either, and an argument that waits on another order keeps its bits.
 Small x, where a few terms reach extended precision, costs one chunk
-instead of the whole sum.
+instead of the whole sum, and the loop ends with its last live argument.
+The asymptotic expansion takes its term tables ((2k - 1)^2, 8k and i^k)
+from the module, built once at import.
 
 Guaranteed relative accuracy is 1e-10 for x in [1e-3, 100] away from zeros
 of J_nu and Y_nu; both branches remain usable outside that range.
@@ -57,8 +59,13 @@ _SERIES_CHUNK = 8
 # A term below this fraction of the running sum is under half its ulp.
 _SERIES_STOP = np.finfo(_LD).eps / 4
 _K = np.arange(1, _SERIES_TERMS, dtype=_LD)[:, None, None]
-# Terms tried by the asymptotic expansion, which stops at its smallest term.
+# Terms tried by the asymptotic expansion, which stops at its smallest term,
+# and its tables: (2k - 1)^2, 8k and the phase i^k of term k.
 _ASYMPTOTIC_TERMS = 60
+_ASYMPTOTIC_K = np.arange(1, _ASYMPTOTIC_TERMS)[:, None, None]
+_ODD_SQUARES = ((2 * _ASYMPTOTIC_K - 1) ** 2).astype(float)
+_EIGHT_K = 8.0 * _ASYMPTOTIC_K
+_PHASES = np.array([1j, -1.0, -1j, 1.0])[(_ASYMPTOTIC_K - 1) % 4]
 
 
 def _series_j(orders, x: np.ndarray) -> np.ndarray:
@@ -81,7 +88,9 @@ def _series_j(orders, x: np.ndarray) -> np.ndarray:
         k = _K[start:start + _SERIES_CHUNK]
         # row 0 carries the previous terms into the product, then the
         # running sums into the accumulation
-        chunk = np.concatenate((term[None], step / (k * (nu + k))))
+        chunk = np.empty((k.shape[0] + 1,) + term.shape, dtype=_LD)
+        chunk[0] = term
+        np.divide(step, k * (nu + k), out=chunk[1:])
         np.cumprod(chunk, axis=0, out=chunk)
         term = chunk[-1].copy()
         chunk[0] = total
@@ -92,6 +101,8 @@ def _series_j(orders, x: np.ndarray) -> np.ndarray:
             keep = ~done
             live, step = live[keep], step[keep]
             term, total = term[:, keep], total[:, keep]
+            if not live.size:
+                break
     sums[:, live] = total
     return (pref * (1 + sums)).astype(float)
 
@@ -110,15 +121,15 @@ def _hankel1_asymptotic(orders: list, x: np.ndarray) -> np.ndarray:
     """Large-argument expansion of H^(1)_nu for each nu in orders, truncated
     before its smallest term: terms, orders and arguments on axes 0, 1, 2."""
     nu = np.array(orders)[:, None]
-    k = np.arange(1, _ASYMPTOTIC_TERMS)[:, None, None]
-    terms = np.cumprod((4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k * x), axis=0)
+    terms = np.cumprod((4.0 * nu * nu - _ODD_SQUARES) / (_EIGHT_K * x), axis=0)
     size = np.abs(terms)
-    previous = np.vstack([np.full((1,) + size.shape[1:], math.inf), size[:-1]])
-    shrinking = np.logical_and.accumulate(size < previous, axis=0)
-    phase = np.array([1j, -1.0, -1j, 1.0])[(k - 1) % 4]     # i^k
+    shrinking = np.empty(size.shape, dtype=bool)
+    shrinking[0] = True                     # the first term always counts
+    np.less(size[1:], size[:-1], out=shrinking[1:])
+    np.logical_and.accumulate(shrinking, axis=0, out=shrinking)
     # cumsum adds row by row for any number of arguments; numpy's sum would
     # add a single argument's terms pairwise, off by a bit from an array call
-    total = 1.0 + np.cumsum(phase * np.where(shrinking, terms, 0.0), axis=0)[-1]
+    total = 1.0 + np.cumsum(_PHASES * np.where(shrinking, terms, 0.0), axis=0)[-1]
     chi = x - nu * (math.pi / 2.0) - math.pi / 4.0
     return np.sqrt(2.0 / (math.pi * x)) * (np.cos(chi) + 1j * np.sin(chi)) * total
 

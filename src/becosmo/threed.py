@@ -89,6 +89,7 @@ def _chebyshev_lobatto(degree: int):
 
 _NODES, _BARY, _TO_COEFS, _INTEGRATE = _chebyshev_lobatto(_CHEB_DEGREE)
 _INTEGRATE_TWICE = _INTEGRATE @ _INTEGRATE
+_IDENTITY = np.eye(_CHEB_DEGREE + 1)
 
 
 class ModeIntegrationError(RuntimeError):
@@ -225,8 +226,10 @@ def _propagators(kappa: float, expansion, lo: np.ndarray, hi: np.ndarray,
     b, bdot = expansion(nodes.ravel())
     c_phi = mode_ode_rhs(1.0, 0.0, kappa, b, bdot, c0).reshape(nodes.shape)
     c_phidot = mode_ode_rhs(0.0, 1.0, kappa, b, bdot, c0).reshape(nodes.shape)
-    system = (np.eye(_CHEB_DEGREE + 1) - (half * c_phidot)[..., None] * _INTEGRATE
-              - (half**2 * c_phi)[..., None] * _INTEGRATE_TWICE)
+    # I - (h/2) c' Q - (h/2)^2 c Q^2 in one buffer, in that order (same bits)
+    system = np.multiply((half * c_phidot)[..., None], _INTEGRATE)
+    np.subtract(_IDENTITY, system, out=system)
+    system -= (half**2 * c_phi)[..., None] * _INTEGRATE_TWICE
     sigma = np.linalg.solve(system, np.stack([c_phi, c_phidot + c_phi * ramp],
                                              axis=-1)).swapaxes(1, 2)
     half = half[..., None]

@@ -3,7 +3,9 @@
 metric_components writes out the acoustic metric whose g00 = 0 surface the
 apparent horizon is, and bogoliubov_mode the quantized trapped-cloud phonon
 whose density amplitude gives the quasi-2D spectrum. The package computes
-both results in closed form and needs neither.
+both results in closed form and needs neither. collocation_propagators
+assembles the block systems of the mode solver as written on paper, which
+the package does in one buffer.
 """
 
 import math
@@ -13,6 +15,8 @@ import numpy as np
 
 from becosmo.constants import HBAR
 from becosmo.q2d import bogoliubov_frequency
+from becosmo.threed import (_CHEB_DEGREE, _INTEGRATE, _INTEGRATE_TWICE,
+                            _NODES, mode_ode_rhs)
 
 
 def metric_components(conformal: float, sound_speed: float, velocity):
@@ -67,3 +71,28 @@ def bogoliubov_mode(k: float, mu: float, m: float, rho0: float,
         phase_amplitude=math.sqrt(stiffness / (2.0 * omega)),
         density_amplitude=math.sqrt(omega / (2.0 * stiffness)),
     )
+
+
+def collocation_propagators(kappa: float, expansion, lo, hi, c0: float):
+    """threed._propagators with the textbook assembly of each block system,
+    np.eye(33) - (h/2) c_phi' Q - (h/2)^2 c_phi Q^2, then np.linalg.solve:
+    node values of (phi, phi') on the blocks [lo, hi] for the unit starts
+    (1, 0) and (0, 1), shape (blocks, phi or phi', start, node)."""
+    half = 0.5 * (hi - lo)[:, None]
+    ramp = (_NODES + 1.0) * half
+    nodes = lo[:, None] + ramp
+    nodes[:, -1] = hi
+    b, bdot = expansion(nodes.ravel())
+    c_phi = mode_ode_rhs(1.0, 0.0, kappa, b, bdot, c0).reshape(nodes.shape)
+    c_phidot = mode_ode_rhs(0.0, 1.0, kappa, b, bdot, c0).reshape(nodes.shape)
+    system = (np.eye(_CHEB_DEGREE + 1) - (half * c_phidot)[..., None] * _INTEGRATE
+              - (half**2 * c_phi)[..., None] * _INTEGRATE_TWICE)
+    sigma = np.linalg.solve(system, np.stack([c_phi, c_phidot + c_phi * ramp],
+                                             axis=-1)).swapaxes(1, 2)
+    half = half[..., None]
+    phi = half**2 * (sigma @ _INTEGRATE_TWICE.T)
+    phi[:, 0] += 1.0
+    phi[:, 1] += ramp
+    phidot = half * (sigma @ _INTEGRATE.T)
+    phidot[:, 1] += 1.0
+    return np.stack([phi, phidot], axis=1)

@@ -207,6 +207,26 @@ def _full_series_hankel1(nu, x):
     return j_pos + 1j * ((j_pos * c - j_neg) / s)
 
 
+def _full_asymptotic_hankel1(nu, x):
+    """H^(1)_nu for x >= X_SWITCH as the expansion was first written: a term
+    index made per call, a row of inf stacked on for the shrink test and a
+    complex cumsum over all 59 terms. nu is one order or a 1-D sequence of
+    them, as in hankel1; the module's term tables must give these bits."""
+    nu_axis = np.array(nu, dtype=float).reshape(-1)[:, None]
+    x = np.asarray(x, dtype=float)
+    k = np.arange(1, 60)[:, None, None]
+    terms = np.cumprod((4.0 * nu_axis * nu_axis - (2 * k - 1) ** 2) / (8.0 * k * x),
+                       axis=0)
+    size = np.abs(terms)
+    previous = np.vstack([np.full((1,) + size.shape[1:], math.inf), size[:-1]])
+    shrinking = np.logical_and.accumulate(size < previous, axis=0)
+    phase = np.array([1j, -1.0, -1j, 1.0])[(k - 1) % 4]
+    total = 1.0 + np.cumsum(phase * np.where(shrinking, terms, 0.0), axis=0)[-1]
+    chi = x - nu_axis * (math.pi / 2.0) - math.pi / 4.0
+    h1 = np.sqrt(2.0 / (math.pi * x)) * (np.cos(chi) + 1j * np.sin(chi)) * total
+    return h1.reshape(np.shape(nu) + x.shape)
+
+
 class TestSeriesStop:
     """The series stops early per order and argument, bit for bit the full sum."""
 
@@ -222,6 +242,26 @@ class TestSeriesStop:
                          elements=st.floats(1e-100, sf.X_SWITCH, exclude_max=True)))
     def test_matches_full_series(self, nu, xs):
         assert np.array_equal(sf.hankel1(nu, xs), _full_series_hankel1(nu, xs))
+
+
+class TestAsymptoticTables:
+    """The asymptotic expansion from the module's term tables, bit for bit
+    the expansion that builds them on every call."""
+
+    @pytest.mark.parametrize("nu", [1 / 3, 2 / 3, -1 / 3, -2 / 3])
+    def test_matches_per_call_tables_on_dense_grid(self, nu):
+        xs = np.geomspace(sf.X_SWITCH, 1e4, 5000)
+        assert np.array_equal(sf.hankel1(nu, xs), _full_asymptotic_hankel1(nu, xs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(orders=st.lists(st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True)
+                           .filter(lambda v: abs(v - round(v)) > 1e-6),
+                           min_size=1, max_size=4),
+           xs=hnp.arrays(float, st.integers(1, 40),
+                         elements=st.floats(sf.X_SWITCH, 1e300)))
+    def test_matches_per_call_tables(self, orders, xs):
+        assert np.array_equal(sf.hankel1(orders, xs),
+                              _full_asymptotic_hankel1(orders, xs))
 
 
 class TestMpmathOracle:

@@ -26,6 +26,7 @@ from becosmo.threed import (ModeIntegrationError, _basis_pair,
                             max_contrast_estimate, mode_normalization,
                             mode_ode_rhs, spectrum_3d_grid)
 from becosmo.scenarios import PRESETS, config_from_dict, run
+from references import collocation_propagators
 
 ALPHA = math.sqrt(2.0 / 3.0)   # natural units, omega0 = 1
 
@@ -437,6 +438,43 @@ class TestIntegrateMode:
         size = np.abs(values @ threed._TO_COEFS.T)
         tail = size[..., -threed._TAIL_COEFS:].max(axis=-1)
         assert np.all(tail <= tolerance * size.max(axis=-1) + atol)
+
+    @pytest.mark.parametrize("kappa, depth", [(1.0, 180.0), (10.0, 320.0),
+                                              (100.0, 600.0)])
+    def test_propagators_match_textbook_assembly(self, kappa, depth):
+        # the block layouts of the GOLDEN_MODES starts, against the block
+        # systems built from np.eye and separate temporaries
+        bg = LinearExpansion(ALPHA)
+        t_start, t_end = _deep_start(kappa, depth), freezing_time(kappa, ALPHA)
+        edges = threed._block_edges(kappa, ALPHA, bg.linear_offset, t_start,
+                                    t_end, 1.0)
+        expansion = bg.expansion_on(t_start, t_end)
+        lo, hi = edges[:-1], edges[1:]
+        assert threed._propagators(kappa, expansion, lo, hi, 1.0).tobytes() == (
+            collocation_propagators(kappa, expansion, lo, hi, 1.0).tobytes())
+
+    @pytest.mark.parametrize("kappa, depth", [(1.0, 180.0), (10.0, 320.0),
+                                              (37.0, 600.0)])
+    def test_batches_change_no_bit(self, kappa, depth, monkeypatch):
+        # batches of 7 blocks split every first round in several solves
+        bg = LinearExpansion(ALPHA)
+        args = (kappa, bg, _deep_start(kappa, depth), freezing_time(kappa, ALPHA))
+        whole = integrate_mode(*args, tolerance=1e-12)
+        assert threed._block_edges(kappa, ALPHA, bg.linear_offset, *args[2:],
+                                   1.0).size - 1 > 7
+        sizes = []
+
+        def counted(kappa, expansion, lo, hi, c0):
+            sizes.append(lo.size)
+            return original(kappa, expansion, lo, hi, c0)
+
+        original = threed._propagators
+        monkeypatch.setattr(threed, "_propagators", counted)
+        monkeypatch.setattr(threed, "_BATCH_BLOCKS", 7)
+        batched = integrate_mode(*args, tolerance=1e-12)
+        assert max(sizes) == 7
+        assert (batched.phi.tobytes(), batched.phidot.tobytes(), batched.nfev) == (
+            whole.phi.tobytes(), whole.phidot.tobytes(), whole.nfev)
 
     @settings(max_examples=30, deadline=None)
     @given(kappa=st.floats(1.0, 100.0), depth=st.floats(180.0, 600.0))

@@ -74,9 +74,10 @@ def _held_trap(t):
 # of b (b itself for x), so that a b beyond 1e102 does not underflow u into
 # 0^(-1/3). The series variable is at most 1/2, and the term counts keep the
 # first omitted term under 1e-17 of the sum: 50 in w, 44 in u, and 5 once u
-# is below 1e-3 (b above 10).
+# is below 1e-3 (b above 10). _horner sums Newton's few samples in Python floats.
 _A0 = math.sqrt(2.0 / 3.0)
 _W_TERMS, _U_TERMS, _U_TERMS_LATE = 50, 44, 5
+_FEW_SAMPLES = 16
 _B_HALF, _B_LATE = 2.0 ** (1.0 / 3.0), 10.0    # b at u = 1/2 and u = 1e-3
 
 
@@ -99,6 +100,16 @@ _CLOCK_W, _CLOCK_U, _CLOCK_B = _beta_series(5.0 / 12.0)
 
 
 def _horner(coefs, z):
+    """sum_k coefs[k] z^k for a 1-D z, a few samples in Python floats (numpy
+    costs two calls per term); both paths round alike, sample by sample."""
+    if z.size <= _FEW_SAMPLES:
+        coefs, totals = coefs[::-1].tolist(), []
+        for v in z.tolist():
+            total = coefs[0]
+            for c in coefs[1:]:
+                total = total * v + c
+            totals.append(total)
+        return np.array(totals)
     total = np.full_like(z, coefs[-1])
     for c in coefs[-2::-1]:
         total *= z

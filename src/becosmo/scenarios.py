@@ -12,8 +12,9 @@ report.json, depending on the analyses (pipeline stages, see STAGES) requested.
 This module is the only one that writes files: the physics modules return
 arrays, and _write_csv and _write_json fix the two file formats. _write_csv
 formats whole columns in numpy, writes exactly the bytes of %.12e and flags
-as 0/1; values the longdouble scaling cannot round with certainty go
-through Python's own %.12e.
+as 0/1; values the longdouble scaling cannot round with certainty go through
+Python's own %.12e. _write_json writes the bytes of json.dumps(indent=2,
+sort_keys=True) and a newline by its own recursion.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -314,10 +316,37 @@ def _comparison_row(key: str, computed: float, note: str | None = None) -> dict:
     return row
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), built by
+    this recursion instead of json's slower pure-Python indenting encoder."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or value is True or value is False:
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value - value == 0.0:  # NaN - NaN and inf - inf are NaN
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items, brackets = [_json_text(item, inner) for item in value], "[]"
+    elif isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        items, brackets = [_encode_str(key) + ": " + _json_text(value[key], inner)
+                           for key in sorted(value)], "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    """Strict JSON: a NaN or infinite value raises ValueError."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
+    """Strict JSON: NaN or inf raises ValueError, another type TypeError."""
+    path.write_bytes(_json_text(payload).encode() + b"\n")
 
 
 # Tables of the float formatter, built with array arithmetic at import. A
@@ -356,28 +385,30 @@ def _format_floats(x: np.ndarray) -> np.ndarray:
         mantissa = a * _POW10[352 - e]  # |x| / 10**(e - 12)
         digits = mantissa.astype(np.int64)
         off = np.flatnonzero((digits < 10**12) | (digits >= 10**13))  # log10 near 10**e
-        e[off] += np.where(digits[off] < 10**12, -1, 1)
-        mantissa[off] = a[off] * _POW10[352 - e[off]]
-        digits[off] = mantissa[off].astype(np.int64)
+        if off.size:
+            e[off] += np.where(digits[off] < 10**12, -1, 1)
+            mantissa[off] = a[off] * _POW10[352 - e[off]]
+            digits[off] = mantissa[off].astype(np.int64)
         fraction = (mantissa - digits).astype(np.float64)
     exact = ~special & (np.abs(fraction - 0.5) > _WINDOW) & np.isfinite(fraction)
     digits += fraction > 0.5
-    digits[~exact] = 10**12  # a placeholder: Python formats these rows below
+    fallback = np.flatnonzero(~exact)
+    digits[fallback] = 10**12  # a placeholder: Python formats these rows below
     carry = digits == 10**13  # 9.9999999999995 rounds up to 1.000000000000e+01
     digits[carry] = 10**12
     e += carry
-    high = digits // 10**8  # the lead digit and the next four
-    low = digits - high * 10**8
-    lead, mid = high // 10**4, low // 10**4
+    high, low = np.divmod(digits, 10**8)  # the lead digit and the next four
+    lead, high = np.divmod(high, 10**4)
+    mid, low = np.divmod(low, 10**4)
     out = np.empty((len(x), 6), "<u4")
     out[:, 0] = 0x2E3000 + (lead << 8) + ord("-") * np.signbit(x)  # "-", "0" + lead, "."
-    out[:, 1] = _DIGITS4[high - lead * 10**4]
+    out[:, 1] = _DIGITS4[high]
     out[:, 2] = _DIGITS4[mid]
-    out[:, 3] = _DIGITS4[low - mid * 10**4]
+    out[:, 3] = _DIGITS4[low]
     out.view("<u8")[:, 2] = _EXPONENT[e + 324]
-    fallback = np.flatnonzero(~exact)
-    out[fallback] = np.array([b"%.12e" % v for v in x[fallback].tolist()],
-                             dtype="S24").view("<u4").reshape(-1, 6)
+    if fallback.size:
+        out[fallback] = np.array([b"%.12e" % v for v in x[fallback].tolist()],
+                                 dtype="S24").view("<u4").reshape(-1, 6)
     return out
 
 
@@ -395,13 +426,11 @@ def _write_csv(path: Path, columns: dict, infinite: tuple[str, ...] = ()) -> Non
             ok |= a == math.inf
         if not ok.all():
             raise ValueError(f"{path.name}: column {name} holds a non-finite value")
-    rows = len(arrays[0])
-    real = np.array([a.dtype.kind != "b" for a in arrays])
-    reals = np.array([a for a, is_real in zip(arrays, real) if is_real], np.float64)
-    table = np.empty((rows, len(arrays), 6), "<u4")
-    table[:, real] = _format_floats(reals.T.ravel()).reshape(rows, len(reals), 6)
-    for i in np.flatnonzero(~real):  # a flag: the word of b"0" or b"1"
-        table[:, i] = 0
+    flags = [i for i, a in enumerate(arrays) if a.dtype.kind == "b"]
+    reals = np.stack([a for a in arrays if a.dtype.kind != "b"], axis=1, dtype=np.float64)
+    table = _format_floats(reals.ravel()).reshape(reals.shape + (6,))
+    for i in flags:  # a flag: the word of b"0" or b"1"
+        table = np.insert(table, i, 0, axis=1)
         table[:, i, 0] = 48 + arrays[i]
     cells = table.view(np.uint8)
     cells[:, :, 23] = ord(",")

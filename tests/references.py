@@ -5,7 +5,9 @@ apparent horizon is, and bogoliubov_mode the quantized trapped-cloud phonon
 whose density amplitude gives the quasi-2D spectrum. The package computes
 both results in closed form and needs neither. collocation_propagators
 assembles the block systems of the mode solver as written on paper, which
-the package does in one buffer.
+the package does in one buffer. horner sums a power series by two numpy
+calls per term on any number of samples, where the package sums a few
+samples in Python floats.
 """
 
 import math
@@ -96,3 +98,13 @@ def collocation_propagators(kappa: float, expansion, lo, hi, c0: float):
     phidot = half * (sigma @ _INTEGRATE.T)
     phidot[:, 1] += 1.0
     return np.stack([phi, phidot], axis=1)
+
+
+def horner(coefs, z):
+    """sum_k coefs[k] z^k by Horner's rule, one numpy multiply and one add
+    per term over all of z at once."""
+    total = np.full_like(z, coefs[-1])
+    for c in coefs[-2::-1]:
+        total *= z
+        total += c
+    return total

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from becosmo.condensate import natural_coupling, thomas_fermi
 from becosmo.geometry import conformal_factor
 from becosmo.scenarios import PRESETS, config_from_dict, run
 
+from references import horner
 from conftest import W0_2D, W0_3D
 
 
@@ -213,6 +215,63 @@ class TestAnalytic3d:
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="non-negative"):
                 analytic_scale_3d(bad, W0_3D)
+
+
+class TestSeriesSum:
+    """The free 3D series are summed in Python floats for a few samples and
+    in numpy for more; horner (tests/references.py), numpy throughout, is
+    the textbook sum both must equal bit for bit."""
+
+    SERIES = {"time w": scaling._TIME_W, "time u": scaling._TIME_U,
+              "time u, late": scaling._TIME_U[:scaling._U_TERMS_LATE],
+              "clock w": scaling._CLOCK_W, "clock u": scaling._CLOCK_U,
+              "clock u, late": scaling._CLOCK_U[:scaling._U_TERMS_LATE]}
+
+    @pytest.mark.parametrize("name", SERIES)
+    def test_every_size_is_the_textbook_sum(self, name):
+        # both sides of _FEW_SAMPLES, over the series variable's range [0, 1/2]
+        coefs, rng = self.SERIES[name], np.random.default_rng(11)
+        for n in range(2 * scaling._FEW_SAMPLES + 3):
+            z = np.concatenate([[0.0, 0.5, 5e-324][:n], rng.uniform(0.0, 0.5, max(n - 3, 0))])
+            assert scaling._horner(coefs, z).tobytes() == horner(coefs, z).tobytes()
+
+    def test_dense_grid_is_the_textbook_sum(self, monkeypatch):
+        # 0 ulps in b, bdot and the clock over the early and middle bins and
+        # across the late edge, for the whole grid and for single samples
+        x = np.concatenate([np.geomspace(1e-6, 11.69, 20000),
+                            np.linspace(scaling._X_LATE - 1.0, scaling._X_LATE + 1.0, 500)])
+        new = analytic_scale_3d(x, 1.0)
+        single = np.array([analytic_scale_3d(xj, 1.0) for xj in x[::97]]).T
+        monkeypatch.setattr(scaling, "_horner", horner)
+        textbook = analytic_scale_3d(x, 1.0)
+        assert new.tobytes() == textbook.tobytes()
+        assert single.tobytes() == textbook[:, ::97].tobytes()
+
+    def test_scalar_is_its_array_element_at_the_bin_edges(self):
+        # more middle-bin samples than _FEW_SAMPLES, so that the array and the
+        # scalars take different paths through the sum
+        edges = [scaling._X_HALF, scaling._X_LATE]
+        x = np.concatenate([np.linspace(0.5, 12.0, 40), edges,
+                            np.nextafter(edges, 0.0), np.nextafter(edges, math.inf)])
+        table = analytic_scale_3d(x, 1.0)
+        assert np.sum((x >= edges[0]) & (x < edges[1])) > scaling._FEW_SAMPLES
+        for j, xj in enumerate(x):
+            assert analytic_scale_3d(xj, 1.0).tobytes() == table[:, j].tobytes()
+
+    def test_memory_does_not_grow(self, monkeypatch):
+        # a 1e6-sample run inside the early and middle bins peaks at about
+        # 131 MB under tracemalloc with either sum
+        def peak():
+            tracemalloc.start()
+            try:
+                integrate_scale_factor(1.0, 3, 11.0, n_samples=1_000_000)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        new = peak()
+        monkeypatch.setattr(scaling, "_horner", horner)
+        assert new <= 1.25 * peak()
 
 
 class TestTrajectory:

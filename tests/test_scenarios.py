@@ -684,6 +684,57 @@ class TestDeterminism:
         assert report_a == report_b
 
 
+# Keys and strings any JSON file may hold: quotes, backslashes, control
+# characters and non-ASCII text among them.
+_JSON_TEXT = st.one_of(st.text(max_size=8),
+                       st.sampled_from(['"', "\\", "\n", "\x00\x1f\x7f", "é", "☃",
+                                        "\U0001f600", '"\\"', "\ud800"]))
+_JSON_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308,
+                                          1e308, 1.7976931348623157e308, 1e16, 0.1]))
+_JSON_VALUES = st.recursive(
+    st.one_of(_JSON_TEXT, st.integers(), _JSON_FLOATS, _JSON_FLOATS.map(np.float64),
+              st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=25)
+
+
+def _json_written(payload) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "payload.json"
+        scenarios._write_json(path, payload)
+        return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=6))
+def test_write_json_is_json_dumps(payload):
+    expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert _json_written(payload) == expected.encode()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+@pytest.mark.parametrize("depth", range(4))
+def test_write_json_rejects_non_finite(value, depth, tmp_path):
+    payload = {"a": 1.0, "z": value}
+    for _ in range(depth):  # inside a tuple in a list in a dict, depth times
+        payload = {"b": [0.5, (payload,)]}
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        scenarios._write_json(path, payload)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("payload", [{"v": {1.0, 2.0}}, {"v": [np.int64(3)]},
+                                     {"v": {"w": {1: "one"}}}])
+def test_write_json_rejects_other_types(payload, tmp_path):
+    path = tmp_path / "bad.json"
+    with pytest.raises(TypeError):
+        scenarios._write_json(path, payload)
+    assert not path.exists()
+
+
 def test_write_csv_format(tmp_path):
     path = tmp_path / "table.csv"
     scenarios._write_csv(path, {"x_m": np.array([0.5, -1.0e-20, math.inf]),
@@ -702,6 +753,12 @@ def test_write_csv_format(tmp_path):
     flags = values > 0.0
     scenarios._write_csv(path, {"v": values, "f": flags}, infinite=("v",))
     expected = "v,f\n" + "".join(f"{v:.12e},{int(f)}\n" for v, f in zip(values, flags))
+    assert path.read_bytes() == expected.encode()
+    # flags before, between and after the real columns
+    scenarios._write_csv(path, {"f": flags, "v": values, "g": ~flags, "w": values[::-1],
+                                "h": flags}, infinite=("v", "w"))
+    expected = "f,v,g,w,h\n" + "".join(f"{int(f)},{v:.12e},{int(not f)},{w:.12e},{int(f)}\n"
+                                       for v, w, f in zip(values, values[::-1], flags))
     assert path.read_bytes() == expected.encode()
 
     # NaN and -inf never, +inf only in a declared column; nothing is written

@@ -157,3 +157,24 @@ def test_no_module_imports_scipy():
             offenders += [f"{path.name}:{node.lineno} {module}" for module in modules
                           if module.split(".")[0] == "scipy"]
     assert not offenders, f"modules under src/ that import scipy: {offenders}"
+
+
+def test_one_json_writer():
+    # every JSON file goes through scenarios._write_json, which builds the
+    # bytes of json.dumps(indent=2, sort_keys=True) itself; a json.dump or
+    # json.dumps call, or either name imported from json, would be a second
+    # writer
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner, names = node.func.value, [node.func.attr]
+                if not (isinstance(owner, ast.Name) and owner.id == "json"):
+                    continue
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} json.{name}" for name in names
+                          if name in ("dump", "dumps")]
+    assert not offenders, f"JSON written outside scenarios._write_json: {offenders}"

@@ -22,6 +22,6 @@ from .scenarios import (PRESETS, ConfigError, RunReport, ScenarioConfig,
                         StageError, load_scenario, run)
 from .threed import (FrozenSpectrum3D, ModeEvolution, density_spectrum_3d,
                      frozen_phase_variance, integrate_mode, kappa_band_edge,
-                     max_contrast_estimate, mode_ode_rhs)
+                     max_contrast_estimate)
 
 __version__ = "0.1.0"

@@ -84,6 +84,16 @@ class ScenarioConfig:
     numeric: NumericSettings = field(default_factory=NumericSettings)
 
     def __post_init__(self):
+        # The Thomas-Fermi state depends on the input alone, so it is checked here.
+        try:
+            state = vars(thomas_fermi(self.condensate)).values()
+            finite = all(0.0 < value < math.inf for value in state if value is not None)
+        except ArithmeticError:  # so degenerate that it divides by zero
+            finite = False
+        if not finite:
+            raise ConfigError(f"condensate.atom_number {self.condensate.atom_number:g} and "
+                              "the trap give a Thomas-Fermi state that is not finite and "
+                              "positive")
         if self.expansion_mode not in ("free", "hold"):
             raise ConfigError("expansion.mode must be 'free' or 'hold', "
                               f"got {self.expansion_mode!r}")
@@ -240,15 +250,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         raise
     except (KeyError, ValueError) as exc:  # the condensate types' own checks
         raise ConfigError(f"condensate: {exc}") from exc
-    # The Thomas-Fermi state depends on the input alone, so it is checked here.
-    try:
-        state = vars(thomas_fermi(condensate)).values()
-        finite = all(0.0 < value < math.inf for value in state if value is not None)
-    except ArithmeticError:  # so degenerate that it divides by zero
-        finite = False
-    if not finite:
-        raise ConfigError(f"condensate.atom_number {condensate.atom_number:g} and the "
-                          "trap give a Thomas-Fermi state that is not finite and positive")
     expansion = _section(data.get("expansion", {}), "expansion")
     numeric = NumericSettings(**_section(data.get("numeric", {}), "numeric"))
     return ScenarioConfig(name=_require(data, "name", "scenario"), condensate=condensate,

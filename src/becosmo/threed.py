@@ -12,6 +12,10 @@ b = alpha t the equation is solved exactly by (1/t) H^(1,2)_{2/3}(z) with
 z = (2/3) (c0 kappa / alpha^(5/2)) t^(-3/2), and z is proportional to the
 remaining co-moving proper time.
 
+c0 enters the equation and its Hankel vacuum only as c0 kappa, so the mode
+engine works in c0 = 1 units, where kappa stands for c0 kappa; the closed-form
+spectra take c0 as an argument.
+
 Normalization: the positive-frequency member (early-time e^{-i omega tau}
 behaviour, the H^(1) branch) carries the per-volume prefactor
 sqrt(pi g / (6 alpha^3)) fixed by the canonical commutator through the
@@ -96,14 +100,20 @@ class ModeIntegrationError(RuntimeError):
     """Mode integration could not be started or did not converge."""
 
 
-def hankel_argument(kappa: float, t: float, alpha: float, c0: float = 1.0) -> float:
-    """z(t) = (2/3) c0 kappa alpha^(-5/2) t^(-3/2) on the linear background."""
-    return (2.0 / 3.0) * c0 * kappa * alpha ** (-2.5) * np.float_power(t, -1.5)
+def _check_positive(**values) -> None:
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name}={value} must be positive and finite")
 
 
-def adiabatic_frequency(kappa: float, b: float, c0: float = 1.0) -> float:
-    """Instantaneous mode frequency omega_ad = c0 kappa / b^(5/2)."""
-    return c0 * kappa / b**2.5
+def hankel_argument(kappa: float, t: float, alpha: float) -> float:
+    """z(t) = (2/3) kappa alpha^(-5/2) t^(-3/2) on the linear background."""
+    return (2.0 / 3.0) * kappa * alpha ** (-2.5) * np.float_power(t, -1.5)
+
+
+def adiabatic_frequency(kappa: float, b: float) -> float:
+    """Instantaneous mode frequency omega_ad = kappa / b^(5/2)."""
+    return kappa / b**2.5
 
 
 def mode_normalization(coupling: float, alpha: float) -> float:
@@ -116,33 +126,25 @@ def mode_normalization(coupling: float, alpha: float) -> float:
     return math.sqrt(math.pi * coupling / (6.0 * alpha**3))
 
 
-def mode_ode_rhs(phi: complex, phidot: complex, kappa: float, b: float,
-                 bdot: float, c0: float = 1.0) -> complex:
-    """Acceleration of the co-moving phase mode on a background (b, bdot)."""
-    return -3.0 * (bdot / b) * phidot - c0**2 * kappa**2 / b**5 * phi
+def mode_coefficients(kappa: float, b, bdot):
+    """The mode equation phi'' = c_phi phi + c_phi' phi' on a background
+    (b, bdot): returns (c_phi, c_phi') = (-kappa^2/b^5, -3 bdot/b)."""
+    return -kappa**2 / b**5, -3.0 * (bdot / b)
 
 
-def _positive_times(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("t must be positive on the linear background")
-    return t
-
-
-def _basis_pair(kappa: float, t, alpha: float, c0: float):
+def _basis_pair(kappa: float, t, alpha: float):
     """(1/t) H^(1)_{2/3}(z(t)) and its time derivative from one z and one
     Hankel call on the orders (2/3, -1/3), through the recurrence
     dH^(1)_nu/dz = H^(1)_{nu-1} - (nu/z) H^(1)_nu.
 
     kappa must be positive and finite, t non-empty and positive, and every
     z(t) finite and positive."""
-    if not 0.0 < kappa < math.inf:
-        raise ValueError(f"kappa={kappa} must be positive and finite")
-    t = _positive_times(t)
-    if t.size == 0:
-        raise ValueError("t must hold at least one time")
+    _check_positive(kappa=kappa)
+    t = np.asarray(t, dtype=float)
+    if t.size == 0 or np.any(t <= 0.0):
+        raise ValueError("t must be non-empty and positive on the linear background")
     with np.errstate(over="ignore"):
-        z = hankel_argument(kappa, t, alpha, c0)
+        z = hankel_argument(kappa, t, alpha)
     valid = (z > 0.0) & (z < math.inf)
     if not valid.all():
         raise ValueError(f"t={t[~valid][0]} gives a Hankel argument "
@@ -153,13 +155,14 @@ def _basis_pair(kappa: float, t, alpha: float, c0: float):
     return (h1 / t)[()], (-h1 / t**2 + dh1 * zdot / t)[()]
 
 
-def freezing_time(kappa: float, alpha: float, c0: float = 1.0) -> float:
-    """Time at which |phi'| t / |phi| decays to the freezing criterion 1e-6.
-
-    From the small-argument expansion of the frozen mode:
-    |phi'| t / |phi| = 2 (beta/2)^(4/3) Gamma(1/3)/Gamma(5/3) t^-2.
+def freezing_time(kappa: float, alpha: float) -> float:
+    """Time at which |phi'| t / |phi| decays to the freezing criterion 1e-6,
+    for kappa and alpha positive and finite. From the small-argument
+    expansion of the frozen mode: |phi'| t / |phi| = 2 (beta/2)^(4/3)
+    Gamma(1/3)/Gamma(5/3) t^-2.
     """
-    beta_half = c0 * kappa / (3.0 * alpha**2.5)
+    _check_positive(kappa=kappa, alpha=alpha)
+    beta_half = kappa / (3.0 * alpha**2.5)
     factor = 2.0 * math.gamma(1.0 / 3.0) / math.gamma(5.0 / 3.0)
     return beta_half ** (2.0 / 3.0) * math.sqrt(factor / _FREEZE_CRITERION)
 
@@ -177,13 +180,13 @@ class ModeEvolution:
 
 
 def _block_edges(kappa: float, alpha: float, shift: float, t_start: float,
-                 t_end: float, c0: float) -> np.ndarray:
+                 t_end: float) -> np.ndarray:
     """Block boundaries from t_start to t_end, laid out on the linear
     asymptote b = alpha (t - shift) without reading the background: a block
     starting at t spans min(_BLOCK_PHASE/omega_ad, _BLOCK_GROWTH/H), with
     omega_ad and H = 1/(t - shift) taken on the asymptote. A remainder under
     1% of a block joins it, so the last block ends exactly at t_end."""
-    reach = c0 * kappa * alpha**-2.5     # omega_ad (t - shift) = reach (t - shift)^-1.5
+    reach = kappa * alpha**-2.5          # omega_ad (t - shift) = reach (t - shift)^-1.5
     edges = [t_start]
     t = t_start
     while True:
@@ -201,8 +204,7 @@ def _block_edges(kappa: float, alpha: float, shift: float, t_start: float,
     return np.array(edges)
 
 
-def _propagators(kappa: float, expansion, lo: np.ndarray, hi: np.ndarray,
-                 c0: float) -> np.ndarray:
+def _propagators(coefficients, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Node values of (phi, phi') on the blocks [lo, hi] for the unit starts
     (1, 0) and (0, 1), shape (blocks, phi or phi', start, node).
 
@@ -212,20 +214,16 @@ def _propagators(kappa: float, expansion, lo: np.ndarray, hi: np.ndarray,
 
         phi' = y1 + (h/2) Q sigma,   phi = y0 + (h/2)(x + 1) y1 + (h/2)^2 Q^2 sigma,
 
-    so the mode equation sigma = c_phi' phi' + c_phi phi, with c_phi, c_phi'
-    the coefficients mode_ode_rhs gives for the basis pairs (1, 0) and
-    (0, 1), is the real 33x33 system I - (h/2) c_phi' Q - (h/2)^2 c_phi Q^2.
-    The background is read once, at the nodes of all blocks, and all blocks
-    are solved in one batched np.linalg.solve with the two unit starts as
-    right-hand sides.
+    so phi'' = c_phi phi + c_phi' phi', with (c_phi, c_phi') = coefficients(t)
+    read once at the nodes of all blocks (a 1-D array t), is the real 33x33
+    system I - (h/2) c_phi' Q - (h/2)^2 c_phi Q^2. All blocks are solved in
+    one batched np.linalg.solve with the two unit starts as right-hand sides.
     """
     half = 0.5 * (hi - lo)[:, None]
     ramp = (_NODES + 1.0) * half            # (h/2)(x + 1) at the nodes
     nodes = lo[:, None] + ramp
     nodes[:, -1] = hi
-    b, bdot = expansion(nodes.ravel())
-    c_phi = mode_ode_rhs(1.0, 0.0, kappa, b, bdot, c0).reshape(nodes.shape)
-    c_phidot = mode_ode_rhs(0.0, 1.0, kappa, b, bdot, c0).reshape(nodes.shape)
+    c_phi, c_phidot = (c.reshape(nodes.shape) for c in coefficients(nodes.ravel()))
     # I - (h/2) c' Q - (h/2)^2 c Q^2 in one buffer, in that order (same bits)
     system = np.multiply((half * c_phidot)[..., None], _INTEGRATE)
     np.subtract(_IDENTITY, system, out=system)
@@ -241,21 +239,21 @@ def _propagators(kappa: float, expansion, lo: np.ndarray, hi: np.ndarray,
     return np.stack([phi, phidot], axis=1)
 
 
-def _solve_blocks(kappa: float, expansion, edges: np.ndarray, start,
-                  tolerance: float, atol, c0: float):
+def _solve_blocks(coefficients, edges: np.ndarray, start, tolerance: float, atol):
     """Solve (phi, phi') from start at edges[0] on the blocks between edges.
 
-    start is the complex pair (phi, phi') and atol the absolute bounds of phi
-    and phi'. Each round solves the unsolved blocks together (_propagators),
-    in batches of at most _BATCH_BLOCKS, and chains the start values from
-    block to block through the 2x2 propagators at the block ends. A block is
-    accepted when the last three Chebyshev coefficients of phi and of phi'
-    are each within tolerance max|c| + atol. Every failing block is halved
-    and only the halves are solved in the next round; a block still failing
-    after _MAX_HALVINGS rounds raises ModeIntegrationError.
+    coefficients is that of _propagators, start the pair (phi, phi') and atol
+    the absolute bounds of phi and phi'. Each round solves the unsolved
+    blocks together (_propagators), in batches of at most _BATCH_BLOCKS, and
+    chains the start values from block to block through the 2x2 propagators
+    at the block ends. A block is accepted when the last three Chebyshev
+    coefficients of phi and of phi' are each within tolerance max|c| + atol.
+    Every failing block is halved and only the halves are solved in the next
+    round; a block still failing after _MAX_HALVINGS rounds raises
+    ModeIntegrationError.
 
-    Returns the final edges, the node values (blocks, 2, 33) as complex and
-    the number of node times read, rejected blocks included.
+    Returns the final edges, the node values (blocks, 2, 33) in the type of
+    start and the number of node times read, rejected blocks included.
     """
     propagators = np.empty((edges.size - 1, 2, 2, _CHEB_DEGREE + 1))
     pending = np.ones(edges.size - 1, dtype=bool)
@@ -264,8 +262,8 @@ def _solve_blocks(kappa: float, expansion, edges: np.ndarray, start,
         todo = np.flatnonzero(pending)
         for i in range(0, todo.size, _BATCH_BLOCKS):
             batch = todo[i:i + _BATCH_BLOCKS]
-            propagators[batch] = _propagators(kappa, expansion, edges[batch],
-                                              edges[batch + 1], c0)
+            propagators[batch] = _propagators(coefficients, edges[batch],
+                                              edges[batch + 1])
         nfev += todo.size * (_CHEB_DEGREE + 1)
         y = [start]
         for (p00, p01), (p10, p11) in propagators[:-1, :, :, -1].tolist():
@@ -304,8 +302,7 @@ def _interpolate_blocks(starts, widths, values, times):
 
 
 def integrate_mode(kappa: float, background, t_start: float, t_end: float,
-                   tolerance: float = 1e-10, c0: float = 1.0,
-                   coupling: float = 1.0) -> ModeEvolution:
+                   tolerance: float = 1e-10, coupling: float = 1.0) -> ModeEvolution:
     """Evolve one mode from adiabatic-vacuum initial data.
 
     Initial amplitude and derivative are matched to the positive-frequency
@@ -318,24 +315,23 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
 
     The background provides asymptotic_velocity, linear_offset (None when it
     has no linear regime) and expansion_on(t_start, t_end), which checks the
-    interval once and returns the t -> (b, bdot) lookup. kappa, c0 and
-    coupling must be positive and finite, t_start and t_end finite with
+    interval once and returns the t -> (b, bdot) lookup. kappa and coupling
+    must be positive and finite, t_start and t_end finite with
     t_end > t_start, and tolerance in (0, 1); each is checked before the
     background is read.
 
     The solver is Chebyshev-Lobatto collocation in integral form, in numpy
-    (_solve_blocks). The blocks are laid out in advance on the linear
-    asymptote, each spanning at most three oscillations or its own time since
-    the linear-regime origin, and solved together: the equation is linear, so
-    each block is one linear solve, accepted on the decay of its Chebyshev
-    coefficients, and failing blocks are halved and solved again. The samples
-    are interpolated from the accepted blocks. A tolerance the halvings cannot
-    reach raises ModeIntegrationError; nfev counts the node times at which the
-    background was read, rejected blocks included.
+    (_solve_blocks), on mode_coefficients at the background lookup. The
+    blocks are laid out in advance on the linear asymptote, each spanning at
+    most three oscillations or its own time since the linear-regime origin,
+    and solved together: the equation is linear, so each block is one linear
+    solve, accepted on the decay of its Chebyshev coefficients, and failing
+    blocks are halved and solved again. The samples are interpolated from
+    the accepted blocks. A tolerance the halvings cannot reach raises
+    ModeIntegrationError; nfev counts the node times at which the background
+    was read, rejected blocks included.
     """
-    for name, value in (("kappa", kappa), ("c0", c0), ("coupling", coupling)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name}={value} must be positive and finite")
+    _check_positive(kappa=kappa, coupling=coupling)
     if not math.isfinite(t_start):
         raise ValueError(f"t_start={t_start} must be finite")
     if not t_start < t_end < math.inf:
@@ -350,7 +346,7 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     expansion = background.expansion_on(t_start, t_end)
     b0, bdot0 = (float(v) for v in expansion(t_start))
     hubble = bdot0 / b0
-    omega0_ad = adiabatic_frequency(kappa, b0, c0)
+    omega0_ad = adiabatic_frequency(kappa, b0)
     if omega0_ad < _DEPTH_FACTOR * hubble:
         raise ModeIntegrationError(
             f"mode kappa={kappa:g} is not deep inside the horizon at "
@@ -360,14 +356,14 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     ts_shift = t_start - shift
     if ts_shift <= 0.0:
         raise ModeIntegrationError("t_start precedes the linear-regime origin")
-    depth = hankel_argument(kappa, ts_shift, alpha, c0)
+    depth = hankel_argument(kappa, ts_shift, alpha)
     if depth > _MAX_START_BLOCKS * _BLOCK_PHASE:
         raise ModeIntegrationError(
             f"start depth z = {depth:.3g} is beyond the cap "
             f"{_MAX_START_BLOCKS} * 6 pi = {_MAX_START_BLOCKS * _BLOCK_PHASE:.3g}; "
             "start the mode later")
     norm = mode_normalization(coupling, alpha)
-    u1, d1 = _basis_pair(kappa, ts_shift, alpha, c0)
+    u1, d1 = _basis_pair(kappa, ts_shift, alpha)
     phi0 = norm * u1
     phidot0 = norm * d1
     wkb_residual = abs(phidot0 + 1j * omega0_ad * phi0) / (omega0_ad * abs(phi0))
@@ -378,9 +374,9 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
 
     scale = abs(phi0)
     atol = np.array([scale, omega0_ad * scale]) * tolerance * 1e-3
-    edges = _block_edges(kappa, alpha, shift, t_start, t_end, c0)
-    edges, values, nfev = _solve_blocks(kappa, expansion, edges, (phi0, phidot0),
-                                        tolerance, atol, c0)
+    edges = _block_edges(kappa, alpha, shift, t_start, t_end)
+    edges, values, nfev = _solve_blocks(lambda t: mode_coefficients(kappa, *expansion(t)),
+                                        edges, (phi0, phidot0), tolerance, atol)
     t_eval = np.geomspace(t_start, t_end, _MODE_SAMPLES)
     phi, phidot = _interpolate_blocks(edges[:-1], np.diff(edges), values, t_eval)
 
@@ -395,12 +391,12 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
                          frozen_value=frozen_value, nfev=nfev, warnings=notes)
 
 
-def analytic_evolution(kappa: float, times, alpha: float, c0: float = 1.0,
+def analytic_evolution(kappa: float, times, alpha: float,
                        coupling: float = 1.0) -> ModeEvolution:
     """Exact positive-frequency evolution on the pure linear background."""
     times = np.asarray(times, dtype=float)
     norm = mode_normalization(coupling, alpha)
-    u1, d1 = _basis_pair(kappa, times, alpha, c0)
+    u1, d1 = _basis_pair(kappa, times, alpha)
     phi = norm * u1
     phidot = norm * d1
     return ModeEvolution(times=times, phi=phi, phidot=phidot,
@@ -451,7 +447,8 @@ def density_contrast_from_mode(evolution: ModeEvolution, background,
 
 def kappa_band_edge(xi: float, alpha: float, omega_xi: float) -> float:
     """Largest co-moving wavenumber still hydrodynamic through freezing:
-    kappa_max = (1/xi) (alpha/omega_xi)^(1/4)."""
+    kappa_max = (1/xi) (alpha/omega_xi)^(1/4), all three positive and finite."""
+    _check_positive(xi=xi, alpha=alpha, omega_xi=omega_xi)
     return (1.0 / xi) * (alpha / omega_xi) ** 0.25
 
 

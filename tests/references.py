@@ -17,8 +17,7 @@ import numpy as np
 
 from becosmo.constants import HBAR
 from becosmo.q2d import bogoliubov_frequency
-from becosmo.threed import (_CHEB_DEGREE, _INTEGRATE, _INTEGRATE_TWICE,
-                            _NODES, mode_ode_rhs)
+from becosmo.threed import _CHEB_DEGREE, _INTEGRATE, _INTEGRATE_TWICE, _NODES
 
 
 def metric_components(conformal: float, sound_speed: float, velocity):
@@ -75,18 +74,19 @@ def bogoliubov_mode(k: float, mu: float, m: float, rho0: float,
     )
 
 
-def collocation_propagators(kappa: float, expansion, lo, hi, c0: float):
+def collocation_propagators(coefficients, lo, hi):
     """threed._propagators with the textbook assembly of each block system,
     np.eye(33) - (h/2) c_phi' Q - (h/2)^2 c_phi Q^2, then np.linalg.solve:
-    node values of (phi, phi') on the blocks [lo, hi] for the unit starts
-    (1, 0) and (0, 1), shape (blocks, phi or phi', start, node)."""
+    node values of (phi, phi') of phi'' = c_phi phi + c_phi' phi' on the
+    blocks [lo, hi] for the unit starts (1, 0) and (0, 1), shape (blocks,
+    phi or phi', start, node), with (c_phi, c_phi') = coefficients(t)."""
     half = 0.5 * (hi - lo)[:, None]
     ramp = (_NODES + 1.0) * half
     nodes = lo[:, None] + ramp
     nodes[:, -1] = hi
-    b, bdot = expansion(nodes.ravel())
-    c_phi = mode_ode_rhs(1.0, 0.0, kappa, b, bdot, c0).reshape(nodes.shape)
-    c_phidot = mode_ode_rhs(0.0, 1.0, kappa, b, bdot, c0).reshape(nodes.shape)
+    c_phi, c_phidot = coefficients(nodes.ravel())
+    c_phi = c_phi.reshape(nodes.shape)
+    c_phidot = c_phidot.reshape(nodes.shape)
     system = (np.eye(_CHEB_DEGREE + 1) - (half * c_phidot)[..., None] * _INTEGRATE
               - (half**2 * c_phi)[..., None] * _INTEGRATE_TWICE)
     sigma = np.linalg.solve(system, np.stack([c_phi, c_phidot + c_phi * ramp],

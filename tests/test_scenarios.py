@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import becosmo
 from becosmo import scenarios
 from becosmo.cli import main
-from becosmo.condensate import thomas_fermi
+from becosmo.condensate import CondensateSpec, thomas_fermi
 from becosmo.scaling import ScaleTrajectory
-from becosmo.scenarios import (PRESETS, ConfigError, StageError,
+from becosmo.scenarios import (PRESETS, ConfigError, ScenarioConfig, StageError,
                                config_from_dict, load_scenario, run)
 
 
@@ -115,6 +115,14 @@ class TestLoading:
                                           **{"condensate.atom_number": 1e308}))
         # 1e300 gives a finite, if absurd, state, and loads
         config_from_dict(_preset_dict("rubidium-3d", **{"condensate.atom_number": 1e300}))
+
+    def test_library_config_checks_thomas_fermi_state(self):
+        # a ScenarioConfig built in code carries the same rule, so run() never
+        # starts on a state that derive cannot compute
+        loaded = config_from_dict(_preset_dict("rubidium-3d"))
+        condensate = CondensateSpec(loaded.condensate.species, loaded.condensate.trap, 1e308)
+        with pytest.raises(ConfigError, match="condensate.atom_number 1e[+]308 and the trap"):
+            ScenarioConfig(loaded.name, condensate, analysis=loaded.analysis)
 
     def test_inline_species(self):
         data = _preset_dict("sodium-q2d")

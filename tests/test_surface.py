@@ -178,3 +178,20 @@ def test_one_json_writer():
             offenders += [f"{path.name}:{node.lineno} json.{name}" for name in names
                           if name in ("dump", "dumps")]
     assert not offenders, f"JSON written outside scenarios._write_json: {offenders}"
+
+
+def test_collocation_core_is_physics_free():
+    # the core solves phi'' = c_phi phi + c_phi' phi' for coefficients read
+    # from a callable; the mode equation, its wavenumber and its background
+    # stay with the caller, so another equation can share the core
+    tree = ast.parse((SRC / "threed.py").read_text())
+    cores = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name in ("_propagators", "_solve_blocks")}
+    assert len(cores) == 2, f"threed defines only {sorted(cores)}"
+    offenders = []
+    for name, function in cores.items():
+        for node in ast.walk(function):
+            field = {ast.Name: "id", ast.arg: "arg", ast.Attribute: "attr"}.get(type(node))
+            if field and getattr(node, field) in ("kappa", "expansion", "c0"):
+                offenders.append(f"{name}:{node.lineno} {getattr(node, field)}")
+    assert not offenders, f"physics named in the collocation core: {offenders}"

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -23,16 +24,16 @@ from becosmo.threed import (ModeIntegrationError, _basis_pair,
                             density_contrast_from_mode, density_spectrum_3d,
                             freezing_time, frozen_phase_variance,
                             hankel_argument, integrate_mode, kappa_band_edge,
-                            max_contrast_estimate, mode_normalization,
-                            mode_ode_rhs, spectrum_3d_grid)
+                            max_contrast_estimate, mode_coefficients,
+                            mode_normalization, spectrum_3d_grid)
 from becosmo.scenarios import PRESETS, config_from_dict, run
 from references import collocation_propagators
 
 ALPHA = math.sqrt(2.0 / 3.0)   # natural units, omega0 = 1
 
 
-def _deep_start(kappa, depth_z=260.0, c0=1.0):
-    beta = (2.0 / 3.0) * c0 * kappa * ALPHA**-2.5
+def _deep_start(kappa, depth_z=260.0):
+    beta = (2.0 / 3.0) * kappa * ALPHA**-2.5
     return (beta / depth_z) ** (2.0 / 3.0)
 
 
@@ -42,33 +43,74 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("the solve started")
 
 
+def _acceleration(phi, phidot, kappa, b, bdot):
+    """phi'' = c_phi phi + c_phi' phi' from threed.mode_coefficients."""
+    c_phi, c_phidot = mode_coefficients(kappa, b, bdot)
+    return c_phi * phi + c_phidot * phidot
+
+
 class TestModeOde:
     def test_static_background_oscillator(self):
-        kappa, c0 = 4.0, 1.0
-        acc = mode_ode_rhs(1.0 + 0.0j, 0.0j, kappa, 1.0, 0.0, c0)
-        assert acc == pytest.approx(-(c0 * kappa) ** 2)
+        kappa = 4.0
+        acc = _acceleration(1.0 + 0.0j, 0.0j, kappa, 1.0, 0.0)
+        assert acc == pytest.approx(-kappa**2)
 
     def test_zero_mode_is_frozen(self):
-        acc = mode_ode_rhs(5.0 + 0.0j, 0.0j, 0.0, ALPHA * 2.0, ALPHA, 1.0)
+        acc = _acceleration(5.0 + 0.0j, 0.0j, 0.0, ALPHA * 2.0, ALPHA)
         assert acc == 0.0
 
     def test_linear_regime_form(self):
-        kappa, c0, t = 3.0, 1.0, 1.7
+        kappa, t = 3.0, 1.7
         phi, phidot = 0.3 + 0.1j, -0.2 + 0.4j
-        expected = -3.0 / t * phidot - c0**2 * kappa**2 / (ALPHA**5 * t**5) * phi
-        assert mode_ode_rhs(phi, phidot, kappa, ALPHA * t, ALPHA, c0) == \
+        expected = -3.0 / t * phidot - kappa**2 / (ALPHA**5 * t**5) * phi
+        assert _acceleration(phi, phidot, kappa, ALPHA * t, ALPHA) == \
             pytest.approx(expected)
 
     def test_analytic_solution_satisfies_ode(self):
         # numeric second derivative of the basis solution vs the stated form
-        kappa, c0 = 2.2, 1.0
+        kappa = 2.2
         t = 0.2
         h = t * 1e-6
-        u = lambda tt: _basis_pair(kappa, tt, ALPHA, c0)[0]
+        u = lambda tt: _basis_pair(kappa, tt, ALPHA)[0]
         second = (u(t + h) - 2.0 * u(t) + u(t - h)) / h**2
-        rhs = mode_ode_rhs(u(t), _basis_pair(kappa, t, ALPHA, c0)[1],
-                           kappa, ALPHA * t, ALPHA, c0)
+        rhs = _acceleration(u(t), _basis_pair(kappa, t, ALPHA)[1],
+                            kappa, ALPHA * t, ALPHA)
         assert abs(second - rhs) <= 1e-5 * abs(rhs)
+
+    @pytest.mark.parametrize("function", [
+        threed.hankel_argument, threed.adiabatic_frequency, threed.freezing_time,
+        threed._basis_pair, threed._block_edges, threed._propagators,
+        threed._solve_blocks, threed.integrate_mode, threed.analytic_evolution])
+    def test_mode_engine_takes_no_c0(self, function):
+        # c0 only ever enters as c0 kappa, so the engine works in c0 = 1 units
+        assert "c0" not in inspect.signature(function).parameters
+
+
+class TestCollocationCore:
+    """_solve_blocks on an equation that is not the mode equation: the core
+    reads its coefficients from a callable and knows no physics."""
+
+    @pytest.mark.parametrize("omega", [3.0, 20.0])
+    @pytest.mark.parametrize("start", [(1.0, 0.0), (0.0, 1.0)])
+    def test_constant_coefficients_give_cos_and_sin(self, omega, start):
+        # y'' = -omega^2 y on ten unit blocks; at omega = 20 a block spans
+        # three oscillations, so the first round fails and blocks are halved
+        tolerance = 1e-12
+        atol = np.array([1.0, omega]) * tolerance * 1e-3
+        edges, values, nfev = threed._solve_blocks(
+            lambda t: (np.full_like(t, -omega**2), np.zeros_like(t)),
+            np.linspace(0.0, 10.0, 11), start, tolerance, atol)
+        blocks = edges.size - 1
+        assert (blocks > 10) == (omega == 20.0) and nfev >= 33 * blocks
+        half = 0.5 * np.diff(edges)[:, None]
+        t = edges[:-1, None] + (threed._NODES + 1.0) * half
+        y0, y1 = start
+        cos, sin = np.cos(omega * t), np.sin(omega * t)
+        exact = np.stack([y0 * cos + y1 / omega * sin,
+                          -y0 * omega * sin + y1 * cos], axis=1)
+        # each block meets its tail bound, and the chain adds up the blocks
+        bound = blocks * (tolerance * np.array([1.0, omega]) + atol)
+        assert np.all(np.abs(values - exact).max(axis=(0, 2)) <= bound)
 
 
 class TestAnalyticMode:
@@ -76,43 +118,43 @@ class TestAnalyticMode:
     threed._basis_pair; the H^(2) solution is their complex conjugate."""
 
     def test_early_time_wkb(self):
-        kappa, c0 = 5.0, 1.0
+        kappa = 5.0
         t = _deep_start(kappa, depth_z=2000.0)
-        u1, d1 = _basis_pair(kappa, t, ALPHA, c0)
-        omega = adiabatic_frequency(kappa, ALPHA * t, c0)
+        u1, d1 = _basis_pair(kappa, t, ALPHA)
+        omega = adiabatic_frequency(kappa, ALPHA * t)
         assert abs(d1 + 1j * omega * u1) / (omega * abs(u1)) <= 1e-3
 
     def test_late_time_constant(self):
-        kappa, c0 = 5.0, 1.0
-        t_frozen = freezing_time(kappa, ALPHA, c0)
-        u_late = _basis_pair(kappa, t_frozen, ALPHA, c0)[0]
-        u_later = _basis_pair(kappa, 2.0 * t_frozen, ALPHA, c0)[0]
+        kappa = 5.0
+        t_frozen = freezing_time(kappa, ALPHA)
+        u_late = _basis_pair(kappa, t_frozen, ALPHA)[0]
+        u_later = _basis_pair(kappa, 2.0 * t_frozen, ALPHA)[0]
         assert abs(u_later - u_late) <= 1e-6 * abs(u_late)
 
     def test_frozen_limit_value(self):
         # small-argument H expansion: (1/t) H^(2) -> i (beta/2)^(-2/3) /
         # (sin(2 pi/3) Gamma(1/3)); H^(1) is its conjugate
-        kappa, c0 = 3.0, 1.0
-        beta_half = c0 * kappa / (3.0 * ALPHA**2.5)
+        kappa = 3.0
+        beta_half = kappa / (3.0 * ALPHA**2.5)
         expected = beta_half ** (-2.0 / 3.0) / (math.sin(2.0 * math.pi / 3.0)
                                                 * math.gamma(1.0 / 3.0))
-        t = 100.0 * freezing_time(kappa, ALPHA, c0)
-        u1 = _basis_pair(kappa, t, ALPHA, c0)[0]
+        t = 100.0 * freezing_time(kappa, ALPHA)
+        u1 = _basis_pair(kappa, t, ALPHA)[0]
         assert abs(u1) == pytest.approx(expected, rel=1e-8)
         assert u1.imag < 0.0  # positive-frequency branch freezes onto -i
 
     def test_argument_is_comoving_sound_reach(self):
         # z equals kappa times the remaining sound travel in co-moving units
-        kappa, c0, t = 7.0, 1.0, 0.9
-        reach, _ = quad(lambda tt: c0 / (ALPHA * tt) ** 2.5, t, np.inf)
-        assert hankel_argument(kappa, t, ALPHA, c0) == pytest.approx(
+        kappa, t = 7.0, 0.9
+        reach, _ = quad(lambda tt: 1.0 / (ALPHA * tt) ** 2.5, t, np.inf)
+        assert hankel_argument(kappa, t, ALPHA) == pytest.approx(
             kappa * reach, rel=1e-10)
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
-            _basis_pair(1.0, 0.0, ALPHA, 1.0)
+            _basis_pair(1.0, 0.0, ALPHA)
         with pytest.raises(ValueError):
-            _basis_pair(1.0, np.array([1.0, 0.0]), ALPHA, 1.0)
+            _basis_pair(1.0, np.array([1.0, 0.0]), ALPHA)
 
     # each bad input is named: kappa, or the time whose z(t) is not finite
     @pytest.mark.parametrize("kappa, times, name", [
@@ -126,27 +168,27 @@ class TestAnalyticMode:
             "t-tiny-element"])
     def test_rejects_bad_input(self, kappa, times, name):
         with pytest.raises(ValueError, match=rf"^{name}\b"):
-            _basis_pair(kappa, times, ALPHA, 1.0)
+            _basis_pair(kappa, times, ALPHA)
         with pytest.raises(ValueError, match=rf"^{name}\b"):
             analytic_evolution(kappa, times, ALPHA)
 
     def test_array_matches_scalar(self):
         kappa = 4.0
         times = np.geomspace(_deep_start(kappa), 10.0 * freezing_time(kappa, ALPHA), 60)
-        u1, d1 = _basis_pair(kappa, times, ALPHA, 1.0)
+        u1, d1 = _basis_pair(kappa, times, ALPHA)
         for i, t in enumerate(times):
-            pu1, pd1 = _basis_pair(kappa, float(t), ALPHA, 1.0)
+            pu1, pd1 = _basis_pair(kappa, float(t), ALPHA)
             assert abs(u1[i] - pu1) <= 1e-15 * abs(pu1)
             assert abs(d1[i] - pd1) <= 1e-15 * abs(pd1)
 
     def test_wronskian_constancy_with_measure(self):
         # b^3 (u1 u2' - u2 u1') = 6 i alpha^3 / pi, which mode_normalization
         # turns into the canonical commutator i g
-        kappa, c0, coupling = 2.0, 1.0, 0.7
+        kappa, coupling = 2.0, 0.7
         expected = 6j * ALPHA**3 / math.pi
         norm = mode_normalization(coupling, ALPHA)
         times = np.geomspace(0.01, 1000.0, 25)
-        u1, d1 = _basis_pair(kappa, times, ALPHA, c0)
+        u1, d1 = _basis_pair(kappa, times, ALPHA)
         w = (ALPHA * times) ** 3 * (u1 * d1.conjugate() - u1.conjugate() * d1)
         assert np.max(np.abs(w - expected)) <= 1e-10 * abs(expected)
         assert np.max(np.abs(norm**2 * w - 1j * coupling)) <= 1e-10 * coupling
@@ -165,8 +207,8 @@ class TestAnalyticMode:
         monkeypatch.setattr(threed.specfun, "hankel1", counted)
         kappa = 4.0
         times = np.geomspace(_deep_start(kappa), freezing_time(kappa, ALPHA), 30)
-        _basis_pair(kappa, times, ALPHA, 1.0)
-        _basis_pair(kappa, float(times[0]), ALPHA, 1.0)
+        _basis_pair(kappa, times, ALPHA)
+        _basis_pair(kappa, float(times[0]), ALPHA)
         assert len(calls) == 2
         calls.clear()
         analytic_evolution(kappa, times, ALPHA)
@@ -235,7 +277,7 @@ class TestIntegrateMode:
         bg = LinearExpansion(ALPHA)
         evo = integrate_mode(kappa, bg, _deep_start(kappa),
                              freezing_time(kappa, ALPHA), tolerance=1e-11)
-        z = hankel_argument(kappa, evo.times, ALPHA, 1.0)
+        z = hankel_argument(kappa, evo.times, ALPHA)
         after = np.abs(evo.phidot[z < 0.5])
         assert np.all(np.diff(after) < 0.0)
 
@@ -397,7 +439,7 @@ class TestIntegrateMode:
     @pytest.mark.parametrize("name, value", [
         ("tolerance", math.inf), ("tolerance", 10.0), ("t_end", math.inf),
         ("t_start", math.nan), ("t_start", math.inf), ("coupling", -1.0),
-        ("coupling", 0.0), ("c0", math.nan), ("c0", 0.0), ("c0", -1.0)])
+        ("coupling", 0.0)])
     def test_rejects_bad_scalar_before_solve(self, name, value, monkeypatch):
         monkeypatch.setattr(threed, "_solve_blocks", _no_solve)
         kappa = 8.0
@@ -427,7 +469,7 @@ class TestIntegrateMode:
 
         def kept(*args):
             edges, values, nfev = original(*args)
-            solved.append((args[4], args[5], values))
+            solved.append((args[3], args[4], values))
             return edges, values, nfev
 
         original = threed._solve_blocks
@@ -446,12 +488,12 @@ class TestIntegrateMode:
         # systems built from np.eye and separate temporaries
         bg = LinearExpansion(ALPHA)
         t_start, t_end = _deep_start(kappa, depth), freezing_time(kappa, ALPHA)
-        edges = threed._block_edges(kappa, ALPHA, bg.linear_offset, t_start,
-                                    t_end, 1.0)
+        edges = threed._block_edges(kappa, ALPHA, bg.linear_offset, t_start, t_end)
         expansion = bg.expansion_on(t_start, t_end)
+        coefficients = lambda t: mode_coefficients(kappa, *expansion(t))
         lo, hi = edges[:-1], edges[1:]
-        assert threed._propagators(kappa, expansion, lo, hi, 1.0).tobytes() == (
-            collocation_propagators(kappa, expansion, lo, hi, 1.0).tobytes())
+        assert threed._propagators(coefficients, lo, hi).tobytes() == (
+            collocation_propagators(coefficients, lo, hi).tobytes())
 
     @pytest.mark.parametrize("kappa, depth", [(1.0, 180.0), (10.0, 320.0),
                                               (37.0, 600.0)])
@@ -460,13 +502,13 @@ class TestIntegrateMode:
         bg = LinearExpansion(ALPHA)
         args = (kappa, bg, _deep_start(kappa, depth), freezing_time(kappa, ALPHA))
         whole = integrate_mode(*args, tolerance=1e-12)
-        assert threed._block_edges(kappa, ALPHA, bg.linear_offset, *args[2:],
-                                   1.0).size - 1 > 7
+        assert threed._block_edges(kappa, ALPHA, bg.linear_offset,
+                                   *args[2:]).size - 1 > 7
         sizes = []
 
-        def counted(kappa, expansion, lo, hi, c0):
+        def counted(coefficients, lo, hi):
             sizes.append(lo.size)
-            return original(kappa, expansion, lo, hi, c0)
+            return original(coefficients, lo, hi)
 
         original = threed._propagators
         monkeypatch.setattr(threed, "_propagators", counted)
@@ -639,6 +681,21 @@ class TestMaxContrast:
         kmax = kappa_band_edge(xi, ALPHA * 1256.0, omega_xi)
         assert kmax == pytest.approx((1.0 / xi) * (ALPHA * 1256.0 / omega_xi) ** 0.25,
                                      rel=1e-14)
+
+
+# each names the bad argument instead of returning a complex number or NaN
+@pytest.mark.parametrize("function, args, name", [
+    (freezing_time, (-1.0, 0.8), "kappa"), (freezing_time, (math.nan, 0.8), "kappa"),
+    (freezing_time, (1.0, -0.8), "alpha"), (freezing_time, (1.0, math.inf), "alpha"),
+    (kappa_band_edge, (0.0, 1.0, 1.0), "xi"),
+    (kappa_band_edge, (1.0, -1.0, 1.0), "alpha"),
+    (kappa_band_edge, (1.0, 1.0, math.nan), "omega_xi")],
+    ids=["freezing-kappa-negative", "freezing-kappa-nan", "freezing-alpha-negative",
+         "freezing-alpha-inf", "band-xi-zero", "band-alpha-negative",
+         "band-omega_xi-nan"])
+def test_scalar_closed_forms_reject_bad_arguments(function, args, name):
+    with pytest.raises(ValueError, match=rf"^{name}=.* must be positive and finite"):
+        function(*args)
 
 
 def test_spectrum_grid_and_csvs(tmp_path):

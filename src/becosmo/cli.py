@@ -10,11 +10,10 @@ warnings.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .scenarios import (STAGES, ConfigError, ScenarioConfig, StageError,
-                        load_scenario, run, stage_chain)
+                        config_from_dict, read_scenario, run, stage_chain)
 
 # One verb per pipeline stage, named without the hyphen (spectrum-2d -> spectrum2d).
 _VERB_STAGES = {stage.replace("-", ""): stage for stage in STAGES}
@@ -56,26 +55,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
+def _build_config(args) -> ScenarioConfig:
+    """The scenario's dict with the flags and the verb's stages merged in, built once."""
+    data = read_scenario(args.scenario)
     if (args.kappa_min is None) != (args.kappa_max is None):
         raise ConfigError("--kappa-min and --kappa-max must be given together")
     flags = {"kappa_min_per_m": args.kappa_min, "kappa_max_per_m": args.kappa_max,
              "kappa_points": args.kappa_points}
-    numeric = dataclasses.replace(
-        config.numeric, **{key: value for key, value in flags.items() if value is not None})
+    numeric = {**data.get("numeric", {}), **{k: v for k, v in flags.items() if v is not None}}
 
     # A verb runs its stage and every stage it needs; report keeps the
-    # scenario's own analysis list. replace() validates the result.
+    # scenario's own analysis list, unchecked until built, so repeats go by ==.
     stage = _VERB_STAGES[args.verb]
-    chain = config.analysis + (stage,) if stage == "report" else stage_chain(stage)
-    return dataclasses.replace(config, numeric=numeric,
-                               analysis=tuple(dict.fromkeys(chain)))
+    chain = ([*data.get("analysis", ["derive"]), stage] if stage == "report"
+             else stage_chain(stage))
+    analysis = [name for i, name in enumerate(chain) if name not in chain[:i]]
+    return config_from_dict({**data, "numeric": numeric, "analysis": analysis})
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = _apply_overrides(load_scenario(args.scenario), args)
+        config = _build_config(args)
         report = run(config, args.out if args.out is not None else f"{config.name}-out")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -16,8 +16,11 @@ stores SI values again.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .constants import HBAR, SPECIES
 
@@ -26,6 +29,9 @@ INTERACTION_EXPONENT = 2.0
 
 # Smallest scale ratio each dimensional-reduction check accepts.
 _VALIDITY_THRESHOLD = 3.0
+# Upper bound on a sample count: far above any grid a run needs, and small
+# enough that a typo cannot ask for terabytes.
+_MAX_SAMPLES = 1_000_000
 
 
 def check_dimension(dimension) -> None:
@@ -37,8 +43,26 @@ def check_frequency(omega0, name: str) -> None:
     # omega0^2 sets the restoring force of b(t); a square that underflows or
     # overflows would silently hold b at 1 or blow the derivation up.
     if not (omega0 > 0.0 and sys.float_info.min <= omega0 * omega0 < math.inf):
-        raise ValueError(f"{name} must be positive, with a square that is a "
-                         "normal float (about 1.5e-154 to 1.3e154)")
+        raise ValueError(f"{name} must be positive, with a square that is a normal "
+                         f"float (about 1.5e-154 to 1.3e154), got {omega0!r}")
+
+
+def check_positive(allow_zero: bool = False, **values) -> None:
+    """Every element of each name=value, a scalar or an array, must be positive
+    (or zero, with allow_zero) and finite: "alpha=-0.8 must be positive and finite"."""
+    for name, value in values.items():
+        if isinstance(value, float) and 0.0 < value < math.inf:
+            continue  # a valid scalar costs no numpy call
+        a = np.asarray(value, dtype=float)
+        ok = (a >= 0.0 if allow_zero else a > 0.0) & (a < math.inf)
+        if not ok.all():
+            rule = "non-negative" if allow_zero else "positive"
+            raise ValueError(f"{name}={float(a[~ok].flat[0])!r} must be {rule} and finite")
+
+
+def check_sample_count(count, name: str) -> None:
+    if not (isinstance(count, numbers.Integral) and 2 <= count <= _MAX_SAMPLES):
+        raise ValueError(f"{name} must be an integer in [2, {_MAX_SAMPLES}]")
 
 
 @dataclass(frozen=True)
@@ -48,10 +72,7 @@ class AtomSpecies:
     scattering_length: float    # m
 
     def __post_init__(self):
-        if not 0.0 < self.mass < math.inf:
-            raise ValueError("mass must be positive and finite")
-        if not 0.0 < self.scattering_length < math.inf:
-            raise ValueError("scattering length must be positive and finite")
+        check_positive(mass=self.mass, scattering_length=self.scattering_length)
 
     @classmethod
     def from_table(cls, name: str, scattering_length: float | None = None) -> "AtomSpecies":
@@ -71,15 +92,15 @@ class TrapGeometry:
 
     def __post_init__(self):
         check_dimension(self.dimension)
-        check_frequency(self.longitudinal_frequency, "longitudinal frequency")
+        check_frequency(self.longitudinal_frequency, "longitudinal_frequency")
         if self.dimension == 2:
             if self.transverse_frequency is None:
-                raise ValueError("transverse frequency required for dimension 2")
+                raise ValueError("transverse_frequency required for dimension 2")
             if not self.longitudinal_frequency < self.transverse_frequency < math.inf:
-                raise ValueError("transverse confinement must be finite and tighter "
-                                 "than longitudinal")
+                raise ValueError(f"transverse_frequency={self.transverse_frequency!r} "
+                                 "must be finite and above longitudinal_frequency")
         elif self.transverse_frequency is not None:
-            raise ValueError("transverse frequency meaningless for dimension 3")
+            raise ValueError("transverse_frequency meaningless for dimension 3")
 
 
 @dataclass(frozen=True)
@@ -92,7 +113,7 @@ class CondensateSpec:
 
     def __post_init__(self):
         if not 1 <= self.atom_number < math.inf:
-            raise ValueError("atom_number must be finite and at least 1")
+            raise ValueError(f"atom_number={self.atom_number!r} must be finite and at least 1")
 
 
 @dataclass(frozen=True)
@@ -139,8 +160,7 @@ def swave_coupling(species: AtomSpecies) -> float:
 
 def transverse_width(species: AtomSpecies, omega_z: float) -> float:
     """Gaussian ground-state width a_z = sqrt(hbar / (m omega_z))."""
-    if omega_z <= 0.0:
-        raise ValueError("omega_z must be positive")
+    check_positive(omega_z=omega_z)
     return math.sqrt(HBAR / (species.mass * omega_z))
 
 
@@ -150,8 +170,7 @@ def reduce_coupling(g3d: float, species: AtomSpecies, omega_z: float) -> float:
     Integrates |phi_0|^4 of the transverse harmonic ground state, giving
     g3d / (sqrt(2 pi) a_z), i.e. g * sqrt(m omega_z / 2 pi) with hbar = 1.
     """
-    if g3d <= 0.0:
-        raise ValueError("g3d must be positive")
+    check_positive(g3d=g3d)
     a_z = transverse_width(species, omega_z)
     return g3d / (math.sqrt(2.0 * math.pi) * a_z)
 
@@ -243,4 +262,5 @@ def sound_frequency_at_healing_scale(derived: DerivedParams) -> float:
 
 def natural_coupling(g_si: float) -> float:
     """SI coupling (J m^D) -> natural units: g/hbar, in m^D/s."""
+    check_positive(g_si=g_si)
     return g_si / HBAR

@@ -6,8 +6,7 @@ by A = (c/g_N)^(2/(D-1)), D = 2 or 3. This module gives that factor and
 evaluates the two horizon notions: the apparent horizon (flow speed = sound
 speed, g00 = 0 in laboratory slicing) and the co-moving particle horizon
 (total remaining reach of sound signals). Both read the sound-speed decay
-c = c0 b^(-D/2) from the trajectory's dimension D, and the release sound
-speed c0 must be positive and finite.
+c = c0 b^(-D/2), with the release sound speed c0, from the trajectory's D.
 
 All horizon statements apply to wavelengths well above the healing length;
 below it, dispersion takes over and the geometric picture dissolves.
@@ -27,19 +26,14 @@ import math
 
 import numpy as np
 
+from .condensate import check_positive
 from .scaling import ScaleTrajectory
 
 
 def conformal_factor(sound_speed: float, coupling: float, dimension: int) -> float:
     """A = (c/g_N)^(2/(D-1)) for D = 2 or 3."""
-    if sound_speed <= 0.0 or coupling <= 0.0:
-        raise ValueError("sound speed and coupling must be positive")
+    check_positive(sound_speed=sound_speed, coupling=coupling)
     return (sound_speed / coupling) ** (2.0 / (dimension - 1.0))
-
-
-def _check_c0(c0: float) -> None:
-    if not 0.0 < c0 < math.inf:
-        raise ValueError(f"sound speed c0={c0} must be positive and finite")
 
 
 def particle_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):
@@ -50,7 +44,7 @@ def particle_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):
     one arcsin, (2 c0/(D alpha)) arcsin(b(t)^(-D/2)), finite from t = 0 on,
     however short the run; a held trap gives inf.
     """
-    _check_c0(c0)
+    check_positive(c0=c0)
     return c0 * trajectory.horizon_integral(t)
 
 
@@ -60,7 +54,7 @@ def apparent_horizon(trajectory: ScaleTrajectory, t, c0: float = 1.0):
     r = c(t) b / bdot = c0 b^(1 - D/2) / bdot, with c(t) = c0 b^(-D/2);
     infinite while bdot <= 0.
     """
-    _check_c0(c0)
+    check_positive(c0=c0)
     b = trajectory.b(t)
     bdot = trajectory.bdot(t)
     power = 1.0 - trajectory.dimension / 2.0
@@ -76,7 +70,7 @@ def settled_apparent_horizon(trajectory: ScaleTrajectory,
     In quasi-2D the horizon settles at c0/alpha; in 3D the faster
     sound-speed decay drives it to zero.
     """
-    _check_c0(c0)
+    check_positive(c0=c0)
     alpha = trajectory.asymptotic_velocity
     if alpha <= 0.0:
         return None
@@ -96,10 +90,8 @@ def horizon_crossing_time(kappa, trajectory: ScaleTrajectory, c0: float = 1.0):
     at t_max gives inf, as does every kappa when the trap is held on (an
     infinite horizon).
     """
-    _check_c0(c0)
+    check_positive(kappa=kappa, c0=c0)
     kappa = np.asarray(kappa, dtype=float)
-    if not np.all(kappa > 0.0):
-        raise ValueError("kappa must be positive")
     alpha, D = trajectory.asymptotic_velocity, trajectory.dimension
     if alpha == 0.0:
         return np.full_like(kappa, math.inf)[()]

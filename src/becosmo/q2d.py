@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .condensate import check_positive
 from .constants import HBAR
 
 
@@ -34,10 +35,8 @@ def bogoliubov_frequency(k, mu: float, m: float):
     Linear (sound-like) below 1/xi, quadratic (free-particle) above; the
     quantum-pressure term is kept, so the curve is valid through k xi ~ 1.
     """
-    if not np.all(np.asarray(k) >= 0.0):
-        raise ValueError("k must be non-negative")
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    check_positive(allow_zero=True, k=k)
+    check_positive(mu=mu, m=m)
     return np.sqrt(mu * np.float_power(k, 2) / m
                    + HBAR**2 * np.float_power(k, 4) / (4.0 * m**2))
 
@@ -49,8 +48,8 @@ def density_spectrum_2d(kappa, g2d: float, mu: float, m: float):
     the initial trapped state. Perfect scaling makes this the post-expansion
     spectrum at co-moving wavenumber kappa.
     """
-    if not np.all(np.asarray(kappa) >= 0.0):
-        raise ValueError("kappa must be non-negative")
+    check_positive(allow_zero=True, kappa=kappa)
+    check_positive(g2d=g2d, mu=mu, m=m)
     return g2d * kappa / (mu * np.sqrt(4.0 * m * mu / HBAR**2 + np.float_power(kappa, 2)))
 
 
@@ -62,6 +61,7 @@ def windowed_contrast(kappa: float, xi: float, g2d: float, mu: float,
     separations, so pointwise real-space values are never reported; this
     windowed ratio is the observable.
     """
+    check_positive(xi=xi)
     return density_spectrum_2d(kappa, g2d, mu, m) / xi**2
 
 
@@ -72,6 +72,6 @@ class Spectrum:
     values: np.ndarray
 
 
-def spectrum_2d_grid(kappas, g2d: float, mu: float, m: float) -> Spectrum:
-    kappas = np.asarray(kappas, dtype=float)
-    return Spectrum(kappa_grid=kappas, values=density_spectrum_2d(kappas, g2d, mu, m))
+def spectrum_2d_grid(kappa, g2d: float, mu: float, m: float) -> Spectrum:
+    kappa = np.asarray(kappa, dtype=float)
+    return Spectrum(kappa_grid=kappa, values=density_spectrum_2d(kappa, g2d, mu, m))

@@ -24,33 +24,24 @@ history to trajectory.csv.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .condensate import check_dimension, check_frequency
-
-# Upper bound on a sample count: far above any grid a run needs, and small
-# enough that a typo cannot ask for terabytes.
-_MAX_SAMPLES = 1_000_000
+from .condensate import (check_dimension, check_frequency, check_positive,
+                         check_sample_count)
 
 
 class NumericalError(RuntimeError):
     """The closed-form history overflows, or b(t) does not converge."""
 
 
-def check_sample_count(count, name: str) -> None:
-    if not (isinstance(count, numbers.Integral) and 2 <= count <= _MAX_SAMPLES):
-        raise ValueError(f"{name} must be an integer in [2, {_MAX_SAMPLES}]")
-
-
 def analytic_scale_2d(t, omega0: float):
     """Closed-form free expansion of the flat quartic 2D case: with x = omega0 t,
     (b, bdot, clock) = (hypot(1, x), omega0 x/b, arctan(x)/omega0), shaped
     (3,) for a scalar time and (3, n) for n times."""
+    check_positive(omega0=omega0)
     x = omega0 * np.asarray(t, dtype=float)
-    if not np.all(x >= 0.0):
-        raise ValueError("t must be non-negative")
+    check_positive(allow_zero=True, t=t, omega0_t=x)
     b = np.hypot(1.0, x)
     return np.array([b, omega0 * (x / b), np.arctan(x) / omega0])
 
@@ -203,9 +194,9 @@ def analytic_scale_3d(t, omega0: float):
     as in analytic_scale_2d. Every element is computed on its own, so a
     scalar time gives its array element bit for bit.
     """
+    check_positive(omega0=omega0)
     x = omega0 * np.asarray(t, dtype=float)
-    if not np.all((x >= 0.0) & (x < math.inf)):
-        raise ValueError("t must be non-negative, with omega0 t finite")
+    check_positive(allow_zero=True, t=t, omega0_t=x)
     flat = x.reshape(-1)
     rows = np.empty((3, flat.size))   # b, w (bdot), omega0 clock
     tiny = np.flatnonzero(flat < _X_TINY)
@@ -324,9 +315,8 @@ def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
     held. A history that overflows the float range raises NumericalError.
     """
     check_dimension(dimension)
-    check_frequency(omega0, "initial frequency")
-    if not t_max > 0.0:
-        raise ValueError("t_max must be positive")
+    check_frequency(omega0, "omega0 (the initial frequency)")
+    check_positive(t_max=t_max)
     check_sample_count(n_samples, "n_samples")
     # the first integral bdot^2 = alpha^2 (1 - b^-D) of a free run
     alpha = 0.0 if held else omega0 * math.sqrt(2.0 / dimension)
@@ -353,17 +343,14 @@ class LinearExpansion:
     """Pure linear background b = alpha t, for late-time mode analysis."""
 
     def __init__(self, alpha: float):
-        if not alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        check_positive(alpha=alpha)
         self.asymptotic_velocity = alpha
         self.linear_offset = 0.0
 
     @staticmethod
     def _check_range(t):
-        t = np.asarray(t, dtype=float)
-        if not np.all(t > 0.0):
-            raise ValueError("linear background defined for t > 0 only")
-        return t
+        check_positive(t=t)
+        return np.asarray(t, dtype=float)
 
     def expansion_on(self, t0: float, t1: float):
         """Check [t0, t1] once; return an unchecked t -> (alpha t, alpha)."""

@@ -31,10 +31,11 @@ import numpy as np
 
 from . import geometry, q2d, threed
 from .condensate import (DIMENSIONS, INTERACTION_EXPONENT, AtomSpecies,
-                         CondensateSpec, DerivedParams, TrapGeometry, natural_coupling,
+                         CondensateSpec, DerivedParams, TrapGeometry, check_positive,
+                         check_sample_count, natural_coupling,
                          sound_frequency_at_healing_scale, thomas_fermi,
                          validate_dimensional_reduction)
-from .scaling import ScaleTrajectory, check_sample_count, integrate_scale_factor
+from .scaling import ScaleTrajectory, integrate_scale_factor
 
 
 class ConfigError(ValueError):
@@ -59,20 +60,18 @@ class NumericSettings:
     kappa_points: int = 64
 
     def __post_init__(self):
-        try:  # the rules of integrate_scale_factor, named by their config keys
-            check_sample_count(self.trajectory_samples, "numeric.trajectory_samples")
-            check_sample_count(self.kappa_points, "numeric.kappa_points")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not 0.0 < self.t_max_omega0 < math.inf:
-            raise ConfigError("numeric.t_max_omega0 must be positive and finite")
         if (self.kappa_min_per_m is None) != (self.kappa_max_per_m is None):
             raise ConfigError("numeric.kappa_min_per_m and kappa_max_per_m must be "
                               "set together")
-        if self.kappa_min_per_m is not None:
-            if not 0.0 < self.kappa_min_per_m < self.kappa_max_per_m < math.inf:
-                raise ConfigError("kappa grid must be positive and finite with "
-                                  "kappa_min_per_m < kappa_max_per_m")
+        try:  # the library's rules, named by their config keys (a real one ends in its unit)
+            check_sample_count(self.trajectory_samples, "numeric.trajectory_samples")
+            check_sample_count(self.kappa_points, "numeric.kappa_points")
+            check_positive(**{f"numeric.{key}": value for key, value in vars(self).items()
+                              if key.endswith(("_omega0", "_per_m")) and value is not None})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.kappa_min_per_m is not None and not self.kappa_min_per_m < self.kappa_max_per_m:
+            raise ConfigError("numeric.kappa_min_per_m must be below kappa_max_per_m")
 
 
 @dataclass(frozen=True)
@@ -82,18 +81,18 @@ class ScenarioConfig:
     expansion_mode: str = "free"       # "free" | "hold"
     analysis: tuple[str, ...] = ("derive",)
     numeric: NumericSettings = field(default_factory=NumericSettings)
+    derived: DerivedParams = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # The Thomas-Fermi state depends on the input alone, so it is checked here.
+        # The Thomas-Fermi state depends on the input alone: computed and checked once, here.
         try:
-            state = vars(thomas_fermi(self.condensate)).values()
-            finite = all(0.0 < value < math.inf for value in state if value is not None)
-        except ArithmeticError:  # so degenerate that it divides by zero
-            finite = False
-        if not finite:
+            derived = thomas_fermi(self.condensate)
+            check_positive(**{k: v for k, v in vars(derived).items() if isinstance(v, float)})
+        except (ArithmeticError, ValueError) as exc:  # ArithmeticError: it divides by 0
             raise ConfigError(f"condensate.atom_number {self.condensate.atom_number:g} and "
                               "the trap give a Thomas-Fermi state that is not finite and "
-                              "positive")
+                              f"positive ({exc})") from exc
+        object.__setattr__(self, "derived", derived)
         if self.expansion_mode not in ("free", "hold"):
             raise ConfigError("expansion.mode must be 'free' or 'hold', "
                               f"got {self.expansion_mode!r}")
@@ -258,10 +257,10 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                           numeric=numeric)
 
 
-def load_scenario(source) -> ScenarioConfig:
-    """Load a preset by name or a JSON config by path."""
+def read_scenario(source) -> dict:
+    """A preset's config dict by name, or a JSON file's by path, top level checked."""
     if isinstance(source, str) and source in PRESETS:
-        return config_from_dict(PRESETS[source])
+        return PRESETS[source]
     path = Path(source)
     if not path.exists():
         raise ConfigError(f"unknown preset or missing file: {source}")
@@ -269,7 +268,12 @@ def load_scenario(source) -> ScenarioConfig:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise ConfigError(f"{path}: not a readable JSON file ({exc})") from exc
-    return config_from_dict(data)
+    return _section(data, "scenario")
+
+
+def load_scenario(source) -> ScenarioConfig:
+    """Load a preset by name or a JSON config by path."""
+    return config_from_dict(read_scenario(source))
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +466,11 @@ class _Run:
     writes: set[str]
     report: RunReport
     files: dict
-    derived: DerivedParams | None = None
     trajectory: ScaleTrajectory | None = None
 
 
 def _derive(r: _Run) -> None:
-    spec = r.config.condensate
-    derived = r.derived = thomas_fermi(spec)
+    spec, derived = r.config.condensate, r.config.derived
     validity = validate_dimensional_reduction(spec, derived)
     for check in validity:
         if not check.passed:
@@ -501,7 +503,7 @@ def _derive(r: _Run) -> None:
 
 
 def _evolve(r: _Run) -> None:
-    spec, numeric, derived = r.config.condensate, r.config.numeric, r.derived
+    spec, numeric, derived = r.config.condensate, r.config.numeric, r.config.derived
     D, omega0 = spec.trap.dimension, spec.trap.longitudinal_frequency
     r.trajectory = integrate_scale_factor(
         omega0, D, t_max=numeric.t_max_omega0 / omega0,
@@ -520,7 +522,7 @@ def _evolve(r: _Run) -> None:
 
 
 def _horizons(r: _Run) -> None:
-    trajectory, c0 = r.trajectory, r.derived.sound_speed
+    trajectory, c0 = r.trajectory, r.config.derived.sound_speed
     ts = trajectory.ts[1:]  # the apparent horizon is infinite at t = 0; ts[-1] = t_max
     apparent = geometry.apparent_horizon(trajectory, ts, c0)
     _write_csv(r.out / "horizons.csv", {
@@ -544,7 +546,7 @@ def _horizons(r: _Run) -> None:
 
 
 def _spectrum_2d(r: _Run) -> None:
-    derived, xi = r.derived, r.derived.healing_length
+    derived, xi = r.config.derived, r.config.derived.healing_length
     kappas = _kappa_grid(r.config.numeric, 2.0 * math.pi / (50.0 * xi),
                          4.0 * math.pi / xi)
     with np.errstate(over="raise"):
@@ -559,7 +561,7 @@ def _spectrum_2d(r: _Run) -> None:
 
 
 def _spectrum_3d(r: _Run) -> None:
-    species, derived = r.config.condensate.species, r.derived
+    species, derived = r.config.condensate.species, r.config.derived
     xi, omega_xi = derived.healing_length, sound_frequency_at_healing_scale(derived)
     alpha = r.trajectory.asymptotic_velocity
     kmax = threed.kappa_band_edge(xi, alpha, omega_xi)

@@ -46,6 +46,8 @@ import math
 
 import numpy as np
 
+from .condensate import check_positive
+
 X_SWITCH = 12.0
 _INTEGER_EPS = 1e-9
 _LD = np.longdouble
@@ -152,10 +154,8 @@ def hankel1(nu, x):
             raise ValueError(f"order nu={v} outside supported range (-2, 2)")
         if abs(v - round(v)) < _INTEGER_EPS:
             raise ValueError(f"integer order nu={v} not supported (logarithmic branch)")
+    check_positive(x=x)
     x = np.asarray(x, dtype=float)
-    valid = (x > 0.0) & (x < math.inf)
-    if not valid.all():
-        raise ValueError(f"x={x[~valid][0]} must be positive and finite")
     low = x < X_SWITCH
     out = np.empty((len(orders),) + x.shape, dtype=complex)
     if low.any():

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
+from .condensate import check_positive
 
 _NU = 2.0 / 3.0
 _FREEZE_CRITERION = 1e-6       # |phi'| t / |phi| below which a mode is frozen
@@ -100,19 +101,15 @@ class ModeIntegrationError(RuntimeError):
     """Mode integration could not be started or did not converge."""
 
 
-def _check_positive(**values) -> None:
-    for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name}={value} must be positive and finite")
-
-
 def hankel_argument(kappa: float, t: float, alpha: float) -> float:
     """z(t) = (2/3) kappa alpha^(-5/2) t^(-3/2) on the linear background."""
+    check_positive(kappa=kappa, t=t, alpha=alpha)
     return (2.0 / 3.0) * kappa * alpha ** (-2.5) * np.float_power(t, -1.5)
 
 
 def adiabatic_frequency(kappa: float, b: float) -> float:
     """Instantaneous mode frequency omega_ad = kappa / b^(5/2)."""
+    check_positive(kappa=kappa, b=b)
     return kappa / b**2.5
 
 
@@ -123,12 +120,15 @@ def mode_normalization(coupling: float, alpha: float) -> float:
     has b^3-weighted Wronskian 6 i alpha^3 / pi, and matching it to
     i g (per unit volume) gives this amplitude for the H^(1) branch.
     """
+    check_positive(coupling=coupling, alpha=alpha)
     return math.sqrt(math.pi * coupling / (6.0 * alpha**3))
 
 
 def mode_coefficients(kappa: float, b, bdot):
     """The mode equation phi'' = c_phi phi + c_phi' phi' on a background
     (b, bdot): returns (c_phi, c_phi') = (-kappa^2/b^5, -3 bdot/b)."""
+    check_positive(b=b)
+    check_positive(allow_zero=True, kappa=kappa, bdot=bdot)
     return -kappa**2 / b**5, -3.0 * (bdot / b)
 
 
@@ -137,12 +137,10 @@ def _basis_pair(kappa: float, t, alpha: float):
     Hankel call on the orders (2/3, -1/3), through the recurrence
     dH^(1)_nu/dz = H^(1)_{nu-1} - (nu/z) H^(1)_nu.
 
-    kappa must be positive and finite, t non-empty and positive, and every
-    z(t) finite and positive."""
-    _check_positive(kappa=kappa)
+    t must be non-empty, and every z(t) positive and finite."""
     t = np.asarray(t, dtype=float)
-    if t.size == 0 or np.any(t <= 0.0):
-        raise ValueError("t must be non-empty and positive on the linear background")
+    if t.size == 0:
+        raise ValueError("t must be non-empty")
     with np.errstate(over="ignore"):
         z = hankel_argument(kappa, t, alpha)
     valid = (z > 0.0) & (z < math.inf)
@@ -161,7 +159,7 @@ def freezing_time(kappa: float, alpha: float) -> float:
     expansion of the frozen mode: |phi'| t / |phi| = 2 (beta/2)^(4/3)
     Gamma(1/3)/Gamma(5/3) t^-2.
     """
-    _check_positive(kappa=kappa, alpha=alpha)
+    check_positive(kappa=kappa, alpha=alpha)
     beta_half = kappa / (3.0 * alpha**2.5)
     factor = 2.0 * math.gamma(1.0 / 3.0) / math.gamma(5.0 / 3.0)
     return beta_half ** (2.0 / 3.0) * math.sqrt(factor / _FREEZE_CRITERION)
@@ -315,10 +313,9 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
 
     The background provides asymptotic_velocity, linear_offset (None when it
     has no linear regime) and expansion_on(t_start, t_end), which checks the
-    interval once and returns the t -> (b, bdot) lookup. kappa and coupling
-    must be positive and finite, t_start and t_end finite with
-    t_end > t_start, and tolerance in (0, 1); each is checked before the
-    background is read.
+    interval once and returns the t -> (b, bdot) lookup. kappa, t_start and
+    coupling must be positive and finite, t_end finite with t_end > t_start,
+    and tolerance in (0, 1); each is checked before the background is read.
 
     The solver is Chebyshev-Lobatto collocation in integral form, in numpy
     (_solve_blocks), on mode_coefficients at the background lookup. The
@@ -331,9 +328,7 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     ModeIntegrationError; nfev counts the node times at which the background
     was read, rejected blocks included.
     """
-    _check_positive(kappa=kappa, coupling=coupling)
-    if not math.isfinite(t_start):
-        raise ValueError(f"t_start={t_start} must be finite")
+    check_positive(kappa=kappa, t_start=t_start, coupling=coupling)
     if not t_start < t_end < math.inf:
         raise ValueError(f"t_end={t_end} must be finite and exceed t_start")
     if not 0.0 < tolerance < 1.0:
@@ -391,15 +386,15 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
                          frozen_value=frozen_value, nfev=nfev, warnings=notes)
 
 
-def analytic_evolution(kappa: float, times, alpha: float,
+def analytic_evolution(kappa: float, t, alpha: float,
                        coupling: float = 1.0) -> ModeEvolution:
     """Exact positive-frequency evolution on the pure linear background."""
-    times = np.asarray(times, dtype=float)
+    t = np.asarray(t, dtype=float)
     norm = mode_normalization(coupling, alpha)
-    u1, d1 = _basis_pair(kappa, times, alpha)
+    u1, d1 = _basis_pair(kappa, t, alpha)
     phi = norm * u1
     phidot = norm * d1
-    return ModeEvolution(times=times, phi=phi, phidot=phidot,
+    return ModeEvolution(times=t, phi=phi, phidot=phidot,
                          frozen_value=float(abs(phi[-1])), nfev=0)
 
 
@@ -409,8 +404,7 @@ def frozen_phase_variance(kappa, coupling: float, alpha: float, c0: float = 1.0)
     <phi_kappa^2> = (g / 6 pi) Gamma(2/3)^2 3^(4/3) alpha^(1/3) c0^(-4/3)
                     kappa^(-4/3).
     """
-    if not np.all(np.asarray(kappa) > 0.0):
-        raise ValueError("kappa must be positive")
+    check_positive(kappa=kappa, coupling=coupling, alpha=alpha, c0=c0)
     g23 = math.gamma(2.0 / 3.0)
     return (coupling / (6.0 * math.pi) * g23**2 * 3.0 ** (4.0 / 3.0)
             * alpha ** (1.0 / 3.0) * c0 ** (-4.0 / 3.0)
@@ -425,8 +419,7 @@ def density_spectrum_3d(kappa, xi: float, c0: float, rho0: float, alpha: float):
 
     with all right-hand-side quantities taken on the initial state.
     """
-    if not np.all(np.asarray(kappa) > 0.0):
-        raise ValueError("kappa must be positive")
+    check_positive(kappa=kappa, xi=xi, c0=c0, rho0=rho0, alpha=alpha)
     g13 = math.gamma(1.0 / 3.0)
     return (g13**2 * 3.0 ** (2.0 / 3.0) / (6.0 * math.pi)
             * xi * c0 ** (1.0 / 3.0) / (rho0 * alpha ** (1.0 / 3.0))
@@ -440,6 +433,7 @@ def density_contrast_from_mode(evolution: ModeEvolution, background,
     Evaluated at the final sample; |phi'|^2 and rho0(t)^2 = (rho0/b^3)^2 decay
     together, so the ratio converges to the frozen value.
     """
+    check_positive(coupling=coupling, rho0_initial=rho0_initial)
     t = float(evolution.times[-1])
     b = float(background.b(t))
     return abs(evolution.phidot[-1]) ** 2 * b**6 / (coupling**2 * rho0_initial**2)
@@ -448,7 +442,7 @@ def density_contrast_from_mode(evolution: ModeEvolution, background,
 def kappa_band_edge(xi: float, alpha: float, omega_xi: float) -> float:
     """Largest co-moving wavenumber still hydrodynamic through freezing:
     kappa_max = (1/xi) (alpha/omega_xi)^(1/4), all three positive and finite."""
-    _check_positive(xi=xi, alpha=alpha, omega_xi=omega_xi)
+    check_positive(xi=xi, alpha=alpha, omega_xi=omega_xi)
     return (1.0 / xi) * (alpha / omega_xi) ** 0.25
 
 
@@ -467,6 +461,8 @@ def max_contrast_estimate(scattering_length: float, rho0: float, omega0: float,
     prefactor = 4 sqrt(pi) Gamma(1/3)^2 (alpha/omega0)^(3/4) / 3^(1/3). The
     estimate needs a long linear-expansion window, omega_xi/omega0 >> 1.
     """
+    check_positive(scattering_length=scattering_length, rho0=rho0, omega0=omega0,
+                   omega_xi=omega_xi, alpha=alpha)
     g13 = math.gamma(1.0 / 3.0)
     alpha_tilde = alpha / omega0
     prefactor = (4.0 * math.sqrt(math.pi) * g13**2 * alpha_tilde**0.75
@@ -485,17 +481,18 @@ class FrozenSpectrum3D:
     in_band: np.ndarray
 
 
-def spectrum_3d_grid(kappas, xi: float, c0: float, rho0: float, alpha: float,
+def spectrum_3d_grid(kappa, xi: float, c0: float, rho0: float, alpha: float,
                      coupling: float, kmax: float) -> FrozenSpectrum3D:
     """Closed-form frozen spectra on a wavenumber grid with band flags.
 
     Values beyond the band edge kmax (kappa_band_edge) are still computed
     but flagged out of band.
     """
-    kappas = np.asarray(kappas, dtype=float)
+    check_positive(kmax=kmax)
+    kappa = np.asarray(kappa, dtype=float)
     return FrozenSpectrum3D(
-        kappa_grid=kappas,
-        phase_variance=frozen_phase_variance(kappas, coupling, alpha, c0),
-        density_values=density_spectrum_3d(kappas, xi, c0, rho0, alpha),
-        in_band=kappas <= kmax,
+        kappa_grid=kappa,
+        phase_variance=frozen_phase_variance(kappa, coupling, alpha, c0),
+        density_values=density_spectrum_3d(kappa, xi, c0, rho0, alpha),
+        in_band=kappa <= kmax,
     )

@@ -124,6 +124,19 @@ class TestLoading:
         with pytest.raises(ConfigError, match="condensate.atom_number 1e[+]308 and the trap"):
             ScenarioConfig(loaded.name, condensate, analysis=loaded.analysis)
 
+    def test_thomas_fermi_state_computed_once(self, tmp_path, monkeypatch):
+        # the config keeps the state it checked; derive reads it, and the CLI
+        # builds one config with its overrides merged in
+        calls = []
+        original = scenarios.thomas_fermi
+        monkeypatch.setattr(scenarios, "thomas_fermi",
+                            lambda spec: calls.append(spec) or original(spec))
+        run(load_scenario("sodium-q2d"), tmp_path / "library")
+        assert len(calls) == 1
+        assert main(["derive", "--scenario", "sodium-q2d", "--kappa-points", "16",
+                     "--out", str(tmp_path / "cli")]) == 0
+        assert len(calls) == 2
+
     def test_inline_species(self):
         data = _preset_dict("sodium-q2d")
         data["condensate"]["species"] = {

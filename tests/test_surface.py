@@ -9,18 +9,26 @@ public dataclass must be read somewhere as .<field>, and every public
 attribute of a background (ScaleTrajectory, LinearExpansion) must be read by
 code outside its own class. The names the
 benchmark's tracer patches by name must exist where it looks them up.
+Every float argument of the public surface is checked: a bad value is a
+ValueError that names it, or a documented value.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import pkgutil
 import re
+import warnings
 from pathlib import Path
 
+import numpy as np
+
 import becosmo
+from becosmo.condensate import AtomSpecies, CondensateSpec, TrapGeometry, thomas_fermi
 from becosmo.scaling import LinearExpansion, integrate_scale_factor
+from becosmo.threed import analytic_evolution, freezing_time
 
 ROOT = Path(__file__).parents[1]
 SRC = ROOT / "src" / "becosmo"
@@ -195,3 +203,135 @@ def test_collocation_core_is_physics_free():
             if field and getattr(node, field) in ("kappa", "expansion", "c0"):
                 offenders.append(f"{name}:{node.lineno} {getattr(node, field)}")
     assert not offenders, f"physics named in the collocation core: {offenders}"
+
+
+def test_argument_checks_live_in_condensate():
+    # condensate states every argument rule once; a module-level check_* or
+    # _check_* elsewhere would be a second statement of one (methods such as
+    # ScaleTrajectory._check_range are exempt)
+    offenders = [f"{path.name}:{node.lineno} {node.name}"
+                 for path in sorted(SRC.glob("*.py")) if path.name != "condensate.py"
+                 for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name.lstrip("_").startswith("check_")]
+    assert not offenders, f"argument checks outside condensate: {offenders}"
+
+
+# -- the argument contract ----------------------------------------------------
+
+_ALPHA = 0.8
+_SPEC = CondensateSpec(AtomSpecies("sodium", 3.8e-26, 2.75e-9),
+                       TrapGeometry(2, 2 * math.pi * 10.0, 2 * math.pi * 790.0), 1e5)
+# A valid argument for each parameter name; floats (and float arrays) are the
+# ones the walker replaces by each bad value.
+_VALID = {
+    "alpha": _ALPHA, "allow_zero": False, "analysis": ["derive"], "argv": [],
+    "atom_number": 1e5, "b": 1.5, "background": LinearExpansion(_ALPHA), "bdot": 0.5,
+    "c0": 1.0, "condensate": _SPEC, "config": None, "count": 2, "coupling": 1.0,
+    "data": {}, "derived": thomas_fermi(_SPEC), "dimension": 2,
+    "evolution": analytic_evolution(1.0, [1.0, 2.0], _ALPHA), "expansion_mode": "free",
+    "g2d": 1.0, "g3d": 1.0, "g_si": 1.0, "held": False, "k": 1.0, "kappa": 1.0,
+    "kmax": 1.0, "longitudinal_frequency": 10.0, "m": 1.0, "mass": 3.8e-26, "mu": 1.0,
+    "n_samples": 11, "name": "sodium", "nu": 2.0 / 3.0, "numeric": None, "omega0": 1.0,
+    "omega_xi": 100.0, "omega_z": 100.0, "out_dir": None, "rho0": 1.0,
+    "rho0_initial": 1.0, "scattering_length": 1e-9, "sound_speed": 1.0,
+    "source": "sodium-q2d", "spec": _SPEC, "species": _SPEC.species, "t": 1.0,
+    "t_max": 10.0, "tolerance": 1e-10, "trajectory": integrate_scale_factor(1.0, 2, 10.0, 11),
+    "transverse_frequency": 100.0, "trap": _SPEC.trap, "x": 1.0, "xi": 1.0,
+}
+# Arguments one function needs otherwise: the name check_frequency reports,
+# a deep start of a kappa = 8 mode, and times as an array.
+_VALID_FOR = {
+    "analytic_evolution": {"t": np.array([1.0, 2.0])},
+    "check_frequency": {"name": "omega0"},
+    "integrate_mode": {"kappa": 8.0, "t_start": 0.13, "t_end": freezing_time(8.0, _ALPHA)},
+}
+# Results, exceptions and ScaleTrajectory (built by integrate_scale_factor):
+# the surface takes no float input through them.
+_NOT_INPUTS = {"ConfigError", "DerivedParams", "FrozenSpectrum3D", "ModeEvolution",
+               "RunReport", "ScaleTrajectory", "Spectrum", "StageError"}
+_BAD = (-1.0, 0.0, math.nan, math.inf)
+# (function, parameter, bad value): the value it returns instead of a
+# ValueError, because zero is physical there.
+_DOCUMENTED = {
+    ("analytic_scale_2d", "t", 0.0): [1.0, 0.0, 0.0],    # release: b = 1, at rest
+    ("analytic_scale_3d", "t", 0.0): [1.0, 0.0, 0.0],
+    ("apparent_horizon", "t", 0.0): math.inf,            # bdot = 0 at release
+    ("particle_horizon", "t", 0.0): math.pi / 2.0,       # (2 c0/(D alpha)) arcsin 1
+    ("bogoliubov_frequency", "k", 0.0): 0.0,             # the uniform mode
+    ("density_spectrum_2d", "kappa", 0.0): 0.0,
+    ("windowed_contrast", "kappa", 0.0): 0.0,
+    ("spectrum_2d_grid", "kappa", 0.0): 0.0,             # its values
+    ("mode_coefficients", "kappa", 0.0): [0.0, -1.0],    # the zero mode, -3 bdot/b
+    ("mode_coefficients", "bdot", 0.0): [-1.0 / 1.5**5, 0.0],  # a background at rest
+}
+# hankel1's order rule (integer orders, |nu| >= 2) names nu inside its message
+_MESSAGE_FOR = {("hankel1", "nu"): r"(integer )?order nu="}
+
+
+def _surface():
+    """name -> callable: what becosmo re-exports and every unprefixed module function."""
+    found = {name: obj for name, obj in vars(becosmo).items()
+             if callable(obj) and not name.startswith("_") and name not in _NOT_INPUTS}
+    for info in pkgutil.iter_modules(becosmo.__path__):
+        module = importlib.import_module(f"becosmo.{info.name}")
+        found.update({name: obj for name, obj in vars(module).items()
+                      if inspect.isfunction(obj) and obj.__module__ == module.__name__
+                      and not name.startswith("_")})
+    return found
+
+
+def _is_float(value) -> bool:
+    return isinstance(value, float) or (isinstance(value, np.ndarray)
+                                        and value.dtype == float)
+
+
+def _with_bad(valid, bad):
+    """valid with bad in its place, or in the last element of an array."""
+    if isinstance(valid, float):
+        return bad
+    return np.concatenate([valid[:-1], [bad]])
+
+
+def _outcome(function, arguments):
+    """The value of a call, or the exception it raised, warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return function(**arguments)
+        except Exception as exc:  # any kind but ValueError is a finding
+            return exc
+
+
+def test_every_float_argument_is_checked():
+    failures, documented = [], set()
+    for name, function in sorted(_surface().items()):
+        params = [p for p in inspect.signature(function).parameters.values()
+                  if p.kind is not p.VAR_KEYWORD]
+        table = {**_VALID, **_VALID_FOR.get(name, {})}
+        missing = [p.name for p in params if p.name not in table]
+        if missing:
+            failures.append(f"{name}: no valid argument for {missing}")
+            continue
+        valid = {p.name: table[p.name] for p in params}
+        floats = [key for key, value in valid.items() if _is_float(value)]
+        first = _outcome(function, valid) if floats else None
+        if isinstance(first, Exception):
+            failures.append(f"{name}: the valid call raised {first!r}")
+            continue
+        for key in floats:
+            for bad in _BAD:
+                case = f"{name}({key}={bad})"
+                got = _outcome(function, {**valid, key: _with_bad(valid[key], bad)})
+                if (name, key, bad) in _DOCUMENTED:
+                    documented.add((name, key, bad))
+                    value = getattr(got, "values", got)
+                    if isinstance(got, Exception) or not np.array_equal(
+                            np.asarray(value, dtype=float), _DOCUMENTED[name, key, bad]):
+                        failures.append(f"{case} gave {got!r}, not the documented value")
+                elif not isinstance(got, ValueError):
+                    failures.append(f"{case} gave {got!r}, not a ValueError")
+                elif not re.match(_MESSAGE_FOR.get((name, key), rf"{key}\b"), str(got)):
+                    failures.append(f"{case}: the message {str(got)!r} does not name {key}")
+    assert not failures, "\n".join(failures)
+    assert documented == set(_DOCUMENTED), "documented cases the walker never met"

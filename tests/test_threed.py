@@ -658,7 +658,7 @@ class TestClosedForms:
                             lambda k: spectrum_3d_grid(k, 1.0, 1.0, 1.0, ALPHA, 1.0, 1.0)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="kappa must be positive"):
+                with pytest.raises(ValueError, match="^kappa=.* must be positive and finite"):
                     closed_form(kappa)
 
 
@@ -689,10 +689,14 @@ class TestMaxContrast:
     (freezing_time, (1.0, -0.8), "alpha"), (freezing_time, (1.0, math.inf), "alpha"),
     (kappa_band_edge, (0.0, 1.0, 1.0), "xi"),
     (kappa_band_edge, (1.0, -1.0, 1.0), "alpha"),
-    (kappa_band_edge, (1.0, 1.0, math.nan), "omega_xi")],
+    (kappa_band_edge, (1.0, 1.0, math.nan), "omega_xi"),
+    (frozen_phase_variance, (1.0, 1.0, -1.0), "alpha"),
+    (density_spectrum_3d, (1.0, 1.0, -1.0, 1.0, 1.0), "c0"),
+    (max_contrast_estimate, (1.0, 1.0, 1.0, 1.0, -1.0), "alpha")],
     ids=["freezing-kappa-negative", "freezing-kappa-nan", "freezing-alpha-negative",
          "freezing-alpha-inf", "band-xi-zero", "band-alpha-negative",
-         "band-omega_xi-nan"])
+         "band-omega_xi-nan", "phase-alpha-negative", "density-c0-negative",
+         "contrast-alpha-negative"])
 def test_scalar_closed_forms_reject_bad_arguments(function, args, name):
     with pytest.raises(ValueError, match=rf"^{name}=.* must be positive and finite"):
         function(*args)

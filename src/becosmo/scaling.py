@@ -260,8 +260,10 @@ class ScaleTrajectory:
 
     def _check_range(self, t):
         t = np.asarray(t, dtype=float)
-        if not np.all((t >= 0.0) & (t <= self.t_max * (1 + 1e-12))):
-            raise ValueError(f"t outside sampled range [0, {self.t_max}]")
+        ok = (t >= 0.0) & (t <= self.t_max * (1 + 1e-12))
+        if not ok.all():
+            raise ValueError(f"t={float(t[~ok].flat[0])!r} outside sampled range "
+                             f"[0, {self.t_max}]")
         return t
 
     # -- dense lookups ---------------------------------------------------------

@@ -12,15 +12,17 @@ report.json, depending on the analyses (pipeline stages, see STAGES) requested.
 This module is the only one that writes files: the physics modules return
 arrays, and _write_csv and _write_json fix the two file formats. _write_csv
 formats whole columns in numpy, writes exactly the bytes of %.12e and flags
-as 0/1; values the longdouble scaling cannot round with certainty go through
-Python's own %.12e. _write_json writes the bytes of json.dumps(indent=2,
-sort_keys=True) and a newline by its own recursion.
+as 0/1; values the float64 scaling cannot round with certainty (about 0.6 %
+of a scenario-sweep op's values) go through Python's own %.12e. _write_json
+writes the bytes of json.dumps(indent=2, sort_keys=True) and a newline by its
+own recursion. Both write each file with one os.open, write and close.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -349,19 +351,30 @@ def _json_text(value, indent: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
+def _write_bytes(path: Path, data: bytes) -> None:
+    """Path.write_bytes in one open, write and close, without its buffered writer."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0),
+                 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     """Strict JSON: NaN or inf raises ValueError, another type TypeError."""
-    path.write_bytes(_json_text(payload).encode() + b"\n")
+    _write_bytes(path, _json_text(payload).encode() + b"\n")
 
 
-# Tables of the float formatter, built with array arithmetic at import. A
-# formatted double is 24 bytes: a head word (sign, lead digit, point), three
-# words of four digits and a double word for the exponent, little-endian,
-# with zero bytes as padding. _POW10[k + 340] = 10**k in longdouble;
-# _DIGITS4[i] ("%04d" % i) and _EXPONENT[e + 324] ("e+XX" or "e-XXX") are
-# packed words.
-with np.errstate(over="ignore"):  # 10**340 overflows where longdouble is double
-    _POW10 = np.longdouble(10) ** np.arange(-340, 341)
+# Tables of the float formatter, built at import. A formatted double is 24
+# bytes: a head word (sign, lead digit, point), three words of four digits
+# and a double word for the exponent, little-endian, with zero bytes as
+# padding. _POW10[k + 340] = 10**k correctly rounded from its decimal text
+# (numpy's 10.0 ** k is one ulp off at 30 of these k), inf above 1e308;
+# _DIGITS4[i] ("%04d" % i) and _EXPONENT[e + 324] ("e+XX" or "e-XXX") are packed words.
+_POW10 = np.array([float("1e%d" % k) for k in range(-340, 341)])
 _DIGITS4 = np.arange(10, dtype="<u4")  # one place value per axis, thousands first
 _DIGITS4 = (0x30303030 + _DIGITS4[:, None, None, None] + (_DIGITS4[:, None, None] << 8)
             + (_DIGITS4[:, None] << 16) + (_DIGITS4 << 24)).ravel()
@@ -371,40 +384,40 @@ _EXPONENT[:, 1] = np.where(np.arange(-324, 309) < 0, ord("-"), ord("+"))
 _EXPONENT[:, 2:5] = 48 + abs(np.arange(-324, 309))[:, None] // [100, 10, 1] % 10
 _EXPONENT[_EXPONENT[:, 2] == ord("0"), 2] = 0  # |e| < 100 has two digits
 _EXPONENT = _EXPONENT.view("<u8")[:, 0]
-# A scaled mantissa this close to a half-way point may round either way
-# under the longdouble error of the scaling; Python formats it instead.
-_WINDOW = float(1e13 * 64 * np.finfo(np.longdouble).eps)
+# The scaled mantissa |v| * 10**(12 - e) < 1e13 carries two float64 roundings
+# (the power and the product), an error below 2**-52 * 1e13 = 2.2e-3; one this
+# close to a half-way point may round either way, so Python formats it instead.
+_WINDOW = 2.5e-3
 
 
 def _format_floats(x: np.ndarray) -> np.ndarray:
     """The bytes of "%.12e" % v for each double v of a 1-D array, as rows of
     six '<u4' words, zero-padded. The 13-digit mantissa is |v| scaled by a
-    power of ten in longdouble and rounded; zeros, inf and mantissas within
-    _WINDOW of a half-way point are formatted by Python, so every row is
-    exact."""
+    power of ten in float64 and rounded; Python formats zeros, inf, mantissas
+    off [1e12, 1e13) (log10 off by one, or the power overflows) and those
+    within _WINDOW of a half-way point, so every row is exact."""
     a = np.abs(x)
     special = (a == 0.0) | (a == math.inf)
     a[special] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf where longdouble is double
-        mantissa = a * _POW10[352 - e]  # |x| / 10**(e - 12)
+    mantissa = a * _POW10[352 - e]  # |x| / 10**(e - 12); inf below 1e-296
+    with np.errstate(invalid="ignore"):  # casting inf
         digits = mantissa.astype(np.int64)
-        off = np.flatnonzero((digits < 10**12) | (digits >= 10**13))  # log10 near 10**e
-        if off.size:
-            e[off] += np.where(digits[off] < 10**12, -1, 1)
-            mantissa[off] = a[off] * _POW10[352 - e[off]]
-            digits[off] = mantissa[off].astype(np.int64)
-        fraction = (mantissa - digits).astype(np.float64)
-    exact = ~special & (np.abs(fraction - 0.5) > _WINDOW) & np.isfinite(fraction)
+    fraction = mantissa - digits
+    exact = (~special & (digits >= 10**12) & (digits < 10**13)
+             & (np.abs(fraction - 0.5) > _WINDOW))
     digits += fraction > 0.5
     fallback = np.flatnonzero(~exact)
     digits[fallback] = 10**12  # a placeholder: Python formats these rows below
     carry = digits == 10**13  # 9.9999999999995 rounds up to 1.000000000000e+01
     digits[carry] = 10**12
     e += carry
-    high, low = np.divmod(digits, 10**8)  # the lead digit and the next four
-    lead, high = np.divmod(high, 10**4)
-    mid, low = np.divmod(low, 10**4)
+    high = digits // 10**8  # the lead digit and the next four
+    low = digits - high * 10**8
+    lead = high // 10**4
+    high -= lead * 10**4
+    mid = low // 10**4
+    low -= mid * 10**4
     out = np.empty((len(x), 6), "<u4")
     out[:, 0] = 0x2E3000 + (lead << 8) + ord("-") * np.signbit(x)  # "-", "0" + lead, "."
     out[:, 1] = _DIGITS4[high]
@@ -440,8 +453,8 @@ def _write_csv(path: Path, columns: dict, infinite: tuple[str, ...] = ()) -> Non
     cells = table.view(np.uint8)
     cells[:, :, 23] = ord(",")
     cells[:, -1, 23] = ord("\n")
-    path.write_bytes(",".join(columns).encode() + b"\n"
-                     + cells.tobytes().translate(None, b"\0"))
+    _write_bytes(path, ",".join(columns).encode() + b"\n"
+                 + cells.tobytes().translate(None, b"\0"))
 
 
 def _finite_or_none(value: float) -> float | None:

@@ -83,6 +83,16 @@ def test_horizons_reject_bad_sound_speed(traj2d, c0):
             call()
 
 
+@pytest.mark.parametrize("t, bad", [([0.0, 1.0, -1.0], "-1.0"), (math.nan, "nan"),
+                                    ([0.0, math.inf], "inf")])
+def test_horizons_name_the_bad_time(traj2d, t, bad):
+    # the message names the first time outside [0, t_max], so a bad element
+    # of a long array can be found from it
+    for horizon in (particle_horizon, apparent_horizon):
+        with pytest.raises(ValueError, match=rf"^t={bad} outside sampled range \[0, "):
+            horizon(traj2d, t)
+
+
 def _preset_trajectory(name):
     """The preset's own b(t) and sound speed, as its evolve stage builds them."""
     config = config_from_dict(PRESETS[name])

@@ -21,6 +21,8 @@ from becosmo.scaling import ScaleTrajectory
 from becosmo.scenarios import (PRESETS, ConfigError, ScenarioConfig, StageError,
                                config_from_dict, load_scenario, run)
 
+from test_golden import GOLDEN, SCENARIOS as GOLDEN_SCENARIOS, _digests as golden_digests
+
 
 def _readme_blocks(language):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -350,6 +352,34 @@ class TestRun:
             run(load_scenario(preset), out)
         assert err.value.stage == stage
         assert isinstance(err.value.cause, OSError)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_stage"] == stage
+        assert manifest["complete"] is False
+
+    @pytest.mark.parametrize("preset, stage, name", [
+        ("sodium-q2d", "derive", "derived.json"),
+        ("sodium-q2d", "evolve", "trajectory.csv"),
+        ("sodium-q2d", "horizons", "horizons.csv"),
+        ("sodium-q2d", "spectrum-2d", "spectrum.csv"),
+        ("rubidium-3d", "spectrum-3d", "spectrum.csv"),
+        ("sodium-q2d", "report", "report.json"),
+    ])
+    def test_failing_open_fails_its_stage(self, tmp_path, monkeypatch, preset, stage, name):
+        # every file is opened by os.open in _write_bytes; an open that fails
+        # for one file fails the stage that writes it
+        original = os.open
+
+        def broken(path, *args, **kwargs):
+            if Path(path).name == name:
+                raise PermissionError("injected")
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", broken)
+        out = tmp_path / "run"
+        with pytest.raises(StageError) as err:
+            run(load_scenario(preset), out)
+        assert err.value.stage == stage
+        assert isinstance(err.value.cause, PermissionError)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failed_stage"] == stage
         assert manifest["complete"] is False
@@ -791,6 +821,35 @@ def test_write_csv_format(tmp_path):
         assert not bad.exists()
 
 
+def test_short_writes_keep_every_byte(tmp_path, monkeypatch):
+    # os.write may write fewer bytes than it is given; _write_bytes writes
+    # the rest, so runs whose every write takes at most 5 bytes keep the
+    # golden digests
+    original, calls = os.write, []
+
+    def short(fd, data):
+        calls.append(len(data))
+        return original(fd, data[:5])
+
+    monkeypatch.setattr(os, "write", short)
+    for name in ("sodium-q2d", "rubidium-3d"):
+        run(config_from_dict(GOLDEN_SCENARIOS[name]), tmp_path / name)
+        assert golden_digests(tmp_path / name) == GOLDEN[name], name
+    assert len(calls) > 10_000 and min(calls) > 0
+
+
+def test_write_bytes_truncates_and_keeps_the_file_mode(tmp_path):
+    path, reference = tmp_path / "file", tmp_path / "reference"
+    scenarios._write_bytes(path, b"first\n")
+    reference.write_bytes(b"first\n")
+    assert path.stat().st_mode == reference.stat().st_mode  # 0o666 less the umask
+    path.write_bytes(b"x" * 100_000)  # a longer file already at the path
+    scenarios._write_bytes(path, b"short\n")
+    assert path.read_bytes() == b"short\n"
+    scenarios._write_bytes(path, b"")
+    assert path.read_bytes() == b""
+
+
 def _written(columns: dict, infinite=()) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
@@ -809,23 +868,36 @@ def test_write_csv_matches_percent_e(values):
     assert _written({"v": np.array(values, dtype=np.float64)}) == _percent_e(values)
 
 
-@pytest.mark.parametrize("longdouble", ["native", "double"])
-def test_write_csv_matches_percent_e_on_hard_cases(monkeypatch, longdouble):
-    if longdouble == "double":
-        # the tables where longdouble is double: more values fall back, and
-        # 10**k overflows for k > 308
-        with np.errstate(over="ignore"):
-            monkeypatch.setattr(scenarios, "_POW10", 10.0 ** np.arange(-340, 341))
-        monkeypatch.setattr(scenarios, "_WINDOW", 1e13 * 64 * np.finfo(float).eps)
+def _near_window(rng) -> np.ndarray:
+    """Mantissas 1e-3 and 3e-4 inside and outside _WINDOW of a half-way
+    point, below and above it, at every decimal exponent of a double."""
+    texts = []
+    for exponent in range(-323, 309):
+        for n in rng.integers(10**12, 10**13, 2).tolist():
+            for side in (-1.0, 1.0):
+                for offset in (-1e-3, -3e-4, 3e-4, 1e-3):
+                    fraction = round(1e6 * (0.5 + side * (scenarios._WINDOW + offset)))
+                    texts.append(f"{n}.{fraction:06d}e{exponent - 12}")
+    values = np.array([float(text) for text in texts])
+    return values[values < math.inf]  # above 1.8e308 the text overflows
+
+
+def test_write_csv_matches_percent_e_on_hard_cases():
     rng = np.random.default_rng(14)
     bits = rng.integers(0, 2**64, 120_000, dtype=np.uint64).view(np.float64)
     # exact halves of the 13th digit, scaled by 1 and, inexactly, by 1/10**j
     ties = [rng.integers(10**12, 10**13, 1000) * 10.0**j + 0.5 * 10.0**j
             for j in range(4)]
     powers = 10.0 ** np.arange(-323, 309)  # where log10 rounds to an integer
+    near = _near_window(rng)
+    # the scaled mantissas fall on both sides of the fallback boundary
+    scale = scenarios._POW10[352 - np.floor(np.log10(near)).astype(int)]
+    margin = np.abs((near * scale)[np.isfinite(scale)] % 1.0 - 0.5) - scenarios._WINDOW
+    assert ((margin > 0.0) & (margin < 2e-3)).sum() > 1000
+    assert ((margin <= 0.0) & (margin > -2e-3)).sum() > 1000
     values = np.concatenate([
         bits[np.isfinite(bits)], *ties, powers, np.nextafter(powers, 0.0),
-        np.nextafter(powers, math.inf),
+        np.nextafter(powers, math.inf), near, -near,
         [12345678901234.5, 1234567890123.5, 9.9999999999995, 9.99999999999949,
          9.9999999999995e-101, 5e-324, 2.2250738585072014e-308,
          1.7976931348623157e308, 1e22, 1e23, 1e100, 1e-100, -1e100, -1e-100,
@@ -841,10 +913,12 @@ def test_format_tables():
     exponents = scenarios._EXPONENT.view("S8")
     assert [x.replace(b"\0", b"") for x in exponents.tolist()] == [
         b"e%+03d" % e for e in range(-324, 309)]
-    # the rounding window holds only if each power of ten the scaling uses
-    # (10**k for k in [-297, 337]) is near exact; an infinite one falls back
-    eps = Fraction(float(np.finfo(np.longdouble).eps))
-    for k in range(-297, 338):
-        power, exact = scenarios._POW10[k + 340], Fraction(10) ** k
-        if np.isfinite(power):
-            assert abs(Fraction(*power.as_integer_ratio()) - exact) <= 4 * eps * exact, k
+    # every power of ten is correctly rounded (inf past the largest double),
+    # and the window covers the scaling's error: a mantissa below 1e13 after
+    # two float64 roundings, the power's and the product's, is off by less
+    # than 2**-52 * 1e13
+    assert scenarios._POW10.dtype == np.float64
+    for k in range(-340, 341):
+        power = scenarios._POW10[k + 340]
+        assert power == (float(Fraction(10) ** k) if k <= 308 else math.inf), k
+    assert Fraction(scenarios._WINDOW) >= Fraction(10**13, 2**52)

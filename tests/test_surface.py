@@ -167,6 +167,25 @@ def test_no_module_imports_scipy():
     assert not offenders, f"modules under src/ that import scipy: {offenders}"
 
 
+def test_longdouble_only_in_specfun():
+    # longdouble's width differs by platform (80-bit on x86-64 Linux, plain
+    # double on Windows), so code that names it behaves differently across
+    # platforms; only the special-function series, which state their error
+    # in its eps, use it. A name, an attribute, an imported alias or a dtype
+    # string counts
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "specfun.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None), getattr(node, "asname", None),
+                     getattr(node, "value", None)]
+            if "longdouble" in names:
+                offenders.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not offenders, f"modules other than specfun that name longdouble: {offenders}"
+
+
 def test_one_json_writer():
     # every JSON file goes through scenarios._write_json, which builds the
     # bytes of json.dumps(indent=2, sort_keys=True) itself; a json.dump or

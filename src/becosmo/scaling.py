@@ -235,11 +235,10 @@ class ScaleTrajectory:
     dense(t) gives the rows (b, bdot, clock) at times t, and time_of(b) the
     time at which the history reaches b. The lookups b(t), bdot(t) and the
     co-moving clock integral take a scalar or an array of times within
-    [0, t_max]; the stored samples
-    at ts are the same lookup, so a lookup whose times are all sample times
-    (the horizons stage reads ts[1:]) reads them instead.
-    asymptotic_velocity is the model constant alpha = omega0 sqrt(2/D) of a
-    free run (0 while held), and the remaining
+    [0, t_max]; the stored samples at ts are the same lookup, so a lookup
+    whose times are all sample times (the horizons stage reads ts[1:]) reads
+    them instead. asymptotic_velocity is the model constant
+    alpha = omega0 sqrt(2/D) of a free run (0 while held), and the remaining
     horizon integral of b^-s is the closed form of the first integral:
     (2/(D alpha)) arcsin(b(t)^(-D/2)), or inf for a held trap.
     linear_offset places the line b ~ alpha (t - linear_offset) through
@@ -267,13 +266,6 @@ class ScaleTrajectory:
         return t
 
     # -- dense lookups ---------------------------------------------------------
-
-    def expansion_on(self, t0: float, t1: float):
-        """Check [t0, t1] once; return an unchecked t -> (b, bdot) for times
-        inside it, both from one dense evaluation."""
-        self._check_range([t0, t1])
-        dense = self._dense
-        return lambda t: dense(t)[:2]
 
     def _lookup(self, t):
         """The rows at times t: the stored samples when every time is a sample
@@ -303,9 +295,13 @@ class ScaleTrajectory:
         return 2.0 / (D * alpha) * np.arcsin(u)
 
     def time_at(self, b):
-        """The time at which b(t) reaches b >= 1, past t_max too; inf for a
-        held trap."""
-        return self._time_of(np.asarray(b, dtype=float))
+        """The time at which b(t) reaches b, past t_max too; inf for a held
+        trap, and for b = inf. Every element must be at least 1."""
+        b = np.asarray(b, dtype=float)
+        low = ~(b >= 1.0)
+        if low.any():
+            raise ValueError(f"b={float(b[low].flat[0])!r} must be at least 1")
+        return self._time_of(b)
 
 
 def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
@@ -353,12 +349,6 @@ class LinearExpansion:
     def _check_range(t):
         check_positive(t=t)
         return np.asarray(t, dtype=float)
-
-    def expansion_on(self, t0: float, t1: float):
-        """Check [t0, t1] once; return an unchecked t -> (alpha t, alpha)."""
-        self._check_range([t0, t1])
-        alpha = self.asymptotic_velocity
-        return lambda t: (alpha * t, alpha)
 
     def b(self, t):
         return self.asymptotic_velocity * self._check_range(t)

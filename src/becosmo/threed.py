@@ -312,13 +312,14 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     |phi'| t / |phi| < 1e-6.
 
     The background provides asymptotic_velocity, linear_offset (None when it
-    has no linear regime) and expansion_on(t_start, t_end), which checks the
-    interval once and returns the t -> (b, bdot) lookup. kappa, t_start and
-    coupling must be positive and finite, t_end finite with t_end > t_start,
-    and tolerance in (0, 1); each is checked before the background is read.
+    has no linear regime) and the checked lookups b(t) and bdot(t); one read
+    of b on [t_start, t_end] range-checks the end before any layout. kappa,
+    t_start and coupling must be positive and finite, t_end finite with
+    t_end > t_start, and tolerance in (0, 1); each is checked before the
+    background is read.
 
     The solver is Chebyshev-Lobatto collocation in integral form, in numpy
-    (_solve_blocks), on mode_coefficients at the background lookup. The
+    (_solve_blocks), on mode_coefficients at the background's b and bdot. The
     blocks are laid out in advance on the linear asymptote, each spanning at
     most three oscillations or its own time since the linear-regime origin,
     and solved together: the equation is linear, so each block is one linear
@@ -338,8 +339,8 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     if shift is None:
         raise ModeIntegrationError("background has no linear regime "
                                    "(linear_offset is None) to match the start on")
-    expansion = background.expansion_on(t_start, t_end)
-    b0, bdot0 = (float(v) for v in expansion(t_start))
+    b0 = float(background.b([t_start, t_end])[0])
+    bdot0 = float(background.bdot(t_start))
     hubble = bdot0 / b0
     omega0_ad = adiabatic_frequency(kappa, b0)
     if omega0_ad < _DEPTH_FACTOR * hubble:
@@ -370,8 +371,9 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     scale = abs(phi0)
     atol = np.array([scale, omega0_ad * scale]) * tolerance * 1e-3
     edges = _block_edges(kappa, alpha, shift, t_start, t_end)
-    edges, values, nfev = _solve_blocks(lambda t: mode_coefficients(kappa, *expansion(t)),
-                                        edges, (phi0, phidot0), tolerance, atol)
+    edges, values, nfev = _solve_blocks(
+        lambda t: mode_coefficients(kappa, background.b(t), background.bdot(t)),
+        edges, (phi0, phidot0), tolerance, atol)
     t_eval = np.geomspace(t_start, t_end, _MODE_SAMPLES)
     phi, phidot = _interpolate_blocks(edges[:-1], np.diff(edges), values, t_eval)
 
@@ -388,8 +390,9 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
 
 def analytic_evolution(kappa: float, t, alpha: float,
                        coupling: float = 1.0) -> ModeEvolution:
-    """Exact positive-frequency evolution on the pure linear background."""
-    t = np.asarray(t, dtype=float)
+    """Exact positive-frequency evolution on the pure linear background, at a
+    scalar or an array of times; a scalar is a one-sample history."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
     norm = mode_normalization(coupling, alpha)
     u1, d1 = _basis_pair(kappa, t, alpha)
     phi = norm * u1

@@ -330,6 +330,24 @@ class TestTrajectory:
                 with pytest.raises(ValueError):
                     lookup(bad)
 
+    @pytest.mark.parametrize("dimension, held", [(2, False), (3, False), (3, True)])
+    def test_time_at_domain(self, dimension, held):
+        # b below 1 is never reached, held or free; b = inf is reached at
+        # t = inf, which horizon_crossing_time reads as a mode never crossing
+        traj = integrate_scale_factor(1.0, dimension, 10.0, held=held)
+        for bad in (0.5, -1.0, math.nan):
+            with pytest.raises(ValueError, match=rf"^b={bad!r} must be at least 1"):
+                traj.time_at(bad)
+        with pytest.raises(ValueError, match=r"^b=0\.9 "):
+            traj.time_at([2.0, 0.9, -1.0])
+        assert traj.time_at(math.inf) == math.inf
+        times = traj.time_at(traj.bs[1:])
+        if held:
+            assert np.all(times == math.inf)
+        else:
+            np.testing.assert_allclose(times, traj.ts[1:], rtol=1e-12)
+            assert traj.time_at(1.0) == 0.0
+
     def test_overflow_is_a_numerical_error(self):
         # both closed forms are finite at any such span
         for span in (1e200, 1e300):
@@ -492,7 +510,7 @@ class TestLinearExpansion:
         assert bg.b(4.0) == pytest.approx(2.0)
         assert bg.bdot(4.0) == pytest.approx(0.5)
         for bad in (0.0, math.nan):
-            for lookup in (bg.b, bg.bdot, lambda t: bg.expansion_on(t, 4.0)):
+            for lookup in (bg.b, bg.bdot):
                 with pytest.raises(ValueError):
                     lookup(bad)
         for bad in (-1.0, math.nan):

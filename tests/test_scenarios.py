@@ -895,7 +895,8 @@ def test_write_csv_matches_percent_e_on_hard_cases(monkeypatch, tables):
     # exact halves of the 13th digit, scaled by 1 and, inexactly, by 1/10**j
     ties = [rng.integers(10**12, 10**13, 1000) * 10.0**j + 0.5 * 10.0**j
             for j in range(4)]
-    powers = 10.0 ** np.arange(-323, 309)  # where log10 rounds to an integer
+    # the correctly rounded powers of ten, where log10 rounds to an integer
+    powers = np.array([float("1e%d" % k) for k in range(-323, 309)])
     near = _near_window(rng)
     # the scaled mantissas fall on both sides of the fallback boundary
     scale = scenarios._POW10[352 - np.floor(np.log10(near)).astype(int)]

@@ -9,8 +9,9 @@ public dataclass must be read somewhere as .<field>, and every public
 attribute of a background (ScaleTrajectory, LinearExpansion) must be read by
 code outside its own class. The names the
 benchmark's tracer patches by name must exist where it looks them up.
-Every float argument of the public surface is checked: a bad value is a
-ValueError that names it, or a documented value.
+Every float argument of the public surface, the background methods
+included, is checked: a bad value is a ValueError that names it, or a
+documented value.
 """
 
 import ast
@@ -258,10 +259,9 @@ _VALID = {
     "t_max": 10.0, "tolerance": 1e-10, "trajectory": integrate_scale_factor(1.0, 2, 10.0, 11),
     "transverse_frequency": 100.0, "trap": _SPEC.trap, "x": 1.0, "xi": 1.0,
 }
-# Arguments one function needs otherwise: the name check_frequency reports,
-# a deep start of a kappa = 8 mode, and times as an array.
+# Arguments one function needs otherwise: the name check_frequency reports
+# and a deep start of a kappa = 8 mode.
 _VALID_FOR = {
-    "analytic_evolution": {"t": np.array([1.0, 2.0])},
     "check_frequency": {"name": "omega0"},
     "integrate_mode": {"kappa": 8.0, "t_start": 0.13, "t_end": freezing_time(8.0, _ALPHA)},
 }
@@ -283,13 +283,19 @@ _DOCUMENTED = {
     ("spectrum_2d_grid", "kappa", 0.0): 0.0,             # its values
     ("mode_coefficients", "kappa", 0.0): [0.0, -1.0],    # the zero mode, -3 bdot/b
     ("mode_coefficients", "bdot", 0.0): [-1.0 / 1.5**5, 0.0],  # a background at rest
+    ("ScaleTrajectory.b", "t", 0.0): 1.0,                # the free 2D run at release
+    ("ScaleTrajectory.bdot", "t", 0.0): 0.0,
+    ("ScaleTrajectory.clock", "t", 0.0): 0.0,
+    ("ScaleTrajectory.horizon_integral", "t", 0.0): math.pi / 2.0,  # pi/(D alpha)
+    ("ScaleTrajectory.time_at", "b", math.inf): math.inf,  # never reached
 }
 # hankel1's order rule (integer orders, |nu| >= 2) names nu inside its message
 _MESSAGE_FOR = {("hankel1", "nu"): r"(integer )?order nu="}
 
 
 def _surface():
-    """name -> callable: what becosmo re-exports and every unprefixed module function."""
+    """name -> callable: what becosmo re-exports, every unprefixed module
+    function and, as Class.method, every public method of a background."""
     found = {name: obj for name, obj in vars(becosmo).items()
              if callable(obj) and not name.startswith("_") and name not in _NOT_INPUTS}
     for info in pkgutil.iter_modules(becosmo.__path__):
@@ -297,6 +303,10 @@ def _surface():
         found.update({name: obj for name, obj in vars(module).items()
                       if inspect.isfunction(obj) and obj.__module__ == module.__name__
                       and not name.startswith("_")})
+    for background in (_VALID["trajectory"], _VALID["background"]):
+        found.update({f"{type(background).__name__}.{name}": getattr(background, name)
+                      for name in dir(background) if not name.startswith("_")
+                      and inspect.ismethod(getattr(background, name))})
     return found
 
 

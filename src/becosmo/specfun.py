@@ -4,35 +4,28 @@ A self-contained kernel for the fractional orders appearing in the analytic
 mode solutions of the expanding condensate (nu = +-1/3, +-2/3, plus any
 non-integer order in (-2, 2)); Gamma is the standard library's math.gamma.
 
-hankel1 (= J + iY) is the one kernel, with two branches:
-  * ascending power series of J_nu and J_-nu (extended-precision
-    accumulation) for x < X_SWITCH,
-  * Hankel asymptotic expansion (modulus/phase form) for x >= X_SWITCH.
-Its real and imaginary parts are J_nu and Y_nu. It takes a scalar or an
-array x (every element checked: positive and finite) and returns a NumPy
-scalar or an array of x's shape, a scalar call bit for bit the element an
-array call gives. nu is one order, or a 1-D sequence of orders that adds a
-leading order axis, each row bit for bit the one-order call: the series
-runs once over the interleaved orders (nu_1, -nu_1, nu_2, -nu_2, ...), and
-the asymptotic expansion once with the orders broadcast against the
-arguments. Derivatives follow from the order recurrence
-dH_nu/dx = H_(nu-1) - (nu/x) H_nu, which is how the 3D mode solution in
-threed uses them: H_{2/3} and H_{-1/3} from one call.
+hankel1 (= J + iY) is the one kernel; its real and imaginary parts are J_nu
+and Y_nu. Below X_SWITCH = 12 it sums the ascending series of J_nu and J_-nu
+(DLMF 10.2.2), Y_nu = (J_nu cos(nu pi) - J_-nu) / sin(nu pi), in one fixed
+form per range: below _X_DOUBLE = 2 by Horner's rule in float64 on
+_DOUBLE_TERMS coefficients made in extended precision, from it up as
+_EXTENDED_TERMS terms added in order in extended precision (np.longdouble).
+From X_SWITCH up it sums the Hankel asymptotic expansion (modulus/phase form)
+on term tables ((2k - 1)^2, 8k and i^k) built once at import. Against
+40-digit mpmath, relative to |H|, the worst error for nu = +-1/3 and +-2/3
+is 6-9e-16 below 2 and 1.7-1.9e-15 on [2, 12); for +-0.1 and +-1.9 it is
+1.6e-15 and 4-6e-15. J_-nu or Y_nu beyond the float64 range (x below about
+10^(-308/|nu|), so |nu| > 0.95) is a ValueError naming x and nu.
 
-The series stops early for each argument, and returns bit for bit what the
-full sum of _SERIES_TERMS terms would. Its terms are made in chunks of
-_SERIES_CHUNK by a running product, and each is added to a running sum in
-turn, in the order of the full sum; the leading 1 is added after the terms.
-After each chunk an argument stops once, for every order, its last term is
-below eps/4 of its running sum (eps of np.longdouble). That is under half an
-ulp of the sum, so adding the term cannot change it. For x < X_SWITCH and
-nu > -2 the ratio of consecutive terms, (x/2)^2 / (k (k + nu)), is below
-36/48 from k = 8 on, so every later term is smaller still and cannot change
-the sum either, and an argument that waits on another order keeps its bits.
-Small x, where a few terms reach extended precision, costs one chunk
-instead of the whole sum, and the loop ends with its last live argument.
-The asymptotic expansion takes its term tables ((2k - 1)^2, 8k and i^k)
-from the module, built once at import.
+hankel1 takes a scalar or an array x (every element checked: positive and
+finite) and returns a NumPy scalar or an array of x's shape, a scalar call
+bit for bit the element an array call gives. nu is one order, or a 1-D
+sequence of orders that adds a leading order axis, each row bit for bit the
+one-order call: the series runs once over the interleaved orders (nu_1,
+-nu_1, nu_2, -nu_2, ...), and the asymptotic expansion once with the orders
+broadcast against the arguments. Derivatives follow from the order
+recurrence dH_nu/dx = H_(nu-1) - (nu/x) H_nu, which is how the 3D mode
+solution in threed uses them: H_{2/3} and H_{-1/3} from one call.
 
 Guaranteed relative accuracy is 1e-10 for x in [1e-3, 100] away from zeros
 of J_nu and Y_nu; both branches remain usable outside that range.
@@ -49,18 +42,19 @@ import numpy as np
 from .condensate import check_positive
 
 X_SWITCH = 12.0
+# Below this argument the series is summed in float64. Its worst error
+# against 40-digit mpmath, relative to |H|, is 1.6e-15 for nu = +-0.1 below 2,
+# 4.7e-15 below 3 and 9e-15 below 4; the extended sum's is 0.8-1.1e-15.
+_X_DOUBLE = 2.0
+# Horner terms below _X_DOUBLE, the leading 1 included: at x = 2 the first
+# term left out is under 5e-22 of the sum for any order in (-2, 2).
+_DOUBLE_TERMS = 16
+# Extended-precision terms from _X_DOUBLE up, the leading 1 included: at
+# x = 12 the first term left out is under 3e-28 of the sum, far under half
+# its ulp, so the sum is bit for bit the 60-term sum the tests hold it to.
+_EXTENDED_TERMS = 40
 _INTEGER_EPS = 1e-9
 _LD = np.longdouble
-# Terms summed by the power series at most; below X_SWITCH the last one is
-# more than 60 orders of magnitude under the largest.
-_SERIES_TERMS = 60
-# Terms made between two stop checks. At least 8, so that the first check
-# falls where the terms already shrink (k (k + nu) > 48 > x^2/4); any later
-# term is then smaller than the checked one.
-_SERIES_CHUNK = 8
-# A term below this fraction of the running sum is under half its ulp.
-_SERIES_STOP = np.finfo(_LD).eps / 4
-_K = np.arange(1, _SERIES_TERMS, dtype=_LD)[:, None, None]
 # Terms tried by the asymptotic expansion, which stops at its smallest term,
 # and its tables: (2k - 1)^2, 8k and the phase i^k of term k.
 _ASYMPTOTIC_TERMS = 60
@@ -70,53 +64,58 @@ _EIGHT_K = 8.0 * _ASYMPTOTIC_K
 _PHASES = np.array([1j, -1.0, -1j, 1.0])[(_ASYMPTOTIC_K - 1) % 4]
 
 
-def _series_j(orders, x: np.ndarray) -> np.ndarray:
-    """Ascending series for J_nu, accumulated in extended precision.
+def _series_double(nu: np.ndarray, gammas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_nu for the orders nu (a column) at x below _X_DOUBLE, in float64.
+    The prefactor is x^nu / (2^nu Gamma(nu + 1)): x/2 rounds for subnormal x."""
+    nu_ld = nu.astype(_LD)
+    k = np.arange(1, _DOUBLE_TERMS, dtype=_LD)[:, None, None]
+    coefs = np.cumprod(1 / (k * (nu_ld + k)), axis=0).astype(float)
+    half = x / 2
+    u = -half * half
+    acc = coefs[-1] * u
+    for c in coefs[-2::-1]:
+        acc += c
+        acc *= u
+    scale = (np.exp2(nu_ld) * gammas).astype(float)
+    return np.float_power(x, nu) / scale * (1 + acc)
 
-    Returns one row per order in orders, one column per argument in x. An
-    argument stops after the first chunk whose last terms cannot change its
-    sums (the module docstring gives the rule).
-    """
-    nu = np.array(orders, dtype=_LD)[:, None]
+
+def _series_extended(nu: np.ndarray, gammas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_nu for the orders nu (a column) at x from _X_DOUBLE up, its terms
+    made by a running product and added in order in extended precision."""
+    nu = nu.astype(_LD)
     half = x.astype(_LD) / 2
-    gammas = np.array([math.gamma(v + 1.0) for v in orders], dtype=_LD)[:, None]
-    pref = np.exp(nu * np.log(half)) / gammas
-    step = -half * half
-    sums = np.empty(pref.shape, dtype=_LD)
-    live = np.arange(x.size)
-    term = np.ones(pref.shape, dtype=_LD)
-    total = np.zeros(pref.shape, dtype=_LD)
-    for start in range(0, _SERIES_TERMS - 1, _SERIES_CHUNK):
-        k = _K[start:start + _SERIES_CHUNK]
-        # row 0 carries the previous terms into the product, then the
-        # running sums into the accumulation
-        chunk = np.empty((k.shape[0] + 1,) + term.shape, dtype=_LD)
-        chunk[0] = term
-        np.divide(step, k * (nu + k), out=chunk[1:])
-        np.cumprod(chunk, axis=0, out=chunk)
-        term = chunk[-1].copy()
-        chunk[0] = total
-        total = np.cumsum(chunk, axis=0, out=chunk)[-1]
-        done = (np.abs(term) < _SERIES_STOP * np.abs(total)).all(axis=0)
-        if done.any():
-            sums[:, live[done]] = total[:, done]
-            keep = ~done
-            live, step = live[keep], step[keep]
-            term, total = term[:, keep], total[:, keep]
-            if not live.size:
-                break
-    sums[:, live] = total
-    return (pref * (1 + sums)).astype(float)
+    pref = np.exp(nu * np.log(half)) / gammas.astype(_LD)
+    k = np.arange(1, _EXTENDED_TERMS, dtype=_LD)[:, None, None]
+    terms = np.cumprod(-half * half / (k * (nu + k)), axis=0)
+    # cumsum adds row by row for any number of arguments; numpy's sum would
+    # add a single argument's terms pairwise
+    return (pref * (1 + np.cumsum(terms, axis=0)[-1])).astype(float)
 
 
 def _hankel1_series(orders: list, x: np.ndarray) -> np.ndarray:
     """H^(1)_nu = J_nu + i Y_nu for each nu in orders, from one series pass
-    over the interleaved orders (nu_1, -nu_1, nu_2, -nu_2, ...)."""
-    j = _series_j([v for nu in orders for v in (nu, -nu)], x)
-    j_pos, j_neg = j[0::2], j[1::2]
-    s = np.array([math.sin(nu * math.pi) for nu in orders])[:, None]
-    c = np.array([math.cos(nu * math.pi) for nu in orders])[:, None]
-    return j_pos + 1j * ((j_pos * c - j_neg) / s)
+    over the interleaved orders (nu_1, -nu_1, nu_2, -nu_2, ...). Raises
+    ValueError where J_-nu or Y_nu is beyond the float64 range."""
+    nu = np.array([v for o in orders for v in (o, -o)])[:, None]
+    gammas = np.array([math.gamma(v + 1.0) for v in nu.flat])[:, None]
+    low = x < _X_DOUBLE
+    j = np.empty((nu.size, x.size))
+    s = np.array([math.sin(v * math.pi) for v in orders])[:, None]
+    c = np.array([math.cos(v * math.pi) for v in orders])[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if low.any():
+            j[:, low] = _series_double(nu, gammas, x[low])
+        if not low.all():
+            j[:, ~low] = _series_extended(nu, gammas, x[~low])
+        j_pos, j_neg = j[0::2], j[1::2]
+        h1 = j_pos + 1j * ((j_pos * c - j_neg) / s)
+    bad = ~np.isfinite(h1)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(f"hankel1 overflows at nu={orders[row]}, x={float(x[col])!r}: "
+                         f"J_-nu or Y_nu is beyond the float64 range")
+    return h1
 
 
 def _hankel1_asymptotic(orders: list, x: np.ndarray) -> np.ndarray:
@@ -143,7 +142,7 @@ def hankel1(nu, x):
     nu is one order, or a 1-D sequence of orders that puts them on a leading
     axis: the result then has shape (len(nu),) + x.shape, and row i is bit
     for bit hankel1(nu[i], x). Every order must lie in (-2, 2) and be
-    non-integer."""
+    non-integer; a series value beyond the float64 range is a ValueError."""
     orders = np.asarray(nu, dtype=float)
     if orders.ndim > 1 or orders.size == 0:
         raise ValueError(f"nu must be one order or a non-empty 1-D sequence, "

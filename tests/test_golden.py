@@ -112,11 +112,11 @@ def test_run_outputs_match_recorded_digests(name, tmp_path):
 MODE_ALPHA = math.sqrt(2.0 / 3.0)
 GOLDEN_MODES = {
     (1.0, 180.0): ("4cf816854a0977ca19985eeff5bb5a4357bc6a4f55150b875c8ac34a2f446682",
-                   "1248c4e7bdf2ff1aa4776f24b6e54c491b69498a01b651070407fc9428241a69"),
+                   "fca0494669318ed9153074b026284e9bf2104b9df0ac526e4e9b8754f9bcca8d"),
     (10.0, 320.0): ("4e9bfdeb95a3471bf47b2375e5cceeb7a1724bc8db41d749c34fd962b781f6e2",
-                    "7b8258b3c60d99e3977206c8456409130156745857d1cd11024c9406e3ee2a0a"),
+                    "d0982581180533bed014043fbbe926df5c623f8f965af5322fb933ff9abc399e"),
     (100.0, 600.0): ("e0ee83cb831693eea3835c046459facb3ea935c24bfeab4e7ef943a738ba8705",
-                     "487b61c029f04c033b847abbe8cecc1f95fbe66f02e2924dcef7207e9a8f9269"),
+                     "52521e77c1e740f8b3b648d9e4bf328a5b615c90e795e25895339bf50f999c26"),
 }
 
 

@@ -330,6 +330,15 @@ class TestTrajectory:
                 with pytest.raises(ValueError):
                     lookup(bad)
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_lookups_at_the_range_ends(self, traj2d, traj3d, dimension):
+        # t = 0, tiny positive times and t_max (1 + 1e-13), inside the range
+        # guard's allowance of 1e-12: each lookup is the closed form there
+        traj, omega0, closed = ((traj2d, W0_2D, analytic_scale_2d) if dimension == 2
+                                else (traj3d, W0_3D, analytic_scale_3d))
+        for t in (0.0, 1e-300, 1e-9 / omega0, traj.t_max * (1 + 1e-13)):
+            assert [traj.b(t), traj.bdot(t), traj.clock(t)] == closed(t, omega0).tolist()
+
     @pytest.mark.parametrize("dimension, held", [(2, False), (3, False), (3, True)])
     def test_time_at_domain(self, dimension, held):
         # b below 1 is never reached, held or free; b = inf is reached at

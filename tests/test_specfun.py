@@ -195,7 +195,8 @@ class TestBessel:
 
 def _full_series_hankel1(nu, x):
     """H^(1)_nu from all 59 terms of the J_nu and J_-nu series summed along
-    axis 0: the fixed-length sum that the early stop must equal bit for bit."""
+    axis 0 in extended precision: what the series gave at every x below
+    X_SWITCH before the float64 range, and must still give from _X_DOUBLE up."""
     orders = np.array((nu, -nu), dtype=np.longdouble)[:, None]
     half = np.asarray(x, dtype=float).astype(np.longdouble) / 2
     gammas = np.array([math.gamma(v + 1.0) for v in (nu, -nu)], dtype=np.longdouble)
@@ -228,20 +229,100 @@ def _full_asymptotic_hankel1(nu, x):
 
 
 class TestSeriesStop:
-    """The series stops early per order and argument, bit for bit the full sum."""
+    """From _X_DOUBLE to X_SWITCH the series is the fixed extended-precision
+    sum, bit for bit the full 59-term sum."""
 
     @pytest.mark.parametrize("nu", [1 / 3, 2 / 3, -1 / 3, -2 / 3])
     def test_matches_full_series_on_dense_grid(self, nu):
-        xs = np.geomspace(1e-12, sf.X_SWITCH, 5000, endpoint=False)
+        xs = np.geomspace(sf._X_DOUBLE, sf.X_SWITCH, 5000, endpoint=False)
         assert np.array_equal(sf.hankel1(nu, xs), _full_series_hankel1(nu, xs))
 
     @settings(max_examples=200, deadline=None)
     @given(nu=st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True)
            .filter(lambda v: abs(v - round(v)) > 1e-6),
            xs=hnp.arrays(float, st.integers(1, 40),
-                         elements=st.floats(1e-100, sf.X_SWITCH, exclude_max=True)))
+                         elements=st.floats(sf._X_DOUBLE, sf.X_SWITCH, exclude_max=True)))
     def test_matches_full_series(self, nu, xs):
         assert np.array_equal(sf.hankel1(nu, xs), _full_series_hankel1(nu, xs))
+
+
+def _mpmath_hankel1(nu, xs):
+    """H^(1)_nu at 40 digits, with Y_nu = (J_nu cos(nu pi) - J_-nu)/sin(nu pi)
+    for the double nu as given."""
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(nu)
+        c, s = mpmath.cospi(nu), mpmath.sinpi(nu)
+        out = []
+        for x in xs:
+            j_pos, j_neg = mpmath.besselj(nu, x), mpmath.besselj(-nu, x)
+            out.append(complex(j_pos + 1j * ((j_pos * c - j_neg) / s)))
+    return np.array(out)
+
+
+def _worst_error(h1, ref):
+    return float(np.max(np.abs(h1 - ref) / np.abs(ref)))
+
+
+class TestDoubleSeries:
+    """Below _X_DOUBLE the series is summed in float64, against 40-digit
+    mpmath with errors relative to |H^(1)|. The extended-precision sum it
+    replaced (_full_series_hankel1) is the yardstick: its worst error on the
+    same grid over the series range [1e-100, X_SWITCH), where both agree bit
+    for bit from _X_DOUBLE up."""
+
+    BELOW = np.concatenate([np.geomspace(1e-100, 1e-2, 300, endpoint=False),
+                            np.linspace(1e-2, sf._X_DOUBLE, 1000, endpoint=False)])
+    ABOVE = np.linspace(sf._X_DOUBLE, sf.X_SWITCH, 300, endpoint=False)
+
+    def _errors(self, nu, below, above):
+        xs = np.concatenate([below, above])
+        ref = _mpmath_hankel1(nu, xs)
+        head = _worst_error(_full_series_hankel1(nu, xs), ref)
+        low = xs < sf._X_DOUBLE
+        return _worst_error(sf.hankel1(nu, xs[low]), ref[low]), head
+
+    @pytest.mark.parametrize("nu", [1 / 3, 2 / 3, -1 / 3, -2 / 3])
+    def test_mpmath_on_dense_grid(self, nu):
+        worst, head = self._errors(nu, self.BELOW, self.ABOVE)
+        assert worst <= 2e-15
+        assert worst <= 2.0 * head
+
+    @settings(max_examples=12, deadline=None)
+    @given(nu=st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True)
+           .filter(lambda v: abs(v - round(v)) > 1e-6))
+    def test_mpmath_on_drawn_orders(self, nu):
+        worst, head = self._errors(nu, self.BELOW[::8], self.ABOVE[::4])
+        assert worst <= 2.0 * head
+
+    @pytest.mark.parametrize("name, xs", [
+        ("_DOUBLE_TERMS", np.concatenate([np.geomspace(1e-100, 1.0, 500),
+                                          np.linspace(1.0, 2.0, 2000, endpoint=False)])),
+        ("_EXTENDED_TERMS", np.linspace(2.0, 12.0, 2000, endpoint=False))])
+    def test_one_more_term_changes_no_bit(self, monkeypatch, name, xs):
+        orders = [1 / 3, 2 / 3, -1 / 3, -2 / 3, 0.1, -0.1, 1.9, -1.9, 1.999, -1.999]
+        fixed = sf.hankel1(orders, xs)
+        monkeypatch.setattr(sf, name, getattr(sf, name) + 1)
+        assert np.array_equal(sf.hankel1(orders, xs), fixed)
+
+    @pytest.mark.parametrize("nu", [1 / 3, 2 / 3, -1 / 3, -2 / 3, 0.1, -1.9])
+    def test_continuity_at_switch(self, nu):
+        below = sf.hankel1(nu, np.nextafter(sf._X_DOUBLE, 0.0))
+        above = sf.hankel1(nu, sf._X_DOUBLE)
+        assert abs(below - above) <= 1e-14 * abs(above)
+
+    # J_-nu passes the float64 range below about x = 10^(-308/|nu|)
+    @pytest.mark.parametrize("nu, x, finite", [(-1.9, 1e-170, 1e-160),
+                                               (1.9, 1e-170, 1e-160),
+                                               (1.5, 1e-250, 1e-200),
+                                               (-1.2, 1e-300, 1e-250)])
+    def test_overflow_is_a_value_error(self, nu, x, finite):
+        # it made Y infinite and, through 1j * Y, the real part NaN, with raw
+        # overflow warnings; the suite turns any warning into an error
+        with pytest.raises(ValueError, match=f"nu={nu}, x={x!r}"):
+            sf.hankel1(nu, x)
+        with pytest.raises(ValueError, match=f"nu={nu}, x={x!r}"):
+            sf.hankel1((2 / 3, nu), np.array([30.0, 0.5, x, 1e-3]))
+        assert np.isfinite(sf.hankel1(nu, finite))
 
 
 class TestAsymptoticTables:

@@ -187,6 +187,23 @@ def test_longdouble_only_in_specfun():
     assert not offenders, f"modules other than specfun that name longdouble: {offenders}"
 
 
+def test_no_module_calls_np_power():
+    # float powers go through np.float_power, which is libm pow for a scalar
+    # and an array alike; np.power's SIMD loops can differ from it by an ulp.
+    # A call through numpy or np, and power imported from numpy, count
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "power"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")):
+                offenders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                offenders += [f"{path.name}:{node.lineno}" for alias in node.names
+                              if alias.name == "power"]
+    assert not offenders, f"modules that call np.power: {offenders}"
+
+
 def test_one_json_writer():
     # every JSON file goes through scenarios._write_json, which builds the
     # bytes of json.dumps(indent=2, sort_keys=True) itself; a json.dump or

@@ -598,6 +598,15 @@ class TestIntegrateMode:
         closed = density_spectrum_3d(kappa, 1.0, 1.0, 1.0, ALPHA)
         assert numeric == pytest.approx(closed, rel=5e-3)
 
+    def test_density_contrast_coupling_and_density(self):
+        # g and rho0 apart from 1 and from each other: |phi'|^2 b^6 / (g rho0)^2
+        # at the last sample
+        bg = LinearExpansion(ALPHA)
+        evo = analytic_evolution(8.0, np.linspace(2.0, 5.0, 7), ALPHA)
+        expected = abs(evo.phidot[-1]) ** 2 * (ALPHA * 5.0) ** 6 / (2.0**2 * 3.0**2)
+        assert density_contrast_from_mode(evo, bg, 2.0, 3.0) == pytest.approx(
+            expected, rel=1e-14)
+
 
 class TestRealBackground:
     """A mode evolved on the closed-form 3D quartic b(t) (omega0 = c0 = 1),

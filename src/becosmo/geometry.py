@@ -86,7 +86,8 @@ def horizon_crossing_time(kappa, trajectory: ScaleTrajectory, c0: float = 1.0):
     later. Setting (2 c0/(D alpha)) arcsin(b^(-D/2)) = 2 pi/kappa gives the
     crossing in closed form at b_c = sin(pi D alpha/(c0 kappa))^(-2/D), at
     the time the trajectory reaches b_c. A wavelength already beyond the
-    horizon at t = 0 (kappa <= 2 D alpha/c0) gives 0.0; one still inside it
+    horizon at t = 0 (kappa <= 2 D alpha/c0) has its angle clamped to pi/2,
+    so b_c = 1 and the crossing is at 0.0; one still inside it
     at t_max gives inf, as does every kappa when the trap is held on (an
     infinite horizon).
     """
@@ -98,5 +99,4 @@ def horizon_crossing_time(kappa, trajectory: ScaleTrajectory, c0: float = 1.0):
     angle = np.minimum(math.pi * D * alpha / (c0 * kappa), math.pi / 2.0)
     with np.errstate(divide="ignore", over="ignore"):  # kappa -> inf: b_c = inf
         t_c = trajectory.time_at(np.float_power(np.sin(angle), -2.0 / D))
-    return np.where(kappa <= 2.0 * D * alpha / c0, 0.0,
-                    np.where(t_c > trajectory.t_max, math.inf, t_c))[()]
+    return np.where(t_c > trajectory.t_max, math.inf, t_c)[()]

@@ -15,7 +15,7 @@ trap b = 1 with clock t. After release the first integral
 bdot = alpha sqrt(1 - b^-D), alpha = omega0 sqrt(2/D), gives the rest. In
 free 3D it makes t(b) and the clock incomplete Beta integrals of b, summed as
 series, and b(t) is t(b) inverted by Newton's method (analytic_scale_3d).
-The horizon integral, what remains from t on of the integral of b^-s,
+The horizon integral eta(t), what remains from t on of the integral of b^-s,
 s = 1 + D/2, is (2/(D alpha)) arcsin(b(t)^(-D/2)), pi/(D alpha) at release.
 The module computes only; the run pipeline in scenarios writes the sampled
 history to trajectory.csv.
@@ -224,11 +224,6 @@ def analytic_scale_3d(t, omega0: float):
     return rows.reshape((3,) + x.shape)
 
 
-# A free run counts as linear once bdot is within this fraction of alpha:
-# over a short window b ~ 1 fits any line, so bdot, not a residual, decides.
-_LINEAR_TOL = 1e-3
-
-
 class ScaleTrajectory:
     """Expansion history in closed form; immutable once constructed.
 
@@ -238,12 +233,11 @@ class ScaleTrajectory:
     [0, t_max]; the stored samples at ts are the same lookup, so a lookup
     whose times are all sample times (the horizons stage reads ts[1:]) reads
     them instead. asymptotic_velocity is the model constant
-    alpha = omega0 sqrt(2/D) of a free run (0 while held), and the remaining
-    horizon integral of b^-s is the closed form of the first integral:
-    (2/(D alpha)) arcsin(b(t)^(-D/2)), or inf for a held trap.
-    linear_offset places the line b ~ alpha (t - linear_offset) through
-    b(t_max) once bdot(t_max) is within _LINEAR_TOL of alpha, and is None
-    before that; the mode engine matches its start on that line.
+    alpha = omega0 sqrt(2/D) of a free run (0 while held). The first
+    integral gives both horizons in closed form: the remaining horizon
+    integral eta(t) of b^-s is (2/(D alpha)) arcsin(b(t)^(-D/2)), or inf for
+    a held trap, and the co-moving apparent-horizon wavenumber b^(D/2) bdot
+    at the time whose horizon integral is eta is alpha cot(D alpha eta/2).
     """
 
     def __init__(self, dense, time_of, ts, alpha, dimension):
@@ -253,9 +247,6 @@ class ScaleTrajectory:
         self._samples = dense(ts)
         self.bs, self.bdots, self.clocks = self._samples
         self.asymptotic_velocity = alpha
-        self.linear_offset = None
-        if alpha > 0.0 and self.bdots[-1] >= (1.0 - _LINEAR_TOL) * alpha:
-            self.linear_offset = self.t_max - float(self.bs[-1]) / alpha
 
     def _check_range(self, t):
         t = np.asarray(t, dtype=float)
@@ -293,6 +284,16 @@ class ScaleTrajectory:
             return np.full_like(self._check_range(t), math.inf)[()]
         u = np.float_power(self._lookup(t)[0], -D / 2.0)
         return 2.0 / (D * alpha) * np.arcsin(u)
+
+    def horizon_wavenumber(self, eta):
+        """b^(D/2) bdot at horizon integral eta; an eta beyond release is
+        taken as release, 0 to within 1e-16 alpha, and a held trap gives 0."""
+        check_positive(eta=eta)
+        alpha, D = self.asymptotic_velocity, self.dimension
+        angle = np.minimum(0.5 * D * alpha * np.asarray(eta, dtype=float), 0.5 * math.pi)
+        if alpha == 0.0:
+            return np.zeros_like(angle)[()]
+        return alpha / np.tan(angle)
 
     def time_at(self, b):
         """The time at which b(t) reaches b, past t_max too; inf for a held
@@ -338,12 +339,12 @@ def integrate_scale_factor(omega0: float, dimension: int, t_max: float,
 
 
 class LinearExpansion:
-    """Pure linear background b = alpha t, for late-time mode analysis."""
+    """Pure linear background b = alpha t in 3D, for late-time mode analysis."""
 
     def __init__(self, alpha: float):
         check_positive(alpha=alpha)
         self.asymptotic_velocity = alpha
-        self.linear_offset = 0.0
+        self.dimension = 3
 
     @staticmethod
     def _check_range(t):
@@ -355,3 +356,12 @@ class LinearExpansion:
 
     def bdot(self, t):
         return np.full_like(self._check_range(t), self.asymptotic_velocity)
+
+    def horizon_integral(self, t):
+        t = self._check_range(t)
+        with np.errstate(over="ignore"):   # t -> 0: an unbounded reach
+            return (2.0 / 3.0) * self.asymptotic_velocity**-2.5 * np.float_power(t, -1.5)
+
+    def horizon_wavenumber(self, eta):
+        check_positive(eta=eta)
+        return 2.0 / (3.0 * np.asarray(eta, dtype=float))

@@ -3,14 +3,19 @@
 Quartic 3D expansion does not scale perfectly, so the frozen fluctuations
 must be evolved. In co-moving space the phase mode of wavenumber kappa obeys
 
-    phi'' + 3 (bdot/b) phi' + c0^2 kappa^2 / b^5 phi = 0,
+    phi'' + 3 (bdot/b) phi' + c0^2 kappa^2 / b^5 phi = 0.
 
-a progressively over-damped oscillator: deep inside the horizon the mode
-oscillates at the adiabatic frequency c0 kappa / b^(5/2); after crossing it
-freezes at a constant amplitude. On the late-time linear background
-b = alpha t the equation is solved exactly by (1/t) H^(1,2)_{2/3}(z) with
-z = (2/3) (c0 kappa / alpha^(5/2)) t^(-3/2), and z is proportional to the
-remaining co-moving proper time.
+In its own phase z = c0 kappa eta(t), with eta(t) the remaining horizon
+integral of b^(-5/2) (the co-moving particle horizon over c0), it has unit
+frequency and one friction term, set by the co-moving apparent-horizon
+wavenumber k_H = b^(3/2) bdot:
+
+    phi_zz - (k_H/(2 c0 kappa)) phi_z + phi = 0.
+
+The mode oscillates deep inside the horizon and freezes as its phase runs
+out. On the late-time linear background b = alpha t, k_H = 2 c0 kappa/(3 z),
+and the equation is solved exactly by z^(2/3) H^(1,2)_{2/3}(z), that is by
+(1/t) H^(1,2)_{2/3}(z) with z = (2/3) (c0 kappa / alpha^(5/2)) t^(-3/2).
 
 c0 enters the equation and its Hankel vacuum only as c0 kappa, so the mode
 engine works in c0 = 1 units, where kappa stands for c0 kappa; the closed-form
@@ -33,13 +38,12 @@ an array for t or kappa (every element checked) and return a NumPy scalar
 or an array. The module computes only; the run pipeline in scenarios writes
 the closed form on the linear asymptote to spectrum.csv.
 
-integrate_mode evolves a single mode with numpy only: the equation is
-linear with smooth coefficients, so each block of a few oscillations is one
-Chebyshev-Lobatto collocation solve for phi'' in integral form (Greengard,
+integrate_mode evolves a single mode with numpy only, in u = -z, on blocks
+of a few oscillations laid out before any solve. Each is one
+Chebyshev-Lobatto collocation solve for phi_uu in integral form (Greengard,
 "Spectral integration and two-point boundary value problems", SIAM J.
-Numer. Anal. 28, 1991), accepted on the decay of its Chebyshev coefficients.
-The blocks are laid out on the linear asymptote before any solve, and each
-round of refinement solves its blocks together, up to 256 per batched call.
+Numer. Anal. 28, 1991), accepted on the decay of its Chebyshev coefficients,
+and each round of refinement solves its blocks together, up to 256 a call.
 """
 
 from __future__ import annotations
@@ -54,12 +58,13 @@ from .condensate import check_positive
 
 _NU = 2.0 / 3.0
 _FREEZE_CRITERION = 1e-6       # |phi'| t / |phi| below which a mode is frozen
-_DEPTH_FACTOR = 20.0           # required omega_ad / H at the start of a mode
+_DEPTH_FACTOR = 20.0           # required kappa / k_H at the start of a mode
 _MODE_SAMPLES = 400            # output samples of an integrated mode
 _CHEB_DEGREE = 32              # polynomial degree of one collocation block
 _TAIL_COEFS = 3                # trailing Chebyshev coefficients that bound the error
-_BLOCK_PHASE = 6.0 * math.pi   # adiabatic phase a block spans inside the horizon
-_BLOCK_GROWTH = 1.0            # block width over t - linear_offset outside it
+_BLOCK_PHASE = 6.0 * math.pi   # phase z a block spans inside the horizon
+# block width over z outside it: on b = alpha t, z falls by 2^(3/2) as t doubles
+_BLOCK_GRADE = 1.0 - 2.0**-1.5
 _MAX_HALVINGS = 5              # refinement rounds before a tolerance is out of reach
 _BATCH_BLOCKS = 256            # blocks per batched solve, which bounds its memory
 # Cap on the start depth z over _BLOCK_PHASE, about the number of blocks the
@@ -107,12 +112,6 @@ def hankel_argument(kappa: float, t: float, alpha: float) -> float:
     return (2.0 / 3.0) * kappa * alpha ** (-2.5) * np.float_power(t, -1.5)
 
 
-def adiabatic_frequency(kappa: float, b: float) -> float:
-    """Instantaneous mode frequency omega_ad = kappa / b^(5/2)."""
-    check_positive(kappa=kappa, b=b)
-    return kappa / b**2.5
-
-
 def mode_normalization(coupling: float, alpha: float) -> float:
     """Per-volume vacuum prefactor sqrt(pi g / (6 alpha^3)).
 
@@ -124,18 +123,21 @@ def mode_normalization(coupling: float, alpha: float) -> float:
     return math.sqrt(math.pi * coupling / (6.0 * alpha**3))
 
 
-def mode_coefficients(kappa: float, b, bdot):
-    """The mode equation phi'' = c_phi phi + c_phi' phi' on a background
-    (b, bdot): returns (c_phi, c_phi') = (-kappa^2/b^5, -3 bdot/b)."""
-    check_positive(b=b)
-    check_positive(allow_zero=True, kappa=kappa, bdot=bdot)
-    return -kappa**2 / b**5, -3.0 * (bdot / b)
+def mode_coefficients(kappa: float, horizon_wavenumber):
+    """The mode equation phi_uu = c_phi phi + c_phi' phi_u in the phase
+    u = -kappa eta(t), at the co-moving apparent-horizon wavenumber
+    k_H = b^(3/2) bdot: returns (c_phi, c_phi') = (-1, -k_H/(2 kappa))."""
+    check_positive(kappa=kappa)
+    check_positive(allow_zero=True, horizon_wavenumber=horizon_wavenumber)
+    k_h = np.asarray(horizon_wavenumber, dtype=float)
+    return np.full_like(k_h, -1.0), -k_h / (2.0 * kappa)
 
 
 def _basis_pair(kappa: float, t, alpha: float):
     """(1/t) H^(1)_{2/3}(z(t)) and its time derivative from one z and one
-    Hankel call on the orders (2/3, -1/3), through the recurrence
-    dH^(1)_nu/dz = H^(1)_{nu-1} - (nu/z) H^(1)_nu.
+    Hankel call on the orders (2/3, -1/3): since d/dz [z^nu H_nu] =
+    z^nu H_{nu-1} and (1/t) = (z/beta)^(2/3), the derivative is
+    -(3/2) z H^(1)_{-1/3}(z)/t^2, with no cancelling terms.
 
     t must be non-empty, and every z(t) positive and finite."""
     t = np.asarray(t, dtype=float)
@@ -148,9 +150,7 @@ def _basis_pair(kappa: float, t, alpha: float):
         raise ValueError(f"t={t[~valid][0]} gives a Hankel argument "
                          f"z={z[~valid][0]} that is not positive and finite")
     h1, h0 = specfun.hankel1((_NU, _NU - 1.0), z)
-    dh1 = h0 - (_NU / z) * h1
-    zdot = -1.5 * z / t
-    return (h1 / t)[()], (-h1 / t**2 + dh1 * zdot / t)[()]
+    return (h1 / t)[()], (-1.5 * z * h0 / t**2)[()]
 
 
 def freezing_time(kappa: float, alpha: float) -> float:
@@ -172,34 +172,25 @@ class ModeEvolution:
     phi: np.ndarray
     phidot: np.ndarray
     frozen_value: float | None
-    nfev: int                        # background reads at block nodes, rejected
-                                     # blocks included; 0 when analytic
+    nfev: int                        # horizon wavenumbers read at block nodes,
+                                     # rejected blocks included; 0 when analytic
     warnings: list[str] = field(default_factory=list)
 
 
-def _block_edges(kappa: float, alpha: float, shift: float, t_start: float,
-                 t_end: float) -> np.ndarray:
-    """Block boundaries from t_start to t_end, laid out on the linear
-    asymptote b = alpha (t - shift) without reading the background: a block
-    starting at t spans min(_BLOCK_PHASE/omega_ad, _BLOCK_GROWTH/H), with
-    omega_ad and H = 1/(t - shift) taken on the asymptote. A remainder under
-    1% of a block joins it, so the last block ends exactly at t_end."""
-    reach = kappa * alpha**-2.5          # omega_ad (t - shift) = reach (t - shift)^-1.5
-    edges = [t_start]
-    t = t_start
-    while True:
-        s = t - shift
-        h = s * min(_BLOCK_PHASE * s**1.5 / reach, _BLOCK_GROWTH)
-        if h < 10.0 * (math.nextafter(t, math.inf) - t):
-            raise ModeIntegrationError(
-                f"mode integration failed: block width {h:g} below ten float "
-                f"spacings at t={t:g}; the start is too deep")
-        if t + 1.01 * h >= t_end:
-            break
-        t += h
-        edges.append(t)
-    edges.append(t_end)
-    return np.array(edges)
+def _phase_edges(z_start: float, z_end: float) -> np.ndarray:
+    """Block boundaries in u = -z from -z_start to -z_end, 0 < z_end < z_start:
+    a block starting at z spans min(_BLOCK_PHASE, _BLOCK_GRADE z), three
+    oscillations inside the horizon and a doubling of t on the linear
+    asymptote outside it. A remainder under 1% of a block joins it, so the
+    last block ends exactly at -z_end."""
+    if not 0.0 < z_end < z_start:
+        raise ModeIntegrationError(f"mode integration failed: the phase left at "
+                                   f"t_end, z = {z_end:g}, is not in (0, {z_start:g})")
+    edges, z = [-z_start], z_start
+    while z - 1.01 * (h := min(_BLOCK_PHASE, _BLOCK_GRADE * z)) > z_end:
+        z -= h
+        edges.append(-z)
+    return np.array(edges + [-z_end])
 
 
 def _propagators(coefficients, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -301,81 +292,70 @@ def _interpolate_blocks(starts, widths, values, times):
 
 def integrate_mode(kappa: float, background, t_start: float, t_end: float,
                    tolerance: float = 1e-10, coupling: float = 1.0) -> ModeEvolution:
-    """Evolve one mode from adiabatic-vacuum initial data.
+    """Evolve one mode from adiabatic-vacuum initial data, in u = -z.
 
-    Initial amplitude and derivative are matched to the positive-frequency
-    Hankel solution on the background's linear asymptote at t_start, which
-    must still be deep inside the horizon: omega_ad >= 20 bdot/b. Its depth,
-    the Hankel argument z(t_start) there, may not exceed _MAX_START_BLOCKS
-    times _BLOCK_PHASE, which bounds the block layout. The mode is sampled at
-    400 log-spaced times, and the frozen value is recorded once
-    |phi'| t / |phi| < 1e-6.
+    The background provides asymptotic_velocity, dimension (3, checked
+    before any read), the checked lookups horizon_integral(t) and b(t), and
+    horizon_wavenumber(eta); one read of horizon_integral on [t_start, t_end]
+    range-checks the end before any layout. kappa, t_start and coupling must
+    be positive and finite, t_end finite with t_end > t_start, and tolerance
+    in (0, 1); each is checked before the background is read.
 
-    The background provides asymptotic_velocity, linear_offset (None when it
-    has no linear regime) and the checked lookups b(t) and bdot(t); one read
-    of b on [t_start, t_end] range-checks the end before any layout. kappa,
-    t_start and coupling must be positive and finite, t_end finite with
-    t_end > t_start, and tolerance in (0, 1); each is checked before the
-    background is read.
-
-    The solver is Chebyshev-Lobatto collocation in integral form, in numpy
-    (_solve_blocks), on mode_coefficients at the background's b and bdot. The
-    blocks are laid out in advance on the linear asymptote, each spanning at
-    most three oscillations or its own time since the linear-regime origin,
-    and solved together: the equation is linear, so each block is one linear
-    solve, accepted on the decay of its Chebyshev coefficients, and failing
-    blocks are halved and solved again. The samples are interpolated from
-    the accepted blocks. A tolerance the halvings cannot reach raises
-    ModeIntegrationError; nfev counts the node times at which the background
-    was read, rejected blocks included.
+    The start is the positive-frequency Hankel mode at the true z(t_start),
+    phi = N z^(2/3) H^(1)_{2/3}(z) and phi_z = N z^(2/3) H^(1)_{-1/3}(z), with
+    N = mode_normalization beta^(-2/3), beta = (2/3) kappa alpha^(-5/2): exact
+    on the linear asymptote. It must lie deep inside the horizon,
+    kappa >= 20 k_H, at a depth z of at most _MAX_START_BLOCKS times
+    _BLOCK_PHASE. The blocks (_phase_edges) are solved together by
+    _solve_blocks on mode_coefficients at horizon_wavenumber(-u/kappa), and
+    failing blocks are halved; a tolerance the halvings cannot reach raises
+    ModeIntegrationError. nfev counts the node phases read, rejected blocks
+    included. The 400 log-spaced samples are interpolated at
+    u = -kappa eta(t), with phidot = kappa b^(-5/2) phi_u, and the frozen
+    value is recorded once |phidot| t / |phi| < 1e-6.
     """
     check_positive(kappa=kappa, t_start=t_start, coupling=coupling)
     if not t_start < t_end < math.inf:
         raise ValueError(f"t_end={t_end} must be finite and exceed t_start")
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance={tolerance} must lie in (0, 1)")
+    if background.dimension != 3:
+        raise ModeIntegrationError(
+            f"the mode equation is the 3D one; the background has dimension "
+            f"{background.dimension}")
     alpha = background.asymptotic_velocity
-    shift = background.linear_offset
-    if shift is None:
-        raise ModeIntegrationError("background has no linear regime "
-                                   "(linear_offset is None) to match the start on")
-    b0 = float(background.b([t_start, t_end])[0])
-    bdot0 = float(background.bdot(t_start))
-    hubble = bdot0 / b0
-    omega0_ad = adiabatic_frequency(kappa, b0)
-    if omega0_ad < _DEPTH_FACTOR * hubble:
+    z_start, z_end = (kappa * background.horizon_integral([t_start, t_end])).tolist()
+    if not z_start <= _MAX_START_BLOCKS * _BLOCK_PHASE:
         raise ModeIntegrationError(
-            f"mode kappa={kappa:g} is not deep inside the horizon at "
-            f"t_start={t_start:g} (omega_ad/H = {omega0_ad / hubble:.2f} "
-            f"< {_DEPTH_FACTOR:g}); it is already crossing or frozen")
-
-    ts_shift = t_start - shift
-    if ts_shift <= 0.0:
-        raise ModeIntegrationError("t_start precedes the linear-regime origin")
-    depth = hankel_argument(kappa, ts_shift, alpha)
-    if depth > _MAX_START_BLOCKS * _BLOCK_PHASE:
-        raise ModeIntegrationError(
-            f"start depth z = {depth:.3g} is beyond the cap "
+            f"start depth z = {z_start:.3g} is beyond the cap "
             f"{_MAX_START_BLOCKS} * 6 pi = {_MAX_START_BLOCKS * _BLOCK_PHASE:.3g}; "
             "start the mode later")
-    norm = mode_normalization(coupling, alpha)
-    u1, d1 = _basis_pair(kappa, ts_shift, alpha)
-    phi0 = norm * u1
-    phidot0 = norm * d1
-    wkb_residual = abs(phidot0 + 1j * omega0_ad * phi0) / (omega0_ad * abs(phi0))
+    k_h = float(background.horizon_wavenumber(z_start / kappa))
+    if kappa < _DEPTH_FACTOR * k_h:
+        raise ModeIntegrationError(
+            f"mode kappa={kappa:g} is not deep inside the horizon at "
+            f"t_start={t_start:g} (kappa/k_H = {kappa / k_h:.2f} "
+            f"< {_DEPTH_FACTOR:g}); it is already crossing or frozen")
+    edges = _phase_edges(z_start, z_end)
+
+    beta = (2.0 / 3.0) * kappa * alpha**-2.5
+    h1, h0 = specfun.hankel1((_NU, _NU - 1.0), z_start)
+    amplitude = mode_normalization(coupling, alpha) * (z_start / beta) ** _NU
+    phi0, phi0_u = complex(amplitude * h1), complex(-amplitude * h0)
+    wkb_residual = abs(phi0_u + 1j * phi0) / abs(phi0)
 
     notes = []
     if wkb_residual > 1e-3:
         notes.append(f"WKB residual {wkb_residual:.2e} above 1e-3 at start")
 
-    scale = abs(phi0)
-    atol = np.array([scale, omega0_ad * scale]) * tolerance * 1e-3
-    edges = _block_edges(kappa, alpha, shift, t_start, t_end)
     edges, values, nfev = _solve_blocks(
-        lambda t: mode_coefficients(kappa, background.b(t), background.bdot(t)),
-        edges, (phi0, phidot0), tolerance, atol)
+        lambda u: mode_coefficients(kappa, background.horizon_wavenumber(-u / kappa)),
+        edges, (phi0, phi0_u), tolerance, abs(phi0) * tolerance * 1e-3)
     t_eval = np.geomspace(t_start, t_end, _MODE_SAMPLES)
-    phi, phidot = _interpolate_blocks(edges[:-1], np.diff(edges), values, t_eval)
+    u_eval = -kappa * background.horizon_integral(t_eval)
+    u_eval[[0, -1]] = edges[[0, -1]]
+    phi, phi_u = _interpolate_blocks(edges[:-1], np.diff(edges), values, u_eval)
+    phidot = kappa * np.float_power(background.b(t_eval), -2.5) * phi_u
 
     frozen_value = None
     tail = abs(phidot[-1]) * t_eval[-1] / abs(phi[-1])

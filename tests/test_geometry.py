@@ -203,6 +203,31 @@ class TestHorizonCrossing:
     def test_superhorizon_from_start(self, traj2d):
         assert horizon_crossing_time(1e-9, traj2d, c0=1.0) == 0.0
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("omega0", [1.0, 62.8])
+    @pytest.mark.parametrize("c0", [1.0, 3e-3])
+    def test_release_threshold(self, dimension, omega0, c0):
+        # kappa <= 2 D alpha/c0 starts outside the horizon: the clamped angle
+        # pi/2 gives b_c = 1 and the crossing t = 0, with no branch of its own;
+        # just above the threshold the crossing leaves 0 without a step back
+        traj = integrate_scale_factor(omega0, dimension, 100.0 / omega0, n_samples=50)
+        threshold = 2.0 * dimension * traj.asymptotic_velocity / c0
+        ulps = np.arange(-64, 65)
+        at = threshold + ulps * np.spacing(threshold)
+        times = horizon_crossing_time(at, traj, c0)
+        assert np.all(times[ulps <= 0] == 0.0)
+        above = threshold * (1.0 + np.geomspace(1e-12, 1e-3, 200))
+        times = horizon_crossing_time(np.concatenate([at[ulps > 0], above]), traj, c0)
+        assert np.all(times >= 0.0) and np.all(np.diff(times) >= 0.0)
+        assert times[-1] > 0.0
+
+    def test_just_above_release_threshold(self):
+        traj = integrate_scale_factor(1.0, 3, 100.0, n_samples=50)
+        threshold = 6.0 * traj.asymptotic_velocity
+        assert horizon_crossing_time(threshold * (1.0 + 1e-9), traj) == 0.0
+        assert horizon_crossing_time(threshold * (1.0 + 1e-6), traj) == pytest.approx(
+            1.28e-6, rel=5e-3)
+
     def test_monotone_in_kappa(self, traj2d):
         c0 = 1.0
         kappas = np.geomspace(10.0 * W0_2D / c0, 1e3 * W0_2D / c0, 8)

@@ -111,12 +111,12 @@ def test_run_outputs_match_recorded_digests(name, tmp_path):
 # analytic history, on b = sqrt(2/3) t with c0 = g = 1 and tolerance 1e-11.
 MODE_ALPHA = math.sqrt(2.0 / 3.0)
 GOLDEN_MODES = {
-    (1.0, 180.0): ("4cf816854a0977ca19985eeff5bb5a4357bc6a4f55150b875c8ac34a2f446682",
-                   "fca0494669318ed9153074b026284e9bf2104b9df0ac526e4e9b8754f9bcca8d"),
-    (10.0, 320.0): ("4e9bfdeb95a3471bf47b2375e5cceeb7a1724bc8db41d749c34fd962b781f6e2",
-                    "d0982581180533bed014043fbbe926df5c623f8f965af5322fb933ff9abc399e"),
-    (100.0, 600.0): ("e0ee83cb831693eea3835c046459facb3ea935c24bfeab4e7ef943a738ba8705",
-                     "52521e77c1e740f8b3b648d9e4bf328a5b615c90e795e25895339bf50f999c26"),
+    (1.0, 180.0): ("7a098b51650d9cc537f0aaeb0495265d2b50e938115dbc58d031fea4859c4443",
+                   "2eeb1b65eabbada92a79715f572735bf1598c069348aa0dbc43dc0aca14b3564"),
+    (10.0, 320.0): ("5be4aac1d337881fb059fc31c9ce1ce5d8f6438b66e45d79fa6a55584adb3355",
+                    "14ccdb8bcd51aad7a627a655ee9311986226787950e11537296f73ec00f3b31f"),
+    (100.0, 600.0): ("5ed1f4845a699647f06cdb020376e4a9f8494b181576359c2466b763c23407c6",
+                     "9654114f3f7e266fc887581a183208d3c9b8ceac1aa734c885cb614013d4af92"),
 }
 
 

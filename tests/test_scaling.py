@@ -507,10 +507,51 @@ class TestAsymptote:
         for n_samples in (2, 7, 50, 400, 4000):
             traj = integrate_scale_factor(omega0, dimension, t_max=span / omega0,
                                           n_samples=n_samples)
-            asymptotes.add((traj.asymptotic_velocity, traj.linear_offset,
-                            float(traj.horizon_integral(0.0)),
-                            float(traj.horizon_integral(traj.t_max))))
+            eta = traj.horizon_integral(traj.t_max)
+            asymptotes.add((traj.asymptotic_velocity, float(traj.horizon_integral(0.0)),
+                            float(eta), float(traj.horizon_wavenumber(eta))))
         assert len(asymptotes) == 1
+
+
+class TestHorizonWavenumber:
+    """horizon_wavenumber(eta) is b^(D/2) bdot, the co-moving apparent-horizon
+    wavenumber, at the time whose horizon integral is eta: the mode engine
+    reads its friction through it."""
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_is_the_lookups_at_their_horizon_integral(self, dimension):
+        # a free run to omega0 t = 5000; the closed form and the lookups
+        # agree to a few ulps at every sample after release
+        traj = integrate_scale_factor(1.0, dimension, 5000.0, n_samples=4000)
+        t = traj.ts[1:]
+        k_h = traj.horizon_wavenumber(traj.horizon_integral(t))
+        expected = traj.b(t) ** (dimension / 2.0) * traj.bdot(t)
+        assert np.max(np.abs(k_h / expected - 1.0)) <= 4.0 * np.finfo(float).eps
+
+    def test_linear_expansion(self):
+        bg = LinearExpansion(math.sqrt(2.0 / 3.0))
+        t = np.geomspace(1e-3, 1e6, 400)
+        k_h = bg.horizon_wavenumber(bg.horizon_integral(t))
+        assert np.max(np.abs(k_h / (bg.b(t) ** 1.5 * bg.bdot(t)) - 1.0)) <= (
+            4.0 * np.finfo(float).eps)
+        # (2/3) alpha^(-5/2) t^(-3/2), the integral of (alpha t)^(-5/2) from t
+        assert bg.horizon_integral(2.0) == pytest.approx(
+            quad(lambda u: (bg.asymptotic_velocity * u) ** -2.5, 2.0, np.inf)[0],
+            rel=1e-12)
+
+    def test_release_and_held(self, traj3d):
+        # at release, and for any eta beyond it, the background is at rest
+        alpha = traj3d.asymptotic_velocity
+        release = traj3d.horizon_integral(0.0)
+        assert release == pytest.approx(math.pi / (3.0 * alpha), rel=1e-15)
+        for eta in (release, 2.0 * release):
+            assert 0.0 <= traj3d.horizon_wavenumber(eta) <= 1e-16 * alpha
+        # just inside release, bdot = alpha cos(angle) and b^(3/2) = 1/sin(angle)
+        angle = 0.5 * 3.0 * alpha * (0.9 * release)
+        assert traj3d.horizon_wavenumber(0.9 * release) == pytest.approx(
+            alpha * math.cos(angle) / math.sin(angle), rel=1e-15)
+        held = integrate_scale_factor(1.0, 3, 10.0, held=True)
+        assert held.horizon_wavenumber([0.5, 2.0]).tolist() == [0.0, 0.0]
 
 
 class TestLinearExpansion:

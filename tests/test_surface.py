@@ -263,11 +263,12 @@ _SPEC = CondensateSpec(AtomSpecies("sodium", 3.8e-26, 2.75e-9),
 # ones the walker replaces by each bad value.
 _VALID = {
     "alpha": _ALPHA, "allow_zero": False, "analysis": ["derive"], "argv": [],
-    "atom_number": 1e5, "b": 1.5, "background": LinearExpansion(_ALPHA), "bdot": 0.5,
+    "atom_number": 1e5, "b": 1.5, "background": LinearExpansion(_ALPHA),
     "c0": 1.0, "condensate": _SPEC, "config": None, "count": 2, "coupling": 1.0,
-    "data": {}, "derived": thomas_fermi(_SPEC), "dimension": 2,
+    "data": {}, "derived": thomas_fermi(_SPEC), "dimension": 2, "eta": 1.0,
     "evolution": analytic_evolution(1.0, [1.0, 2.0], _ALPHA), "expansion_mode": "free",
-    "g2d": 1.0, "g3d": 1.0, "g_si": 1.0, "held": False, "k": 1.0, "kappa": 1.0,
+    "g2d": 1.0, "g3d": 1.0, "g_si": 1.0, "held": False, "horizon_wavenumber": 0.5,
+    "k": 1.0, "kappa": 1.0,
     "kmax": 1.0, "longitudinal_frequency": 10.0, "m": 1.0, "mass": 3.8e-26, "mu": 1.0,
     "n_samples": 11, "name": "sodium", "nu": 2.0 / 3.0, "numeric": None, "omega0": 1.0,
     "omega_xi": 100.0, "omega_z": 100.0, "out_dir": None, "rho0": 1.0,
@@ -298,8 +299,7 @@ _DOCUMENTED = {
     ("density_spectrum_2d", "kappa", 0.0): 0.0,
     ("windowed_contrast", "kappa", 0.0): 0.0,
     ("spectrum_2d_grid", "kappa", 0.0): 0.0,             # its values
-    ("mode_coefficients", "kappa", 0.0): [0.0, -1.0],    # the zero mode, -3 bdot/b
-    ("mode_coefficients", "bdot", 0.0): [-1.0 / 1.5**5, 0.0],  # a background at rest
+    ("mode_coefficients", "horizon_wavenumber", 0.0): [-1.0, 0.0],  # a background at rest
     ("ScaleTrajectory.b", "t", 0.0): 1.0,                # the free 2D run at release
     ("ScaleTrajectory.bdot", "t", 0.0): 0.0,
     ("ScaleTrajectory.clock", "t", 0.0): 0.0,

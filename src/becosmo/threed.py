@@ -294,19 +294,21 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
                    tolerance: float = 1e-10, coupling: float = 1.0) -> ModeEvolution:
     """Evolve one mode from adiabatic-vacuum initial data, in u = -z.
 
-    The background provides asymptotic_velocity, dimension (3, checked
-    before any read), the checked lookups horizon_integral(t) and b(t), and
-    horizon_wavenumber(eta); one read of horizon_integral on [t_start, t_end]
-    range-checks the end before any layout. kappa, t_start and coupling must
-    be positive and finite, t_end finite with t_end > t_start, and tolerance
-    in (0, 1); each is checked before the background is read.
+    The background provides dimension (3, checked before any read), the
+    checked lookups horizon_integral(t) and b(t), and horizon_wavenumber(eta);
+    one read of horizon_integral on [t_start, t_end] range-checks the end
+    before any layout. kappa, t_start and coupling must be positive and
+    finite, t_end finite with t_end > t_start, and tolerance in (0, 1); each
+    is checked before the background is read.
 
     The start is the positive-frequency Hankel mode at the true z(t_start),
-    phi = N z^(2/3) H^(1)_{2/3}(z) and phi_z = N z^(2/3) H^(1)_{-1/3}(z), with
-    N = mode_normalization beta^(-2/3), beta = (2/3) kappa alpha^(-5/2): exact
-    on the linear asymptote. It must lie deep inside the horizon,
-    kappa >= 20 k_H, at a depth z of at most _MAX_START_BLOCKS times
-    _BLOCK_PHASE. The blocks (_phase_edges) are solved together by
+    phi = A H^(1)_{2/3}(z) and phi_z = A H^(1)_{-1/3}(z), its amplitude
+    A = sqrt(pi g z / (4 kappa b^(1/2))) set by the canonical Wronskian
+    b^3 (phi phidot* - phi* phidot) = i g: exact on the linear asymptote,
+    and on any b(t) a vacuum of the right norm. It must lie deep inside the
+    horizon, kappa >= 20 k_H, at a depth z of at most _MAX_START_BLOCKS times
+    _BLOCK_PHASE, and k_H must be finite at the end, where the phase left
+    may underflow. The blocks (_phase_edges) are solved together by
     _solve_blocks on mode_coefficients at horizon_wavenumber(-u/kappa), and
     failing blocks are halved; a tolerance the halvings cannot reach raises
     ModeIntegrationError. nfev counts the node phases read, rejected blocks
@@ -323,24 +325,31 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
         raise ModeIntegrationError(
             f"the mode equation is the 3D one; the background has dimension "
             f"{background.dimension}")
-    alpha = background.asymptotic_velocity
     z_start, z_end = (kappa * background.horizon_integral([t_start, t_end])).tolist()
     if not z_start <= _MAX_START_BLOCKS * _BLOCK_PHASE:
         raise ModeIntegrationError(
             f"start depth z = {z_start:.3g} is beyond the cap "
             f"{_MAX_START_BLOCKS} * 6 pi = {_MAX_START_BLOCKS * _BLOCK_PHASE:.3g}; "
             "start the mode later")
-    k_h = float(background.horizon_wavenumber(z_start / kappa))
+    edges = _phase_edges(z_start, z_end)
+    with np.errstate(over="ignore"):     # a subnormal phase left at t_end
+        k_h, k_end = background.horizon_wavenumber(
+            np.array([z_start, z_end]) / kappa).tolist()
     if kappa < _DEPTH_FACTOR * k_h:
         raise ModeIntegrationError(
             f"mode kappa={kappa:g} is not deep inside the horizon at "
             f"t_start={t_start:g} (kappa/k_H = {kappa / k_h:.2f} "
             f"< {_DEPTH_FACTOR:g}); it is already crossing or frozen")
-    edges = _phase_edges(z_start, z_end)
+    if not k_end < math.inf:
+        raise ModeIntegrationError(f"mode integration failed: the phase left at "
+                                   f"t_end, z = {z_end:g}, is too small to resolve")
 
-    beta = (2.0 / 3.0) * kappa * alpha**-2.5
+    t_eval = np.geomspace(t_start, t_end, _MODE_SAMPLES)   # t_eval[0] is t_start
+    b_eval = background.b(t_eval)
+    # on b = alpha t, the amplitude is mode_normalization (z/beta)^(2/3)
+    amplitude = math.sqrt(math.pi * coupling * z_start
+                          / (4.0 * kappa * math.sqrt(b_eval[0])))
     h1, h0 = specfun.hankel1((_NU, _NU - 1.0), z_start)
-    amplitude = mode_normalization(coupling, alpha) * (z_start / beta) ** _NU
     phi0, phi0_u = complex(amplitude * h1), complex(-amplitude * h0)
     wkb_residual = abs(phi0_u + 1j * phi0) / abs(phi0)
 
@@ -351,11 +360,10 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     edges, values, nfev = _solve_blocks(
         lambda u: mode_coefficients(kappa, background.horizon_wavenumber(-u / kappa)),
         edges, (phi0, phi0_u), tolerance, abs(phi0) * tolerance * 1e-3)
-    t_eval = np.geomspace(t_start, t_end, _MODE_SAMPLES)
     u_eval = -kappa * background.horizon_integral(t_eval)
     u_eval[[0, -1]] = edges[[0, -1]]
     phi, phi_u = _interpolate_blocks(edges[:-1], np.diff(edges), values, u_eval)
-    phidot = kappa * np.float_power(background.b(t_eval), -2.5) * phi_u
+    phidot = kappa * np.float_power(b_eval, -2.5) * phi_u
 
     frozen_value = None
     tail = abs(phidot[-1]) * t_eval[-1] / abs(phi[-1])

@@ -12,11 +12,11 @@ pass first.
 
     python tests/mutation_sweep.py threed scaling
     python tests/mutation_sweep.py threed --only _phase_edges,mode_coefficients
-    python tests/mutation_sweep.py scaling --sample 40 --seed 1 --jobs 1
 
-It prints killed/total per module and one line per survivor: module, line,
-enclosing function and the change. pytest does not collect this file; it is
-not part of tier-1.
+Two mutants run at a time, each in its own copy of the tree under a fresh
+temporary directory. It prints killed/total per module and one line per
+survivor: module, line, enclosing function and the change. pytest does not
+collect this file; it is not part of tier-1.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import argparse
 import ast
 import os
 import queue
-import random
 import resource
 import shutil
 import subprocess
@@ -42,6 +41,7 @@ SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mul
          ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 MEMORY_LIMIT = 3 << 30          # address space of one test run, in bytes
+JOBS = 2                        # test runs at a time
 
 
 def _functions(tree):
@@ -124,14 +124,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", help="becosmo module names, e.g. threed")
     parser.add_argument("--only", default="", help="comma-separated functions to mutate")
-    parser.add_argument("--sample", type=int, default=0, help="mutants per module, 0 = all")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=2)
-    parser.add_argument("--work", type=Path, default=None, help="directory for the copies")
     args = parser.parse_args(argv)
     only = set(filter(None, args.only.split(",")))
-    work = Path(tempfile.mkdtemp(prefix="mutation-", dir=args.work))
-    copies = [work / f"tree{j}" for j in range(args.jobs)]
+    work = Path(tempfile.mkdtemp(prefix="mutation-"))
+    copies = [work / f"tree{j}" for j in range(JOBS)]
     free = queue.SimpleQueue()          # the copies no mutant is using
     for copy in copies:
         shutil.copytree(ROOT, copy, ignore=SKIP)
@@ -139,18 +135,16 @@ def main(argv=None) -> int:
     try:
         for module in args.modules:
             relative = Path("src") / "becosmo" / f"{module}.py"
-            original = (ROOT / relative).read_text()
+            original = ast.unparse(ast.parse((ROOT / relative).read_text()))
             first = f"tests/test_{module}.py"
             for copy in copies:
-                (copy / relative).write_text(ast.unparse(ast.parse(original)))
+                (copy / relative).write_text(original)
             start = time.perf_counter()
             if run_suite(copies[0], first, 600.0) != "pass":
                 print(f"{module}: the unparsed module fails tier-1; no sweep")
                 return 1
             timeout = max(60.0, 4.0 * (time.perf_counter() - start))
             todo = [m for m in mutants(ROOT / relative) if not only or m[1].split(".")[-1] in only]
-            if args.sample and args.sample < len(todo):
-                todo = sorted(random.Random(args.seed).sample(todo, args.sample))
 
             def judge(mutant):
                 copy = free.get()
@@ -160,7 +154,7 @@ def main(argv=None) -> int:
                 finally:
                     (copy / relative).write_text(original)
                     free.put(copy)
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            with ThreadPoolExecutor(max_workers=JOBS) as pool:
                 results = list(pool.map(judge, todo))
             survivors = [m for m, outcome in results if outcome == "pass"]
             print(f"{module}: {len(todo) - len(survivors)}/{len(todo)} killed "

@@ -111,9 +111,9 @@ def test_run_outputs_match_recorded_digests(name, tmp_path):
 # analytic history, on b = sqrt(2/3) t with c0 = g = 1 and tolerance 1e-11.
 MODE_ALPHA = math.sqrt(2.0 / 3.0)
 GOLDEN_MODES = {
-    (1.0, 180.0): ("7a098b51650d9cc537f0aaeb0495265d2b50e938115dbc58d031fea4859c4443",
+    (1.0, 180.0): ("6fd691b270d78f57097c86fa38128a3283a011d29a03ca6d402ded8517c7e42d",
                    "2eeb1b65eabbada92a79715f572735bf1598c069348aa0dbc43dc0aca14b3564"),
-    (10.0, 320.0): ("5be4aac1d337881fb059fc31c9ce1ce5d8f6438b66e45d79fa6a55584adb3355",
+    (10.0, 320.0): ("cdb5556bc73301e05a76ed97f28e6ad1c6d7619c1d9ae1b07e11a92479a44ef2",
                     "14ccdb8bcd51aad7a627a655ee9311986226787950e11537296f73ec00f3b31f"),
     (100.0, 600.0): ("5ed1f4845a699647f06cdb020376e4a9f8494b181576359c2466b763c23407c6",
                      "9654114f3f7e266fc887581a183208d3c9b8ceac1aa734c885cb614013d4af92"),

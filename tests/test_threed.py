@@ -390,6 +390,20 @@ class TestIntegrateMode:
         with pytest.raises(ModeIntegrationError, match=r"phase left at t_end, z = 0,"):
             integrate_mode(8.0, LinearExpansion(ALPHA), _deep_start(8.0), 1e300)
 
+    @pytest.mark.parametrize("background", [
+        LinearExpansion(ALPHA), integrate_scale_factor(1.0, 3, 1e210)],
+        ids=["linear", "free-3d"])
+    def test_subnormal_end_phase_rejected(self, background, monkeypatch):
+        # at t_end = 1e210 the phase left, eta ~ 1e-316, is subnormal: it is
+        # positive, but k_H ~ 2/(3 eta) at the last block's end overflows
+        monkeypatch.setattr(threed, "_solve_blocks", _no_solve)
+        kappa = 1000.0
+        t_start = (_deep_start(kappa) if isinstance(background, LinearExpansion)
+                   else _real_start(background, kappa, 260.0))
+        with pytest.raises(ModeIntegrationError, match=r"z = [0-9.]+e-3[01][0-9], "
+                                                       r"is too small to resolve"):
+            integrate_mode(kappa, background, t_start, 1e210)
+
     def test_depth_check_reads_the_start_phase(self, monkeypatch):
         # on b = alpha t, kappa/k_H = 3 z/2 at the start: z = 12 is short of
         # the required 20, z = 14 clears it
@@ -445,10 +459,10 @@ class TestIntegrateMode:
             integrate_mode(50.0, flat, 1.0, 1000.0)
 
     def test_checked_lookups_do_not_grow_with_nfev(self, monkeypatch):
-        # horizon_wavenumber is read once before the solve and once per
-        # batched solve of a round, whatever the node count; horizon_integral
-        # twice (the ends, then the samples), b once (the samples) and bdot
-        # never. For starts whose node counts differ by more than 2x, the
+        # horizon_wavenumber is read once before the solve, at both ends, and
+        # once per batched solve of a round, whatever the node count;
+        # horizon_integral twice (the ends, then the samples), b once (the
+        # samples) and bdot never. For starts whose node counts differ by more than 2x, the
         # calls follow the solves alone
         calls, nodes, nfev = [], [], []
         methods = ("b", "bdot", "horizon_integral", "horizon_wavenumber")
@@ -484,8 +498,9 @@ class TestIntegrateMode:
                 batches = len(solves)
                 assert 1 <= batches <= threed._MAX_HALVINGS + 1
                 assert [calls.count(m) for m in methods] == [1, 0, 2, 1 + batches]
-                # nfev is the node count of the batched reads, after the start's one
-                assert nodes[0] == 1 and sum(nodes[1:]) == nfev[-1] == 33 * sum(solves)
+                # nfev is the node count of the batched reads, after the one
+                # read at the two ends
+                assert nodes[0] == 2 and sum(nodes[1:]) == nfev[-1] == 33 * sum(solves)
         assert min(nfev) > 0
         assert nfev[1] > 2 * nfev[0] and nfev[3] > 2 * nfev[2]
 
@@ -548,12 +563,12 @@ class TestIntegrateMode:
         with pytest.raises(ModeIntegrationError, match="out of reach"):
             integrate_mode(kappa, LinearExpansion(ALPHA), _deep_start(kappa),
                            freezing_time(kappa, ALPHA), tolerance=1e-30)
-        # the start read at z(t_start), then the batches of each round; the
-        # first round is one batch, and each round solves at most the halves
-        # of the blocks solved in the round before
+        # the read at the two ends, z(t_start) and z(t_end), then the batches
+        # of each round; the first round is one batch, and each round solves
+        # at most the halves of the blocks solved in the round before
         start, first, *rest = reads
         cap = 2 ** (threed._MAX_HALVINGS + 1) - 1
-        assert start == 1 and first + sum(rest) <= cap * first
+        assert start == 2 and first + sum(rest) <= cap * first
         assert max(rest) <= threed._BATCH_BLOCKS * (threed._CHEB_DEGREE + 1)
 
     @pytest.mark.parametrize("kappa, end_factor, match", [
@@ -787,6 +802,21 @@ class TestRealBackground:
         phi, phidot = reference[2] + 1j * reference[3], reference[4] + 1j * reference[5]
         assert np.max(np.abs(evo.phi - phi)) <= 1e-11 * np.max(np.abs(phi))
         assert abs(evo.phidot[-1] - phidot[-1]) <= 1e-11 * abs(phidot[-1])
+
+    def test_start_has_the_canonical_wronskian(self):
+        # kappa = 200 from z = 150, at t = 0.61 before the linear regime: the
+        # start's amplitude sets b^3 (phi phidot* - c.c.) = i g, which the
+        # solve then conserves, and the mode freezes onto the closed form of
+        # the linear asymptote (measured 1.7e-13 and 2.9e-4)
+        kappa, coupling = 200.0, 2.5
+        t_end = freezing_time(kappa, ALPHA)
+        trajectory = integrate_scale_factor(1.0, 3, 1.5 * t_end)
+        evo = integrate_mode(kappa, trajectory, _real_start(trajectory, kappa, 150.0),
+                             t_end, tolerance=1e-11, coupling=coupling)
+        wronskian = trajectory.b(evo.times) ** 3 * 2.0 * (evo.phi * evo.phidot.conj()).imag
+        assert np.abs(wronskian / coupling - 1.0).max() <= 1e-11
+        variance = frozen_phase_variance(kappa, coupling, ALPHA)
+        assert evo.frozen_value**2 / variance == pytest.approx(1.0, abs=5e-3)
 
     def test_end_beyond_trajectory_rejected(self, trajectory, monkeypatch):
         monkeypatch.setattr(threed, "_solve_blocks", _no_solve)

@@ -20,8 +20,7 @@ _VERB_STAGES = {stage.replace("-", ""): stage for stage in STAGES}
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a ConfigError, so it exits 1 like any other
-    configuration error; subparsers inherit the class."""
+    """A usage error is a ConfigError, so it exits 1 like any other."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -47,11 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Expanding-condensate acoustic cosmology: derived "
                     "parameters, expansion histories, horizons and frozen "
                     "fluctuation spectra.")
-    subs = parser.add_subparsers(dest="verb", required=True,
-                                 metavar="{" + ",".join(_VERB_STAGES) + "}")
-    for verb in _VERB_STAGES:
-        sub = subs.add_parser(verb)
-        _add_common(sub)
+    parser.add_argument("verb", choices=_VERB_STAGES,
+                        metavar="{" + ",".join(_VERB_STAGES) + "}")
+    _add_common(parser)
     return parser
 
 

@@ -56,8 +56,9 @@ _EXTENDED_TERMS = 40
 _INTEGER_EPS = 1e-9
 _LD = np.longdouble
 # Terms tried by the asymptotic expansion, which stops at its smallest term,
-# and its tables: (2k - 1)^2, 8k and the phase i^k of term k.
-_ASYMPTOTIC_TERMS = 60
+# and its tables: (2k - 1)^2, 8k and the phase i^k of term k. 45 terms give
+# the bits of 60 on orders in (-2, 2) and x in [X_SWITCH, 1e8]; one is margin.
+_ASYMPTOTIC_TERMS = 46
 _ASYMPTOTIC_K = np.arange(1, _ASYMPTOTIC_TERMS)[:, None, None]
 _ODD_SQUARES = ((2 * _ASYMPTOTIC_K - 1) ** 2).astype(float)
 _EIGHT_K = 8.0 * _ASYMPTOTIC_K

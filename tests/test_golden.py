@@ -111,11 +111,11 @@ def test_run_outputs_match_recorded_digests(name, tmp_path):
 # analytic history, on b = sqrt(2/3) t with c0 = g = 1 and tolerance 1e-11.
 MODE_ALPHA = math.sqrt(2.0 / 3.0)
 GOLDEN_MODES = {
-    (1.0, 180.0): ("6fd691b270d78f57097c86fa38128a3283a011d29a03ca6d402ded8517c7e42d",
+    (1.0, 180.0): ("14e4ba0f36c2a9765efa09eb247c9a489a9dbdcb8e03231521a70440de336a33",
                    "2eeb1b65eabbada92a79715f572735bf1598c069348aa0dbc43dc0aca14b3564"),
-    (10.0, 320.0): ("cdb5556bc73301e05a76ed97f28e6ad1c6d7619c1d9ae1b07e11a92479a44ef2",
+    (10.0, 320.0): ("906273c617fd40480f137463acaa7e38bc1c2b4d5b1853d3531ffa64f088bf5a",
                     "14ccdb8bcd51aad7a627a655ee9311986226787950e11537296f73ec00f3b31f"),
-    (100.0, 600.0): ("5ed1f4845a699647f06cdb020376e4a9f8494b181576359c2466b763c23407c6",
+    (100.0, 600.0): ("231606e326dfb6cad6ef1576b32b774b57f6a0c819f4bee060cbde39fe685163",
                      "9654114f3f7e266fc887581a183208d3c9b8ceac1aa734c885cb614013d4af92"),
 }
 

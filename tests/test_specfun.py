@@ -297,11 +297,17 @@ class TestDoubleSeries:
     @pytest.mark.parametrize("name, xs", [
         ("_DOUBLE_TERMS", np.concatenate([np.geomspace(1e-100, 1.0, 500),
                                           np.linspace(1.0, 2.0, 2000, endpoint=False)])),
-        ("_EXTENDED_TERMS", np.linspace(2.0, 12.0, 2000, endpoint=False))])
+        ("_EXTENDED_TERMS", np.linspace(2.0, 12.0, 2000, endpoint=False)),
+        ("_ASYMPTOTIC_TERMS", np.geomspace(12.0, 1e8, 20000))])
     def test_one_more_term_changes_no_bit(self, monkeypatch, name, xs):
         orders = [1 / 3, 2 / 3, -1 / 3, -2 / 3, 0.1, -0.1, 1.9, -1.9, 1.999, -1.999]
         fixed = sf.hankel1(orders, xs)
         monkeypatch.setattr(sf, name, getattr(sf, name) + 1)
+        # the asymptotic term tables are made from their count at import
+        k = np.arange(1, sf._ASYMPTOTIC_TERMS)[:, None, None]
+        monkeypatch.setattr(sf, "_ODD_SQUARES", ((2 * k - 1) ** 2).astype(float))
+        monkeypatch.setattr(sf, "_EIGHT_K", 8.0 * k)
+        monkeypatch.setattr(sf, "_PHASES", np.array([1j, -1.0, -1j, 1.0])[(k - 1) % 4])
         assert np.array_equal(sf.hankel1(orders, xs), fixed)
 
     @pytest.mark.parametrize("nu", [1 / 3, 2 / 3, -1 / 3, -2 / 3, 0.1, -1.9])

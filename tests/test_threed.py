@@ -145,10 +145,56 @@ class TestCollocationCore:
         bound = blocks * (tolerance * np.array([1.0, omega]) + atol)
         assert np.all(np.abs(values - exact).max(axis=(0, 2)) <= bound)
 
+    # y'' = -y from (1000, 0) at tolerance 1e-12: a block up to about 18.5
+    # wide passes the first round, so one 12 * 2^m wide needs m halvings; the
+    # amplitude makes the bound's scale by max|c| matter
+    @staticmethod
+    def _oscillator(edges, start=(1e3, 0.0), atol=(1e-12, 1e-12)):
+        return threed._solve_blocks(
+            lambda t: (np.full_like(t, -1.0), np.zeros_like(t)), np.array(edges),
+            start, 1e-12, np.array(atol))
+
+    def test_only_failing_blocks_are_halved_at_their_midpoints(self):
+        # [0, 12] passes; [12, 36] fails, is split at exactly 24, and only
+        # its halves are solved again: two rounds of two blocks
+        edges, values, nfev = self._oscillator([0.0, 12.0, 36.0])
+        assert edges.tolist() == [0.0, 12.0, 24.0, 36.0]
+        assert nfev == 33 * (2 + 2)
+        t = edges[:-1, None] + (threed._NODES + 1.0) * 6.0
+        exact = 1e3 * np.stack([np.cos(t), -np.sin(t)], axis=1)
+        assert np.abs(values - exact).max() <= 3 * 1e3 * 1e-12
+
+    def test_five_halvings_pass_and_a_sixth_is_out_of_reach(self):
+        # a 384 wide block is halved five times into 32 blocks of 12, every
+        # round solving all of them; one 768 wide would need a sixth
+        edges, values, nfev = self._oscillator([0.0, 384.0])
+        assert edges.tolist() == (12.0 * np.arange(33)).tolist()
+        assert nfev == 33 * (1 + 2 + 4 + 8 + 16 + 32)
+        t = edges[:-1, None] + (threed._NODES + 1.0) * 6.0
+        exact = 1e3 * np.stack([np.cos(t), -np.sin(t)], axis=1)
+        assert np.abs(values - exact).max() <= 32 * 1e3 * 1e-12
+        with pytest.raises(ModeIntegrationError, match="after 5 halvings"):
+            self._oscillator([0.0, 768.0])
+
+    @pytest.mark.parametrize("loose", [0, 1])
+    def test_either_half_forces_a_halving(self, loose):
+        # with one half's absolute floor so large that it always passes, the
+        # other half alone still halves a block 24 wide
+        atol = [1e-12, 1e-12]
+        atol[loose] = 1e30
+        edges, values, nfev = self._oscillator([0.0, 24.0], atol=atol)
+        assert edges.tolist() == [0.0, 12.0, 24.0] and nfev == 33 * 3
+
+    def test_zero_solution_passes_at_once(self):
+        # a tail of 0 meets a bound of 0, so the zero start needs no halving
+        edges, values, nfev = self._oscillator([0.0, 384.0], (0.0, 0.0), (0.0, 0.0))
+        assert edges.tolist() == [0.0, 384.0] and nfev == 33 and not values.any()
+
 
 class TestPhaseEdges:
     """The block layout in u = -z: 6 pi wide inside the horizon, a fixed
-    fraction of the phase left outside it, ending exactly at -z_end."""
+    fraction 1 - 3^(-3/2) of the phase left outside it (a tripling of t on
+    the linear asymptote), ending exactly at -z_end."""
 
     @pytest.mark.parametrize("z_start, z_end", [(260.0, 1e-3), (13.0, 2e-7),
                                                  (1e4, 3e-300)])
@@ -156,17 +202,17 @@ class TestPhaseEdges:
         edges = threed._phase_edges(z_start, z_end)
         assert edges[0] == -z_start and edges[-1] == -z_end
         z, widths = -edges[:-1], np.diff(edges)
-        rule = np.minimum(6.0 * math.pi, (1.0 - 2.0**-1.5) * z)
+        rule = np.minimum(6.0 * math.pi, (1.0 - 3.0**-1.5) * z)
         # every block but the last is the rule, up to the rounding of the
         # edges; the last takes the remainder, more than 1 % of the block
         # before it and at most 1 % more than its own rule
         slack = 4.0 * np.spacing(z_start)
         assert np.all(np.abs(widths[:-1] - rule[:-1]) <= slack)
         assert 0.01 * rule[-2] < widths[-1] <= 1.01 * rule[-1] + slack
-        # on b = alpha t a graded block is a doubling of t: z falls by 2^(3/2)
+        # on b = alpha t a graded block is a tripling of t: z falls by 3^(3/2)
         graded = rule[:-1] < 6.0 * math.pi
         assert graded.sum() > 3
-        assert np.allclose(-edges[1:-1][graded], z[:-1][graded] * 2.0**-1.5,
+        assert np.allclose(-edges[1:-1][graded], z[:-1][graded] * 3.0**-1.5,
                            rtol=1e-12, atol=0)
 
     def test_remainder_of_one_percent_joins_the_block(self):
@@ -634,10 +680,21 @@ class TestIntegrateMode:
                                  freezing_time(kappa, ALPHA), tolerance=tolerance)
             assert 0 < evo.nfev <= ceiling
 
+    @pytest.mark.parametrize("kappa, depth", [(1.0, 180.0), (10.0, 320.0),
+                                              (100.0, 600.0)])
+    def test_golden_modes_solve_in_one_round(self, kappa, depth):
+        # at the benchmark's tolerance no block of the layout is halved
+        bg = LinearExpansion(ALPHA)
+        t_start, t_end = _deep_start(kappa, depth), freezing_time(kappa, ALPHA)
+        edges = threed._phase_edges(*(kappa * bg.horizon_integral([t_start, t_end])))
+        evo = integrate_mode(kappa, bg, t_start, t_end, tolerance=1e-11)
+        assert evo.nfev == 33 * (edges.size - 1)
+
     def test_accepted_blocks_meet_both_tail_bounds(self, monkeypatch):
-        # the GOLDEN_MODES start kappa = 1, z = 180 at tolerance 1e-12 has a
-        # block whose phi tail passes and whose phi' tail is 1.65 times its
-        # bound, so accepting on phi alone would keep that block unhalved
+        # every accepted block of the GOLDEN_MODES start kappa = 1, z = 180 at
+        # tolerance 1e-12 meets both tail bounds; since the layout in the
+        # phase, no block there fails on phi' alone, so
+        # TestCollocationCore.test_either_half_forces_a_halving pins each half
         solved = []
 
         def kept(*args):
@@ -653,6 +710,8 @@ class TestIntegrateMode:
         size = np.abs(values @ threed._TO_COEFS.T)
         tail = size[..., -threed._TAIL_COEFS:].max(axis=-1)
         assert np.all(tail <= tolerance * size.max(axis=-1) + atol)
+        # the absolute floor is far under the relative bound: it decides nothing
+        assert atol < 1e-2 * tolerance * np.abs(values).max()
 
     @pytest.mark.parametrize("kappa, depth", [(1.0, 180.0), (10.0, 320.0),
                                               (100.0, 600.0)])

@@ -94,9 +94,8 @@ def horizon_crossing_time(kappa, trajectory: ScaleTrajectory, c0: float = 1.0):
     check_positive(kappa=kappa, c0=c0)
     kappa = np.asarray(kappa, dtype=float)
     alpha, D = trajectory.asymptotic_velocity, trajectory.dimension
-    if alpha == 0.0:
-        return np.full_like(kappa, math.inf)[()]
     angle = np.minimum(math.pi * D * alpha / (c0 * kappa), math.pi / 2.0)
-    with np.errstate(divide="ignore", over="ignore"):  # kappa -> inf: b_c = inf
+    # kappa -> inf, or a held trap (angle 0): b_c = inf
+    with np.errstate(divide="ignore", over="ignore"):
         t_c = trajectory.time_at(np.float_power(np.sin(angle), -2.0 / D))
     return np.where(t_c > trajectory.t_max, math.inf, t_c)[()]

@@ -22,21 +22,22 @@ engine works in c0 = 1 units, where kappa stands for c0 kappa; the closed-form
 spectra take c0 as an argument.
 
 Normalization: the positive-frequency member (early-time e^{-i omega tau}
-behaviour, the H^(1) branch) carries the per-volume prefactor
-sqrt(pi g / (6 alpha^3)) fixed by the canonical commutator through the
-Wronskian of the Hankel pair. This choice reproduces the closed-form frozen
-spectra below; couplings are in natural units (g/hbar when starting from SI).
+behaviour, the H^(1) branch) carries the amplitude fixed by the canonical
+commutator b^3 (phi phidot* - phi* phidot) = i g, sqrt(pi g / (6 alpha^3))
+on b = alpha t. This choice reproduces the closed-form frozen spectra below;
+couplings are in natural units (g/hbar when starting from SI).
 
 Everything here is hydrodynamic: quoted spectra apply to wavelengths far
 above the healing length, enforced through the kappa_max band edge.
 
-The basis solution (1/t) H^(1)_{2/3}(z) and its time derivative come from
-_basis_pair, one specfun.hankel1 call on the orders (2/3, -1/3); H^(2) is
-their complex conjugate, and the Gamma factors are math.gamma.
-_basis_pair, frozen_phase_variance and density_spectrum_3d take a scalar or
-an array for t or kappa (every element checked) and return a NumPy scalar
-or an array. The module computes only; the run pipeline in scenarios writes
-the closed form on the linear asymptote to spectrum.csv.
+The mode (phi, phi_u) at phase z and scale factor b comes from _hankel_mode,
+one specfun.hankel1 call on the orders (2/3, -1/3): it is the engine's start,
+and on b = alpha t, with z from LinearExpansion, analytic_evolution. H^(2)
+is its complex conjugate, and the Gamma factors are math.gamma.
+analytic_evolution, frozen_phase_variance and density_spectrum_3d take a
+scalar or an array for t or kappa (every element checked). The module
+computes only; the run pipeline in scenarios writes the closed form on the
+linear asymptote to spectrum.csv.
 
 integrate_mode evolves a single mode with numpy only, in u = -z, on blocks
 laid out before any solve: three oscillations inside the horizon, a tripling
@@ -56,6 +57,7 @@ import numpy as np
 
 from . import specfun
 from .condensate import check_positive
+from .scaling import LinearExpansion
 
 _NU = 2.0 / 3.0
 _FREEZE_CRITERION = 1e-6       # |phi'| t / |phi| below which a mode is frozen
@@ -108,23 +110,6 @@ class ModeIntegrationError(RuntimeError):
     """Mode integration could not be started or did not converge."""
 
 
-def hankel_argument(kappa: float, t: float, alpha: float) -> float:
-    """z(t) = (2/3) kappa alpha^(-5/2) t^(-3/2) on the linear background."""
-    check_positive(kappa=kappa, t=t, alpha=alpha)
-    return (2.0 / 3.0) * kappa * alpha ** (-2.5) * np.float_power(t, -1.5)
-
-
-def mode_normalization(coupling: float, alpha: float) -> float:
-    """Per-volume vacuum prefactor sqrt(pi g / (6 alpha^3)).
-
-    Fixed by the equal-time commutator of phase and density: the Hankel pair
-    has b^3-weighted Wronskian 6 i alpha^3 / pi, and matching it to
-    i g (per unit volume) gives this amplitude for the H^(1) branch.
-    """
-    check_positive(coupling=coupling, alpha=alpha)
-    return math.sqrt(math.pi * coupling / (6.0 * alpha**3))
-
-
 def mode_coefficients(kappa: float, horizon_wavenumber):
     """The mode equation phi_uu = c_phi phi + c_phi' phi_u in the phase
     u = -kappa eta(t), at the co-moving apparent-horizon wavenumber
@@ -135,24 +120,17 @@ def mode_coefficients(kappa: float, horizon_wavenumber):
     return np.full_like(k_h, -1.0), -k_h / (2.0 * kappa)
 
 
-def _basis_pair(kappa: float, t, alpha: float):
-    """(1/t) H^(1)_{2/3}(z(t)) and its time derivative from one z and one
-    Hankel call on the orders (2/3, -1/3): since d/dz [z^nu H_nu] =
-    z^nu H_{nu-1} and (1/t) = (z/beta)^(2/3), the derivative is
-    -(3/2) z H^(1)_{-1/3}(z)/t^2, with no cancelling terms.
-
-    t must be non-empty, and every z(t) positive and finite."""
-    t = np.asarray(t, dtype=float)
-    if t.size == 0:
-        raise ValueError("t must be non-empty")
-    with np.errstate(over="ignore"):
-        z = hankel_argument(kappa, t, alpha)
-    valid = (z > 0.0) & (z < math.inf)
-    if not valid.all():
-        raise ValueError(f"t={t[~valid][0]} gives a Hankel argument "
-                         f"z={z[~valid][0]} that is not positive and finite")
+def _hankel_mode(kappa: float, z, b, coupling: float):
+    """(phi, phi_u) of the positive-frequency mode at phase z and scale factor
+    b, u = -z, from one Hankel call: A H^(1)_{2/3}(z) and -A H^(1)_{-1/3}(z).
+    A = sqrt(pi g z/(4 kappa)) b^(-1/4), taken factor by factor so that no
+    product leaves the float range, sets the canonical Wronskian
+    b^3 (phi phidot* - phi* phidot) = i g; on b = alpha t the mode is
+    sqrt(pi g/(6 alpha^3)) (1/t) H^(1)_{2/3}(z)."""
+    amplitude = (math.sqrt(math.pi / (4.0 * kappa)) * math.sqrt(coupling)
+                 * np.sqrt(z) * np.float_power(b, -0.25))
     h1, h0 = specfun.hankel1((_NU, _NU - 1.0), z)
-    return (h1 / t)[()], (-1.5 * z * h0 / t**2)[()]
+    return amplitude * h1, -amplitude * h0
 
 
 def freezing_time(kappa: float, alpha: float) -> float:
@@ -303,11 +281,9 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
     finite, t_end finite with t_end > t_start, and tolerance in (0, 1); each
     is checked before the background is read.
 
-    The start is the positive-frequency Hankel mode at the true z(t_start),
-    phi = A H^(1)_{2/3}(z) and phi_z = A H^(1)_{-1/3}(z), its amplitude
-    A = sqrt(pi g z / (4 kappa b^(1/2))) set by the canonical Wronskian
-    b^3 (phi phidot* - phi* phidot) = i g: exact on the linear asymptote,
-    and on any b(t) a vacuum of the right norm. It must lie deep inside the
+    The start is the positive-frequency Hankel mode (_hankel_mode) at the
+    true z(t_start) and b(t_start): exact on the linear asymptote, and on any
+    b(t) a vacuum of the right norm. It must lie deep inside the
     horizon, kappa >= 20 k_H, at a depth z of at most _MAX_START_BLOCKS times
     _BLOCK_PHASE, and k_H must be finite at the end, where the phase left
     may underflow. The blocks (_phase_edges) are solved together by
@@ -348,11 +324,7 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
 
     t_eval = np.geomspace(t_start, t_end, _MODE_SAMPLES)   # t_eval[0] is t_start
     b_eval = background.b(t_eval)
-    # on b = alpha t, the amplitude is mode_normalization (z/beta)^(2/3)
-    amplitude = math.sqrt(math.pi * coupling * z_start
-                          / (4.0 * kappa * math.sqrt(b_eval[0])))
-    h1, h0 = specfun.hankel1((_NU, _NU - 1.0), z_start)
-    phi0, phi0_u = complex(amplitude * h1), complex(-amplitude * h0)
+    phi0, phi0_u = map(complex, _hankel_mode(kappa, z_start, b_eval[0], coupling))
     wkb_residual = abs(phi0_u + 1j * phi0) / abs(phi0)
 
     notes = []
@@ -381,12 +353,23 @@ def integrate_mode(kappa: float, background, t_start: float, t_end: float,
 def analytic_evolution(kappa: float, t, alpha: float,
                        coupling: float = 1.0) -> ModeEvolution:
     """Exact positive-frequency evolution on the pure linear background, at a
-    scalar or an array of times; a scalar is a one-sample history."""
+    scalar or an array of times; a scalar is a one-sample history:
+    _hankel_mode at z = kappa eta(t) and b of LinearExpansion(alpha), and
+    phidot = kappa b^(-5/2) phi_u as integrate_mode gives it. Every z(t)
+    must be positive and finite."""
+    check_positive(kappa=kappa, coupling=coupling)
+    background = LinearExpansion(alpha)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    norm = mode_normalization(coupling, alpha)
-    u1, d1 = _basis_pair(kappa, t, alpha)
-    phi = norm * u1
-    phidot = norm * d1
+    if t.size == 0:
+        raise ValueError("t must be non-empty")
+    z = kappa * background.horizon_integral(t)
+    valid = (z > 0.0) & (z < math.inf)
+    if not valid.all():
+        raise ValueError(f"t={t[~valid][0]} gives a phase "
+                         f"z={z[~valid][0]} that is not positive and finite")
+    b = background.b(t)
+    phi, phi_u = _hankel_mode(kappa, z, b, coupling)
+    phidot = kappa * np.float_power(b, -2.5) * phi_u
     return ModeEvolution(times=t, phi=phi, phidot=phidot,
                          frozen_value=float(abs(phi[-1])), nfev=0)
 

@@ -7,7 +7,9 @@ both results in closed form and needs neither. collocation_propagators
 assembles the block systems of the mode solver as written on paper, which
 the package does in one buffer. horner sums a power series by two numpy
 calls per term on any number of samples, where the package sums a few
-samples in Python floats.
+samples in Python floats. linear_mode_normalization is the vacuum prefactor
+of the mode (1/t) H^(1)_{2/3}(z) on b = alpha t in its time form, where the
+package writes the mode in its phase.
 """
 
 import math
@@ -108,3 +110,11 @@ def horner(coefs, z):
         total *= z
         total += c
     return total
+
+
+def linear_mode_normalization(coupling: float, alpha: float) -> float:
+    """sqrt(pi g / (6 alpha^3)): the per-volume prefactor of the
+    positive-frequency mode (1/t) H^(1)_{2/3}(z) on b = alpha t. The Hankel
+    pair (1/t) H^(1,2)_{2/3}(z) has b^3-weighted Wronskian 6 i alpha^3 / pi,
+    and matching it to the equal-time commutator i g gives this amplitude."""
+    return math.sqrt(math.pi * coupling / (6.0 * alpha**3))

@@ -255,6 +255,12 @@ class TestHorizonCrossing:
         times = horizon_crossing_time(np.array([1e-9, 1.0, 1e9]), traj)
         assert np.all(np.isinf(times))
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_held_trap_scalar_never_crosses(self, dimension):
+        # the angle is 0, so b_c = 0^(-2/D) = inf with no warning
+        traj = integrate_scale_factor(W0_2D, dimension, t_max=20.0 / W0_2D, held=True)
+        assert horizon_crossing_time(1.0, traj) == math.inf
+
     @pytest.mark.parametrize("name", ["traj2d", "traj3d"])
     def test_crossing_meets_the_horizon(self, name, request):
         # the closed-form crossing puts 2 pi/kappa on the particle horizon,

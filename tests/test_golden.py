@@ -112,11 +112,11 @@ def test_run_outputs_match_recorded_digests(name, tmp_path):
 MODE_ALPHA = math.sqrt(2.0 / 3.0)
 GOLDEN_MODES = {
     (1.0, 180.0): ("14e4ba0f36c2a9765efa09eb247c9a489a9dbdcb8e03231521a70440de336a33",
-                   "2eeb1b65eabbada92a79715f572735bf1598c069348aa0dbc43dc0aca14b3564"),
-    (10.0, 320.0): ("906273c617fd40480f137463acaa7e38bc1c2b4d5b1853d3531ffa64f088bf5a",
-                    "14ccdb8bcd51aad7a627a655ee9311986226787950e11537296f73ec00f3b31f"),
+                   "0b594f77fd102aac1afaf2a9f933c91d6002f8c5bd78241d3a50affd3ae34e5f"),
+    (10.0, 320.0): ("3a8742a49b4dd81b2a21a8d78bacec8d0f661fd87c9770792a0bfc78a50940ac",
+                    "594b78ca659f8682ce038295af3513d133bcbb01f700eb7e780e0f4aa86d4077"),
     (100.0, 600.0): ("231606e326dfb6cad6ef1576b32b774b57f6a0c819f4bee060cbde39fe685163",
-                     "9654114f3f7e266fc887581a183208d3c9b8ceac1aa734c885cb614013d4af92"),
+                     "68242297bdb4dde3843b64b8f088afa81115d13d04f2b44ec2d43c2d70782266"),
 }
 
 

@@ -206,6 +206,29 @@ class TestAnalytic3d:
             assert np.all(np.isfinite(rows)) and traj.bs[-1] >= 1.0
             assert np.isfinite(traj.horizon_integral(traj.ts)).all()
 
+    # Newton's steps per element, measured on dense grids: at most 3 on
+    # [2^-27, 1], 2-3 on [1, 1.5], 1-2 on [1.5, 10] and exactly 1 from 10 up;
+    # exactly 1 also below x = 0.067 and from 5.25 up (the first step is at
+    # most 0.17 and 0.68 of the stop tolerance on the grids below). A worse
+    # start guess reaches the same bits in more steps, so the caps pin the
+    # guesses.
+    def test_newton_converges_within_three_steps(self, monkeypatch):
+        monkeypatch.setattr(scaling, "_NEWTON_CAP", 3)
+        x = np.concatenate([np.geomspace(2.0**-27, 1.0, 20000), np.geomspace(1.0, 1.5, 5000),
+                            np.geomspace(1.5, 10.0, 5000), np.geomspace(10.0, 1e300, 5000)])
+        assert np.isfinite(analytic_scale_3d(x, 1.0)).all()
+        # the free 3D grids of the scenario-sweep benchmark: t_max_omega0 in
+        # [2500, 10000] and 200 to 4000 samples
+        for t_max_omega0 in (2500.0, 5000.0, 10000.0):
+            for n_samples in (200, 1000, 4000):
+                integrate_scale_factor(W0_3D, 3, t_max_omega0 / W0_3D, n_samples)
+
+    @pytest.mark.parametrize("lo, hi, cap", [(2.0**-27, 0.05, 1), (1.5, 10.0, 2),
+                                             (5.5, 12.0, 1), (10.0, 1e300, 1)])
+    def test_newton_steps_fall_with_time(self, monkeypatch, lo, hi, cap):
+        monkeypatch.setattr(scaling, "_NEWTON_CAP", cap)
+        assert np.isfinite(analytic_scale_3d(np.geomspace(lo, hi, 20000), 1.0)).all()
+
     def test_unconverged_newton_is_a_numerical_error(self, monkeypatch):
         monkeypatch.setattr(scaling, "_NEWTON_CAP", 1)
         with pytest.raises(NumericalError, match="did not converge"):

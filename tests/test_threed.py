@@ -21,14 +21,13 @@ from scipy.stats import linregress
 import becosmo
 from becosmo import scaling, threed
 from becosmo.scaling import LinearExpansion, ScaleTrajectory, integrate_scale_factor
-from becosmo.threed import (ModeIntegrationError, _basis_pair, analytic_evolution,
+from becosmo.threed import (ModeIntegrationError, analytic_evolution,
                             density_contrast_from_mode, density_spectrum_3d,
-                            freezing_time, frozen_phase_variance,
-                            hankel_argument, integrate_mode, kappa_band_edge,
-                            max_contrast_estimate, mode_coefficients,
-                            mode_normalization, spectrum_3d_grid)
+                            freezing_time, frozen_phase_variance, integrate_mode,
+                            kappa_band_edge, max_contrast_estimate,
+                            mode_coefficients, spectrum_3d_grid)
 from becosmo.scenarios import PRESETS, config_from_dict, run
-from references import collocation_propagators
+from references import collocation_propagators, linear_mode_normalization
 
 ALPHA = math.sqrt(2.0 / 3.0)   # natural units, omega0 = 1
 
@@ -81,16 +80,16 @@ class TestModeOde:
             -phi - phi_u / (3.0 * z), rel=1e-15)
 
     def test_analytic_solution_satisfies_ode(self):
-        # the basis solution (1/t) H_{2/3}(z) as a function of z, against the
-        # stated form with phi_u = phidot / (du/dt) = phidot b^(5/2)/kappa
+        # the exact mode as a function of z, against the stated form with
+        # phi_u = phidot / (du/dt) = phidot b^(5/2)/kappa
         kappa, z = 2.2, 3.1
         beta = (2.0 / 3.0) * kappa * ALPHA**-2.5
         time = lambda zz: (beta / zz) ** (2.0 / 3.0)
-        u = lambda zz: _basis_pair(kappa, time(zz), ALPHA)[0]
+        u = lambda zz: analytic_evolution(kappa, time(zz), ALPHA).phi[0]
         h = z * 1e-5
         second = (u(z + h) - 2.0 * u(z) + u(z - h)) / h**2
         t = time(z)
-        phi_u = _basis_pair(kappa, t, ALPHA)[1] * (ALPHA * t) ** 2.5 / kappa
+        phi_u = analytic_evolution(kappa, t, ALPHA).phidot[0] * (ALPHA * t) ** 2.5 / kappa
         k_h = (ALPHA * t) ** 1.5 * ALPHA
         rhs = _acceleration(u(z), phi_u, kappa, k_h)
         assert abs(second - rhs) <= 1e-6 * abs(rhs)
@@ -111,8 +110,8 @@ class TestModeOde:
         assert abs(residual) <= 1e-14 * kappa**2 * b**-5 * abs(phi)
 
     @pytest.mark.parametrize("function", [
-        threed.hankel_argument, threed.freezing_time,
-        threed._basis_pair, threed._phase_edges, threed._propagators,
+        threed.freezing_time,
+        threed._hankel_mode, threed._phase_edges, threed._propagators,
         threed._solve_blocks, threed.integrate_mode, threed.analytic_evolution])
     def test_mode_engine_takes_no_c0(self, function):
         # c0 only ever enters as c0 kappa, so the engine works in c0 = 1 units
@@ -230,41 +229,47 @@ class TestPhaseEdges:
 
 
 class TestAnalyticMode:
-    """The basis solution u = (1/t) H^(1)_{2/3}(z) and its derivative, from
-    threed._basis_pair; the H^(2) solution is their complex conjugate."""
+    """The exact positive-frequency mode on b = alpha t, analytic_evolution:
+    sqrt(pi g/(6 alpha^3)) (1/t) H^(1)_{2/3}(z) in its time form; the H^(2)
+    solution is its complex conjugate."""
 
     def test_early_time_wkb(self):
         kappa = 5.0
         t = _deep_start(kappa, depth_z=2000.0)
-        u1, d1 = _basis_pair(kappa, t, ALPHA)
+        evo = analytic_evolution(kappa, t, ALPHA)
         omega = kappa / (ALPHA * t) ** 2.5
-        assert abs(d1 + 1j * omega * u1) / (omega * abs(u1)) <= 1e-3
+        assert abs(evo.phidot[0] + 1j * omega * evo.phi[0]) / (
+            omega * abs(evo.phi[0])) <= 1e-3
 
     def test_late_time_constant(self):
         kappa = 5.0
         t_frozen = freezing_time(kappa, ALPHA)
-        u_late = _basis_pair(kappa, t_frozen, ALPHA)[0]
-        u_later = _basis_pair(kappa, 2.0 * t_frozen, ALPHA)[0]
+        u_late, u_later = analytic_evolution(kappa, [t_frozen, 2.0 * t_frozen], ALPHA).phi
         assert abs(u_later - u_late) <= 1e-6 * abs(u_late)
 
     def test_frozen_limit_value(self):
         # small-argument H expansion: (1/t) H^(2) -> i (beta/2)^(-2/3) /
         # (sin(2 pi/3) Gamma(1/3)); H^(1) is its conjugate
-        kappa = 3.0
+        kappa, coupling = 3.0, 0.7
         beta_half = kappa / (3.0 * ALPHA**2.5)
         expected = beta_half ** (-2.0 / 3.0) / (math.sin(2.0 * math.pi / 3.0)
                                                 * math.gamma(1.0 / 3.0))
         t = 100.0 * freezing_time(kappa, ALPHA)
-        u1 = _basis_pair(kappa, t, ALPHA)[0]
-        assert abs(u1) == pytest.approx(expected, rel=1e-8)
-        assert u1.imag < 0.0  # positive-frequency branch freezes onto -i
+        phi = analytic_evolution(kappa, t, ALPHA, coupling).phi[0]
+        norm = linear_mode_normalization(coupling, ALPHA)
+        assert abs(phi) == pytest.approx(norm * expected, rel=1e-8)
+        assert phi.imag < 0.0  # positive-frequency branch freezes onto -i
 
     def test_argument_is_comoving_sound_reach(self):
-        # z equals kappa times the remaining sound travel in co-moving units
+        # z equals kappa times the remaining sound travel in co-moving units,
+        # and the exact mode is taken at that z
         kappa, t = 7.0, 0.9
         reach, _ = quad(lambda tt: 1.0 / (ALPHA * tt) ** 2.5, t, np.inf)
-        assert hankel_argument(kappa, t, ALPHA) == pytest.approx(
+        assert kappa * LinearExpansion(ALPHA).horizon_integral(t) == pytest.approx(
             kappa * reach, rel=1e-10)
+        exact = complex(mpmath.hankel1(2.0 / 3.0, kappa * reach)) / t
+        phi = analytic_evolution(kappa, t, ALPHA).phi[0]
+        assert abs(phi - linear_mode_normalization(1.0, ALPHA) * exact) <= 1e-10 * abs(phi)
 
     @pytest.mark.parametrize("kappa", [1.0, 10.0, 100.0])
     def test_derivative_against_mpmath(self, kappa):
@@ -272,19 +277,20 @@ class TestAnalyticMode:
         # falls as t^-3, by 40-digit numerical differentiation
         t_frozen = freezing_time(kappa, ALPHA)
         times = np.linspace(t_frozen / 50.0, t_frozen, 7)
-        d1 = _basis_pair(kappa, times, ALPHA)[1]
+        phidot = analytic_evolution(kappa, times, ALPHA).phidot
+        norm = linear_mode_normalization(1.0, ALPHA)
         with mpmath.workdps(40):
             beta = mpmath.mpf(2) / 3 * kappa * mpmath.mpf(ALPHA) ** mpmath.mpf(-2.5)
             mode = lambda t: mpmath.hankel1(mpmath.mpf(2) / 3, beta * t**-1.5) / t
-            for t, value in zip(times.tolist(), d1):
-                exact = complex(mpmath.diff(mode, mpmath.mpf(t)))
+            for t, value in zip(times.tolist(), phidot):
+                exact = norm * complex(mpmath.diff(mode, mpmath.mpf(t)))
                 assert abs(value - exact) <= 1e-14 * abs(exact)
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
-            _basis_pair(1.0, 0.0, ALPHA)
+            analytic_evolution(1.0, 0.0, ALPHA)
         with pytest.raises(ValueError):
-            _basis_pair(1.0, np.array([1.0, 0.0]), ALPHA)
+            analytic_evolution(1.0, np.array([1.0, 0.0]), ALPHA)
 
     # each bad input is named: kappa, or the time whose z(t) is not finite
     @pytest.mark.parametrize("kappa, times, name", [
@@ -298,18 +304,25 @@ class TestAnalyticMode:
             "t-tiny-element"])
     def test_rejects_bad_input(self, kappa, times, name):
         with pytest.raises(ValueError, match=rf"^{name}\b"):
-            _basis_pair(kappa, times, ALPHA)
-        with pytest.raises(ValueError, match=rf"^{name}\b"):
             analytic_evolution(kappa, times, ALPHA)
+
+    @pytest.mark.parametrize("times, message", [
+        ([], "t must be non-empty"),
+        (5e-324, r"t=5e-324 gives a phase z=inf that is not positive and finite"),
+        (1e300, r"t=1e\+300 gives a phase z=0.0 that is not positive and finite"),
+    ], ids=["t-empty", "z-inf", "z-zero"])
+    def test_names_an_empty_or_unresolvable_time(self, times, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            analytic_evolution(1.0, times, ALPHA)
 
     def test_array_matches_scalar(self):
         kappa = 4.0
         times = np.geomspace(_deep_start(kappa), 10.0 * freezing_time(kappa, ALPHA), 60)
-        u1, d1 = _basis_pair(kappa, times, ALPHA)
+        whole = analytic_evolution(kappa, times, ALPHA)
         for i, t in enumerate(times):
-            pu1, pd1 = _basis_pair(kappa, float(t), ALPHA)
-            assert abs(u1[i] - pu1) <= 1e-15 * abs(pu1)
-            assert abs(d1[i] - pd1) <= 1e-15 * abs(pd1)
+            single = analytic_evolution(kappa, float(t), ALPHA)
+            assert abs(whole.phi[i] - single.phi[0]) <= 1e-15 * abs(single.phi[0])
+            assert abs(whole.phidot[i] - single.phidot[0]) <= 1e-15 * abs(single.phidot[0])
 
     def test_scalar_time_is_one_sample_history(self):
         whole = analytic_evolution(1.0, [1.0, 2.0], ALPHA)
@@ -319,22 +332,37 @@ class TestAnalyticMode:
         assert abs(single.phi[0] - whole.phi[-1]) <= 1e-15 * abs(whole.phi[-1])
         assert single.frozen_value == pytest.approx(whole.frozen_value, rel=1e-15)
         assert whole.frozen_value == abs(whole.phi[-1])
+        assert whole.nfev == single.nfev == 0    # nothing is integrated
 
     def test_wronskian_constancy_with_measure(self):
-        # b^3 (u1 u2' - u2 u1') = 6 i alpha^3 / pi, which mode_normalization
-        # turns into the canonical commutator i g
+        # the canonical commutator b^3 (phi phidot* - phi* phidot) = i g from
+        # a deep start to t = 1e100, far beyond freezing
         kappa, coupling = 2.0, 0.7
-        expected = 6j * ALPHA**3 / math.pi
-        norm = mode_normalization(coupling, ALPHA)
-        times = np.geomspace(0.01, 1000.0, 25)
-        u1, d1 = _basis_pair(kappa, times, ALPHA)
-        w = (ALPHA * times) ** 3 * (u1 * d1.conjugate() - u1.conjugate() * d1)
-        assert np.max(np.abs(w - expected)) <= 1e-10 * abs(expected)
-        assert np.max(np.abs(norm**2 * w - 1j * coupling)) <= 1e-10 * coupling
+        times = np.geomspace(_deep_start(kappa, 2000.0), 1e100, 200)
+        evo = analytic_evolution(kappa, times, ALPHA, coupling)
+        w = (ALPHA * times) ** 3 * (evo.phi * evo.phidot.conj()
+                                    - evo.phi.conj() * evo.phidot)
+        assert np.max(np.abs(w - 1j * coupling)) <= 1e-14 * coupling
 
-    def test_one_hankel_call_per_basis_pair(self, monkeypatch):
+    @pytest.mark.parametrize("coupling", [1e300, 1e308])
+    @pytest.mark.parametrize("kappa", [1e-3, 2.0, 1e4])
+    def test_any_finite_coupling(self, kappa, coupling):
+        # g enters the mode only as sqrt(g): phi/sqrt(g) is the g = 1 history
+        # (measured 4.2e-16 at worst), phidot too wherever it is a normal float
+        times = np.geomspace(_deep_start(kappa), 1e200, 300)
+        unit = analytic_evolution(kappa, times, ALPHA)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evo = analytic_evolution(kappa, times, ALPHA, coupling)
+        root = math.sqrt(coupling)
+        assert (np.abs(evo.phi / root - unit.phi) / np.abs(unit.phi)).max() <= 1e-15
+        resolved = np.abs(unit.phidot) >= np.finfo(float).tiny
+        assert (np.abs(evo.phidot / root - unit.phidot)[resolved]
+                / np.abs(unit.phidot[resolved])).max() <= 1e-15
+
+    def test_one_hankel_call_per_mode(self, monkeypatch):
         # H_{2/3} and H_{-1/3} come from one call on an order axis: one per
-        # _basis_pair, so one per analytic_evolution and one for the start
+        # _hankel_mode, so one per analytic_evolution and one for the start
         # of integrate_mode
         calls = []
         original = threed.specfun.hankel1
@@ -346,9 +374,8 @@ class TestAnalyticMode:
         monkeypatch.setattr(threed.specfun, "hankel1", counted)
         kappa = 4.0
         times = np.geomspace(_deep_start(kappa), freezing_time(kappa, ALPHA), 30)
-        _basis_pair(kappa, times, ALPHA)
-        _basis_pair(kappa, float(times[0]), ALPHA)
-        assert len(calls) == 2
+        threed._hankel_mode(kappa, np.array([3.0, 2.0]), np.array([1.0, 1.5]), 1.0)
+        assert len(calls) == 1
         calls.clear()
         analytic_evolution(kappa, times, ALPHA)
         assert len(calls) == 1
@@ -416,7 +443,7 @@ class TestIntegrateMode:
         bg = LinearExpansion(ALPHA)
         evo = integrate_mode(kappa, bg, _deep_start(kappa),
                              freezing_time(kappa, ALPHA), tolerance=1e-11)
-        z = hankel_argument(kappa, evo.times, ALPHA)
+        z = kappa * bg.horizon_integral(evo.times)
         after = np.abs(evo.phidot[z < 0.5])
         assert np.all(np.diff(after) < 0.0)
 
@@ -428,6 +455,37 @@ class TestIntegrateMode:
         assert evo.warnings == [] and evo.nfev > 10_000
         variance = frozen_phase_variance(kappa, 1.0, ALPHA)
         assert abs(evo.frozen_value**2 / variance - 1.0) <= 1e-9
+
+    def test_oracle_reaches_the_far_end(self):
+        # the exact mode on test_far_end_freezes' history to t = 1e200: every
+        # value finite, no warning, and the pointwise match holds (measured
+        # 3.5e-13 in phi); phidot there falls below the float range in both
+        kappa = 8.0
+        evo = integrate_mode(kappa, LinearExpansion(ALPHA), _deep_start(kappa), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ana = analytic_evolution(kappa, evo.times, ALPHA)
+        assert np.isfinite(ana.phi).all() and np.isfinite(ana.phidot).all()
+        assert (np.abs(evo.phi - ana.phi) / np.abs(ana.phi)).max() <= 1e-10
+        resolved = np.abs(ana.phidot) >= np.finfo(float).tiny
+        assert np.array_equal(resolved, np.abs(evo.phidot) >= np.finfo(float).tiny)
+        assert (np.abs(evo.phidot - ana.phidot)[resolved]
+                / np.abs(ana.phidot[resolved])).max() <= 1e-10
+
+    def test_largest_coupling_freezes(self):
+        # the same solve as at g = 1, scaled by sqrt(g) (measured 7.5e-16)
+        kappa, coupling = 10.0, 1e308
+        solve = partial(integrate_mode, kappa, LinearExpansion(ALPHA), _deep_start(kappa),
+                        freezing_time(kappa, ALPHA))
+        unit = solve()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evo = solve(coupling=coupling)
+        assert evo.warnings == [] and evo.nfev == unit.nfev
+        assert unit.frozen_value is not None
+        root = math.sqrt(coupling)
+        assert evo.frozen_value / root == pytest.approx(unit.frozen_value, rel=1e-15)
+        assert (np.abs(evo.phi / root - unit.phi) / np.abs(unit.phi)).max() <= 1e-14
 
     def test_end_beyond_float_phase_rejected(self, monkeypatch):
         # at t_end = 1e300 the phase left, z ~ 1e-449, underflows to 0, so the
@@ -903,7 +961,7 @@ class TestClosedForms:
         beta_half = kappa / (3.0 * ALPHA**2.5)
         frozen_basis = beta_half ** (-2.0 / 3.0) / (
             math.sin(2.0 * math.pi / 3.0) * math.gamma(1.0 / 3.0))
-        chain = mode_normalization(coupling, ALPHA) ** 2 * frozen_basis**2
+        chain = linear_mode_normalization(coupling, ALPHA) ** 2 * frozen_basis**2
         assert chain == pytest.approx(
             frozen_phase_variance(kappa, coupling, ALPHA), rel=1e-12)
 
@@ -972,11 +1030,15 @@ class TestMaxContrast:
     (kappa_band_edge, (1.0, 1.0, math.nan), "omega_xi"),
     (frozen_phase_variance, (1.0, 1.0, -1.0), "alpha"),
     (density_spectrum_3d, (1.0, 1.0, -1.0, 1.0, 1.0), "c0"),
-    (max_contrast_estimate, (1.0, 1.0, 1.0, 1.0, -1.0), "alpha")],
+    (max_contrast_estimate, (1.0, 1.0, 1.0, 1.0, -1.0), "alpha"),
+    (analytic_evolution, (1.0, 1.0, -1.0), "alpha"),
+    (analytic_evolution, (1.0, 1.0, ALPHA, 0.0), "coupling"),
+    (analytic_evolution, (1.0, 1.0, ALPHA, math.nan), "coupling")],
     ids=["freezing-kappa-negative", "freezing-kappa-nan", "freezing-alpha-negative",
          "freezing-alpha-inf", "band-xi-zero", "band-alpha-negative",
          "band-omega_xi-nan", "phase-alpha-negative", "density-c0-negative",
-         "contrast-alpha-negative"])
+         "contrast-alpha-negative", "mode-alpha-negative", "mode-coupling-zero",
+         "mode-coupling-nan"])
 def test_scalar_closed_forms_reject_bad_arguments(function, args, name):
     with pytest.raises(ValueError, match=rf"^{name}=.* must be positive and finite"):
         function(*args)

@@ -27,7 +27,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="becosmo",
+        description="Expanding-condensate acoustic cosmology: derived "
+                    "parameters, expansion histories, horizons and frozen "
+                    "fluctuation spectra.")
+    parser.add_argument("verb", choices=_VERB_STAGES,
+                        metavar="{" + ",".join(_VERB_STAGES) + "}")
     parser.add_argument("--scenario", required=True,
                         help="preset name (sodium-q2d, rubidium-3d) or JSON path")
     parser.add_argument("--out", default=None,
@@ -38,17 +45,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="upper edge of the wavenumber grid (1/m)")
     parser.add_argument("--kappa-points", type=int, default=None,
                         help="number of wavenumber grid points")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="becosmo",
-        description="Expanding-condensate acoustic cosmology: derived "
-                    "parameters, expansion histories, horizons and frozen "
-                    "fluctuation spectra.")
-    parser.add_argument("verb", choices=_VERB_STAGES,
-                        metavar="{" + ",".join(_VERB_STAGES) + "}")
-    _add_common(parser)
     return parser
 
 

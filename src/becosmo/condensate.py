@@ -40,8 +40,8 @@ def check_dimension(dimension) -> None:
 
 
 def check_frequency(omega0, name: str) -> None:
-    # omega0^2 sets the restoring force of b(t); a square that underflows or
-    # overflows would silently hold b at 1 or blow the derivation up.
+    # b(t) reads only omega0 t, but the Thomas-Fermi state squares omega0 (mu ~ omega0^2);
+    # a square that underflows or overflows would give a zero or infinite mu.
     if not (omega0 > 0.0 and sys.float_info.min <= omega0 * omega0 < math.inf):
         raise ValueError(f"{name} must be positive, with a square that is a normal "
                          f"float (about 1.5e-154 to 1.3e154), got {omega0!r}")
@@ -232,27 +232,17 @@ def validate_dimensional_reduction(spec: CondensateSpec,
     A check fails when its ratio is below 3; failing is reported, never raised.
     Returns the checks, none in 3D.
     """
-    checks = []
-    if derived.transverse_width is not None:
-        omega_z = spec.trap.transverse_frequency
-        ratio_a = HBAR * omega_z / derived.chemical_potential
-        checks.append(ValidityCheck(
-            name="mode_mixing_suppression",
-            ratio=ratio_a,
-            threshold=_VALIDITY_THRESHOLD,
-            passed=ratio_a >= _VALIDITY_THRESHOLD,
-            description="transverse level spacing vs chemical potential, "
-                        "equals (healing length / transverse width)^2",
-        ))
-        ratio_b = derived.transverse_width / spec.species.scattering_length
-        checks.append(ValidityCheck(
-            name="mean_field_validity",
-            ratio=ratio_b,
-            threshold=_VALIDITY_THRESHOLD,
-            passed=ratio_b >= _VALIDITY_THRESHOLD,
-            description="transverse width vs s-wave scattering length",
-        ))
-    return tuple(checks)
+    if derived.transverse_width is None:
+        return ()
+    rows = (("mode_mixing_suppression",
+             HBAR * spec.trap.transverse_frequency / derived.chemical_potential,
+             "transverse level spacing vs chemical potential, "
+             "equals (healing length / transverse width)^2"),
+            ("mean_field_validity", derived.transverse_width / spec.species.scattering_length,
+             "transverse width vs s-wave scattering length"))
+    return tuple(ValidityCheck(name, ratio, _VALIDITY_THRESHOLD,
+                               ratio >= _VALIDITY_THRESHOLD, description)
+                 for name, ratio, description in rows)
 
 
 def sound_frequency_at_healing_scale(derived: DerivedParams) -> float:

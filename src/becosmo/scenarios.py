@@ -6,10 +6,10 @@ benchmark scenarios whose published reference values the report compares
 against: a quasi-2D sodium disk and a spherical 3D rubidium cloud.
 
 Config files are JSON; every physical key carries an explicit SI unit
-suffix, and unknown keys are rejected. A run writes one directory:
-manifest.json, derived.json, trajectory.csv, horizons.csv, spectrum.csv and
-report.json, depending on the analyses (pipeline stages, see STAGES) requested.
-This module is the only one that writes files: the physics modules return
+suffix, and unknown keys are rejected. A run writes one directory: the file
+that STAGES names for each stage the analyses request, and manifest.json.
+Each stage body returns its file's contents and run() alone writes them, so
+this module is the only one that writes files: the physics modules return
 arrays, and _write_csv and _write_json fix the two file formats. _write_csv
 formats at most _BLOCK_CELLS cells at a time in numpy, writes exactly the bytes
 of %.12e and flags as 0/1; values the float64 scaling cannot round with certainty
@@ -86,6 +86,10 @@ class ScenarioConfig:
     derived: DerivedParams = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # The name is the default output directory's, ./<name>-out, so it must name a file
+        if self.name in ("", ".", "..") or "/" in self.name or "\0" in self.name:
+            raise ConfigError("scenario.name must be a file name: not '', '.' or '..', "
+                              f"and without '/' or NUL, got {self.name!r}")
         # The Thomas-Fermi state depends on the input alone: computed and checked once, here.
         try:
             derived = thomas_fermi(self.condensate)
@@ -485,19 +489,19 @@ def _kappa_grid(numeric: NumericSettings, default_min: float,
     return np.geomspace(default_min, default_max, numeric.kappa_points)
 
 
+# The horizon columns, the only ones that may hold +inf (before release, on a held trap).
+_INFINITE_COLUMNS = ("r_apparent_m", "particle_horizon_comoving_m")
+
+
 @dataclass
 class _Run:
-    """What one run's stages share: the inputs, the stages that write files,
-    the report, the manifest's file list, and results later stages read."""
+    """What one run's stages share: the inputs, the report and the trajectory."""
     config: ScenarioConfig
-    out: Path
-    writes: set[str]
     report: RunReport
-    files: dict
     trajectory: ScaleTrajectory | None = None
 
 
-def _derive(r: _Run) -> None:
+def _derive(r: _Run) -> dict:
     spec, derived = r.config.condensate, r.config.derived
     validity = validate_dimensional_reduction(spec, derived)
     for check in validity:
@@ -511,8 +515,6 @@ def _derive(r: _Run) -> None:
     payload = r.report.derived = derived.as_dict()
     payload["omega_xi_rad_per_s"] = sound_frequency_at_healing_scale(derived)
     payload["validity"] = r.report.validity = [vars(c) for c in validity]
-    _write_json(r.out / "derived.json", payload)
-    r.files["derived"] = "derived.json"
 
     rows = r.report.reference_comparison
     if spec.trap.dimension == 2:
@@ -528,36 +530,28 @@ def _derive(r: _Run) -> None:
                                     derived.thomas_fermi_radius))
         omega_min = 2.0 * math.pi * derived.sound_speed / derived.thomas_fermi_radius
         rows.append(_comparison_row("threed.min_phonon_frequency_rad_per_s", omega_min))
+    return payload
 
 
-def _evolve(r: _Run) -> None:
+def _evolve(r: _Run) -> dict:
     spec, numeric, derived = r.config.condensate, r.config.numeric, r.config.derived
     D, omega0 = spec.trap.dimension, spec.trap.longitudinal_frequency
-    r.trajectory = integrate_scale_factor(
+    trajectory = r.trajectory = integrate_scale_factor(
         omega0, D, t_max=numeric.t_max_omega0 / omega0,
         n_samples=numeric.trajectory_samples, held=r.config.expansion_mode == "hold")
-    trajectory = r.trajectory
-    if "evolve" in r.writes:
-        tau_prefactor = 1.0  # quasi-2D is the flat case: tau is the clock
-        if D == 3:
-            conformal0 = geometry.conformal_factor(
-                derived.sound_speed, natural_coupling(derived.effective_coupling), D)
-            tau_prefactor = math.sqrt(conformal0) * derived.sound_speed
-        _write_csv(r.out / "trajectory.csv", {
-            "t_s": trajectory.ts, "b": trajectory.bs, "bdot_per_s": trajectory.bdots,
-            "tau": tau_prefactor * trajectory.clocks})
-        r.files["trajectory"] = "trajectory.csv"
+    tau_prefactor = 1.0  # quasi-2D is the flat case: tau is the clock
+    if D == 3:
+        conformal0 = geometry.conformal_factor(
+            derived.sound_speed, natural_coupling(derived.effective_coupling), D)
+        tau_prefactor = math.sqrt(conformal0) * derived.sound_speed
+    return {"t_s": trajectory.ts, "b": trajectory.bs, "bdot_per_s": trajectory.bdots,
+            "tau": tau_prefactor * trajectory.clocks}
 
 
-def _horizons(r: _Run) -> None:
+def _horizons(r: _Run) -> dict:
     trajectory, c0 = r.trajectory, r.config.derived.sound_speed
     ts = trajectory.ts[1:]  # the apparent horizon is infinite at t = 0; ts[-1] = t_max
     apparent = geometry.apparent_horizon(trajectory, ts, c0)
-    _write_csv(r.out / "horizons.csv", {
-        "t_s": ts, "r_apparent_m": apparent,
-        "particle_horizon_comoving_m": geometry.particle_horizon(trajectory, ts, c0)},
-        infinite=("r_apparent_m", "particle_horizon_comoving_m"))
-    r.files["horizons"] = "horizons.csv"
     settled = geometry.settled_apparent_horizon(trajectory, c0)
     r.report.horizon_summary = {
         "settled_apparent_m": settled,
@@ -571,9 +565,11 @@ def _horizons(r: _Run) -> None:
             "q2d.apparent_horizon_settled_m", settled,
             note="formula value c0/omega0; the published figure is "
                  "one order of magnitude smaller, ratio reported as is"))
+    return {"t_s": ts, "r_apparent_m": apparent,
+            "particle_horizon_comoving_m": geometry.particle_horizon(trajectory, ts, c0)}
 
 
-def _spectrum_2d(r: _Run) -> None:
+def _spectrum_2d(r: _Run) -> dict:
     derived, xi = r.config.derived, r.config.derived.healing_length
     kappas = _kappa_grid(r.config.numeric, 2.0 * math.pi / (50.0 * xi),
                          4.0 * math.pi / xi)
@@ -582,13 +578,11 @@ def _spectrum_2d(r: _Run) -> None:
             kappas, derived.effective_coupling, derived.chemical_potential,
             r.config.condensate.species.mass)
         scaled = spectrum.values / xi**2
-    _write_csv(r.out / "spectrum.csv", {
-        "kappa_per_m": kappas, "C_m2": spectrum.values, "C_over_xi2": scaled})
     r.report.spectrum_paths["spectrum-2d"] = "spectrum.csv"
-    r.files["spectrum"] = "spectrum.csv"
+    return {"kappa_per_m": kappas, "C_m2": spectrum.values, "C_over_xi2": scaled}
 
 
-def _spectrum_3d(r: _Run) -> None:
+def _spectrum_3d(r: _Run) -> dict:
     species, derived = r.config.condensate.species, r.config.derived
     xi, omega_xi = derived.healing_length, sound_frequency_at_healing_scale(derived)
     alpha = r.trajectory.asymptotic_velocity
@@ -605,29 +599,30 @@ def _spectrum_3d(r: _Run) -> None:
             "message": f"{clipped} of {len(kappas)} grid points beyond "
                        f"kappa_max = {kmax:.4e} 1/m (hydrodynamic band)",
         })
-    _write_csv(r.out / "spectrum.csv", {
-        "kappa_per_m": kappas, "phase_variance_m3": spectrum.phase_variance,
-        "C3d_m3": spectrum.density_values, "in_band": spectrum.in_band})
     r.report.spectrum_paths["spectrum-3d"] = "spectrum.csv"
-    r.files["spectrum"] = "spectrum.csv"
 
+    omega0 = r.config.condensate.trap.longitudinal_frequency
     estimate = threed.max_contrast_estimate(
-        species.scattering_length, derived.peak_density,
-        r.config.condensate.trap.longitudinal_frequency, omega_xi, alpha)
+        species.scattering_length, derived.peak_density, omega0, omega_xi, alpha)
+    if estimate.short_linear_window:
+        r.report.warnings.append({
+            "source": "short_linear_window",
+            "message": f"omega_xi/omega0 = {omega_xi / omega0:.3g} is below 10: the "
+                       "max_contrast estimate needs a long linear-expansion window",
+        })
     r.report.reference_comparison.append(_comparison_row(
         "threed.max_contrast_prefactor", estimate.prefactor))
     r.report.reference_comparison.append(_comparison_row(
         "threed.max_contrast", estimate.value, note="order-of-magnitude reference"))
-
-
-def _write_report(r: _Run) -> None:
-    _write_json(r.out / "report.json", r.report.to_dict())
-    r.files["report"] = "report.json"
+    return {"kappa_per_m": kappas, "phase_variance_m3": spectrum.phase_variance,
+            "C3d_m3": spectrum.density_values, "in_band": spectrum.in_band}
 
 
 class Stage(NamedTuple):
-    """A stage body, the stage it needs and the scenarios it applies to."""
-    body: Callable[[_Run], None]
+    """A stage body, which returns its file's contents (a JSON payload or CSV
+    columns), the file, the stage it needs and the scenarios it applies to."""
+    body: Callable[[_Run], dict]
+    file: str
     needs: str | None = None
     dimensions: tuple[int, ...] = DIMENSIONS
     modes: tuple[str, ...] = ("free", "hold")
@@ -635,22 +630,23 @@ class Stage(NamedTuple):
 
 # The pipeline, in run order; a stage's needs come before it. derive always
 # runs and "report" requests every stage that applies to the scenario. A
-# requested stage writes its files; a stage that is only needed by another
-# runs without writing. A held trap never releases (alpha = 0), so it has no
-# 3D spectrum.
+# requested stage writes its file; a stage that is only needed by another
+# runs and its contents are dropped. A held trap never releases (alpha = 0),
+# so it has no 3D spectrum.
 STAGES: dict[str, Stage] = {
-    "derive": Stage(_derive),
-    "evolve": Stage(_evolve, needs="derive"),
-    "horizons": Stage(_horizons, needs="evolve"),
-    "spectrum-2d": Stage(_spectrum_2d, needs="derive", dimensions=(2,)),
-    "spectrum-3d": Stage(_spectrum_3d, needs="evolve", dimensions=(3,),
+    "derive": Stage(_derive, "derived.json"),
+    "evolve": Stage(_evolve, "trajectory.csv", needs="derive"),
+    "horizons": Stage(_horizons, "horizons.csv", needs="evolve"),
+    "spectrum-2d": Stage(_spectrum_2d, "spectrum.csv", needs="derive", dimensions=(2,)),
+    "spectrum-3d": Stage(_spectrum_3d, "spectrum.csv", needs="evolve", dimensions=(3,),
                          modes=("free",)),
-    "report": Stage(_write_report, needs="derive"),
+    "report": Stage(lambda r: r.report.to_dict(), "report.json", needs="derive"),
 }
 
 
 def run(config: ScenarioConfig, out_dir) -> RunReport:
-    """Run the stages the analyses ask for and write the run directory.
+    """Run the stages the analyses ask for and write the run directory: each
+    requested stage's file, then manifest.json, the run's only writes.
 
     An output directory that cannot be created raises ConfigError. On a
     stage failure the manifest is written with the failing stage named, the
@@ -659,7 +655,7 @@ def run(config: ScenarioConfig, out_dir) -> RunReport:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot create output directory {out} ({exc})") from exc
     D, mode = config.condensate.trap.dimension, config.expansion_mode
     writes = {"derive", *config.analysis}
@@ -671,14 +667,22 @@ def run(config: ScenarioConfig, out_dir) -> RunReport:
     manifest = {"scenario": config.to_dict(), "analyses": list(config.analysis),
                 "files": {}, "complete": False, "failed_stage": None,
                 "warnings": report.warnings}
-    state = _Run(config, out, writes, report, manifest["files"])
-    for name in [name for name in STAGES if name in needed]:
-        try:
-            STAGES[name].body(state)
-        except Exception as exc:
-            manifest["failed_stage"] = name
-            _write_json(out / "manifest.json", manifest)
-            raise StageError(name, exc) from exc
-    manifest["complete"] = True
-    _write_json(out / "manifest.json", manifest)
+    state = _Run(config, report)
+    try:
+        for name in [name for name in STAGES if name in needed]:
+            try:
+                stage = STAGES[name]
+                contents = stage.body(state)
+                if name in writes:
+                    if stage.file.endswith(".csv"):
+                        _write_csv(out / stage.file, contents, _INFINITE_COLUMNS)
+                    else:
+                        _write_json(out / stage.file, contents)
+                    manifest["files"][stage.file.rpartition(".")[0]] = stage.file
+            except Exception as exc:
+                manifest["failed_stage"] = name
+                raise StageError(name, exc) from exc
+        manifest["complete"] = True
+    finally:
+        _write_json(out / "manifest.json", manifest)
     return report

@@ -189,6 +189,17 @@ class TestValidity:
         assert check.ratio == pytest.approx(1.0, rel=1e-12)
         assert not check.passed
 
+    def test_ratio_at_threshold_passes(self, sodium_spec, sodium_derived):
+        # a check fails only below 3: a width of exactly three scattering lengths passes
+        width = sodium_derived.transverse_width
+        edge = CondensateSpec(
+            species=AtomSpecies("edge", sodium_spec.species.mass, width / 3.0),
+            trap=sodium_spec.trap, atom_number=sodium_spec.atom_number)
+        check = {c.name: c for c in validate_dimensional_reduction(
+            edge, sodium_derived)}["mean_field_validity"]
+        assert check.ratio == 3.0
+        assert check.passed
+
     def test_3d_has_no_reduction_checks(self, rubidium_spec, rubidium_derived):
         assert validate_dimensional_reduction(rubidium_spec, rubidium_derived) == ()
 

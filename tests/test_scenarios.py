@@ -103,6 +103,13 @@ class TestLoading:
             config_from_dict(_preset_dict(
                 "sodium-q2d", numeric={"kappa_min_per_m": 10.0}))
 
+    @pytest.mark.parametrize("edges", [(10.0, 10.0), (20.0, 10.0)], ids=["equal", "reversed"])
+    def test_kappa_edges_must_be_ordered(self, edges):
+        numeric = dict(zip(("kappa_min_per_m", "kappa_max_per_m"), edges))
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(_preset_dict("sodium-q2d", numeric=numeric))
+        assert str(err.value) == "numeric.kappa_min_per_m must be below kappa_max_per_m"
+
     @pytest.mark.parametrize("key", ["kappa_min_per_m", "kappa_max_per_m"])
     def test_lone_kappa_edge_names_its_keys(self, key):
         # the message names the JSON keys, which are also the settings fields
@@ -409,8 +416,9 @@ class TestRun:
 
         def horizons(r):
             calls.clear()
-            stage.body(r)
+            columns = stage.body(r)
             per_stage[r.config.numeric.trajectory_samples] = sorted(calls)
+            return columns
 
         monkeypatch.setitem(scenarios.STAGES, "horizons", stage._replace(body=horizons))
         for samples in (50, 400, 4000):
@@ -431,6 +439,24 @@ class TestRun:
         clipped = run(config_from_dict(data), tmp_path / "clip2")
         sources = [w["source"] for w in clipped.warnings]
         assert "band_clip" in sources
+
+    def test_short_linear_window_warning(self, tmp_path):
+        # omega_xi/omega0 is 127.7 for the preset and 8.06 with 1e4 atoms; the
+        # max_contrast estimate needs it well above 1 and flags it below 10
+        report = run(load_scenario("rubidium-3d"), tmp_path / "preset")
+        assert report.warnings == []
+        data = _preset_dict("rubidium-3d")
+        data["condensate"]["atom_number"] = 1e4
+        report = run(config_from_dict(data), tmp_path / "small")
+        assert report.warnings == [{
+            "source": "short_linear_window",
+            "message": "omega_xi/omega0 = 8.06 is below 10: the max_contrast "
+                       "estimate needs a long linear-expansion window"}]
+
+    def test_nul_in_output_directory_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot create output directory"):
+            run(load_scenario("sodium-q2d"), tmp_path / "a\0b")
+        assert list(tmp_path.iterdir()) == []
 
     def test_validity_warning_named(self, tmp_path):
         data = _preset_dict("sodium-q2d", analysis=["derive"])
@@ -503,6 +529,53 @@ class TestCli:
         assert "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
         assert Path("file").read_text() == "kept"
+
+    # The scenario name makes the default output directory, ./<name>-out, so
+    # it must be a file name: a NUL, a path or an empty name exits 1 naming
+    # the field, with no traceback and nothing written, here or above.
+    @pytest.mark.parametrize("name", ["a\0b", "../../escape", "", ".", "..", "a/b"],
+                             ids=["nul", "escape", "empty", "dot", "dot-dot", "slash"])
+    def test_name_that_is_not_a_file_name_exits_one(self, tmp_path, monkeypatch, capsys,
+                                                    name):
+        work = tmp_path / "a" / "b"
+        work.mkdir(parents=True)
+        monkeypatch.chdir(work)
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({**PRESETS["sodium-q2d"], "name": name}))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["derive", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("configuration error: scenario.name must be a file name: not '', "
+                       f"'.' or '..', and without '/' or NUL, got {name!r}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("flag", ["--kappa-min", "--kappa-max"])
+    def test_lone_kappa_flag_exits_one(self, tmp_path, capsys, flag):
+        out = tmp_path / "lone"
+        assert main(["spectrum2d", "--scenario", "sodium-q2d", "--out", str(out),
+                     flag, "1e5"]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: --kappa-min and --kappa-max must be given together\n")
+        assert not out.exists()
+
+    def test_scenario_that_is_not_an_object_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([_preset_dict("sodium-q2d")]))
+        out = tmp_path / "list"
+        assert main(["derive", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: scenario must be a JSON object\n")
+        assert not out.exists()
+
+    def test_short_linear_window_exits_three(self, tmp_path, capsys):
+        data = _preset_dict("rubidium-3d")
+        data["condensate"]["atom_number"] = 1e4
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(data))
+        assert main(["report", "--scenario", str(path),
+                     "--out", str(tmp_path / "small")]) == 3
+        assert "warning [short_linear_window]: omega_xi/omega0 = 8.06" in (
+            capsys.readouterr().out)
 
     def test_warning_exit_three(self, tmp_path):
         data = _preset_dict("sodium-q2d", analysis=["derive"])
